@@ -1,7 +1,7 @@
 """Command-line front door: analyze | approximate | trace | list.
 
 Exit codes: 0 success, 2 usage or domain error, 3 search failure,
-4 unsupported capability.  KG_THREADS caps the internal worker count.
+4 unsupported capability.
 """
 
 from __future__ import annotations

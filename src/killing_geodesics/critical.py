@@ -1,27 +1,27 @@
 """Critical orbits of the energy function and their certification.
 
 The central mechanism: critical points of f(p) = g(K_p, K_p) generate
-periodic geodesics through the identity grad f = -2 ∇_K K.  The search is
-multi-start projected descent (on f and on -f) with Newton refinement on
-the Hessian transverse to the flow direction, followed by orbit-aware
-deduplication, classification, residual certification and period
-detection.
+periodic geodesics through the identity grad f = -2 ∇_K K.  The search
+runs every (start, sign) pair in lockstep as one stack of points:
+projected descent on f and on -f, then Newton refinement on the Hessian
+transverse to the flow direction, both on the analytic ambient gradient
+of f.  Orbit-aware deduplication, classification, residual certification
+and period detection follow, one orbit at a time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateCriticalPointError, NotTimelikeError, SearchFailureError
+from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import detect_period, flow, geodesic_residual, min_distance_to_point
-from .geometry import FD_STEP_SECOND, Array, ManifoldModel, MetricField, metric_eval
-from .killing import KillingField, energy, lorentz_to_riemann
+from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Array, ManifoldModel, MetricField, central_diff, inner
+from .killing import KillingField, energy, energy_terms, reflect
 
 GRAD_TOL = 1e-7
 DEDUP_DISTANCE = 1e-4
@@ -47,15 +47,10 @@ def f_eval(g: MetricField, K, p) -> float:
     return energy(g, K, p)
 
 
-def _f_raw(g: MetricField, K):
-    """Fast unchecked evaluator of f on the ambient extension."""
+def _energy_at(g: MetricField, K):
+    """Unchecked f at one ambient point, for finite differences."""
     field = K.evaluator if isinstance(K, KillingField) else K
-
-    def f(p):
-        v = np.asarray(field(p), dtype=float)
-        return float(v @ (g.matrix(p) @ v))
-
-    return f
+    return lambda q: float(energy_terms(g.matrix(q), np.asarray(field(q), dtype=float))[1])
 
 
 def _tangent_df(f, M: ManifoldModel, p: Array, basis: Array, h: float = 1e-5) -> Array:
@@ -67,65 +62,17 @@ def grad_f(g: MetricField, K, p) -> Array:
     """The g-gradient of f at p, via finite differences and g-duality.
 
     Solves g(grad f, e_i) = df(e_i) in a Euclidean-orthonormal tangent
-    basis.  Independent of the connection; tests cross-check it against
-    the identity grad f = -2 ∇_K K.
+    basis.  Independent of the connection and of the analytic gradient
+    the search descends on; tests cross-check it against the identity
+    grad f = -2 ∇_K K.
     """
     M = g.manifold
     p = np.asarray(p, dtype=float)
+    M.check_on_manifold(p)
     basis = M.tangent_basis(p)
-    df = _tangent_df(_f_raw(g, K), M, p, basis)
-    gram = np.array([[metric_eval(g, p, bi, bj) for bj in basis] for bi in basis])
-    coeffs = np.linalg.solve(gram, df)
-    return coeffs @ basis
-
-
-def _euclidean_grad(f, M: ManifoldModel, p: Array, basis: Array) -> Array:
-    df = _tangent_df(f, M, p, basis)
-    return df @ basis
-
-
-def _descent_direction(g: MetricField, K, f, M, p, basis) -> Array:
-    """Gradient with respect to a definite inner product.
-
-    Uses the auxiliary Riemannian metric where K is timelike, otherwise
-    the Euclidean tangential gradient; both share their zero set with the
-    true differential of f.
-    """
-    df = _tangent_df(f, M, p, basis)
-    if g.role == "lorentzian":
-        try:
-            g_r = lorentz_to_riemann(g, K)
-            gram = np.array([[metric_eval(g_r, p, bi, bj) for bj in basis] for bi in basis])
-            return np.linalg.solve(gram, df) @ basis
-        except NotTimelikeError:
-            pass
-    return df @ basis
-
-
-def _descend(g, K, M, f, p0, sign, basis_fn, max_iter=300, grad_stop=1e-9):
-    """Projected gradient descent on sign*f with Armijo backtracking."""
-    p = M.project_point(np.asarray(p0, dtype=float))
-    step = 0.1
-    for _ in range(max_iter):
-        basis = basis_fn(p)
-        d = sign * _descent_direction(g, K, f, M, p, basis)
-        nd = float(np.linalg.norm(d))
-        if nd <= grad_stop:
-            break
-        fp = sign * f(p)
-        accepted = False
-        trial = step
-        for _ in range(40):
-            q = M.project_point(p - trial * d)
-            if sign * f(q) < fp - 1e-4 * trial * nd * nd:
-                p = q
-                step = min(trial * 1.5, 10.0)
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            break
-    return p
+    df = _tangent_df(_energy_at(g, K), M, p, basis)
+    gram = basis @ g.matrix(p) @ basis.T
+    return np.linalg.solve(gram, df) @ basis
 
 
 def _transverse_hessian(f, M, p, basis, h: float = FD_STEP_SECOND) -> Array:
@@ -151,40 +98,6 @@ def _transverse_hessian(f, M, p, basis, h: float = FD_STEP_SECOND) -> Array:
     return H
 
 
-def _newton_refine(g, K, M, f, p, max_iter=20, trust=0.3):
-    """Newton steps on the KKT system that quotients out the flow direction."""
-    field = K.evaluator if isinstance(K, KillingField) else K
-    for _ in range(max_iter):
-        basis = M.tangent_basis(p)
-        df = _tangent_df(f, M, p, basis)
-        if float(np.linalg.norm(df)) <= 1e-12:
-            break
-        H = _transverse_hessian(f, M, p, basis)
-        k = basis @ np.asarray(field(p), dtype=float)
-        nk = float(np.linalg.norm(k))
-        if nk > 1e-10:
-            n = len(basis)
-            kkt = np.zeros((n + 1, n + 1))
-            kkt[:n, :n] = H
-            kkt[:n, n] = k
-            kkt[n, :n] = k
-            rhs = np.concatenate([-df, [0.0]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.concatenate([np.linalg.lstsq(H, -df, rcond=None)[0], [0.0]])
-            delta = sol[:n]
-        else:
-            delta = np.linalg.lstsq(H, -df, rcond=None)[0]
-        nd = float(np.linalg.norm(delta))
-        if nd > trust:
-            delta *= trust / nd
-        p = M.project_point(p + delta @ basis)
-        if nd < 1e-14:
-            break
-    return p
-
-
 def classify_critical(g: MetricField, K, p, flow_tol: float = 1e-10):
     """Classify a critical point by the transverse Hessian of f.
 
@@ -196,7 +109,7 @@ def classify_critical(g: MetricField, K, p, flow_tol: float = 1e-10):
     """
     M = g.manifold
     p = np.asarray(p, dtype=float)
-    f = _f_raw(g, K)
+    f = _energy_at(g, K)
     basis = M.tangent_basis(p)
     df = _tangent_df(f, M, p, basis)
     if float(np.linalg.norm(df)) > GRAD_TOL * 10:
@@ -230,11 +143,222 @@ def classify_critical(g: MetricField, K, p, flow_tol: float = 1e-10):
     return "saddle", eig
 
 
-def _worker_count() -> int:
+def _stacked(fn: Callable[[Array], Array], probe: Array) -> Callable[[Array], Array]:
+    """``fn`` if it maps a stack of points row by row, else a row loop around it.
+
+    ``probe`` holds d + 1 points, so a single-point callable cannot pass
+    by a coincidence of square shapes.  The loop passes a single point
+    straight through.
+    """
+    rows = np.array([np.asarray(fn(p), dtype=float) for p in probe])
     try:
-        return max(1, int(os.environ.get("KG_THREADS", "1")))
-    except ValueError:
-        return 1
+        out = np.asarray(fn(probe), dtype=float)
+        if out.shape == rows.shape and np.allclose(out, rows, rtol=1e-12, atol=1e-14):
+            return fn
+    except (ValueError, TypeError, IndexError):
+        pass
+
+    def loop(P):
+        P = np.asarray(P, dtype=float)
+        if P.ndim == 1:
+            return fn(P)
+        return np.array([np.asarray(fn(p), dtype=float) for p in P])
+
+    return loop
+
+
+@dataclass(frozen=True, eq=False)
+class _Energy:
+    """f = g(K, K) and its ambient gradient on (N, d) stacks of points."""
+
+    field: Callable[[Array], Array]
+    field_jac: Callable[[Array], Array]  # [n, m] = ∂K/∂x_m at point n
+    metric: Callable[[Array], Array]
+    metric_jac: Callable[[Array], Array]  # [n, m] = ∂G/∂x_m at point n
+    lorentzian: bool
+
+    def values(self, P: Array) -> Array:
+        return energy_terms(self.metric(P), self.field(P))[1]
+
+    def parts(self, P: Array):
+        """f, its ambient gradient, G and K at each row.
+
+        ∇f_m = 2 (∂_m K)·(G K) + K^T (∂_m G) K.
+        """
+        k = np.asarray(self.field(P), dtype=float)
+        G = np.asarray(self.metric(P), dtype=float)
+        gk, f = energy_terms(G, k)
+        grad = 2.0 * np.einsum("nmi,ni->nm", self.field_jac(P), gk)
+        grad = grad + np.einsum("ni,nmij,nj->nm", k, self.metric_jac(P), k)
+        return f, grad, G, k
+
+    def gradient(self, P: Array) -> Array:
+        return self.parts(P)[1]
+
+
+def _batched_energy(g: MetricField, K, probe: Array) -> _Energy:
+    """Stack-capable K, g and jacobians; a missing jacobian becomes central
+    differences of the stacked evaluator."""
+    eye = np.eye(probe.shape[1])
+
+    def jacobian(given, fn):
+        if given is None:
+            return lambda P: central_diff(fn, P, eye, FD_STEP_FIRST)
+        return _stacked(given, probe)
+
+    field = _stacked(K.evaluator if isinstance(K, KillingField) else K, probe)
+    metric = _stacked(g.matrix, probe)
+    field_jac = jacobian(K.jacobian if isinstance(K, KillingField) else None, field)
+    return _Energy(field, field_jac, metric, jacobian(g.jacobian, metric), g.role == "lorentzian")
+
+
+def _batched_manifold(M: ManifoldModel, probe: Array) -> ManifoldModel:
+    """M with a constraint and its derivatives that accept (N, d) stacks."""
+    if M.constraint is None:
+        return M
+    return dataclasses.replace(
+        M,
+        constraint=_stacked(M.constraint, probe),
+        constraint_grad=_stacked(M.grad_constraint, probe),
+        constraint_hess=_stacked(M.hess_constraint, probe),
+    )
+
+
+def _bordered_solve(A: Array, borders: list, rhs: Array) -> Array:
+    """Per row, x with A x + Σ_j y_j b_j = rhs and b_j·x = 0.
+
+    ``borders`` holds (N, d) stacks b_j.  A singular row (a zero border
+    among them) is solved by least squares, on its own.
+    """
+    n, d = rhs.shape
+    m = d + len(borders)
+    S = np.zeros((n, m, m))
+    S[:, :d, :d] = A
+    for j, b in enumerate(borders):
+        S[:, :d, d + j] = S[:, d + j, :d] = b
+    r = np.zeros((n, m, 1))
+    r[:, :d, 0] = rhs
+    try:
+        return np.linalg.solve(S, r)[:, :d, 0]
+    except np.linalg.LinAlgError:
+        return np.array([_solve_or_lstsq(s, v) for s, v in zip(S, r)])[:, :d]
+
+
+def _solve_or_lstsq(S: Array, r: Array) -> Array:
+    try:
+        return np.linalg.solve(S[None], r[None])[0, :, 0]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(S, r[:, 0], rcond=None)[0]
+
+
+def _normals(M: ManifoldModel, P: Array) -> list:
+    """The constraint normal at each row, as the one border of a tangent solve."""
+    return [] if M.constraint is None else [M.grad_constraint(P)]
+
+
+def _tangent(v: Array, normals: list) -> Array:
+    """Euclidean projection of each row of v onto the tangent space."""
+    for c in normals:
+        v = v - (inner(v, c) / inner(c, c))[:, None] * c
+    return v
+
+
+def _descent_direction(core: _Energy, M: ManifoldModel, P: Array):
+    """f and the gradient of f for a definite inner product, per row.
+
+    Uses the auxiliary Riemannian metric g_R where K is timelike,
+    otherwise the Euclidean tangential gradient; both share their zero
+    set with the true differential of f.  The constraint normal borders
+    the solve, so the result is tangent without a tangent basis.
+    """
+    f, grad, G, k = core.parts(P)
+    A = np.broadcast_to(np.eye(P.shape[1]), G.shape).copy()
+    if core.lorentzian:
+        t = f < -1e-10
+        A[t] = reflect(G[t], *energy_terms(G[t], k[t]))
+    return f, _bordered_solve(A, _normals(M, P), grad)
+
+
+def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array, max_iter=300, grad_stop=1e-9):
+    """Projected gradient descent on sign*f with Armijo backtracking.
+
+    Every row keeps its own step and stops on its own; the rows still
+    moving advance together, one stacked evaluation per round.
+    """
+    P = M.project_point(P)
+    step = np.full(len(P), 0.1)
+    live = np.arange(len(P))
+    for _ in range(max_iter):
+        if not len(live):
+            break
+        f, d = _descent_direction(core, M, P[live])
+        d = sign[live, None] * d
+        nd = np.linalg.norm(d, axis=1)
+        moving = nd > grad_stop
+        live, fp, d, nd = live[moving], sign[live][moving] * f[moving], d[moving], nd[moving]
+        accepted = np.zeros(len(live), dtype=bool)
+        trial = step[live]
+        pending = np.arange(len(live))
+        for _ in range(40):
+            if not len(pending):
+                break
+            rows = live[pending]
+            Q = M.project_point(P[rows] - trial[pending, None] * d[pending])
+            t = trial[pending]
+            ok = sign[rows] * core.values(Q) < fp[pending] - 1e-4 * t * nd[pending] * nd[pending]
+            P[rows[ok]] = Q[ok]
+            step[rows[ok]] = np.minimum(t[ok] * 1.5, 10.0)
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            trial[pending] *= 0.5
+        live = live[accepted]
+    return P
+
+
+def _newton_refine(core: _Energy, M: ManifoldModel, P: Array, max_iter=20, trust=0.3):
+    """Newton steps on the KKT system that borders out the flow direction.
+
+    The Hessian is central differences of the analytic gradient minus
+    λ·Hess c with λ = ∇f·∇c / |∇c|²: on the constraint set the straight-
+    line ambient Hessian misses this curvature term, which can even flip
+    signs.  Rows stop on their own.
+    """
+    P = P.copy()
+    eye = np.eye(P.shape[1])
+    live = np.arange(len(P))
+    for _ in range(max_iter):
+        if not len(live):
+            break
+        Q = P[live]
+        _, grad, _, k = core.parts(Q)
+        normals = _normals(M, Q)
+        moving = np.linalg.norm(_tangent(grad, normals), axis=1) > 1e-12
+        live, Q, grad, k = live[moving], Q[moving], grad[moving], k[moving]
+        if not len(live):
+            break
+        normals = [c[moving] for c in normals]
+        H = central_diff(core.gradient, Q, eye, FD_STEP_FIRST)
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        for c in normals:
+            lam = inner(grad, c) / inner(c, c)
+            H = H - lam[:, None, None] * M.hess_constraint(Q)
+        # a (near-)stationary field has no flow direction to border out:
+        # its zero border makes the row singular, solved by least squares
+        kt = _tangent(k, normals)
+        kt[np.linalg.norm(kt, axis=1) <= 1e-10] = 0.0
+        delta = _bordered_solve(H, [kt] + normals, -grad)
+        nd = np.linalg.norm(delta, axis=1)
+        delta = np.where((nd > trust)[:, None], delta * (trust / nd)[:, None], delta)
+        P[live] = M.project_point(Q + delta)
+        live = live[nd >= 1e-14]
+    return P
+
+
+def _search_rows(core: _Energy, M: ManifoldModel, starts: Array) -> Array:
+    """Descent plus Newton from each start on f (even rows) and -f (odd rows)."""
+    P = np.repeat(np.asarray(starts, dtype=float), 2, axis=0)
+    sign = np.tile([1.0, -1.0], len(starts))
+    return _newton_refine(core, M, _descend(core, M, P, sign))
 
 
 def find_critical_orbits(
@@ -250,18 +374,24 @@ def find_critical_orbits(
     """Locate the critical orbits of f = g(K, K) on the manifold.
 
     Multi-start descent on f and -f from ``budget`` seeded samples (always
-    including the sampled argmin and argmax), Newton refinement, orbit
-    deduplication by flow reach, then classification, geodesic-residual
-    certification and period detection per orbit.  A sampled f-variance
-    below 1e-12 short-circuits into a single degenerate-constant marker
-    meaning every point is critical.
+    including the sampled argmin and argmax) and Newton refinement, all
+    rows in lockstep, then the finite-difference gradient certificate on
+    every row, orbit deduplication by flow reach, classification,
+    geodesic-residual certification and period detection per orbit.  A
+    sampled f-variance below 1e-12 short-circuits into a single
+    degenerate-constant marker meaning every point is critical.
+
+    K, g and their jacobians are normalised once, here: an evaluator
+    that cannot map a stack of points row by row is wrapped in a row
+    loop, and a missing jacobian becomes central differences.
     """
     if M is None:
         M = g.manifold
     rng = np.random.default_rng(seed)
     samples = M.sample_points(rng, probe_samples)
-    f = _f_raw(g, K)
-    fvals = np.array([f(p) for p in samples])
+    probe = samples[: M.ambient_dim + 1]
+    core = _batched_energy(g, K, probe)
+    fvals = core.values(samples)
     if float(np.var(fvals)) < DEGENERATE_VARIANCE:
         rep = samples[0]
         cert = detect_period(M, K, rep, horizon, tol_ode=tol_ode)
@@ -283,23 +413,12 @@ def find_critical_orbits(
     order += [i for i in range(len(samples)) if i not in order]
     starts = [samples[i] for i in order[:budget]]
 
-    def run_start(p0):
-        out = []
-        for sign in (1.0, -1.0):
-            p = _descend(g, K, M, f, p0, sign, M.tangent_basis)
-            p = _newton_refine(g, K, M, f, p)
-            gn = float(np.linalg.norm(grad_f(g, K, p)))
-            if gn <= GRAD_TOL:
-                out.append((p, float(f(p)), gn))
-        return out
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_start, starts))
-    else:
-        results = [run_start(p0) for p0 in starts]
-    candidates = [c for group in results for c in group]
+    rows = _search_rows(core, _batched_manifold(M, probe), np.array(starts))
+    candidates = []
+    for p in rows:
+        gn = float(np.linalg.norm(grad_f(g, K, p)))
+        if gn <= GRAD_TOL:
+            candidates.append((p, f_eval(g, K, p), gn))
     if not candidates:
         raise SearchFailureError("no start converged to a critical point")
 
@@ -316,7 +435,7 @@ def find_critical_orbits(
                 break
         if duplicate:
             continue
-        speed = float(np.linalg.norm(np.asarray((K.evaluator if isinstance(K, KillingField) else K)(p), float)))
+        speed = float(np.linalg.norm(core.field(p)))
         span = min(horizon, 4.0 * math.pi / max(speed, 0.1) + 1.0)
         orbit_curves.append(flow(M, K, p, span, tol=tol_ode))
         orbits.append((p, fv, gn))

@@ -27,7 +27,7 @@ from .geometry import (
     reduce_point,
 )
 from .integrate import DenseCurve, solve_rk45
-from .killing import KillingField, KillingFamily
+from .killing import KillingField, KillingFamily, energy_terms
 
 PERIOD_TOL = 1e-6
 GEODESIC_TOL = 1e-5
@@ -81,10 +81,7 @@ class CurveSample:
 
 
 def _energy_values(g: MetricField, points: Array, velocities: Array) -> Array:
-    vals = np.empty(len(points))
-    for i, (p, v) in enumerate(zip(points, velocities)):
-        vals[i] = float(v @ (g.matrix(p) @ v))
-    return vals
+    return energy_terms(np.array([g.matrix(p) for p in points]), velocities)[1]
 
 
 def _constraint_drift(M: ManifoldModel, points: Array) -> float:
@@ -256,7 +253,9 @@ def detect_period(
     refines each by bisection on the signed crossing of the Poincare
     section through p0 normal to the initial velocity.  Returns None when
     no certified return exists within the horizon (including the case of
-    a stationary point of the field).
+    a stationary point of the field).  ``resolution`` bounds the scan
+    step from above; the step shrinks to ``dip_threshold / (4 * max knot
+    speed)`` so that a fast field cannot step over a dip.
     """
     p0 = np.asarray(p0, dtype=float)
     field = _field_fn(K)
@@ -267,6 +266,9 @@ def detect_period(
     if curve is None:
         curve = flow(M, K, p0, horizon, tol=tol_ode)
     dense = curve.dense
+    # the dip window is dip_threshold / speed wide: never step over it
+    max_speed = float(np.max(np.linalg.norm(curve.velocities, axis=1)))
+    resolution = min(resolution, dip_threshold / (4.0 * max_speed))
     ss = np.arange(0.0, curve.t_end, resolution)
     pts = curve.position_at(ss)
     dist = M.quotient_distance(pts, p0)

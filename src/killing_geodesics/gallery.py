@@ -26,7 +26,9 @@ from .geometry import (
     Array,
     ManifoldModel,
     MetricField,
+    inner,
     make_deck_generator,
+    matvec,
     metric_eval,
     signature_of_gram,
     tangent_gram,
@@ -59,6 +61,15 @@ class GalleryEntry:
     orbit_coordinate: Optional[Callable[[Array], float]] = None
 
 
+def _constant(value: Array) -> Callable[[Array], Array]:
+    """A constant evaluator: ``value`` at one point, stacked for (N, d)."""
+
+    def evaluate(p, _v=value):
+        return _v if np.ndim(p) == 1 else np.broadcast_to(_v, np.shape(p)[:-1] + _v.shape)
+
+    return evaluate
+
+
 def _constant_metric(M: ManifoldModel, diag, role: str, index: int = 1, signature=None) -> MetricField:
     """Constant ambient diagonal metric; ``signature`` is the intrinsic
     one on the tangent space (inferred from the diagonal only when the
@@ -73,9 +84,7 @@ def _constant_metric(M: ManifoldModel, diag, role: str, index: int = 1, signatur
             int(np.sum(np.asarray(diag) > 0)),
             int(np.sum(np.asarray(diag) < 0)),
         )
-    return MetricField(
-        M, lambda p, _G=G: _G, tuple(signature), role, index, lambda p, _z=zero: _z
-    )
+    return MetricField(M, _constant(G), tuple(signature), role, index, _constant(zero))
 
 
 def _constant_field(g: MetricField, components, label, generator) -> KillingField:
@@ -85,10 +94,10 @@ def _constant_field(g: MetricField, components, label, generator) -> KillingFiel
     return certify_killing_field(
         g,
         KillingField(
-            lambda p, _v=v: _v.copy(),
+            lambda p, _v=_constant(v): _v(p).copy(),
             label=label,
             generator=generator,
-            jacobian=lambda p, _z=zero: _z,
+            jacobian=_constant(zero),
         ),
     )
 
@@ -239,9 +248,9 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
         kind="embedded",
         ambient_dim=4,
         intrinsic_dim=3,
-        constraint=lambda p: float(p @ p) - 1.0,
+        constraint=lambda p: inner(p, p) - 1.0,
         constraint_grad=lambda p: 2.0 * p,
-        constraint_hess=lambda p: 2.0 * np.eye(4),
+        constraint_hess=_constant(2.0 * np.eye(4)),
         sampler=_sphere_sampler(4),
     )
     round_metric = _constant_metric(M, [1.0, 1.0, 1.0, 1.0], "riemannian", 0, signature=(3, 0))
@@ -253,11 +262,10 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
     A2[3, 2] = 1.0
 
     def lin_field(A):
-        return lambda p, _A=A: _A @ p
+        return lambda p, _A=A: matvec(_A, p)
 
     def lin_jac(A):
-        At = A.T.copy()
-        return lambda p, _J=At: _J
+        return _constant(A.T.copy())
 
     K1 = certify_killing_field(
         round_metric,
@@ -342,13 +350,15 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
     rot[0, 1] = -math.sin(theta)
     rot[1, 0] = math.sin(theta)
 
-    def sphere_constraint(p):
-        return float(p[0] * p[0] + p[1] * p[1] + p[2] * p[2]) - 1.0
-
-    def sphere_grad(p):
-        return np.array([2.0 * p[0], 2.0 * p[1], 2.0 * p[2], 0.0])
-
     hess = np.diag([2.0, 2.0, 2.0, 0.0])
+    scale = np.diag(hess).copy()
+
+    def sphere_constraint(p):
+        x = np.asarray(p)[..., :3]
+        return inner(x, x) - 1.0
+
+    def sphere_grad(p, _s=scale):
+        return _s * p
 
     def sampler(rng):
         v = rng.normal(size=3)
@@ -361,7 +371,7 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
         intrinsic_dim=3,
         constraint=sphere_constraint,
         constraint_grad=sphere_grad,
-        constraint_hess=lambda p, _h=hess: _h,
+        constraint_hess=_constant(hess),
         deck_generators=(
             make_deck_generator(0, np.diag([-1.0, -1.0, -1.0, 1.0]), np.zeros(4)),
             make_deck_generator(1, rot, [0.0, 0.0, 0.0, 1.0]),

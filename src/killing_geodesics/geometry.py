@@ -28,6 +28,42 @@ IDENTIFY_TOL = 1e-6
 DEFAULT_MAX_WORD_LEN = 6
 
 
+def matvec(A: Array, x: Array) -> Array:
+    """A x for one vector, or row by row for stacks of matrices and vectors.
+
+    One vector takes the BLAS product, as fast as it gets for a single
+    point.  A stack takes einsum, whose rows do not depend on the other
+    rows: a (1, d) BLAS product rounds differently from the same row
+    inside a larger one.  The two agree to a few ulps.
+    """
+    if np.ndim(x) == 1:
+        return A @ x
+    return np.einsum("...ij,...j->...i", A, x)
+
+
+def inner(x: Array, y: Array) -> Array:
+    """x · y for two vectors, or row by row for stacks (see ``matvec``)."""
+    if np.ndim(x) == 1:
+        return x @ y
+    return np.einsum("...i,...i->...", x, y)
+
+
+def central_diff(fn: Callable[[Array], Array], p: Array, dirs: Array, h: float) -> Array:
+    """Central differences of ``fn`` at ``p`` along each row of ``dirs``.
+
+    ``p`` has shape ``(..., d)`` and ``fn`` maps an ``(N, d)`` stack of
+    points to an ``(N, ...)`` stack of values; all 2m displaced points
+    go to ``fn`` in one call.  The result has shape ``p.shape[:-1] +
+    (m,) + value shape``.
+    """
+    p = np.asarray(p, dtype=float)
+    step = h * np.asarray(dirs, dtype=float)
+    pts = np.stack([p[..., None, :] + step, p[..., None, :] - step])
+    vals = np.asarray(fn(pts.reshape(-1, p.shape[-1])), dtype=float)
+    vals = vals.reshape(pts.shape[:-1] + vals.shape[1:])
+    return (vals[0] - vals[1]) / (2 * h)
+
+
 def _as_components(v) -> Array:
     """Accept a plain array or a TangentVector and return ambient components."""
     if isinstance(v, TangentVector):
@@ -176,12 +212,11 @@ class ManifoldModel:
         p = np.asarray(p, dtype=float)
         if self.constraint_grad is not None:
             return np.asarray(self.constraint_grad(p), dtype=float)
-        g = np.empty(self.ambient_dim)
-        for k in range(self.ambient_dim):
-            e = np.zeros(self.ambient_dim)
-            e[k] = FD_STEP_FIRST
-            g[k] = (self.constraint(p + e) - self.constraint(p - e)) / (2 * FD_STEP_FIRST)
-        return g
+        h = FD_STEP_FIRST
+        steps = h * np.eye(self.ambient_dim)
+        return np.stack(
+            [(self.constraint(p + e) - self.constraint(p - e)) / (2 * h) for e in steps], axis=-1
+        )
 
     def hess_constraint(self, p: Array) -> Array:
         p = np.asarray(p, dtype=float)
@@ -197,16 +232,32 @@ class ManifoldModel:
         return 0.5 * (H + H.T)
 
     def project_point(self, p: Array, tol: float = 1e-13, max_iter: int = 20) -> Array:
-        """Newton-project a nearby ambient point onto the constraint set."""
-        p = np.asarray(p, dtype=float).copy()
+        """Newton-project nearby ambient points onto the constraint set.
+
+        ``p`` is one point or an ``(N, d)`` stack whose rows stop on their
+        own once their residual is within ``tol``.  A single point is
+        passed to the constraint as a 1-D array.
+        """
+        p = np.array(p, dtype=float)
         if self.constraint is None:
             return p
+        if p.ndim == 1:
+            for _ in range(max_iter):
+                r = float(self.constraint(p))
+                if abs(r) <= tol:
+                    break
+                grad = self.grad_constraint(p)
+                p = p - r * grad / (grad @ grad)
+            return p
+        live = np.arange(len(p))
         for _ in range(max_iter):
-            r = float(self.constraint(p))
-            if abs(r) <= tol:
+            r = np.asarray(self.constraint(p[live]), dtype=float)
+            far = np.abs(r) > tol
+            if not far.any():
                 break
-            grad = self.grad_constraint(p)
-            p -= r * grad / float(grad @ grad)
+            live, r = live[far], r[far]
+            grad = self.grad_constraint(p[live])
+            p[live] = p[live] - r[:, None] * grad / inner(grad, grad)[:, None]
         return p
 
     def tangent_project(self, p: Array, v) -> Array:

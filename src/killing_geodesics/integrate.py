@@ -120,7 +120,8 @@ def solve_rk45(
     t = 0.0
     k = np.empty((7, y.size))
     for _ in range(MAX_STEPS):
-        if t >= t_end:
+        # a remainder below the step floor is rounding residue: arrived
+        if t_end - t < MIN_STEP * max(1.0, abs(t)):
             break
         h = min(h, t_end - t)
         if h < MIN_STEP * max(1.0, abs(t)):

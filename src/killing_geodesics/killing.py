@@ -21,6 +21,8 @@ from .geometry import (
     ManifoldModel,
     MetricField,
     covariant_derivative,
+    inner,
+    matvec,
     metric_eval,
     _as_components,
 )
@@ -216,12 +218,10 @@ def lorentz_to_riemann(g: MetricField, K) -> MetricField:
 
     def evaluator(p, _g=g, _field=field):
         G = _g.matrix(p)
-        k = np.asarray(_field(p), dtype=float)
-        gk = G @ k
-        f = float(k @ gk)
-        if f >= -1e-10:
-            raise NotTimelikeError(f"field not timelike here: g(K,K) = {f:.3e}")
-        return G - 2.0 * np.outer(gk, gk) / f
+        gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
+        if (f >= -1e-10).any():
+            raise NotTimelikeError(f"field not timelike here: g(K,K) = {np.max(f):.3e}")
+        return reflect(G, gk, f)
 
     n = g.manifold.intrinsic_dim
     jac = _conversion_jacobian(g, field, field_jac) if g.jacobian is not None else None
@@ -241,16 +241,32 @@ def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
 
     def evaluator(p, _g=g_R, _field=field):
         G = _g.matrix(p)
-        k = np.asarray(_field(p), dtype=float)
-        gk = G @ k
-        f = float(k @ gk)
-        if f < 1e-12:
+        gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
+        if (f < 1e-12).any():
             raise VanishingFieldError("field vanishes (or metric not positive) here")
-        return G - 2.0 * np.outer(gk, gk) / f
+        return reflect(G, gk, f)
 
     n = g_R.manifold.intrinsic_dim
     jac = _conversion_jacobian(g_R, field, field_jac) if g_R.jacobian is not None else None
     return MetricField(g_R.manifold, evaluator, (n - 1, 1), "lorentzian", 1, jac)
+
+
+def energy_terms(G: Array, k: Array):
+    """The lowered field Gk and the energy k^T G k.
+
+    ``G`` and ``k`` are one matrix and vector or stacks of them.  This is
+    the one formula for f = g(K, K): the pointwise energy, the critical
+    search, the reflection conversions and the approximation certificate
+    all contract here.
+    """
+    gk = matvec(G, k)
+    return gk, inner(k, gk)
+
+
+def reflect(G: Array, gk: Array, f: Array) -> Array:
+    """The reflection G - 2 (Gk)(Gk)^T / f of a metric in a field whose
+    energy f = k^T G k is nonzero, from ``energy_terms``."""
+    return G - 2.0 * gk[..., :, None] * gk[..., None, :] / f[..., None, None]
 
 
 def _conversion_jacobian(g: MetricField, field, field_jac=None) -> Callable[[Array], Array]:
@@ -258,10 +274,11 @@ def _conversion_jacobian(g: MetricField, field, field_jac=None) -> Callable[[Arr
 
     Requires an analytic jacobian on the input metric; the field
     derivative uses ``field_jac`` when supplied, else central differences.
+    Accepts one point or an ``(N, d)`` stack when its inputs do.
     """
 
     def jac(p, _g=g, _field=field, _fj=field_jac):
-        n = len(p)
+        p = np.asarray(p, dtype=float)
         G = _g.matrix(p)
         dG = np.asarray(_g.jacobian(p), dtype=float)
         k = np.asarray(_field(p), dtype=float)
@@ -269,27 +286,27 @@ def _conversion_jacobian(g: MetricField, field, field_jac=None) -> Callable[[Arr
             dk = np.asarray(_fj(p), dtype=float)
         else:
             h = 1e-6
-            dk = np.empty((n, n))
-            for m in range(n):
-                e = np.zeros(n)
-                e[m] = h
-                dk[m] = (np.asarray(_field(p + e), float) - np.asarray(_field(p - e), float)) / (2 * h)
-        gk = G @ k
-        f = float(k @ gk)
-        out = np.empty((n, n, n))
-        for m in range(n):
-            dgk = dG[m] @ k + G @ dk[m]
-            df = float(dk[m] @ gk + k @ dgk)
-            outer = np.outer(gk, gk)
-            douter = np.outer(dgk, gk) + np.outer(gk, dgk)
-            out[m] = dG[m] - 2.0 * (douter * f - outer * df) / (f * f)
-        return out
+            dk = np.stack(
+                [
+                    (np.asarray(_field(p + e), float) - np.asarray(_field(p - e), float)) / (2 * h)
+                    for e in h * np.eye(p.shape[-1])
+                ],
+                axis=-2,
+            )
+        gk, f = energy_terms(G, k)
+        f = f[..., None, None, None]
+        dgk = np.einsum("...mij,...j->...mi", dG, k) + np.einsum("...ij,...mj->...mi", G, dk)
+        df = np.einsum("...mi,...i->...m", dk, gk) + np.einsum("...i,...mi->...m", k, dgk)
+        outer = gk[..., None, :, None] * gk[..., None, None, :]
+        douter = dgk[..., :, :, None] * gk[..., None, None, :] + gk[..., None, :, None] * dgk[..., :, None, :]
+        return dG - 2.0 * (douter * f - outer * df[..., None, None]) / (f * f)
 
     return jac
 
 
 def energy(g: MetricField, K, p) -> float:
     """The energy function g(K_p, K_p), constant along the Killing flow."""
+    p = np.asarray(p, dtype=float)
+    g.manifold.check_on_manifold(p)
     field = K.evaluator if isinstance(K, KillingField) else K
-    v = np.asarray(field(np.asarray(p, dtype=float)), dtype=float)
-    return metric_eval(g, p, v, v)
+    return float(energy_terms(g.matrix(p), np.asarray(field(p), dtype=float))[1])

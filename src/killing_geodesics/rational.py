@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnsupportedCapabilityError
 from .geometry import ManifoldModel, MetricField
-from .killing import KillingField, KillingFamily, combine_family, certify_killing_field
+from .killing import KillingField, KillingFamily, combine_family, certify_killing_field, energy_terms
 
 # Convergent denominators beyond this exceed what a double can resolve.
 MAX_DENOMINATOR = 10_000_000
@@ -169,6 +169,7 @@ def certify_uniform_convergence(
     rng = np.random.default_rng(seed)
     pts = M.sample_points(rng, samples)
     base_vals = np.array([K(p) for p in pts])
+    metric = np.array([g.matrix(p) for p in pts])
     gaps = []
     sup_gaps = []
     signs = []
@@ -178,8 +179,7 @@ def certify_uniform_convergence(
         gaps.append(abs(alpha - frac.numerator / frac.denominator))
         vals = np.array([field(p) for p in pts])
         sup_gaps.append(float(np.max(np.linalg.norm(vals - base_vals, axis=1))))
-        fmin = min(float(v @ (g.matrix(p) @ v)) for p, v in zip(pts, vals))
-        signs.append(bool(fmin < 0.0))
+        signs.append(bool(np.min(energy_terms(metric, vals)[1]) < 0.0))
     for i in range(1, len(gaps)):
         if not gaps[i] < gaps[i - 1]:
             raise AssertionError("convergent gaps must strictly decrease")

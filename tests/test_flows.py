@@ -6,6 +6,7 @@ import pytest
 
 import killing_geodesics as kg
 from killing_geodesics.errors import StiffnessError
+from killing_geodesics.integrate import solve_rk45
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,6 +62,15 @@ class TestFlow:
         blowup = lambda p: np.array([(1.0 + p[0] ** 2) ** 2, 0.0])
         with pytest.raises(StiffnessError):
             kg.flow(flat_torus.manifold, blowup, np.array([0.0, 0.0]), 2.0)
+
+
+    def test_rounding_residue_at_horizon_is_arrival(self):
+        # the last step leaves 4.4e-16 before t_end = 8/3, far below
+        # MIN_STEP: that is rounding, not a collapsing step
+        y0 = np.array([0.14792203578495655, 0.819626719119277])
+        curve = solve_rk45(lambda t, y: np.array([0.0, 3.0]), y0, 8 / 3)
+        assert curve.t_end == pytest.approx(8 / 3, abs=1e-12)
+        assert curve.ys[-1] == pytest.approx([y0[0], y0[1] + 8.0], abs=1e-9)
 
 
 class TestShootGeodesic:
@@ -194,6 +204,29 @@ class TestDetectPeriod:
         # s = 22 brings the antipode to chordal 8.85e-3 < DIP_THRESHOLD: dip -> refine -> reject
         eq = np.array([1.0, 0.0, 0.0, 0.0])
         assert kg.detect_period(mapping_torus.manifold, mapping_torus.killing, eq, 50.0) is None
+
+
+class TestRescaledPeriods:
+    """K -> 30 K divides every period by 30; the scan must not step over
+    the first return, whose dip is only DIP_THRESHOLD / 30 wide in time."""
+
+    C = 30.0
+
+    def _fast(self, K):
+        return lambda p: self.C * K(p)
+
+    def test_klein_generic_fiber(self, klein):
+        cert = kg.detect_period(klein.manifold, self._fast(klein.killing), np.array([0.3, 0.0]), 8.0 / self.C)
+        assert cert is not None and cert.period == pytest.approx(2.0 / self.C, abs=1e-6)
+
+    def test_flat_torus(self, flat_torus):
+        cert = kg.detect_period(flat_torus.manifold, self._fast(flat_torus.killing), np.array([0.2, 0.35]), 4.0 / self.C)
+        assert cert is not None and cert.period == pytest.approx(1.0 / self.C, abs=1e-6)
+
+    def test_sphere_circle_w0(self, s3):
+        p0 = np.array([1.0, 0.0, 0.0, 0.0])
+        cert = kg.detect_period(s3.manifold, self._fast(s3.killing), p0, 8.0 * math.pi / self.C)
+        assert cert is not None and cert.period == pytest.approx(2.0 * math.pi / self.C, abs=1e-6)
 
 
 class TestTranslateGeodesic:
