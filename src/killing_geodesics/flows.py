@@ -5,11 +5,15 @@ stepper; embedded manifolds get a constraint projection after every
 accepted step.  Periodicity is detected modulo the deck group: a return
 is a time s and a deck word g with g.c(s) = c(0) and dg.c'(s) = c'(0)
 within tolerance, refined by bisection on a Poincare-section crossing
-function evaluated on the dense output.
+function evaluated on the dense output.  Period detection runs as the
+flow is integrated: it scans and refines on the knots accepted so far
+and stops the stepper at the first certified return, so a line that
+closes early is not integrated to the horizon.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,6 +38,7 @@ GEODESIC_TOL = 1e-5
 SCAN_RESOLUTION = 1e-3
 DIP_THRESHOLD = 1e-2
 BISECTION_STEPS = 60
+_SCAN_KNOTS = 8  # knots between two return scans of detect_period
 
 
 def _field_fn(K) -> Callable[[Array], Array]:
@@ -104,6 +109,19 @@ def _field_accelerations(field, points: Array, h: float = 1e-5) -> Array:
     return acc
 
 
+def _flow_problem(M: ManifoldModel, K):
+    """(field, ODE right-hand side, constraint projection or None) of a flow."""
+    field = _field_fn(K)
+
+    def rhs(_t, y):
+        return field(y)
+
+    project = None
+    if M.constraint is not None:
+        project = lambda y: M.project_point(y)
+    return field, rhs, project
+
+
 def flow(
     M: ManifoldModel,
     K,
@@ -117,15 +135,8 @@ def flow(
     When ``metric`` is given, the drift of g(K, K) along the curve is
     recorded in ``energy_drift`` (it should vanish for Killing fields).
     """
-    field = _field_fn(K)
+    field, rhs, project = _flow_problem(M, K)
     p0 = np.asarray(p0, dtype=float)
-
-    def rhs(_t, y):
-        return field(y)
-
-    project = None
-    if M.constraint is not None:
-        project = lambda y: M.project_point(y)
     dense = solve_rk45(rhs, p0, float(T), tol=tol, project=project)
     points = dense.ys
     velocities = dense.fs
@@ -244,120 +255,190 @@ def detect_period(
     max_word_len: int = 6,
     resolution: float = SCAN_RESOLUTION,
     dip_threshold: float = DIP_THRESHOLD,
-    curve: Optional[CurveSample] = None,
 ) -> Optional[PeriodCertificate]:
     """Find the minimal period of the integral curve of K through p0.
 
-    Scans the quotient distance to p0 along the dense output, brackets
-    candidate returns where the distance dips below ``dip_threshold``, and
-    refines each by bisection on the signed crossing of the Poincare
-    section through p0 normal to the initial velocity.  Returns None when
-    no certified return exists within the horizon (including the case of
-    a stationary point of the field).  ``resolution`` bounds the scan
-    step from above; the step shrinks to ``dip_threshold / (4 * max knot
-    speed)`` so that a fast field cannot step over a dip.
+    The flow is integrated and scanned together: as the stepper accepts
+    knots, the quotient distance to p0 is evaluated on the dense output
+    at the grid times i * step strictly below the last knot.  Once
+    the curve has left the ``dip_threshold`` ball around p0, each run of
+    grid times inside it is a candidate return, refined by bisection on
+    the signed crossing of the Poincare section through p0 normal to the
+    initial velocity as soon as the run closes and the knots cover its
+    refinement window.  Integration stops at the first certified return;
+    without one it runs to ``horizon`` and a run still open there is
+    refined last.  Returns None when no certified return exists within
+    the horizon (including the case of a stationary point of the field).
+
+    ``resolution`` bounds the scan step from above; the step shrinks to
+    ``dip_threshold / (4 * fastest knot so far)`` so that a fast field
+    cannot step over a dip, and the scan starts again from t = 0 whenever
+    that bound shrinks.  The knots are those of a whole-horizon run, so
+    the answer does not depend on the horizon beyond the return, as long
+    as no faster knot lies past it.
     """
     p0 = np.asarray(p0, dtype=float)
-    field = _field_fn(K)
+    field, rhs, project = _flow_problem(M, K)
     v0 = np.asarray(field(p0), dtype=float)
-    speed = float(np.linalg.norm(v0))
-    if speed < 1e-12:
+    if float(np.linalg.norm(v0)) < 1e-12:
         return None
-    if curve is None:
-        curve = flow(M, K, p0, horizon, tol=tol_ode)
-    dense = curve.dense
-    # the dip window is dip_threshold / speed wide: never step over it
-    max_speed = float(np.max(np.linalg.norm(curve.velocities, axis=1)))
-    resolution = min(resolution, dip_threshold / (4.0 * max_speed))
-    ss = np.arange(0.0, curve.t_end, resolution)
-    pts = curve.position_at(ss)
-    dist = M.quotient_distance(pts, p0)
+    scan = _ReturnScan(M, field, p0, v0, tol, max_word_len, resolution, dip_threshold)
+    dense = solve_rk45(rhs, p0, float(horizon), tol=tol_ode, project=project, stop=scan.advance)
+    if scan.certificate is None:
+        scan.finish(dense.ts, dense.ys, dense.fs)
+    return scan.certificate
 
-    # require the orbit to leave the start before accepting returns
-    escaped = np.nonzero(dist > dip_threshold)[0]
-    if len(escaped) == 0:
+
+def _window(ts, ys, fs, a: float, b: float) -> DenseCurve:
+    """The dense output on the fewest knots that cover [a, b].
+
+    On [a, b] it interpolates on the same knot intervals as the curve of
+    all the knots, so it gives bitwise the same values there.
+    """
+    hi = min(bisect.bisect_right(ts, b), len(ts) - 1)
+    lo = max(0, min(bisect.bisect_right(ts, a) - 1, hi - 1))
+    return DenseCurve(np.array(ts[lo:hi + 1]), np.array(ys[lo:hi + 1]), np.array(fs[lo:hi + 1]))
+
+
+class _ReturnScan:
+    """The return scan of ``detect_period``, fed with knots as they come.
+
+    ``advance`` is the integrator's stop callback: every ``_SCAN_KNOTS``
+    knots it scans the grid times strictly below the last knot and refines
+    the closed dip runs whose window the knots reach strictly past.
+    ``finish`` scans the rest of the grid after a run to the horizon and
+    refines every run left, including one still open there.
+    """
+
+    def __init__(self, M, field, p0, v0, tol, max_word_len, resolution, dip_threshold):
+        self.M = M
+        self.field = field
+        self.p0 = p0
+        self.v0 = v0
+        self.unit = v0 / float(np.linalg.norm(v0))
+        self.tol = tol
+        self.max_word_len = max_word_len
+        self.resolution = resolution
+        self.threshold = dip_threshold
+        self.seen = 0           # knots whose speed bounds the step
+        self.step = math.inf
+        self.certificate: Optional[PeriodCertificate] = None
+        self._restart()
+
+    def _restart(self) -> None:
+        self.scanned = 0        # grid times scanned so far
+        self.escaped = False    # the scan has left the dip ball
+        self.run = None         # open dip run: (grid index, distance) of its first minimum
+        self.pending = []       # grid indices of closed runs' minima, oldest first
+
+    def advance(self, ts, ys, fs) -> bool:
+        if len(ts) - self.seen >= _SCAN_KNOTS:
+            self._scan(ts, ys, fs, math.ceil(ts[-1] / self._update_step(fs)) - 1)
+            self._refine(ts, ys, fs, ts[-1])
+        return self.certificate is not None
+
+    def finish(self, ts, ys, fs) -> None:
+        self._scan(ts, ys, fs, math.ceil(ts[-1] / self._update_step(fs)))
+        if self.run is not None:
+            self.pending.append(self.run[0])
+        self._refine(ts, ys, fs, math.inf)
+
+    def _update_step(self, fs) -> float:
+        # the dip window is dip_threshold / speed wide: never step over it
+        if len(fs) > self.seen:
+            top = float(np.max(np.linalg.norm(np.array(fs[self.seen:]), axis=1)))
+            self.seen = len(fs)
+            step = min(self.resolution, self.threshold / (4.0 * top))
+            if step < self.step:
+                self.step = step
+                self._restart()
+        return self.step
+
+    def _scan(self, ts, ys, fs, count: int) -> None:
+        """Scan the grid times of index below ``count``."""
+        first = self.scanned
+        if count <= first:
+            return
+        self.scanned = count
+        ss = np.arange(first, count) * self.step
+        d = self.M.quotient_distance(_window(ts, ys, fs, ss[0], ss[-1])(ss), self.p0)
+        thr = self.threshold
+        # require the orbit to leave the start before accepting returns
+        if not self.escaped:
+            out = np.flatnonzero(d > thr)
+            if len(out) == 0:
+                return
+            self.escaped = True
+            first += int(out[0])
+            d = d[out[0]:]
+        below = d < thr
+        bounds = [0, *(np.flatnonzero(below[1:] != below[:-1]) + 1), len(d)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if not below[lo]:
+                if self.run is not None:
+                    self.pending.append(self.run[0])
+                    self.run = None
+                continue
+            k = lo + int(np.argmin(d[lo:hi]))
+            if self.run is None or d[k] < self.run[1]:
+                self.run = (first + k, float(d[k]))
+
+    def _refine(self, ts, ys, fs, reach: float) -> None:
+        """Refine pending runs in order while ``reach`` lies past their window."""
+        while self.pending and self.certificate is None:
+            s_best = self.pending[0] * self.step
+            if not reach > s_best + 5 * self.step:
+                return
+            self.pending.pop(0)
+            self.certificate = self._refine_return(ts, ys, fs, s_best)
+
+    def _refine_return(self, ts, ys, fs, s_best: float) -> Optional[PeriodCertificate]:
+        M, p0, step = self.M, self.p0, self.step
+        lo = max(0.0, s_best - 5 * step)
+        hi = min(float(ts[-1]), s_best + 5 * step)
+        dense = _window(ts, ys, fs, lo, hi)
+        word = reduce_point(M, dense(s_best), p0, max_word_len=self.max_word_len, tol=3 * self.threshold)
+        if word is None:
+            return None
+        # word.apply(p_best) ≈ p0, so the crossing applies word to c(s) directly
+
+        def crossing(s):
+            return float((word.apply(dense(float(s))) - p0) @ self.unit)
+
+        # bracket the sign change nearest to the dip minimum
+        grid = np.linspace(lo, hi, 21)
+        vals = [crossing(s) for s in grid]
+        bracket = None
+        for i in range(len(grid) - 1):
+            if vals[i] == 0.0:
+                bracket = (grid[i], grid[i])
+                break
+            if vals[i] * vals[i + 1] < 0:
+                bracket = (grid[i], grid[i + 1])
+                break
+        if bracket is None:
+            return None
+        a, b = bracket
+        fa = crossing(a)
+        for _ in range(BISECTION_STEPS):
+            if a == b:
+                break
+            m = 0.5 * (a + b)
+            fm = crossing(m)
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+        s_star = 0.5 * (a + b)
+        if s_star <= 1e-6:
+            return None
+        p_star = dense(s_star)
+        pos_gap = float(np.linalg.norm(word.apply(p_star) - p0))
+        v_star = np.asarray(self.field(p_star), dtype=float)
+        vel_gap = float(np.linalg.norm(word.apply_vector(v_star) - self.v0))
+        if pos_gap <= self.tol and vel_gap <= self.tol:
+            return PeriodCertificate(s_star, word, pos_gap, vel_gap)
         return None
-    start = escaped[0]
-    below = dist[start:] < dip_threshold
-    runs = _contiguous_runs(below, offset=start)
-    unit = v0 / speed
-    for lo, hi in runs:
-        seg = slice(lo, hi)
-        best = lo + int(np.argmin(dist[seg]))
-        cert = _refine_return(M, dense, curve, p0, v0, unit, ss, best, tol, max_word_len, dip_threshold)
-        if cert is not None:
-            return cert
-    return None
-
-
-def _contiguous_runs(mask: Array, offset: int = 0):
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            runs.append((offset + i, offset + j))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
-def _refine_return(M, dense, curve, p0, v0, unit, ss, best_idx, tol, max_word_len, dip_threshold):
-    s_best = float(ss[best_idx])
-    p_best = curve.position_at(s_best)
-    word = reduce_point(M, p_best, p0, max_word_len=max_word_len, tol=3 * dip_threshold)
-    if word is None:
-        return None
-    # word carries p_best to (近) p0; invert direction: we need g.c(s) = p0
-    gamma = word
-
-    def crossing(s):
-        return float((gamma.apply(curve.position_at(float(s))) - p0) @ unit)
-
-    # bracket the sign change nearest to the dip minimum
-    step = float(ss[1] - ss[0]) if len(ss) > 1 else 1e-3
-    lo = max(0.0, s_best - 5 * step)
-    hi = min(curve.t_end, s_best + 5 * step)
-    grid = np.linspace(lo, hi, 21)
-    vals = [crossing(s) for s in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            bracket = (grid[i], grid[i])
-            break
-        if vals[i] * vals[i + 1] < 0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
-        return None
-    a, b = bracket
-    fa = crossing(a)
-    for _ in range(BISECTION_STEPS):
-        if a == b:
-            break
-        m = 0.5 * (a + b)
-        fm = crossing(m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    s_star = 0.5 * (a + b)
-    if s_star <= 1e-6:
-        return None
-    p_star = curve.position_at(s_star)
-    pos_gap = float(np.linalg.norm(gamma.apply(p_star) - p0))
-    if curve.field is not None:
-        v_star = np.asarray(curve.field(p_star), dtype=float)
-    else:
-        v_star = curve.velocity_at(s_star)
-    vel_gap = float(np.linalg.norm(gamma.apply_vector(v_star) - v0))
-    if pos_gap <= tol and vel_gap <= tol:
-        return PeriodCertificate(s_star, gamma, pos_gap, vel_gap)
-    return None
 
 
 def translate_geodesic(

@@ -5,7 +5,8 @@ The stepper propagates the 5th-order solution, controls the embedded
 optionally re-projects the state after every accepted step (used to pin
 long flows onto an embedded constraint set).  Dense output is cubic
 Hermite interpolation between accepted steps, which is what the period
-detector bisects on.
+detector bisects on; a stop callback lets it end the run at the first
+certified return.
 """
 
 from __future__ import annotations
@@ -95,13 +96,18 @@ def solve_rk45(
     t_end: float,
     tol: float = 1e-10,
     project: Optional[Callable[[Array], Array]] = None,
+    stop: Optional[Callable[[list, list, list], bool]] = None,
 ) -> DenseCurve:
     """Integrate y' = rhs(t, y) from 0 to t_end (t_end >= 0).
 
     ``tol`` is used as both absolute and relative local tolerance.  When
     ``project`` is given it is applied to the state after every accepted
     step and the stored derivative is re-evaluated at the projected state,
-    so the dense interpolant stays consistent.
+    so the dense interpolant stays consistent.  When ``stop`` is given it
+    is called after every accepted step with the knot lists so far
+    (times, states, derivatives; it must not change them), and the run
+    ends at that knot once it returns True.  Stopping leaves the knots
+    before it unchanged: they are the prefix of the full run.
     """
     y = np.asarray(y0, dtype=float).copy()
     if t_end < 0:
@@ -145,6 +151,8 @@ def solve_rk45(
             ts.append(t)
             ys.append(y.copy())
             fs.append(f.copy())
+            if stop is not None and stop(ts, ys, fs):
+                break
         factor = 0.9 * (err_norm ** -0.2 if err_norm > 0 else 5.0)
         h *= min(5.0, max(0.2, factor))
     else:

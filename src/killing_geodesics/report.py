@@ -171,7 +171,14 @@ def approximate_entry(
     tol_period: float = 1e-6,
     tol_ode: float = 1e-10,
 ) -> AnalysisReport:
-    """Closed-approximation certificate plus per-approximant search."""
+    """Closed-approximation certificate plus per-approximant search.
+
+    ``orbit_count`` is the number of distinct critical orbits the search
+    returns for an approximant.  Where f is critical on a whole Morse-Bott
+    set (stationary-s3 at q = 1: the torus |z|^2 = 2 - sqrt 2), each
+    distinct flow line of that set a start lands on counts, so there the
+    number depends on the seed and budget and is no invariant of the field.
+    """
     t0 = time.perf_counter()
     M = entry.manifold
     g = entry.metric

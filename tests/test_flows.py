@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
+from killing_geodesics import flows
 from killing_geodesics.errors import StiffnessError
 from killing_geodesics.integrate import solve_rk45
 
@@ -204,6 +205,73 @@ class TestDetectPeriod:
         # s = 22 brings the antipode to chordal 8.85e-3 < DIP_THRESHOLD: dip -> refine -> reject
         eq = np.array([1.0, 0.0, 0.0, 0.0])
         assert kg.detect_period(mapping_torus.manifold, mapping_torus.killing, eq, 50.0) is None
+
+
+class TestStreamedScan:
+    """detect_period scans while it integrates and stops at the first
+    certified return; its answer must be that of a whole-horizon scan."""
+
+    def test_period_independent_of_horizon(self, s3, klein, mapping_torus):
+        cases = [
+            (s3, np.array([1.0, 0.0, 0.0, 0.0])),
+            (s3, np.array([0.0, 0.0, 1.0, 0.0])),
+            (klein, np.array([0.3, 0.0])),
+            (mapping_torus, np.array([0.0, 0.0, 1.0, 0.0])),
+        ]
+        for entry, p0 in cases:
+            short = kg.detect_period(entry.manifold, entry.killing, p0, 50.0)
+            long = kg.detect_period(entry.manifold, entry.killing, p0, 100.0)
+            assert short is not None and long is not None
+            assert (short.period, short.position_gap, short.velocity_gap) == (
+                long.period, long.position_gap, long.velocity_gap
+            )
+
+    def test_window_matches_whole_curve(self, s3):
+        # the scan and the refinement interpolate on knot windows; on its
+        # interval a window must give the whole curve's values bit for bit
+        dense = kg.flow(s3.manifold, s3.killing, s3.probe_point, 10.0).dense
+        ts, ys, fs = list(dense.ts), list(dense.ys), list(dense.fs)
+        k = len(ts) // 2
+        rng = np.random.default_rng(0)
+        for a, b in [(ts[k], ts[k + 3]), (0.0, ts[2]), (ts[k] + 1e-3, ts[-1]), (2.0, 2.001), (9.9, 10.0)]:
+            ss = np.concatenate([[a, b], rng.uniform(a, b, 50)])
+            assert np.array_equal(flows._window(ts, ys, fs, a, b)(ss), dense(ss))
+
+    def test_rejected_dip_then_certified_return(self, monkeypatch):
+        # oracle: (z, w) -> (e^{is} z, e^{1.5is} w) sends w to -w at s = 2 pi,
+        # a dip to 2w = 2e-3 < DIP_THRESHOLD that is no return; w comes
+        # back at s = 4 pi
+        entry = kg.build_entry("stationary-s3", alpha=1.5)
+        w = 1e-3
+        p0 = np.array([math.sqrt(1.0 - w * w), 0.0, w, 0.0])
+        dip = s3_closed_form_flow(p0, 2 * math.pi, 1.5)
+        assert np.linalg.norm(dip - p0) == pytest.approx(2 * w, rel=1e-9)
+        assert 2 * w < flows.DIP_THRESHOLD
+        refined = []
+
+        def reduce_point(M, p, q, **kwargs):
+            refined.append(np.array(p))
+            return kg.reduce_point(M, p, q, **kwargs)
+
+        monkeypatch.setattr(flows, "reduce_point", reduce_point)
+        cert = kg.detect_period(entry.manifold, entry.killing, p0, 50.0)
+        assert cert is not None and cert.period == pytest.approx(4 * math.pi, abs=1e-6)
+        assert len(refined) == 2 and np.linalg.norm(refined[0] - dip) <= 1e-3
+
+    def test_stops_at_first_return(self, s3):
+        calls = [0]
+
+        def counted(p):
+            calls[0] += 1
+            return s3.killing(p)
+
+        p0 = np.array([1.0, 0.0, 0.0, 0.0])
+        kg.flow(s3.manifold, counted, p0, 50.0)
+        whole = calls[0]
+        calls[0] = 0
+        cert = kg.detect_period(s3.manifold, counted, p0, 50.0)
+        assert cert is not None and cert.period == pytest.approx(2 * math.pi, abs=1e-6)
+        assert calls[0] < whole / 4
 
 
 class TestRescaledPeriods:
