@@ -32,6 +32,7 @@ from .geometry import (
 from .killing import (
     KillingFamily,
     KillingField,
+    as_field,
     certify_killing_field,
     combine_family,
     energy,

@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import detect_period, flow, geodesic_residual, min_distance_to_point
-from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Array, ManifoldModel, MetricField, central_diff, inner
-from .killing import KillingField, energy, energy_terms, reflect
+from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Array, ManifoldModel, MetricField, central_diff, inner, stacked
+from .killing import KillingField, as_field, energy, energy_terms, reflect
 
 GRAD_TOL = 1e-7
 DEDUP_DISTANCE = 1e-4
 DEGENERATE_VARIANCE = 1e-12
 CLASSIFY_EIG_TOL = 1e-6
+PROBE_SAMPLES = 256  # seeded samples: the f-variance test and the pool of starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,12 +50,16 @@ def f_eval(g: MetricField, K, p) -> float:
 
 def _energy_at(g: MetricField, K):
     """Unchecked f at one ambient point, for finite differences."""
-    field = K.evaluator if isinstance(K, KillingField) else K
+    field = as_field(K).evaluator
     return lambda q: float(energy_terms(g.matrix(q), np.asarray(field(q), dtype=float))[1])
 
 
-def _tangent_df(f, M: ManifoldModel, p: Array, basis: Array, h: float = 1e-5) -> Array:
-    """Directional derivatives of f along a tangent basis (central FD)."""
+def _tangent_df(f, p: Array, basis: Array, h: float = 1e-5) -> Array:
+    """Directional derivatives of f along a tangent basis (central FD).
+
+    Kept apart from ``geometry.central_diff`` on purpose: it is the
+    independent certificate of the analytic gradient.
+    """
     return np.array([(f(p + h * b) - f(p - h * b)) / (2 * h) for b in basis])
 
 
@@ -70,7 +75,7 @@ def grad_f(g: MetricField, K, p) -> Array:
     p = np.asarray(p, dtype=float)
     M.check_on_manifold(p)
     basis = M.tangent_basis(p)
-    df = _tangent_df(_energy_at(g, K), M, p, basis)
+    df = _tangent_df(_energy_at(g, K), p, basis)
     gram = basis @ g.matrix(p) @ basis.T
     return np.linalg.solve(gram, df) @ basis
 
@@ -98,7 +103,7 @@ def _transverse_hessian(f, M, p, basis, h: float = FD_STEP_SECOND) -> Array:
     return H
 
 
-def classify_critical(g: MetricField, K, p, flow_tol: float = 1e-10):
+def classify_critical(g: MetricField, K, p):
     """Classify a critical point by the transverse Hessian of f.
 
     Returns ("min" | "max" | "saddle", eigenvalues).  Directions along the
@@ -111,11 +116,10 @@ def classify_critical(g: MetricField, K, p, flow_tol: float = 1e-10):
     p = np.asarray(p, dtype=float)
     f = _energy_at(g, K)
     basis = M.tangent_basis(p)
-    df = _tangent_df(f, M, p, basis)
+    df = _tangent_df(f, p, basis)
     if float(np.linalg.norm(df)) > GRAD_TOL * 10:
         raise ValueError("point is not critical (gradient precondition)")
-    field = K.evaluator if isinstance(K, KillingField) else K
-    k = basis @ np.asarray(field(p), dtype=float)
+    k = basis @ as_field(K)(p)
     nk = float(np.linalg.norm(k))
     vecs = basis
     if nk > 1e-10:
@@ -141,30 +145,6 @@ def classify_critical(g: MetricField, K, p, flow_tol: float = 1e-10):
     if np.all(eig < 0):
         return "max", eig
     return "saddle", eig
-
-
-def _stacked(fn: Callable[[Array], Array], probe: Array) -> Callable[[Array], Array]:
-    """``fn`` if it maps a stack of points row by row, else a row loop around it.
-
-    ``probe`` holds d + 1 points, so a single-point callable cannot pass
-    by a coincidence of square shapes.  The loop passes a single point
-    straight through.
-    """
-    rows = np.array([np.asarray(fn(p), dtype=float) for p in probe])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == rows.shape and np.allclose(out, rows, rtol=1e-12, atol=1e-14):
-            return fn
-    except (ValueError, TypeError, IndexError):
-        pass
-
-    def loop(P):
-        P = np.asarray(P, dtype=float)
-        if P.ndim == 1:
-            return fn(P)
-        return np.array([np.asarray(fn(p), dtype=float) for p in P])
-
-    return loop
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,20 +176,18 @@ class _Energy:
         return self.parts(P)[1]
 
 
-def _batched_energy(g: MetricField, K, probe: Array) -> _Energy:
-    """Stack-capable K, g and jacobians; a missing jacobian becomes central
-    differences of the stacked evaluator."""
-    eye = np.eye(probe.shape[1])
-
-    def jacobian(given, fn):
-        if given is None:
-            return lambda P: central_diff(fn, P, eye, FD_STEP_FIRST)
-        return _stacked(given, probe)
-
-    field = _stacked(K.evaluator if isinstance(K, KillingField) else K, probe)
-    metric = _stacked(g.matrix, probe)
-    field_jac = jacobian(K.jacobian if isinstance(K, KillingField) else None, field)
-    return _Energy(field, field_jac, metric, jacobian(g.jacobian, metric), g.role == "lorentzian")
+def _batched_energy(g: MetricField, K: KillingField, probe: Array) -> _Energy:
+    """Stack-capable K, g and jacobians for a field from ``as_field``; a
+    missing metric jacobian becomes central differences of the stacked
+    metric."""
+    metric = stacked(g.matrix, probe)
+    if g.jacobian is None:
+        eye = np.eye(probe.shape[1])
+        metric_jac = lambda P: central_diff(metric, P, eye, FD_STEP_FIRST)
+    else:
+        metric_jac = stacked(g.jacobian, probe)
+    field_jac = stacked(K.jacobian, probe)
+    return _Energy(stacked(K.evaluator, probe), field_jac, metric, metric_jac, g.role == "lorentzian")
 
 
 def _batched_manifold(M: ManifoldModel, probe: Array) -> ManifoldModel:
@@ -218,9 +196,9 @@ def _batched_manifold(M: ManifoldModel, probe: Array) -> ManifoldModel:
         return M
     return dataclasses.replace(
         M,
-        constraint=_stacked(M.constraint, probe),
-        constraint_grad=_stacked(M.grad_constraint, probe),
-        constraint_hess=_stacked(M.hess_constraint, probe),
+        constraint=stacked(M.constraint, probe),
+        constraint_grad=stacked(M.grad_constraint, probe),
+        constraint_hess=stacked(M.hess_constraint, probe),
     )
 
 
@@ -369,26 +347,27 @@ def find_critical_orbits(
     seed: int = 42,
     horizon: float = 50.0,
     tol_ode: float = 1e-10,
-    probe_samples: int = 256,
 ) -> list:
     """Locate the critical orbits of f = g(K, K) on the manifold.
 
-    Multi-start descent on f and -f from ``budget`` seeded samples (always
-    including the sampled argmin and argmax) and Newton refinement, all
-    rows in lockstep, then the finite-difference gradient certificate on
-    every row, orbit deduplication by flow reach, classification,
-    geodesic-residual certification and period detection per orbit.  A
-    sampled f-variance below 1e-12 short-circuits into a single
+    Multi-start descent on f and -f from ``budget`` of ``PROBE_SAMPLES``
+    seeded samples (always including the sampled argmin and argmax) and
+    Newton refinement, all rows in lockstep, then the finite-difference
+    gradient certificate on every row, orbit deduplication by flow reach,
+    classification, geodesic-residual certification and period detection
+    per orbit.  A sampled f-variance below 1e-12 short-circuits into a single
     degenerate-constant marker meaning every point is critical.
 
-    K, g and their jacobians are normalised once, here: an evaluator
-    that cannot map a stack of points row by row is wrapped in a row
-    loop, and a missing jacobian becomes central differences.
+    K, g and their jacobians are normalised once, here: K goes through
+    ``as_field``, an evaluator that cannot map a stack of points row by
+    row is wrapped in a row loop, and a missing metric jacobian becomes
+    central differences.
     """
     if M is None:
         M = g.manifold
+    K = as_field(K)
     rng = np.random.default_rng(seed)
-    samples = M.sample_points(rng, probe_samples)
+    samples = M.sample_points(rng, PROBE_SAMPLES)
     probe = samples[: M.ambient_dim + 1]
     core = _batched_energy(g, K, probe)
     fvals = core.values(samples)

@@ -27,22 +27,22 @@ from .geometry import (
     MetricField,
     apply_christoffel,
     christoffel,
+    directional_diff,
     metric_orthogonal_project,
     reduce_point,
+    stacked,
 )
 from .integrate import DenseCurve, solve_rk45
-from .killing import KillingField, KillingFamily, energy_terms
+from .killing import KillingFamily, as_field, energy_terms
 
 PERIOD_TOL = 1e-6
 GEODESIC_TOL = 1e-5
 SCAN_RESOLUTION = 1e-3
 DIP_THRESHOLD = 1e-2
 BISECTION_STEPS = 60
+RESIDUAL_MAX_SAMPLES = 2000  # interior samples geodesic_residual checks at most
+DEDUP_RESOLUTION = 5e-3  # scan step of min_distance_to_point
 _SCAN_KNOTS = 8  # knots between two return scans of detect_period
-
-
-def _field_fn(K) -> Callable[[Array], Array]:
-    return K.evaluator if isinstance(K, KillingField) else K
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,17 +73,6 @@ class CurveSample:
         n = self.manifold.ambient_dim
         return state[..., :n]
 
-    def velocity_at(self, s):
-        n = self.manifold.ambient_dim
-        if self.kind == "geodesic":
-            return self.dense(s)[..., n:]
-        if self.field is not None:
-            one = np.ndim(s) == 0
-            pts = np.atleast_2d(self.position_at(s))
-            vel = np.array([self.field(p) for p in pts])
-            return vel[0] if one else vel
-        return self.dense.derivative(s)
-
 
 def _energy_values(g: MetricField, points: Array, velocities: Array) -> Array:
     return energy_terms(np.array([g.matrix(p) for p in points]), velocities)[1]
@@ -95,23 +84,16 @@ def _constraint_drift(M: ManifoldModel, points: Array) -> float:
     return max(M.constraint_residual(p) for p in points)
 
 
-def _field_accelerations(field, points: Array, h: float = 1e-5) -> Array:
-    """d/ds of the field along its own integral curve, by central FD."""
-    acc = np.empty_like(points)
-    for i, p in enumerate(points):
-        v = np.asarray(field(p), dtype=float)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            acc[i] = 0.0
-            continue
-        u = v / nv
-        acc[i] = (np.asarray(field(p + h * u), float) - np.asarray(field(p - h * u), float)) / (2 * h) * nv
-    return acc
+def _field_accelerations(field, points: Array, velocities: Array) -> Array:
+    """d/ds of the field along its own integral curve: its derivative
+    along ``velocities`` = field(points) at every knot, in one stencil on
+    the evaluator stacked on the first d + 1 knots."""
+    return directional_diff(stacked(field, points[: points.shape[1] + 1]), points, velocities)
 
 
 def _flow_problem(M: ManifoldModel, K):
     """(field, ODE right-hand side, constraint projection or None) of a flow."""
-    field = _field_fn(K)
+    field = as_field(K).evaluator
 
     def rhs(_t, y):
         return field(y)
@@ -140,7 +122,7 @@ def flow(
     dense = solve_rk45(rhs, p0, float(T), tol=tol, project=project)
     points = dense.ys
     velocities = dense.fs
-    accelerations = _field_accelerations(field, points)
+    accelerations = _field_accelerations(field, points, velocities)
     drift = math.nan
     if metric is not None:
         vals = _energy_values(metric, points, velocities)
@@ -205,9 +187,10 @@ def shoot_geodesic(g: MetricField, p0, v0, T: float, tol: float = 1e-11) -> Curv
     )
 
 
-def geodesic_residual(g: MetricField, c: CurveSample, max_samples: int = 2000) -> float:
+def geodesic_residual(g: MetricField, c: CurveSample) -> float:
     """Sup of the covariant acceleration norm over interior samples.
 
+    At most ``RESIDUAL_MAX_SAMPLES`` evenly strided samples are checked.
     The norm is the ambient Euclidean one: an indefinite norm could hide a
     nonzero null acceleration.  Values below GEODESIC_TOL certify the
     curve as a geodesic.
@@ -217,8 +200,8 @@ def geodesic_residual(g: MetricField, c: CurveSample, max_samples: int = 2000) -
     if len(c.times) < 3:
         raise ValueError("need at least 3 samples")
     idx = range(1, len(c.times) - 1)
-    if len(c.times) - 2 > max_samples:
-        stride = (len(c.times) - 2) // max_samples + 1
+    if len(c.times) - 2 > RESIDUAL_MAX_SAMPLES:
+        stride = (len(c.times) - 2) // RESIDUAL_MAX_SAMPLES + 1
         idx = range(1, len(c.times) - 1, stride)
     worst = 0.0
     for i in idx:
@@ -252,37 +235,37 @@ def detect_period(
     horizon: float,
     tol: float = PERIOD_TOL,
     tol_ode: float = 1e-10,
-    max_word_len: int = 6,
-    resolution: float = SCAN_RESOLUTION,
-    dip_threshold: float = DIP_THRESHOLD,
 ) -> Optional[PeriodCertificate]:
     """Find the minimal period of the integral curve of K through p0.
 
     The flow is integrated and scanned together: as the stepper accepts
     knots, the quotient distance to p0 is evaluated on the dense output
-    at the grid times i * step strictly below the last knot.  Once
-    the curve has left the ``dip_threshold`` ball around p0, each run of
-    grid times inside it is a candidate return, refined by bisection on
-    the signed crossing of the Poincare section through p0 normal to the
-    initial velocity as soon as the run closes and the knots cover its
-    refinement window.  Integration stops at the first certified return;
-    without one it runs to ``horizon`` and a run still open there is
-    refined last.  Returns None when no certified return exists within
-    the horizon (including the case of a stationary point of the field).
+    at the grid times i * step strictly below the last knot.  Once the
+    curve has left the ``DIP_THRESHOLD`` ball around p0, each run of grid
+    times inside it is a candidate return.  As soon as the run closes and
+    the knots cover its refinement window, a deck word within
+    3 * ``DIP_THRESHOLD`` of the run's minimum is looked up and the return
+    is refined by bisection on the signed crossing of the Poincare section
+    through p0 normal to the initial velocity; it is certified when both
+    the position and the velocity gap are within ``tol``.  Integration
+    stops at the first certified return; without one it runs to
+    ``horizon`` and a run still open there is refined last.  Returns None
+    when no certified return exists within the horizon (including the
+    case of a stationary point of the field).
 
-    ``resolution`` bounds the scan step from above; the step shrinks to
-    ``dip_threshold / (4 * fastest knot so far)`` so that a fast field
-    cannot step over a dip, and the scan starts again from t = 0 whenever
-    that bound shrinks.  The knots are those of a whole-horizon run, so
-    the answer does not depend on the horizon beyond the return, as long
-    as no faster knot lies past it.
+    The scan step is ``SCAN_RESOLUTION``, shrunk to ``DIP_THRESHOLD /
+    (4 * fastest knot so far)`` so that a fast field cannot step over a
+    dip; the scan starts again from t = 0 whenever that bound shrinks.
+    The knots are those of a whole-horizon run, so the answer does not
+    depend on the horizon beyond the return, as long as no faster knot
+    lies past it.
     """
     p0 = np.asarray(p0, dtype=float)
     field, rhs, project = _flow_problem(M, K)
     v0 = np.asarray(field(p0), dtype=float)
     if float(np.linalg.norm(v0)) < 1e-12:
         return None
-    scan = _ReturnScan(M, field, p0, v0, tol, max_word_len, resolution, dip_threshold)
+    scan = _ReturnScan(M, field, p0, v0, tol)
     dense = solve_rk45(rhs, p0, float(horizon), tol=tol_ode, project=project, stop=scan.advance)
     if scan.certificate is None:
         scan.finish(dense.ts, dense.ys, dense.fs)
@@ -310,16 +293,13 @@ class _ReturnScan:
     refines every run left, including one still open there.
     """
 
-    def __init__(self, M, field, p0, v0, tol, max_word_len, resolution, dip_threshold):
+    def __init__(self, M, field, p0, v0, tol):
         self.M = M
         self.field = field
         self.p0 = p0
         self.v0 = v0
         self.unit = v0 / float(np.linalg.norm(v0))
         self.tol = tol
-        self.max_word_len = max_word_len
-        self.resolution = resolution
-        self.threshold = dip_threshold
         self.seen = 0           # knots whose speed bounds the step
         self.step = math.inf
         self.certificate: Optional[PeriodCertificate] = None
@@ -344,11 +324,11 @@ class _ReturnScan:
         self._refine(ts, ys, fs, math.inf)
 
     def _update_step(self, fs) -> float:
-        # the dip window is dip_threshold / speed wide: never step over it
+        # the dip window is DIP_THRESHOLD / speed wide: never step over it
         if len(fs) > self.seen:
             top = float(np.max(np.linalg.norm(np.array(fs[self.seen:]), axis=1)))
             self.seen = len(fs)
-            step = min(self.resolution, self.threshold / (4.0 * top))
+            step = min(SCAN_RESOLUTION, DIP_THRESHOLD / (4.0 * top))
             if step < self.step:
                 self.step = step
                 self._restart()
@@ -362,7 +342,7 @@ class _ReturnScan:
         self.scanned = count
         ss = np.arange(first, count) * self.step
         d = self.M.quotient_distance(_window(ts, ys, fs, ss[0], ss[-1])(ss), self.p0)
-        thr = self.threshold
+        thr = DIP_THRESHOLD
         # require the orbit to leave the start before accepting returns
         if not self.escaped:
             out = np.flatnonzero(d > thr)
@@ -397,7 +377,7 @@ class _ReturnScan:
         lo = max(0.0, s_best - 5 * step)
         hi = min(float(ts[-1]), s_best + 5 * step)
         dense = _window(ts, ys, fs, lo, hi)
-        word = reduce_point(M, dense(s_best), p0, max_word_len=self.max_word_len, tol=3 * self.threshold)
+        word = reduce_point(M, dense(s_best), p0, tol=3 * DIP_THRESHOLD)
         if word is None:
             return None
         # word.apply(p_best) ≈ p0, so the crossing applies word to c(s) directly
@@ -458,7 +438,7 @@ def translate_geodesic(
     if gamma.field is None:
         raise ValueError("curve does not carry its generating field")
     M = gamma.manifold
-    mover = _field_fn(F.members[l])
+    mover = as_field(F.members[l]).evaluator
     if t < 0:
         orig = mover
         mover = lambda p: -orig(p)
@@ -471,7 +451,7 @@ def translate_geodesic(
             new_points[i] = flow(M, mover, p, span, tol=tol).points[-1]
     field = gamma.field
     new_velocities = np.array([field(p) for p in new_points])
-    new_acc = _field_accelerations(field, new_points)
+    new_acc = _field_accelerations(field, new_points, new_velocities)
     dense = DenseCurve(gamma.times.copy(), new_points.copy(), new_velocities.copy())
     return CurveSample(
         M, "flow", gamma.times.copy(), new_points, new_velocities, new_acc,
@@ -479,25 +459,21 @@ def translate_geodesic(
     )
 
 
-def min_distance_to_point(
-    M: ManifoldModel, c: CurveSample, q, refine: bool = True, resolution: float = 5e-3
-) -> float:
+def min_distance_to_point(M: ManifoldModel, c: CurveSample, q) -> float:
     """Minimal quotient distance from a curve image to a point.
 
-    Scans the dense output at fixed resolution and refines every
+    Scans the dense output at ``DEDUP_RESOLUTION`` and refines every
     competitive local minimum: refining only the global coarse minimum
     can lock onto the wrong dip when true minima fall between samples.
     """
     q = np.asarray(q, dtype=float)
     if len(c.times) < 2 or c.t_end == 0.0:
         return float(np.min(M.quotient_distance(c.points, q)))
-    ss = np.arange(0.0, c.t_end, resolution)
+    ss = np.arange(0.0, c.t_end, DEDUP_RESOLUTION)
     d = M.quotient_distance(c.position_at(ss), q)
     best = float(np.min(d))
-    if not refine:
-        return best
     speed = float(np.linalg.norm(c.velocities[0]))
-    margin = best + speed * resolution
+    margin = best + speed * DEDUP_RESOLUTION
     interior = (d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])
     candidates = [j + 1 for j in np.nonzero(interior & (d[1:-1] <= margin))[0]]
     candidates += [0, len(ss) - 1]

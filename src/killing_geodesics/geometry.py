@@ -4,7 +4,10 @@ Points live in ambient coordinates.  A manifold is either a flat quotient
 (ambient chart modulo a deck group), an embedded codimension-one level set
 ``constraint(p) = 0``, or a product quotient carrying both a constraint and
 a deck group.  Tangent vectors are stored in ambient coordinates and
-projected onto the tangent space when needed.
+projected onto the tangent space when needed.  ``central_diff`` is the
+one finite-difference stencil; only ``critical._tangent_df`` (the
+independent gradient certificate) and ``critical._transverse_hessian``
+keep their own.
 """
 
 from __future__ import annotations
@@ -51,10 +54,14 @@ def inner(x: Array, y: Array) -> Array:
 def central_diff(fn: Callable[[Array], Array], p: Array, dirs: Array, h: float) -> Array:
     """Central differences of ``fn`` at ``p`` along each row of ``dirs``.
 
-    ``p`` has shape ``(..., d)`` and ``fn`` maps an ``(N, d)`` stack of
-    points to an ``(N, ...)`` stack of values; all 2m displaced points
-    go to ``fn`` in one call.  The result has shape ``p.shape[:-1] +
-    (m,) + value shape``.
+    The one stencil of the package: only ``critical._tangent_df`` and
+    ``critical._transverse_hessian`` keep their own (module docstring).
+
+    ``p`` has shape ``(..., d)`` and ``dirs`` ``(m, d)``, or ``(..., m, d)``
+    for directions per point.  ``fn`` maps an ``(N, d)`` stack of points
+    to an ``(N, ...)`` stack of values; all 2m displaced points go to
+    ``fn`` in one call.  The result has shape ``p.shape[:-1] + (m,) +
+    value shape``.
     """
     p = np.asarray(p, dtype=float)
     step = h * np.asarray(dirs, dtype=float)
@@ -62,6 +69,48 @@ def central_diff(fn: Callable[[Array], Array], p: Array, dirs: Array, h: float) 
     vals = np.asarray(fn(pts.reshape(-1, p.shape[-1])), dtype=float)
     vals = vals.reshape(pts.shape[:-1] + vals.shape[1:])
     return (vals[0] - vals[1]) / (2 * h)
+
+
+def directional_diff(fn: Callable[[Array], Array], p: Array, v: Array) -> Array:
+    """Derivatives of a vector field ``fn`` along the rows of ``v``, at
+    ``p`` or its rows: ``central_diff`` along v/|v| at ``FD_STEP_FIRST``,
+    times |v|."""
+    v = np.asarray(v, dtype=float)
+    # one norm per row: norm(axis=1) rounds differently
+    nv = np.array([np.linalg.norm(row) for row in v])
+    nv[nv == 0.0] = 1.0  # a zero row stays zero: both its displaced points are p
+    return central_diff(fn, p, v[:, None, :] / nv[:, None, None], FD_STEP_FIRST)[:, 0] * nv[:, None]
+
+
+def rowwise(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """``fn`` applied row by row to an ``(N, d)`` stack; a single point
+    goes straight through."""
+
+    def loop(P):
+        P = np.asarray(P, dtype=float)
+        if P.ndim == 1:
+            return fn(P)
+        return np.array([np.asarray(fn(p), dtype=float) for p in P])
+
+    return loop
+
+
+def stacked(fn: Callable[[Array], Array], probe: Array) -> Callable[[Array], Array]:
+    """``fn`` if it maps a stack of points row by row, else ``rowwise(fn)``.
+
+    ``probe`` must hold d + 1 points, so a single-point callable cannot
+    pass by a coincidence of square shapes; a shorter one proves nothing.
+    """
+    if len(probe) <= probe.shape[1]:
+        return rowwise(fn)
+    rows = np.array([np.asarray(fn(p), dtype=float) for p in probe])
+    try:
+        out = np.asarray(fn(probe), dtype=float)
+        if out.shape == rows.shape and np.allclose(out, rows, rtol=1e-12, atol=1e-14):
+            return fn
+    except (ValueError, TypeError, IndexError):
+        pass
+    return rowwise(fn)
 
 
 def _as_components(v) -> Array:
@@ -212,24 +261,14 @@ class ManifoldModel:
         p = np.asarray(p, dtype=float)
         if self.constraint_grad is not None:
             return np.asarray(self.constraint_grad(p), dtype=float)
-        h = FD_STEP_FIRST
-        steps = h * np.eye(self.ambient_dim)
-        return np.stack(
-            [(self.constraint(p + e) - self.constraint(p - e)) / (2 * h) for e in steps], axis=-1
-        )
+        return central_diff(rowwise(self.constraint), p, np.eye(self.ambient_dim), FD_STEP_FIRST)
 
     def hess_constraint(self, p: Array) -> Array:
         p = np.asarray(p, dtype=float)
         if self.constraint_hess is not None:
             return np.asarray(self.constraint_hess(p), dtype=float)
-        n = self.ambient_dim
-        h = FD_STEP_SECOND
-        H = np.empty((n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            H[k] = (self.grad_constraint(p + e) - self.grad_constraint(p - e)) / (2 * h)
-        return 0.5 * (H + H.T)
+        H = central_diff(rowwise(self.grad_constraint), p, np.eye(self.ambient_dim), FD_STEP_SECOND)
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
 
     def project_point(self, p: Array, tol: float = 1e-13, max_iter: int = 20) -> Array:
         """Newton-project nearby ambient points onto the constraint set.
@@ -483,21 +522,16 @@ def metric_eval(g: MetricField, p, v, w) -> float:
     return 0.25 * (float(a @ (G @ a)) - float(b @ (G @ b)))
 
 
-def metric_jacobian(g: MetricField, p: Array, step: float = FD_STEP_FIRST) -> Array:
-    """d[k,i,j] = ∂_k g_ij, analytic when available, else central FD."""
+def metric_jacobian(g: MetricField, p: Array) -> Array:
+    """d[..., k, i, j] = ∂_k g_ij at one point or an ``(N, d)`` stack,
+    analytic when available, else ``central_diff`` of the metric."""
     p = np.asarray(p, dtype=float)
     if g.jacobian is not None:
         return np.asarray(g.jacobian(p), dtype=float)
-    n = g.manifold.ambient_dim
-    d = np.empty((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = step
-        d[k] = (g.matrix(p + e) - g.matrix(p - e)) / (2 * step)
-    return d
+    return central_diff(rowwise(g.matrix), p, np.eye(g.manifold.ambient_dim), FD_STEP_FIRST)
 
 
-def christoffel(g: MetricField, p, force_fd: bool = False) -> Array:
+def christoffel(g: MetricField, p) -> Array:
     """Connection coefficients Gamma[k,i,j] of the ambient metric at p.
 
     Torsion-free by construction (symmetric in i, j).  Raises
@@ -508,10 +542,7 @@ def christoffel(g: MetricField, p, force_fd: bool = False) -> Array:
     n = G.shape[0]
     if abs(float(np.linalg.det(G))) < 1e-12:
         raise SingularMetricError("metric degenerate at evaluation point")
-    if force_fd:
-        d = metric_jacobian(MetricField(g.manifold, g.evaluator, g.signature, g.role, g.index, None), p)
-    else:
-        d = metric_jacobian(g, p)
+    d = metric_jacobian(g, p)
     # lowered coefficients: 0.5 * (d_i g_lj + d_j g_li - d_l g_ij)
     low = 0.5 * (
         np.einsum("ilj->lij", d) + np.einsum("jli->lij", d) - d
@@ -539,21 +570,21 @@ def metric_orthogonal_project(g: MetricField, p: Array, u: Array) -> Array:
 def covariant_derivative(g: MetricField, X: Callable[[Array], Array], v, p) -> Array:
     """Levi-Civita covariant derivative (∇_v X)(p) in ambient coordinates.
 
+    ``v`` is one vector or the rows of a matrix, one derivative each.
     ``X`` must be evaluable in a neighborhood of the manifold.  For
     constrained manifolds the ambient result is projected g-orthogonally
     onto the tangent space.
     """
     p = np.asarray(p, dtype=float)
     v = _as_components(v)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return np.zeros_like(p)
-    h = FD_STEP_FIRST
-    u = v / nv
-    dX = (np.asarray(X(p + h * u), dtype=float) - np.asarray(X(p - h * u), dtype=float)) / (2 * h) * nv
+    if not np.any(v):
+        return np.zeros(v.shape)
+    V = np.atleast_2d(v)
     gamma = christoffel(g, p)
-    amb = dX + apply_christoffel(gamma, v, np.asarray(X(p), dtype=float))
-    return metric_orthogonal_project(g, p, amb)
+    Xp = np.asarray(X(p), dtype=float)
+    amb = directional_diff(rowwise(X), p, V)
+    out = [metric_orthogonal_project(g, p, a + apply_christoffel(gamma, w, Xp)) for a, w in zip(amb, V)]
+    return np.reshape(out, v.shape)
 
 
 def signature_of_gram(gram: Array, tol: float = 1e-10) -> tuple:

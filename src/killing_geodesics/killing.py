@@ -17,14 +17,16 @@ import numpy as np
 
 from .errors import NotTimelikeError, VanishingFieldError
 from .geometry import (
+    FD_STEP_FIRST,
     Array,
-    ManifoldModel,
     MetricField,
+    central_diff,
     covariant_derivative,
+    directional_diff,
     inner,
     matvec,
     metric_eval,
-    _as_components,
+    rowwise,
 )
 
 KILLING_RESIDUAL_TOL = 1e-8
@@ -40,7 +42,8 @@ class KillingField:
     entries built from such actions).  ``certified`` records whether the
     Killing residual stayed below tolerance on construction samples;
     perturbed non-Killing fields are legitimate objects with
-    ``certified=False``.
+    ``certified=False``.  Functions that take a field accept a bare
+    callable too and normalise it with ``as_field``.
     """
 
     evaluator: Callable[[Array], Array]
@@ -53,6 +56,26 @@ class KillingField:
 
     def __call__(self, p: Array) -> Array:
         return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)
+
+
+def as_field(K) -> KillingField:
+    """K as a KillingField with a jacobian.
+
+    A bare callable is wrapped; a missing jacobian becomes ``central_diff``
+    of the evaluator, row by row, at ``FD_STEP_FIRST``.  A field that has
+    a jacobian is returned as it is.
+    """
+    if not isinstance(K, KillingField):
+        K = KillingField(K)
+    if K.jacobian is not None:
+        return K
+    field = rowwise(K.evaluator)
+
+    def jacobian(p):
+        p = np.asarray(p, dtype=float)
+        return central_diff(field, p, np.eye(p.shape[-1]), FD_STEP_FIRST)
+
+    return dataclasses.replace(K, jacobian=jacobian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +98,10 @@ def killing_residual(g: MetricField, K, p) -> float:
     g-orthonormal), which avoids normalizing against null directions of an
     indefinite metric.
     """
-    M = g.manifold
     p = np.asarray(p, dtype=float)
-    field = K.evaluator if isinstance(K, KillingField) else K
-    basis = M.tangent_basis(p)
+    basis = g.manifold.tangent_basis(p)
     n = len(basis)
-    nabla = [covariant_derivative(g, field, basis[i], p) for i in range(n)]
+    nabla = covariant_derivative(g, as_field(K).evaluator, basis, p)
     worst = 0.0
     for i in range(n):
         for j in range(i, n):
@@ -124,18 +145,9 @@ def lie_bracket(X, Y, p) -> Array:
     discretization for fields tangent to the manifold.
     """
     p = np.asarray(p, dtype=float)
-    fx = X.evaluator if isinstance(X, KillingField) else X
-    fy = Y.evaluator if isinstance(Y, KillingField) else Y
-    return _directional(fy, fx(p), p) - _directional(fx, fy(p), p)
-
-
-def _directional(field, v, p, h: float = 1e-5) -> Array:
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return np.zeros_like(p)
-    u = v / nv
-    return (np.asarray(field(p + h * u), float) - np.asarray(field(p - h * u), float)) / (2 * h) * nv
+    fx = rowwise(as_field(X).evaluator)
+    fy = rowwise(as_field(Y).evaluator)
+    return directional_diff(fy, p, [fx(p)])[0] - directional_diff(fx, p, [fy(p)])[0]
 
 
 def make_killing_family(
@@ -213,10 +225,9 @@ def lorentz_to_riemann(g: MetricField, K) -> MetricField:
     """
     if g.role != "lorentzian":
         raise ValueError("lorentz_to_riemann needs a Lorentzian metric")
-    field = K.evaluator if isinstance(K, KillingField) else K
-    field_jac = K.jacobian if isinstance(K, KillingField) else None
+    K = as_field(K)
 
-    def evaluator(p, _g=g, _field=field):
+    def evaluator(p, _g=g, _field=K.evaluator):
         G = _g.matrix(p)
         gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
         if (f >= -1e-10).any():
@@ -224,7 +235,7 @@ def lorentz_to_riemann(g: MetricField, K) -> MetricField:
         return reflect(G, gk, f)
 
     n = g.manifold.intrinsic_dim
-    jac = _conversion_jacobian(g, field, field_jac) if g.jacobian is not None else None
+    jac = _conversion_jacobian(g, K) if g.jacobian is not None else None
     return MetricField(g.manifold, evaluator, (n, 0), "riemannian", 0, jac)
 
 
@@ -236,10 +247,9 @@ def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
     """
     if g_R.role != "riemannian":
         raise ValueError("riemann_to_lorentz needs a Riemannian metric")
-    field = K.evaluator if isinstance(K, KillingField) else K
-    field_jac = K.jacobian if isinstance(K, KillingField) else None
+    K = as_field(K)
 
-    def evaluator(p, _g=g_R, _field=field):
+    def evaluator(p, _g=g_R, _field=K.evaluator):
         G = _g.matrix(p)
         gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
         if (f < 1e-12).any():
@@ -247,7 +257,7 @@ def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
         return reflect(G, gk, f)
 
     n = g_R.manifold.intrinsic_dim
-    jac = _conversion_jacobian(g_R, field, field_jac) if g_R.jacobian is not None else None
+    jac = _conversion_jacobian(g_R, K) if g_R.jacobian is not None else None
     return MetricField(g_R.manifold, evaluator, (n - 1, 1), "lorentzian", 1, jac)
 
 
@@ -269,30 +279,20 @@ def reflect(G: Array, gk: Array, f: Array) -> Array:
     return G - 2.0 * gk[..., :, None] * gk[..., None, :] / f[..., None, None]
 
 
-def _conversion_jacobian(g: MetricField, field, field_jac=None) -> Callable[[Array], Array]:
+def _conversion_jacobian(g: MetricField, K: KillingField) -> Callable[[Array], Array]:
     """Analytic jacobian of G - 2 (GK)(GK)^T / (K^T G K).
 
-    Requires an analytic jacobian on the input metric; the field
-    derivative uses ``field_jac`` when supplied, else central differences.
-    Accepts one point or an ``(N, d)`` stack when its inputs do.
+    Requires an analytic jacobian on the input metric and takes the field
+    derivative from ``K.jacobian`` (see ``as_field``).  Accepts one point
+    or an ``(N, d)`` stack when its inputs do.
     """
 
-    def jac(p, _g=g, _field=field, _fj=field_jac):
+    def jac(p, _g=g, _field=K.evaluator, _fj=K.jacobian):
         p = np.asarray(p, dtype=float)
         G = _g.matrix(p)
         dG = np.asarray(_g.jacobian(p), dtype=float)
         k = np.asarray(_field(p), dtype=float)
-        if _fj is not None:
-            dk = np.asarray(_fj(p), dtype=float)
-        else:
-            h = 1e-6
-            dk = np.stack(
-                [
-                    (np.asarray(_field(p + e), float) - np.asarray(_field(p - e), float)) / (2 * h)
-                    for e in h * np.eye(p.shape[-1])
-                ],
-                axis=-2,
-            )
+        dk = np.asarray(_fj(p), dtype=float)
         gk, f = energy_terms(G, k)
         f = f[..., None, None, None]
         dgk = np.einsum("...mij,...j->...mi", dG, k) + np.einsum("...ij,...mj->...mi", G, dk)
@@ -308,5 +308,4 @@ def energy(g: MetricField, K, p) -> float:
     """The energy function g(K_p, K_p), constant along the Killing flow."""
     p = np.asarray(p, dtype=float)
     g.manifold.check_on_manifold(p)
-    field = K.evaluator if isinstance(K, KillingField) else K
-    return float(energy_terms(g.matrix(p), np.asarray(field(p), dtype=float))[1])
+    return float(energy_terms(g.matrix(p), as_field(K)(p))[1])

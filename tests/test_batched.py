@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
-from killing_geodesics import critical
+from killing_geodesics import critical, geometry
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,7 +39,7 @@ class TestStackedEvaluators:
             for fn in (K.evaluator, K.jacobian, g.matrix, g.jacobian):
                 _assert_rowwise(fn, P)
                 # so the search runs the gallery without a row loop
-                assert critical._stacked(fn, P[: entry.manifold.ambient_dim + 1]) is fn
+                assert geometry.stacked(fn, P[: entry.manifold.ambient_dim + 1]) is fn
 
     def test_constraint_and_projection(self, all_entries):
         rng = np.random.default_rng(8)

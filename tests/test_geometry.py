@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,13 +103,13 @@ class TestChristoffel:
 
     def test_torsion_free(self, s3, rng):
         p = s3.manifold.sample_point(rng)
-        gamma = christoffel(s3.metric, p, force_fd=True)
+        gamma = christoffel(dataclasses.replace(s3.metric, jacobian=None), p)
         assert np.abs(gamma - np.transpose(gamma, (0, 2, 1))).max() <= 1e-9
 
     def test_fd_matches_analytic_jacobian(self, s3, rng):
         for _ in range(5):
             p = s3.manifold.sample_point(rng)
-            g_fd = christoffel(s3.metric, p, force_fd=True)
+            g_fd = christoffel(dataclasses.replace(s3.metric, jacobian=None), p)
             g_an = christoffel(s3.metric, p)
             assert np.abs(g_fd - g_an).max() <= 1e-6
 

@@ -1,0 +1,175 @@
+"""The shared central-difference stencil and the field normaliser.
+
+Every fold of a hand-written stencil into ``geometry.central_diff`` is
+pinned bit for bit against the per-point stencil it replaced, written out
+here as the reference.  The finite-difference fallbacks work on stacks of
+points, and the reflection conversions round-trip on random S³ points for
+a field with an analytic jacobian and for a bare callable.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import killing_geodesics as kg
+from killing_geodesics.geometry import (
+    apply_christoffel,
+    christoffel,
+    metric_eval,
+    metric_jacobian,
+    metric_orthogonal_project,
+)
+
+SQRT2 = math.sqrt(2.0)
+H = 1e-5
+
+
+def _rotation(alpha):
+    """The matrix of K = (iz, i alpha w) on C² = R⁴."""
+    A = np.zeros((4, 4))
+    A[0, 1], A[1, 0] = -1.0, 1.0
+    A[2, 3], A[3, 2] = -alpha, alpha
+    return A
+
+
+def _sphere(**derivatives):
+    return kg.ManifoldModel(
+        kind="embedded",
+        ambient_dim=4,
+        intrinsic_dim=3,
+        constraint=lambda p: float(p @ p) - 1.0,
+        sampler=lambda rng: (lambda v: v / np.linalg.norm(v))(rng.normal(size=4)),
+        **derivatives,
+    )
+
+
+# -- the per-point stencils the folds replaced ----------------------------
+
+
+def _reference_directional(field, v, p):
+    v = np.asarray(v, dtype=float)
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return np.zeros_like(p)
+    u = v / nv
+    return (np.asarray(field(p + H * u), float) - np.asarray(field(p - H * u), float)) / (2 * H) * nv
+
+
+def _reference_accelerations(field, points):
+    return np.array([_reference_directional(field, np.asarray(field(p), dtype=float), p) for p in points])
+
+
+def _reference_covariant(g, X, v, p):
+    if float(np.linalg.norm(v)) == 0.0:
+        return np.zeros_like(p)
+    dX = _reference_directional(X, v, p)
+    amb = dX + apply_christoffel(christoffel(g, p), v, np.asarray(X(p), dtype=float))
+    return metric_orthogonal_project(g, p, amb)
+
+
+def _reference_residual(g, field, p):
+    basis = g.manifold.tangent_basis(p)
+    nabla = [_reference_covariant(g, field, b, p) for b in basis]
+    worst = 0.0
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            s = metric_eval(g, p, nabla[i], basis[j]) + metric_eval(g, p, nabla[j], basis[i])
+            worst = max(worst, abs(s))
+    return worst
+
+
+def _fields(all_entries, s3):
+    """(entry, field) for every gallery entry, plus a bare single-point
+    field on S³ that can only be evaluated row by row."""
+    A = _rotation(SQRT2)
+    return [(e, e.killing) for e in all_entries] + [(s3, lambda p: A @ p)]
+
+
+class TestFoldsAreBitwise:
+    def test_flow_accelerations(self, all_entries, s3):
+        rng = np.random.default_rng(31)
+        for entry, K in _fields(all_entries, s3):
+            field = K.evaluator if isinstance(K, kg.KillingField) else K
+            for p0 in entry.manifold.sample_points(rng, 3):
+                line = kg.flow(entry.manifold, K, p0, 3.0)
+                assert len(line.points) > entry.manifold.ambient_dim + 1
+                assert np.array_equal(line.accelerations, _reference_accelerations(field, line.points)), entry.name
+
+    def test_killing_residual(self, all_entries, s3):
+        rng = np.random.default_rng(32)
+        for entry, K in _fields(all_entries, s3):
+            field = K.evaluator if isinstance(K, kg.KillingField) else K
+            for p in entry.manifold.sample_points(rng, 5):
+                assert kg.killing_residual(entry.metric, K, p) == _reference_residual(entry.metric, field, p)
+
+    def test_covariant_derivative_rows_match_single_vectors(self, all_entries, s3):
+        rng = np.random.default_rng(33)
+        for entry, K in _fields(all_entries, s3):
+            for p in entry.manifold.sample_points(rng, 3):
+                basis = entry.manifold.tangent_basis(p)
+                rows = kg.covariant_derivative(entry.metric, K, basis, p)
+                single = np.array([kg.covariant_derivative(entry.metric, K, b, p) for b in basis])
+                assert np.array_equal(rows, single), entry.name
+
+    def test_lie_bracket(self, s3):
+        rng = np.random.default_rng(34)
+        K1, K2 = s3.family.members
+        for p in s3.manifold.sample_points(rng, 5):
+            ref = _reference_directional(K2.evaluator, K1(p), p) - _reference_directional(K1.evaluator, K2(p), p)
+            assert np.array_equal(kg.lie_bracket(K1, K2, p), ref)
+
+
+class TestFallbacksOnStacks:
+    def test_constraint_gradient_and_hessian(self):
+        M = _sphere()
+        P = M.sample_points(np.random.default_rng(35), 6)
+        np.testing.assert_allclose(M.grad_constraint(P[0]), 2.0 * P[0], atol=1e-6)
+        np.testing.assert_allclose(M.grad_constraint(P), 2.0 * P, atol=1e-6)
+        np.testing.assert_allclose(M.hess_constraint(P[0]), 2.0 * np.eye(4), atol=1e-6)
+        np.testing.assert_allclose(M.hess_constraint(P), np.broadcast_to(2.0 * np.eye(4), (6, 4, 4)), atol=1e-6)
+
+    def test_metric_jacobian(self, s3):
+        P = s3.manifold.sample_points(np.random.default_rng(36), 6)
+        fd = metric_jacobian(dataclasses.replace(s3.metric, jacobian=None), P)
+        np.testing.assert_allclose(fd, s3.metric.jacobian(P), atol=1e-6)
+
+    def test_as_field_jacobian(self):
+        A = _rotation(SQRT2)
+        P = _sphere().sample_points(np.random.default_rng(37), 6)
+        J = kg.as_field(lambda p: A @ p).jacobian(P)
+        assert J.shape == (6, 4, 4)
+        for row in J:
+            np.testing.assert_allclose(row, A.T, atol=1e-8)
+
+    def test_as_field_keeps_a_complete_field(self, s3):
+        assert kg.as_field(s3.killing) is s3.killing
+
+
+def _round_metric():
+    M = _sphere(constraint_grad=lambda p: 2.0 * p, constraint_hess=lambda p: 2.0 * np.eye(4))
+    eye, zero = np.eye(4), np.zeros((4, 4, 4))
+    return kg.MetricField(M, lambda p: eye, (3, 0), "riemannian", 0, jacobian=lambda p: zero)
+
+
+_A = _rotation(SQRT2)
+_G_R = _round_metric()
+_FIELDS = {
+    "analytic": kg.KillingField(lambda p: _A @ p, jacobian=lambda p: _A.T),
+    "bare": lambda p: _A @ p,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: np.linalg.norm(v) > 0.1),
+    st.sampled_from(sorted(_FIELDS)),
+)
+def test_reflection_round_trip(v, kind):
+    K = _FIELDS[kind]
+    p = np.asarray(v) / np.linalg.norm(v)
+    back = kg.lorentz_to_riemann(kg.riemann_to_lorentz(_G_R, K), K)
+    np.testing.assert_allclose(back.matrix(p), _G_R.matrix(p), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back.jacobian(p), _G_R.jacobian(p), rtol=0, atol=1e-6)
