@@ -47,6 +47,7 @@ from .killing import (
 from .flows import (
     CurveSample,
     PeriodCertificate,
+    certified_flow,
     curve_to_csv,
     detect_period,
     flow,

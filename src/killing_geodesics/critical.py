@@ -5,8 +5,11 @@ periodic geodesics through the identity grad f = -2 ∇_K K.  The search
 runs every (start, sign) pair in lockstep as one stack of points:
 projected descent on f and on -f, then Newton refinement on the Hessian
 transverse to the flow direction, both on the analytic ambient gradient
-of f.  Orbit-aware deduplication, classification, residual certification
-and period detection follow, one orbit at a time.
+of f.  Orbit-aware deduplication, period detection, residual
+certification and classification follow, one orbit at a time.  Each kept
+orbit is integrated once: the run that certifies its period also gives
+the curve that later candidates are deduplicated against and that the
+geodesic residual is measured on.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
-from .flows import detect_period, flow, geodesic_residual, min_distance_to_point
+from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point, out_of_reach
 from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Array, ManifoldModel, MetricField, central_diff, inner, stacked
 from .killing import KillingField, as_field, energy, energy_terms, reflect
 
@@ -353,10 +356,17 @@ def find_critical_orbits(
     Multi-start descent on f and -f from ``budget`` of ``PROBE_SAMPLES``
     seeded samples (always including the sampled argmin and argmax) and
     Newton refinement, all rows in lockstep, then the finite-difference
-    gradient certificate on every row, orbit deduplication by flow reach,
-    classification, geodesic-residual certification and period detection
-    per orbit.  A sampled f-variance below 1e-12 short-circuits into a single
-    degenerate-constant marker meaning every point is critical.
+    gradient certificate on every row.  The certified rows, in order of f,
+    are deduplicated by flow reach: a row within ``DEDUP_DISTANCE`` of a
+    kept orbit's curve at the same f joins it.  A row that starts a new
+    orbit gets its period from ``detect_period``; the certificate's run
+    gives the orbit's curve up to min(period, 4π/speed + 1) through
+    ``certified_flow``, so the orbit is integrated once, and only an
+    orbit without a certificate is flowed for 4π/speed + 1 instead.  That
+    curve serves the later deduplication and the geodesic residual; the
+    transverse Hessian classifies the orbit.  A sampled f-variance below
+    1e-12 short-circuits into a single degenerate-constant marker meaning
+    every point is critical.
 
     K, g and their jacobians are normalised once, here: K goes through
     ``as_field``, an evaluator that cannot map a stack of points row by
@@ -374,15 +384,17 @@ def find_critical_orbits(
     if float(np.var(fvals)) < DEGENERATE_VARIANCE:
         rep = samples[0]
         cert = detect_period(M, K, rep, horizon, tol_ode=tol_ode)
-        line = flow(M, K, rep, cert.period if cert else min(horizon, 10.0), tol=tol_ode)
-        resid = geodesic_residual(g, line)
+        if cert is None:
+            line = flow(M, K, rep, min(horizon, 10.0), tol=tol_ode)
+        else:
+            line = certified_flow(M, K, cert, cert.period)
         return [
             CriticalOrbit(
                 representative=rep,
                 f_value=float(fvals[0]),
                 grad_norm=float(np.linalg.norm(grad_f(g, K, rep))),
                 classification="degenerate_constant",
-                geodesic_residual=resid,
+                geodesic_residual=geodesic_residual(g, line),
                 period=cert.period if cert else None,
                 degenerate=True,
             )
@@ -402,42 +414,36 @@ def find_critical_orbits(
         raise SearchFailureError("no start converged to a critical point")
 
     candidates.sort(key=lambda c: (c[1], tuple(np.round(c[0], 9))))
-    orbits = []
-    orbit_curves = []
+    out = []
+    curves = []
     for p, fv, gn in candidates:
-        duplicate = False
-        for i, (q, fq, _) in enumerate(orbits):
-            if abs(fv - fq) > 1e-6 * (1.0 + abs(fq)):
-                continue
-            if min_distance_to_point(M, orbit_curves[i], p) <= DEDUP_DISTANCE:
-                duplicate = True
-                break
-        if duplicate:
+        if any(
+            abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))
+            and not out_of_reach(M, line, p, DEDUP_DISTANCE)
+            and min_distance_to_point(M, line, p) <= DEDUP_DISTANCE
+            for o, line in zip(out, curves)
+        ):
             continue
+        cert = detect_period(M, K, p, horizon, tol_ode=tol_ode)
         speed = float(np.linalg.norm(core.field(p)))
         span = min(horizon, 4.0 * math.pi / max(speed, 0.1) + 1.0)
-        orbit_curves.append(flow(M, K, p, span, tol=tol_ode))
-        orbits.append((p, fv, gn))
-
-    out = []
-    for (p, fv, gn), line in zip(orbits, orbit_curves):
+        if cert is None:
+            line = flow(M, K, p, span, tol=tol_ode)
+        else:
+            line = certified_flow(M, K, cert, min(cert.period, span))
         degenerate = False
         try:
             label, _ = classify_critical(g, K, p)
         except DegenerateCriticalPointError:
             label, degenerate = "degenerate", True
-        cert = detect_period(M, K, p, horizon, tol_ode=tol_ode)
-        resid_curve = line
-        if cert is not None and cert.period < line.t_end:
-            resid_curve = flow(M, K, p, cert.period, tol=tol_ode)
-        resid = geodesic_residual(g, resid_curve)
+        curves.append(line)
         out.append(
             CriticalOrbit(
                 representative=p,
                 f_value=fv,
                 grad_norm=gn,
                 classification=label,
-                geodesic_residual=resid,
+                geodesic_residual=geodesic_residual(g, line),
                 period=cert.period if cert else None,
                 degenerate=degenerate,
             )

@@ -8,12 +8,16 @@ within tolerance, refined by bisection on a Poincare-section crossing
 function evaluated on the dense output.  Period detection runs as the
 flow is integrated: it scans and refines on the knots accepted so far
 and stops the stepper at the first certified return, so a line that
-closes early is not integrated to the horizon.
+closes early is not integrated to the horizon.  The certificate keeps
+that run, and ``certified_flow`` reads the flow line up to the period off
+it instead of integrating it again.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -73,6 +77,18 @@ class CurveSample:
         n = self.manifold.ambient_dim
         return state[..., :n]
 
+    @functools.cached_property
+    def dedup_samples(self):
+        """(times, positions) every ``DEDUP_RESOLUTION`` on [0, t_end): the
+        coarse scan of ``min_distance_to_point``, interpolated once."""
+        ss = np.arange(0.0, self.t_end, DEDUP_RESOLUTION)
+        return ss, self.position_at(ss)
+
+    @functools.cached_property
+    def max_speed(self) -> float:
+        """The largest Euclidean speed at a knot."""
+        return float(np.max(np.linalg.norm(self.velocities, axis=1)))
+
 
 def _energy_values(g: MetricField, points: Array, velocities: Array) -> Array:
     return energy_terms(np.array([g.matrix(p) for p in points]), velocities)[1]
@@ -118,8 +134,12 @@ def flow(
     recorded in ``energy_drift`` (it should vanish for Killing fields).
     """
     field, rhs, project = _flow_problem(M, K)
-    p0 = np.asarray(p0, dtype=float)
-    dense = solve_rk45(rhs, p0, float(T), tol=tol, project=project)
+    dense = solve_rk45(rhs, np.asarray(p0, dtype=float), float(T), tol=tol, project=project)
+    return _flow_curve(M, field, dense, metric)
+
+
+def _flow_curve(M: ManifoldModel, field, dense: DenseCurve, metric: Optional[MetricField] = None) -> CurveSample:
+    """The flow curve of ``field`` whose knots are those of ``dense``."""
     points = dense.ys
     velocities = dense.fs
     accelerations = _field_accelerations(field, points, velocities)
@@ -131,6 +151,32 @@ def flow(
         M, "flow", dense.ts, points, velocities, accelerations,
         drift, _constraint_drift(M, points), dense, field,
     )
+
+
+def certified_flow(M: ManifoldModel, K, cert: PeriodCertificate, T: float) -> CurveSample:
+    """The curve ``flow(M, K, p0, T)`` gives, read off the run that
+    certified ``cert``, for 0 < T <= cert.period.
+
+    Below T its knots are the knots of ``flow`` bit for bit: both runs
+    take the same steps until ``flow`` clips its last one to land on T.
+    At T it holds the dense value, projected onto the manifold, in place
+    of that clipped step.  So the interior knots, and with them the
+    ``geodesic_residual`` of the curve, are those of ``flow``.
+    """
+    run = cert.curve
+    if not 0.0 < T <= run.t_end:
+        raise ValueError(f"T = {T} outside the certified run (0, {run.t_end}]")
+    field, _, project = _flow_problem(M, K)
+    y = run(float(T))
+    if project is not None:
+        y = project(y)
+    n = int(np.searchsorted(run.ts, T, side="left"))  # knots strictly below T
+    dense = DenseCurve(
+        np.append(run.ts[:n], float(T)),
+        np.vstack([run.ys[:n], y]),
+        np.vstack([run.fs[:n], np.asarray(field(y), dtype=float)]),
+    )
+    return _flow_curve(M, field, dense)
 
 
 def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:
@@ -219,13 +265,17 @@ class PeriodCertificate:
     """Certified return of a flow line modulo the deck group.
 
     ``deck_word`` carries the curve endpoint back to the start:
-    deck_word.apply(c(period)) = c(0) within position_gap.
+    deck_word.apply(c(period)) = c(0) within position_gap.  ``curve`` is
+    the integration run that found the return, from the start to the knot
+    where it stopped, past ``period``; ``certified_flow`` reads the flow
+    line off it without integrating again.
     """
 
     period: float
     deck_word: DeckElement
     position_gap: float
     velocity_gap: float
+    curve: Optional[DenseCurve] = None
 
 
 def detect_period(
@@ -249,9 +299,10 @@ def detect_period(
     through p0 normal to the initial velocity; it is certified when both
     the position and the velocity gap are within ``tol``.  Integration
     stops at the first certified return; without one it runs to
-    ``horizon`` and a run still open there is refined last.  Returns None
-    when no certified return exists within the horizon (including the
-    case of a stationary point of the field).
+    ``horizon`` and a run still open there is refined last.  The
+    certificate carries the run as ``curve``.  Returns None when no
+    certified return exists within the horizon (including the case of a
+    stationary point of the field).
 
     The scan step is ``SCAN_RESOLUTION``, shrunk to ``DIP_THRESHOLD /
     (4 * fastest knot so far)`` so that a fast field cannot step over a
@@ -269,7 +320,8 @@ def detect_period(
     dense = solve_rk45(rhs, p0, float(horizon), tol=tol_ode, project=project, stop=scan.advance)
     if scan.certificate is None:
         scan.finish(dense.ts, dense.ys, dense.fs)
-    return scan.certificate
+    cert = scan.certificate
+    return None if cert is None else dataclasses.replace(cert, curve=dense)
 
 
 def _window(ts, ys, fs, a: float, b: float) -> DenseCurve:
@@ -462,26 +514,31 @@ def translate_geodesic(
 def min_distance_to_point(M: ManifoldModel, c: CurveSample, q) -> float:
     """Minimal quotient distance from a curve image to a point.
 
-    Scans the dense output at ``DEDUP_RESOLUTION`` and refines every
+    Scans the curve's cached ``dedup_samples`` and refines every
     competitive local minimum: refining only the global coarse minimum
     can lock onto the wrong dip when true minima fall between samples.
+    A sample is competitive within ``max_speed * DEDUP_RESOLUTION`` of the
+    coarse minimum, a bound on how far the curve moves in one step.  The
+    last sample's refinement reaches ``t_end``: a curve of one period ends
+    less than a step after it, and the stretch in between would be
+    missed.
     """
     q = np.asarray(q, dtype=float)
     if len(c.times) < 2 or c.t_end == 0.0:
         return float(np.min(M.quotient_distance(c.points, q)))
-    ss = np.arange(0.0, c.t_end, DEDUP_RESOLUTION)
-    d = M.quotient_distance(c.position_at(ss), q)
+    ss, positions = c.dedup_samples
+    d = M.quotient_distance(positions, q)
     best = float(np.min(d))
-    speed = float(np.linalg.norm(c.velocities[0]))
-    margin = best + speed * DEDUP_RESOLUTION
+    margin = best + c.max_speed * DEDUP_RESOLUTION
     interior = (d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])
     candidates = [j + 1 for j in np.nonzero(interior & (d[1:-1] <= margin))[0]]
     candidates += [0, len(ss) - 1]
+    edges = np.append(ss, c.t_end)
     for j in candidates:
         if d[j] > margin:
             continue
         lo = float(ss[max(0, j - 1)])
-        hi = float(ss[min(len(ss) - 1, j + 1)])
+        hi = float(edges[j + 1])
         for _ in range(3):
             grid = np.linspace(lo, hi, 60)
             dd = M.quotient_distance(c.position_at(grid), q)
@@ -491,6 +548,23 @@ def min_distance_to_point(M: ManifoldModel, c: CurveSample, q) -> float:
             lo = max(lo, float(grid[k]) - width)
             hi = min(hi, float(grid[k]) + width)
     return best
+
+
+def out_of_reach(M: ManifoldModel, c: CurveSample, q, radius: float) -> bool:
+    """Whether the cached coarse samples alone show that no point of the
+    curve comes within ``radius`` of q.
+
+    Every curve point lies within ``max_speed * DEDUP_RESOLUTION`` of a
+    sample (half that between two samples, a whole step past the last
+    one), and the quotient distance moves no faster than the point.  So
+    a coarse minimum beyond ``radius`` plus that bound puts every point,
+    and ``min_distance_to_point``, beyond ``radius``.
+    """
+    _, positions = c.dedup_samples
+    if not len(positions):
+        return False
+    coarse = float(np.min(M.quotient_distance(positions, np.asarray(q, dtype=float))))
+    return coarse > radius + c.max_speed * DEDUP_RESOLUTION
 
 
 def hausdorff_distance(M: ManifoldModel, c1: CurveSample, c2: CurveSample, n_samples: int = 300) -> float:

@@ -26,9 +26,9 @@ from .geometry import (
     Array,
     ManifoldModel,
     MetricField,
+    constant,
     inner,
     make_deck_generator,
-    matvec,
     metric_eval,
     signature_of_gram,
     tangent_gram,
@@ -39,6 +39,7 @@ from .killing import (
     combine_family,
     certify_killing_field,
     killing_residual,
+    linear_field,
     make_killing_family,
 )
 from .killing import riemann_to_lorentz
@@ -61,15 +62,6 @@ class GalleryEntry:
     orbit_coordinate: Optional[Callable[[Array], float]] = None
 
 
-def _constant(value: Array) -> Callable[[Array], Array]:
-    """A constant evaluator: ``value`` at one point, stacked for (N, d)."""
-
-    def evaluate(p, _v=value):
-        return _v if np.ndim(p) == 1 else np.broadcast_to(_v, np.shape(p)[:-1] + _v.shape)
-
-    return evaluate
-
-
 def _constant_metric(M: ManifoldModel, diag, role: str, index: int = 1, signature=None) -> MetricField:
     """Constant ambient diagonal metric; ``signature`` is the intrinsic
     one on the tangent space (inferred from the diagonal only when the
@@ -84,7 +76,7 @@ def _constant_metric(M: ManifoldModel, diag, role: str, index: int = 1, signatur
             int(np.sum(np.asarray(diag) > 0)),
             int(np.sum(np.asarray(diag) < 0)),
         )
-    return MetricField(M, _constant(G), tuple(signature), role, index, _constant(zero))
+    return MetricField(M, constant(G), tuple(signature), role, index, constant(zero))
 
 
 def _constant_field(g: MetricField, components, label, generator) -> KillingField:
@@ -94,10 +86,10 @@ def _constant_field(g: MetricField, components, label, generator) -> KillingFiel
     return certify_killing_field(
         g,
         KillingField(
-            lambda p, _v=_constant(v): _v(p).copy(),
+            lambda p, _v=constant(v): _v(p).copy(),
             label=label,
             generator=generator,
-            jacobian=_constant(zero),
+            jacobian=constant(zero),
         ),
     )
 
@@ -250,7 +242,7 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
         intrinsic_dim=3,
         constraint=lambda p: inner(p, p) - 1.0,
         constraint_grad=lambda p: 2.0 * p,
-        constraint_hess=_constant(2.0 * np.eye(4)),
+        constraint_hess=constant(2.0 * np.eye(4)),
         sampler=_sphere_sampler(4),
     )
     round_metric = _constant_metric(M, [1.0, 1.0, 1.0, 1.0], "riemannian", 0, signature=(3, 0))
@@ -260,21 +252,8 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
     A2 = np.zeros((4, 4))
     A2[2, 3] = -1.0
     A2[3, 2] = 1.0
-
-    def lin_field(A):
-        return lambda p, _A=A: matvec(_A, p)
-
-    def lin_jac(A):
-        return _constant(A.T.copy())
-
-    K1 = certify_killing_field(
-        round_metric,
-        KillingField(lin_field(A1), label="rot-z", generator=(1.0, 0.0), jacobian=lin_jac(A1)),
-    )
-    K2 = certify_killing_field(
-        round_metric,
-        KillingField(lin_field(A2), label="rot-w", generator=(0.0, 1.0), jacobian=lin_jac(A2)),
-    )
+    K1 = certify_killing_field(round_metric, linear_field(A1, label="rot-z", generator=(1.0, 0.0)))
+    K2 = certify_killing_field(round_metric, linear_field(A2, label="rot-w", generator=(0.0, 1.0)))
     family = make_killing_family(round_metric, (K1, K2))
     K = combine_family(family, (1.0, alpha))
     g = riemann_to_lorentz(round_metric, K)
@@ -371,7 +350,7 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
         intrinsic_dim=3,
         constraint=sphere_constraint,
         constraint_grad=sphere_grad,
-        constraint_hess=_constant(hess),
+        constraint_hess=constant(hess),
         deck_generators=(
             make_deck_generator(0, np.diag([-1.0, -1.0, -1.0, 1.0]), np.zeros(4)),
             make_deck_generator(1, rot, [0.0, 0.0, 0.0, 1.0]),

@@ -44,6 +44,15 @@ def matvec(A: Array, x: Array) -> Array:
     return np.einsum("...ij,...j->...i", A, x)
 
 
+def constant(value: Array) -> Callable[[Array], Array]:
+    """A constant evaluator: ``value`` at one point, stacked for (N, d)."""
+
+    def evaluate(p, _v=value):
+        return _v if np.ndim(p) == 1 else np.broadcast_to(_v, np.shape(p)[:-1] + _v.shape)
+
+    return evaluate
+
+
 def inner(x: Array, y: Array) -> Array:
     """x · y for two vectors, or row by row for stacks (see ``matvec``)."""
     if np.ndim(x) == 1:

@@ -21,6 +21,7 @@ from .geometry import (
     Array,
     MetricField,
     central_diff,
+    constant,
     covariant_derivative,
     directional_diff,
     inner,
@@ -42,8 +43,10 @@ class KillingField:
     entries built from such actions).  ``certified`` records whether the
     Killing residual stayed below tolerance on construction samples;
     perturbed non-Killing fields are legitimate objects with
-    ``certified=False``.  Functions that take a field accept a bare
-    callable too and normalise it with ``as_field``.
+    ``certified=False``.  ``linear`` holds the matrix A of a linear field,
+    K(p) = A p (see ``linear_field``); it describes the field, which is
+    still evaluated through ``evaluator`` only.  Functions that take a
+    field accept a bare callable too and normalise it with ``as_field``.
     """
 
     evaluator: Callable[[Array], Array]
@@ -53,9 +56,17 @@ class KillingField:
     certified: bool = False
     max_residual: float = math.inf
     jacobian: Optional[Callable[[Array], Array]] = None  # row m = ∂field/∂x_m
+    linear: Optional[Array] = None  # A with K(p) = A p
 
     def __call__(self, p: Array) -> Array:
         return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)
+
+
+def linear_field(A, label: str = "K", generator: Optional[tuple] = None, basis: Optional[tuple] = None) -> KillingField:
+    """The field K(p) = A p with its constant jacobian A^T, for one point
+    or an (N, d) stack."""
+    A = np.asarray(A, dtype=float)
+    return KillingField(lambda p: matvec(A, p), label, generator, basis, jacobian=constant(A.T.copy()), linear=A)
 
 
 def as_field(K) -> KillingField:
@@ -185,7 +196,9 @@ def combine_family(F: KillingFamily, x) -> KillingField:
 
     The generator coordinates of the result are the combination of the
     members' coordinates (which is x itself when the members are the
-    fundamental torus directions).
+    fundamental torus directions).  When every member is linear, so is
+    the result, with A = sum_i x_i A_i: one matrix product per point in
+    place of a loop over the members.
     """
     x = np.asarray(x, dtype=float)
     if not np.any(x):
@@ -194,25 +207,28 @@ def combine_family(F: KillingFamily, x) -> KillingField:
         raise ValueError("coefficient count does not match family size")
     members = F.members
 
-    def evaluator(p, _members=members, _x=x):
-        out = _x[0] * _members[0](p)
-        for c, K in zip(_x[1:], _members[1:]):
-            out = out + c * K(p)
+    def combine(values):
+        out = x[0] * values[0]
+        for c, v in zip(x[1:], values[1:]):
+            out = out + c * v
         return out
 
     generator = None
     if all(K.generator is not None for K in members):
         gen = sum(c * np.asarray(K.generator, dtype=float) for c, K in zip(x, members))
         generator = tuple(float(v) for v in gen)
+    label = "+".join(f"{c:g}*{K.label}" for c, K in zip(x, members))
+    if all(K.linear is not None for K in members):
+        return linear_field(combine([K.linear for K in members]), label, generator, members)
+
+    def evaluator(p):
+        return combine([K(p) for K in members])
+
     jacobian = None
     if all(K.jacobian is not None for K in members):
-        def jacobian(p, _members=members, _x=x):
-            out = _x[0] * np.asarray(_members[0].jacobian(p), dtype=float)
-            for c, K in zip(_x[1:], _members[1:]):
-                out = out + c * np.asarray(K.jacobian(p), dtype=float)
-            return out
+        def jacobian(p):
+            return combine([np.asarray(K.jacobian(p), dtype=float) for K in members])
 
-    label = "+".join(f"{c:g}*{K.label}" for c, K in zip(x, members))
     return KillingField(evaluator, label=label, generator=generator, basis=members, jacobian=jacobian)
 
 

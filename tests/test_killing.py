@@ -191,6 +191,22 @@ class TestFamilies:
             expected = np.array([-p[1], p[0], -SQRT2 * p[3], SQRT2 * p[2]])
             assert np.allclose(K(p), expected, atol=1e-14)
 
+    def test_combined_linear_field_is_the_member_loop(self, s3, rng):
+        # one matrix product per point must round like the loop it
+        # replaced, sum_i x_i (A_i p), on points and on (N, 4) stacks
+        K1, K2 = s3.family.members
+        coeffs = [(1.0, SQRT2)] + [K.generator for K, _ in kg.approximate_closed(s3.killing, 5)]
+        assert len(coeffs) == 6
+        P = s3.manifold.sample_points(rng, 16)
+        for x in coeffs:
+            K = kg.combine_family(s3.family, x)
+            assert np.array_equal(K.linear, x[0] * K1.linear + x[1] * K2.linear)
+            for p in P:
+                assert np.array_equal(K(p), x[0] * K1(p) + x[1] * K2(p))
+                assert np.array_equal(K.jacobian(p), x[0] * K1.jacobian(p) + x[1] * K2.jacobian(p))
+            assert np.array_equal(K.evaluator(P), x[0] * K1.evaluator(P) + x[1] * K2.evaluator(P))
+            assert np.array_equal(K.jacobian(P), x[0] * K1.jacobian(P) + x[1] * K2.jacobian(P))
+
     def test_combine_rejects_zero(self, flat_torus):
         with pytest.raises(ValueError):
             kg.combine_family(flat_torus.family, (0.0, 0.0))

@@ -1,0 +1,177 @@
+"""One integration per critical orbit.
+
+The run that certifies a period also gives the orbit's curve: its knots
+below T are those of ``flow`` bit for bit, so deduplication and the
+geodesic residual need no second integration.  Deduplication skips the
+exact distance when the cached coarse samples put the point out of reach,
+and that skip never changes a decision.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import killing_geodesics as kg
+from killing_geodesics import critical, flows
+from killing_geodesics.critical import DEDUP_DISTANCE
+from killing_geodesics.flows import DEDUP_RESOLUTION, CurveSample, min_distance_to_point, out_of_reach
+from killing_geodesics.integrate import DenseCurve
+
+SQRT2 = math.sqrt(2.0)
+
+
+def _starts(s3, klein, flat_torus, mapping_torus):
+    """(entry, start, horizon): both S³ circles, the generic Klein fibre,
+    a flat-torus line and the mapping-torus pole."""
+    return [
+        (s3, np.array([1.0, 0.0, 0.0, 0.0]), 50.0),
+        (s3, np.array([0.0, 0.0, 1.0, 0.0]), 50.0),
+        (klein, np.array([0.3, 0.0]), 10.0),
+        (flat_torus, np.array([0.2, 0.35]), 4.0),
+        (mapping_torus, np.array([0.0, 0.0, 1.0, 0.0]), 10.0),
+    ]
+
+
+class TestCertifiedFlow:
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    def test_same_knots_and_residual_as_flow(self, s3, klein, flat_torus, mapping_torus, fraction):
+        for entry, p0, horizon in _starts(s3, klein, flat_torus, mapping_torus):
+            M, K = entry.manifold, entry.killing
+            cert = kg.detect_period(M, K, p0, horizon)
+            assert cert is not None and cert.curve.t_end > cert.period, entry.name
+            T = fraction * cert.period
+            curve = kg.certified_flow(M, K, cert, T)
+            ref = kg.flow(M, K, p0, T)
+            assert len(curve.times) == len(ref.times) > 3, entry.name
+            for name in ("times", "points", "velocities", "accelerations"):
+                assert np.array_equal(getattr(curve, name)[:-1], getattr(ref, name)[:-1]), (entry.name, name)
+            assert curve.t_end == T and ref.t_end == pytest.approx(T, abs=1e-12)
+            assert np.linalg.norm(curve.points[-1] - ref.points[-1]) <= 1e-9
+            assert kg.geodesic_residual(entry.metric, curve) == kg.geodesic_residual(entry.metric, ref), entry.name
+
+    def test_rejects_time_past_the_run(self, s3):
+        cert = kg.detect_period(s3.manifold, s3.killing, np.array([1.0, 0.0, 0.0, 0.0]), 50.0)
+        with pytest.raises(ValueError):
+            kg.certified_flow(s3.manifold, s3.killing, cert, cert.curve.t_end + 1.0)
+
+
+def test_search_integrates_each_orbit_once(s3, monkeypatch):
+    runs, flows_called = [0], [0]
+    solve = flows.solve_rk45
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return solve(*args, **kwargs)
+
+    def no_flow(*args, **kwargs):
+        flows_called[0] += 1
+        return kg.flow(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "solve_rk45", counted)
+    monkeypatch.setattr(critical, "flow", no_flow)
+    orbits = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=64, seed=42)
+    assert len(orbits) == 2
+    assert all(o.period is not None for o in orbits)
+    assert runs[0] == len(orbits)
+    assert flows_called[0] == 0
+
+
+# -- the skip test of deduplication ----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_curves():
+    """Critical orbit curves as the search builds them: the q = 1 torus
+    lines of the first approximant of stationary-s3 and its two circles."""
+    s3 = kg.build_entry("stationary-s3")
+    M = s3.manifold
+    closed, fraction = kg.approximate_closed(s3.killing, 1)[0]
+    assert (fraction.numerator, fraction.denominator) == (1, 1)
+    r = math.sqrt(2.0 - SQRT2)
+    s = math.sqrt(SQRT2 - 1.0)
+    torus = [
+        np.array([r * math.cos(a), r * math.sin(a), s * math.cos(b), s * math.sin(b)])
+        for a, b in [(0.0, 0.0), (0.4, 2.1), (1.3, -0.7)]
+    ]
+    circles = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])]
+    curves = []
+    for K, p0 in [(closed, p) for p in torus] + [(s3.killing, p) for p in circles]:
+        cert = kg.detect_period(M, K, p0, 50.0)
+        span = 4.0 * math.pi / max(float(np.linalg.norm(K(p0))), 0.1) + 1.0
+        curves.append(kg.certified_flow(M, K, cert, min(cert.period, span)))
+    return M, curves
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: np.linalg.norm(v) > 0.1),
+    st.floats(0.0, 2e-2),
+)
+def test_skip_never_drops_a_duplicate(index, where, direction, distance):
+    M, curves = _orbit_curves()
+    curve = curves[index]
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    q = M.project_point(curve.position_at(where * curve.t_end) + distance * u)
+    if out_of_reach(M, curve, q, DEDUP_DISTANCE):
+        assert min_distance_to_point(M, curve, q) > DEDUP_DISTANCE
+
+
+def test_dedup_samples_are_cached_and_exact():
+    M, curves = _orbit_curves()
+    curve = curves[3]
+    _, positions = curve.dedup_samples
+    assert curve.dedup_samples[1] is positions
+    assert np.array_equal(positions, curve.position_at(np.arange(0.0, curve.t_end, DEDUP_RESOLUTION)))
+
+
+# -- the refinement margin of min_distance_to_point ------------------------
+
+
+def _spiral(t_end=2.0, knot_step=1e-3, pitch=1e-2):
+    """A planar spiral r = 1 + pitch * θ / 2π whose angle θ = t + t³
+    speeds up from 1 to about 13: its second turn runs 1e-2 outside the
+    first.  The knots carry the exact derivatives."""
+    M = kg.ManifoldModel(kind="flat_quotient", ambient_dim=2, intrinsic_dim=2)
+    t = np.arange(0.0, t_end + knot_step / 2, knot_step)
+    theta, dtheta = t + t**3, 1.0 + 3.0 * t**2
+    r, dr = 1.0 + pitch * theta / (2 * math.pi), pitch / (2 * math.pi)
+    radial = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    normal = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+    ys = r[:, None] * radial
+    fs = dtheta[:, None] * (dr * radial + r[:, None] * normal)
+    curve = CurveSample(M, "flow", t, ys, fs, None, math.nan, 0.0, DenseCurve(t, ys, fs))
+    return M, curve
+
+
+def test_refinement_reaches_past_the_last_sample(s3):
+    # a curve of one period ends less than a sample step after its last
+    # sample; a point of that stretch lies on the curve
+    M, K = s3.manifold, s3.killing
+    cert = kg.detect_period(M, K, np.array([1.0, 0.0, 0.0, 0.0]), 50.0)
+    curve = kg.certified_flow(M, K, cert, cert.period)
+    ss, _ = curve.dedup_samples
+    q = curve.position_at(0.5 * (ss[-1] + curve.t_end))
+    assert 0.5 * (curve.t_end - ss[-1]) > 1e-3
+    assert min_distance_to_point(M, curve, q) <= 1e-7
+
+
+def test_margin_uses_the_fastest_knot():
+    M, curve = _spiral()
+    # a time on the fast second turn, midway between two coarse samples
+    t_star = (round(1.7 / DEDUP_RESOLUTION) + 0.5) * DEDUP_RESOLUTION
+    p_star = curve.position_at(t_star)
+    q = p_star * (1.0 + 2e-3 / np.linalg.norm(p_star))
+    fine = np.linspace(t_star - 1e-3, t_star + 1e-3, 100_001)
+    truth = float(np.min(M.quotient_distance(curve.position_at(fine), q)))
+    assert truth == pytest.approx(2e-3, rel=1e-2)
+    # the slow first turn holds the coarse minimum, 1e-2 away
+    _, positions = curve.dedup_samples
+    assert float(np.min(M.quotient_distance(positions, q))) > 1e-2
+    assert float(np.linalg.norm(curve.velocities[0])) < 1.01 < 12.0 < curve.max_speed
+    assert abs(min_distance_to_point(M, curve, q) - truth) <= 1e-9
