@@ -5,11 +5,15 @@ periodic geodesics through the identity grad f = -2 ∇_K K.  The search
 runs every (start, sign) pair in lockstep as one stack of points:
 projected descent on f and on -f, then Newton refinement on the Hessian
 transverse to the flow direction, both on the analytic ambient gradient
-of f.  Orbit-aware deduplication, period detection, residual
-certification and classification follow, one orbit at a time.  Each kept
-orbit is integrated once: the run that certifies its period also gives
-the curve that later candidates are deduplicated against and that the
-geodesic residual is measured on.
+of f.  Deduplication, period detection, residual certification and
+classification follow, one record at a time.  Deduplication merges
+candidates on one flow line and, where K comes with a certified
+commuting family of linear isometries, on one orbit of the family's
+torus, so a Morse-Bott critical set gives one record.  Each kept record
+is integrated once: the run that certifies its period also gives the
+curve that later candidates are deduplicated against and that the
+geodesic residual is measured on.  Classification reads the transverse
+Hessian that Newton steps on.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point, out_of_reach
-from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Array, ManifoldModel, MetricField, central_diff, inner, stacked
-from .killing import KillingField, as_field, energy, energy_terms, reflect
+from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner, stacked
+from .killing import KillingField, as_field, certify_killing_field, energy, energy_terms, reflect, torus_orbit_distance
 
 GRAD_TOL = 1e-7
 DEDUP_DISTANCE = 1e-4
@@ -83,64 +87,33 @@ def grad_f(g: MetricField, K, p) -> Array:
     return np.linalg.solve(gram, df) @ basis
 
 
-def _transverse_hessian(f, M, p, basis, h: float = FD_STEP_SECOND) -> Array:
-    """Second differences of f along constraint retractions.
-
-    Displaced points are projected back onto the manifold before
-    evaluating: the straight-line ambient Hessian differs from the
-    intrinsic one by a curvature term that can even flip signs.
-    """
-
-    def fr(q):
-        return f(M.project_point(q))
-
-    n = len(basis)
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            pp = fr(p + h * basis[i] + h * basis[j])
-            pm = fr(p + h * basis[i] - h * basis[j])
-            mp = fr(p - h * basis[i] + h * basis[j])
-            mm = fr(p - h * basis[i] - h * basis[j])
-            H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4 * h * h)
-    return H
-
-
 def classify_critical(g: MetricField, K, p):
     """Classify a critical point by the transverse Hessian of f.
 
-    Returns ("min" | "max" | "saddle", eigenvalues).  Directions along the
-    flow are projected out before the eigenvalue analysis.  Raises
+    Returns ("min" | "max" | "saddle", eigenvalues).  The Hessian is the
+    one ``_newton_refine`` steps on: central differences of the analytic
+    gradient minus λ·Hess c, restricted to the tangent directions
+    Euclidean-orthogonal to the flow.  Raises
     DegenerateCriticalPointError when some transverse eigenvalue sits
-    within CLASSIFY_EIG_TOL of zero, and ValueError when the gradient
-    precondition fails.
+    within CLASSIFY_EIG_TOL of zero (a Morse-Bott set of positive
+    dimension transverse to the flow has one per dimension), and
+    ValueError when the gradient precondition fails.
     """
     M = g.manifold
     p = np.asarray(p, dtype=float)
-    f = _energy_at(g, K)
+    probe = M.sample_points(np.random.default_rng(0), M.ambient_dim + 1)
+    core = _batched_energy(g, as_field(K), probe)
+    Mb = _batched_manifold(M, probe)
+    P = p[None]
+    _, grad, _, k = core.parts(P)
     basis = M.tangent_basis(p)
-    df = _tangent_df(f, p, basis)
-    if float(np.linalg.norm(df)) > GRAD_TOL * 10:
+    if float(np.linalg.norm(basis @ grad[0])) > GRAD_TOL * 10:
         raise ValueError("point is not critical (gradient precondition)")
-    k = basis @ as_field(K)(p)
-    nk = float(np.linalg.norm(k))
-    vecs = basis
-    if nk > 1e-10:
-        k = k / nk
+    k = basis @ k[0]
+    if float(np.linalg.norm(k)) > 1e-10:
         # orthonormal complement of the flow direction inside the tangent space
-        cols = []
-        for i in range(len(basis)):
-            v = np.eye(len(basis))[i] - k[i] * k
-            for b in cols:
-                v = v - (b @ v) * b
-            nv = float(np.linalg.norm(v))
-            if nv > 1e-8:
-                cols.append(v / nv)
-            if len(cols) == len(basis) - 1:
-                break
-        vecs = np.array(cols) @ basis
-    H = _transverse_hessian(f, M, p, vecs)
-    eig = np.linalg.eigvalsh(H)
+        basis = np.linalg.svd(k[None])[2][1:] @ basis
+    eig = np.linalg.eigvalsh(basis @ _hessian(core, Mb, P, grad, _normals(Mb, P))[0] @ basis.T)
     if np.any(np.abs(eig) <= CLASSIFY_EIG_TOL):
         raise DegenerateCriticalPointError(f"transverse eigenvalues {eig} too close to zero")
     if np.all(eig > 0):
@@ -296,16 +269,25 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array, max_iter=30
     return P
 
 
+def _hessian(core: _Energy, M: ManifoldModel, P: Array, grad: Array, normals: list) -> Array:
+    """Per row, central differences of the analytic gradient minus
+    λ·Hess c with λ = ∇f·∇c / |∇c|²: on the constraint set the straight-
+    line ambient Hessian misses this curvature term, which can even flip
+    signs."""
+    H = central_diff(core.gradient, P, np.eye(P.shape[1]), FD_STEP_FIRST)
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    for c in normals:
+        lam = inner(grad, c) / inner(c, c)
+        H = H - lam[:, None, None] * M.hess_constraint(P)
+    return H
+
+
 def _newton_refine(core: _Energy, M: ManifoldModel, P: Array, max_iter=20, trust=0.3):
     """Newton steps on the KKT system that borders out the flow direction.
 
-    The Hessian is central differences of the analytic gradient minus
-    λ·Hess c with λ = ∇f·∇c / |∇c|²: on the constraint set the straight-
-    line ambient Hessian misses this curvature term, which can even flip
-    signs.  Rows stop on their own.
+    The Hessian is ``_hessian``.  Rows stop on their own.
     """
     P = P.copy()
-    eye = np.eye(P.shape[1])
     live = np.arange(len(P))
     for _ in range(max_iter):
         if not len(live):
@@ -318,11 +300,7 @@ def _newton_refine(core: _Energy, M: ManifoldModel, P: Array, max_iter=20, trust
         if not len(live):
             break
         normals = [c[moving] for c in normals]
-        H = central_diff(core.gradient, Q, eye, FD_STEP_FIRST)
-        H = 0.5 * (H + H.transpose(0, 2, 1))
-        for c in normals:
-            lam = inner(grad, c) / inner(c, c)
-            H = H - lam[:, None, None] * M.hess_constraint(Q)
+        H = _hessian(core, M, Q, grad, normals)
         # a (near-)stationary field has no flow direction to border out:
         # its zero border makes the row singular, solved by least squares
         kt = _tangent(k, normals)
@@ -357,16 +335,31 @@ def find_critical_orbits(
     seeded samples (always including the sampled argmin and argmax) and
     Newton refinement, all rows in lockstep, then the finite-difference
     gradient certificate on every row.  The certified rows, in order of f,
-    are deduplicated by flow reach: a row within ``DEDUP_DISTANCE`` of a
-    kept orbit's curve at the same f joins it.  A row that starts a new
-    orbit gets its period from ``detect_period``; the certificate's run
-    gives the orbit's curve up to min(period, 4π/speed + 1) through
-    ``certified_flow``, so the orbit is integrated once, and only an
-    orbit without a certificate is flowed for 4π/speed + 1 instead.  That
-    curve serves the later deduplication and the geodesic residual; the
-    transverse Hessian classifies the orbit.  A sampled f-variance below
-    1e-12 short-circuits into a single degenerate-constant marker meaning
-    every point is critical.
+    are deduplicated against the kept records at the same f (to
+    1e-6·(1 + |f|)).  First by flow reach: a row within
+    ``DEDUP_DISTANCE`` of a kept orbit's curve joins it.  Then modulo the
+    torus of the commuting family ``K.basis``: a row within
+    ``DEDUP_DISTANCE`` of a kept representative's torus orbit joins it
+    too, since f is invariant under every isometry that preserves K, so
+    the critical sets of a closed field are whole torus orbits (Bott,
+    "Nondegenerate critical manifolds", 1954).  The second rule holds
+    only where the manifold has no deck group, ``torus_orbit_distance``
+    gives the orbit distance in closed form and every member passes
+    ``certify_killing_field`` for g; the members are certified once per
+    call, on the first row the rule would merge.  So there is one record
+    per critical set of such a field, and one per flow line a row lands
+    on elsewhere.
+
+    A row that starts a new record gets its period from
+    ``detect_period``; the certificate's run gives the orbit's curve up
+    to min(period, 4π/speed + 1) through ``certified_flow``, so the orbit
+    is integrated once, and only an orbit without a certificate is flowed
+    for 4π/speed + 1 instead.  That curve serves the later deduplication
+    and the geodesic residual; ``classify_critical`` labels the record
+    "degenerate" where the transverse Hessian has a null direction, as on
+    a Morse-Bott set of positive dimension transverse to the flow.  A
+    sampled f-variance below 1e-12 short-circuits into a single
+    degenerate-constant marker meaning every point is critical.
 
     K, g and their jacobians are normalised once, here: K goes through
     ``as_field``, an evaluator that cannot map a stack of points row by
@@ -414,16 +407,22 @@ def find_critical_orbits(
         raise SearchFailureError("no start converged to a critical point")
 
     candidates.sort(key=lambda c: (c[1], tuple(np.round(c[0], 9))))
+    torus = None if M.deck_generators else torus_orbit_distance(K)
+    members_killing = None  # certified on the first merge that needs it
     out = []
     curves = []
     for p, fv, gn in candidates:
+        level = [(o, line) for o, line in zip(out, curves) if abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))]
         if any(
-            abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))
-            and not out_of_reach(M, line, p, DEDUP_DISTANCE)
-            and min_distance_to_point(M, line, p) <= DEDUP_DISTANCE
-            for o, line in zip(out, curves)
+            not out_of_reach(M, line, p, DEDUP_DISTANCE) and min_distance_to_point(M, line, p) <= DEDUP_DISTANCE
+            for _, line in level
         ):
             continue
+        if torus is not None and any(torus(p, o.representative) <= DEDUP_DISTANCE for o, _ in level):
+            if members_killing is None:
+                members_killing = all(certify_killing_field(g, m).certified for m in K.basis)
+            if members_killing:
+                continue
         cert = detect_period(M, K, p, horizon, tol_ode=tol_ode)
         speed = float(np.linalg.norm(core.field(p)))
         span = min(horizon, 4.0 * math.pi / max(speed, 0.1) + 1.0)

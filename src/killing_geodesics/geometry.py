@@ -6,8 +6,7 @@ Points live in ambient coordinates.  A manifold is either a flat quotient
 a deck group.  Tangent vectors are stored in ambient coordinates and
 projected onto the tangent space when needed.  ``central_diff`` is the
 one finite-difference stencil; only ``critical._tangent_df`` (the
-independent gradient certificate) and ``critical._transverse_hessian``
-keep their own.
+independent gradient certificate) keeps its own.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ def inner(x: Array, y: Array) -> Array:
 def central_diff(fn: Callable[[Array], Array], p: Array, dirs: Array, h: float) -> Array:
     """Central differences of ``fn`` at ``p`` along each row of ``dirs``.
 
-    The one stencil of the package: only ``critical._tangent_df`` and
-    ``critical._transverse_hessian`` keep their own (module docstring).
+    The one stencil of the package: only ``critical._tangent_df`` keeps
+    its own (module docstring).
 
     ``p`` has shape ``(..., d)`` and ``dirs`` ``(m, d)``, or ``(..., m, d)``
     for directions per point.  ``fn`` maps an ``(N, d)`` stack of points

@@ -32,6 +32,7 @@ from .geometry import (
 
 KILLING_RESIDUAL_TOL = 1e-8
 COMMUTE_TOL = 1e-7
+LINEAR_TOL = 1e-10  # skewness, commutators and eigen-gaps of field matrices, relative
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +68,52 @@ def linear_field(A, label: str = "K", generator: Optional[tuple] = None, basis: 
     or an (N, d) stack."""
     A = np.asarray(A, dtype=float)
     return KillingField(lambda p: matvec(A, p), label, generator, basis, jacobian=constant(A.T.copy()), linear=A)
+
+
+def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], float]]:
+    """dist(p, orbit of r) under the torus exp(Σ θ_i A_i) of ``K.basis``,
+    in closed form, or None where the members do not give it.
+
+    Needs K and every member linear, the members A_i skew and commuting
+    with each other and with K's matrix.  The eigen-groups of the fixed
+    generic Σ c_i (-A_i²) (c_i = π^-i) are then invariant under every
+    A_i; each nonzero group must be a plane E_j, on which A_i rotates at
+    rate ω_ij, and the rates must have full column rank, so that the
+    angles on the planes move independently.  The orbit of r is then the
+    product of the circles |Π_j p| = |Π_j r| over the fixed part Π_0 r:
+
+        dist(p, orbit(r))² = Σ_j (|Π_j p| - |Π_j r|)² + |Π_0 (p - r)|².
+
+    Whether the members are Killing for some metric is not checked here.
+    """
+    members = K.basis or ()
+    if K.linear is None or not members or any(m.linear is None for m in members):
+        return None
+    A = [np.asarray(m.linear, dtype=float) for m in members]
+    scale = max(1.0, *(float(np.abs(a).max()) for a in A + [K.linear]))
+    tol = LINEAR_TOL * scale * scale
+    if any(np.abs(a + a.T).max() > tol for a in A):
+        return None
+    for i, a in enumerate(A):
+        if any(np.abs(a @ b - b @ a).max() > tol for b in A[i + 1 :] + [K.linear]):
+            return None
+    w, V = np.linalg.eigh(sum(math.pi**-i * -(a @ a) for i, a in enumerate(A)))
+    nonzero = np.flatnonzero(w > tol)
+    groups = np.split(nonzero, np.flatnonzero(np.diff(w[nonzero]) > tol) + 1)
+    if any(len(idx) != 2 for idx in groups):
+        return None
+    planes = [V[:, idx].T for idx in groups]
+    rates = np.array([[E[1] @ a @ E[0] for E in planes] for a in A])
+    if np.linalg.matrix_rank(rates, tol) < len(planes):
+        return None
+    fixed = V[:, w <= tol].T
+
+    def distance(p, r):
+        radial = [np.linalg.norm(E @ p) - np.linalg.norm(E @ r) for E in planes]
+        drift = fixed @ (np.asarray(p, dtype=float) - r)
+        return math.sqrt(sum(x * x for x in radial) + float(drift @ drift))
+
+    return distance
 
 
 def as_field(K) -> KillingField:

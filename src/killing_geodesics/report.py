@@ -173,11 +173,12 @@ def approximate_entry(
 ) -> AnalysisReport:
     """Closed-approximation certificate plus per-approximant search.
 
-    ``orbit_count`` is the number of distinct critical orbits the search
-    returns for an approximant.  Where f is critical on a whole Morse-Bott
-    set (stationary-s3 at q = 1: the torus |z|^2 = 2 - sqrt 2), each
-    distinct flow line of that set a start lands on counts, so there the
-    number depends on the seed and budget and is no invariant of the field.
+    ``orbit_count`` is the number of critical records the search returns
+    for an approximant: one per critical set found, since an approximant
+    keeps the entry's torus basis and the search merges modulo that torus
+    (see ``find_critical_orbits``).  On stationary-s3 at q = 1, where f is
+    critical on the whole torus |z|^2 = 2 - sqrt 2, that torus is one
+    record next to the two circles.
     """
     t0 = time.perf_counter()
     M = entry.manifold
