@@ -10,9 +10,10 @@ classification follow, one record at a time.  Deduplication merges
 candidates on one flow line and, where K comes with a certified
 commuting family of linear isometries, on one orbit of the family's
 torus, so a Morse-Bott critical set gives one record.  Each kept record
-is integrated once: the run that certifies its period also gives the
-curve that later candidates are deduplicated against and that the
-geodesic residual is measured on.  Classification reads the transverse
+gets one run of its flow line (closed-form for a skew linear field): the
+run that certifies its period also gives the curve that later
+candidates are deduplicated against and that the geodesic residual is
+measured on.  Classification reads the transverse
 Hessian that Newton steps on.
 """
 
@@ -353,13 +354,16 @@ def find_critical_orbits(
     A row that starts a new record gets its period from
     ``detect_period``; the certificate's run gives the orbit's curve up
     to min(period, 4π/speed + 1) through ``certified_flow``, so the orbit
-    is integrated once, and only an orbit without a certificate is flowed
+    gets one run, and only an orbit without a certificate is flowed
     for 4π/speed + 1 instead.  That curve serves the later deduplication
     and the geodesic residual; ``classify_critical`` labels the record
     "degenerate" where the transverse Hessian has a null direction, as on
     a Morse-Bott set of positive dimension transverse to the flow.  A
     sampled f-variance below 1e-12 short-circuits into a single
     degenerate-constant marker meaning every point is critical.
+
+    ``tol_ode`` is the local tolerance of the RK45 runs; a field whose
+    ``linear`` matrix is skew is flowed in closed form and needs none.
 
     K, g and their jacobians are normalised once, here: K goes through
     ``as_field``, an evaluator that cannot map a stack of points row by

@@ -1,16 +1,19 @@
 """Killing flows, geodesics, residual certification and period detection.
 
-Curves are integrated in ambient coordinates with the adaptive RK 5(4)
-stepper; embedded manifolds get a constraint projection after every
-accepted step.  Periodicity is detected modulo the deck group: a return
-is a time s and a deck word g with g.c(s) = c(0) and dg.c'(s) = c'(0)
-within tolerance, refined by bisection on a Poincare-section crossing
-function evaluated on the dense output.  Period detection runs as the
-flow is integrated: it scans and refines on the knots accepted so far
-and stops the stepper at the first certified return, so a line that
-closes early is not integrated to the horizon.  The certificate keeps
-that run, and ``certified_flow`` reads the flow line up to the period off
-it instead of integrating it again.
+A flow line comes from one run constructor, ``_run``.  A field whose
+``linear`` matrix A is skew flows by plane rotations, exp(tA)·p, and its
+run is that closed form (``ExactCurve``), with no integration.  Every
+other field, and every geodesic, is integrated in ambient coordinates
+with the adaptive RK 5(4) stepper.  Embedded manifolds get a constraint
+projection at every knot of either kind of run.  Periodicity is detected
+modulo the deck group: a return is a time s and a deck word g with
+g.c(s) = c(0) and dg.c'(s) = c'(0) within tolerance, refined by bisection
+on a Poincare-section crossing function evaluated on the run.  Period
+detection runs with the run: it scans and refines on the stretch covered
+so far and ends the run at the first certified return, so a line that
+closes early is not followed to the horizon.  The certificate keeps that
+run, and ``certified_flow`` reads the flow line up to the period off it
+instead of computing it again.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .geometry import (
     stacked,
 )
 from .integrate import DenseCurve, solve_rk45
-from .killing import KillingFamily, as_field, energy_terms
+from .killing import LINEAR_TOL, KillingFamily, KillingField, as_field, eigen_groups, energy_terms
 
 PERIOD_TOL = 1e-6
 GEODESIC_TOL = 1e-5
@@ -47,6 +50,8 @@ BISECTION_STEPS = 60
 RESIDUAL_MAX_SAMPLES = 2000  # interior samples geodesic_residual checks at most
 DEDUP_RESOLUTION = 5e-3  # scan step of min_distance_to_point
 _SCAN_KNOTS = 8  # knots between two return scans of detect_period
+_SCAN_CHUNK = 4096  # grid times per return scan of a closed-form run
+_KNOTS_PER_TURN = 128  # knots of a closed-form run per turn of its fastest plane
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +125,110 @@ def _flow_problem(M: ManifoldModel, K):
     return field, rhs, project
 
 
+@dataclass(frozen=True, eq=False)
+class ExactCurve:
+    """The flow line c(t) = exp(tA)·p0 of a skew linear field on [0, t_end],
+    in closed form, with the interface of ``DenseCurve``.
+
+    The eigen-groups of -A² split the ambient space into the kernel of A
+    and the subspaces E_j on which A turns at the rate ω_j.  With
+    x_j = Π_j p0 and y_j = A x_j / ω_j,
+
+        c(t) = p0 + Σ_j [(cos(ω_j t) - 1)·x_j + sin(ω_j t)·y_j],
+
+    for every multiplicity of the rates.  ``__call__`` and ``derivative``
+    evaluate this formula.  The knots ``ts`` lie at i·h below ``t_end``,
+    with h = 2π / (``_KNOTS_PER_TURN``·max ω_j), and at ``t_end``; ``ys``
+    holds c there, projected onto the manifold point by point, and ``fs``
+    the field at those points, as an integration run holds them.  The
+    knots are computed when first read.  Every formula acts on each time
+    on its own, so the knots below T are the same, bit for bit, on every
+    run from p0 that reaches past T.
+    """
+
+    p0: Array
+    cos_part: Array  # rows x_j
+    sin_part: Array  # rows y_j
+    rates: Array  # ω_j
+    t_end: float
+    project: Optional[Callable[[Array], Array]]
+    field: Callable[[Array], Array]
+
+    @classmethod
+    def of(cls, K: KillingField, p0: Array, t_end: float, project, field) -> Optional[ExactCurve]:
+        """The curve of K from p0, or None unless ``K.linear`` is skew to
+        ``LINEAR_TOL`` (relative) and turns some plane.  The curve is that
+        of the skew part (A - A^T) / 2."""
+        if K.linear is None:
+            return None
+        A = np.asarray(K.linear, dtype=float)
+        scale = max(1.0, float(np.abs(A).max()))
+        tol = LINEAR_TOL * scale * scale
+        if np.abs(A + A.T).max() > tol:
+            return None
+        A = 0.5 * (A - A.T)
+        _, groups = eigen_groups(-(A @ A), tol)
+        if not groups:
+            return None
+        rates = np.array([math.sqrt(w) for _, w in groups])
+        xs = np.array([E.T @ (E @ p0) for E, _ in groups])
+        vs = np.array([A @ x / w for x, w in zip(xs, rates)])
+        return cls(p0, xs, vs, rates, float(t_end), project, field)
+
+    def __call__(self, s):
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        y = np.broadcast_to(self.p0, (len(s_arr), len(self.p0)))
+        for x, v, w in zip(self.cos_part, self.sin_part, self.rates):
+            angle = (w * s_arr)[:, None]
+            y = y + (np.cos(angle) - 1.0) * x + np.sin(angle) * v
+        return y[0] if np.ndim(s) == 0 else y
+
+    def derivative(self, s):
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        dy = np.zeros((len(s_arr), len(self.p0)))
+        for x, v, w in zip(self.cos_part, self.sin_part, self.rates):
+            angle = (w * s_arr)[:, None]
+            dy = dy + w * (np.cos(angle) * v - np.sin(angle) * x)
+        return dy[0] if np.ndim(s) == 0 else dy
+
+    @functools.cached_property
+    def ts(self) -> Array:
+        h = 2.0 * math.pi / (_KNOTS_PER_TURN * float(np.max(self.rates)))
+        ts = np.arange(math.ceil(self.t_end / h) + 1) * h
+        return np.append(ts[ts < self.t_end], self.t_end)
+
+    @functools.cached_property
+    def ys(self) -> Array:
+        ys = self(self.ts)
+        if self.project is None:
+            return ys
+        return np.array([self.project(y) for y in ys])
+
+    @functools.cached_property
+    def fs(self) -> Array:
+        return np.array([np.asarray(self.field(y), dtype=float) for y in self.ys])
+
+
+def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, tol: float, scan: Optional[_ReturnScan] = None):
+    """The run of the flow line of K from p0 on [0, T].
+
+    A field whose ``linear`` matrix is skew gets its ``ExactCurve``; every
+    other field is integrated by ``solve_rk45`` at the local tolerance
+    ``tol``.  With ``scan``, the run feeds the return scan and ends at its
+    first certified return.
+    """
+    field, rhs, project = _flow_problem(M, K)
+    exact = ExactCurve.of(K, p0, T, project, field)
+    if exact is None:
+        dense = solve_rk45(rhs, p0, T, tol=tol, project=project, stop=None if scan is None else scan.advance)
+        if scan is not None and scan.certificate is None:
+            scan.finish(dense.ts, dense.ys, dense.fs)
+        return dense
+    if scan is not None:
+        exact = dataclasses.replace(exact, t_end=scan.follow(exact, T))
+    return exact
+
+
 def flow(
     M: ManifoldModel,
     K,
@@ -128,14 +237,16 @@ def flow(
     tol: float = 1e-10,
     metric: Optional[MetricField] = None,
 ) -> CurveSample:
-    """Integrate the field flow c' = K(c), c(0) = p0 on [0, T].
+    """The field flow c' = K(c), c(0) = p0 on [0, T].
 
-    When ``metric`` is given, the drift of g(K, K) along the curve is
-    recorded in ``energy_drift`` (it should vanish for Killing fields).
+    The curve is exact for a skew linear field and integrated otherwise,
+    with the local tolerance ``tol`` (see ``_run``).  When ``metric`` is
+    given, the drift of g(K, K) along the curve is recorded in
+    ``energy_drift`` (it should vanish for Killing fields).
     """
-    field, rhs, project = _flow_problem(M, K)
-    dense = solve_rk45(rhs, np.asarray(p0, dtype=float), float(T), tol=tol, project=project)
-    return _flow_curve(M, field, dense, metric)
+    K = as_field(K)
+    run = _run(M, K, np.asarray(p0, dtype=float), float(T), tol)
+    return _flow_curve(M, K.evaluator, run, metric)
 
 
 def _flow_curve(M: ManifoldModel, field, dense: DenseCurve, metric: Optional[MetricField] = None) -> CurveSample:
@@ -161,7 +272,9 @@ def certified_flow(M: ManifoldModel, K, cert: PeriodCertificate, T: float) -> Cu
     take the same steps until ``flow`` clips its last one to land on T.
     At T it holds the dense value, projected onto the manifold, in place
     of that clipped step.  So the interior knots, and with them the
-    ``geodesic_residual`` of the curve, are those of ``flow``.
+    ``geodesic_residual`` of the curve, are those of ``flow``.  On a
+    closed-form run both place their knots at the same times, and the
+    knot at T is the same too.
     """
     run = cert.curve
     if not 0.0 < T <= run.t_end:
@@ -236,7 +349,9 @@ def shoot_geodesic(g: MetricField, p0, v0, T: float, tol: float = 1e-11) -> Curv
 def geodesic_residual(g: MetricField, c: CurveSample) -> float:
     """Sup of the covariant acceleration norm over interior samples.
 
-    At most ``RESIDUAL_MAX_SAMPLES`` evenly strided samples are checked.
+    At most ``RESIDUAL_MAX_SAMPLES`` evenly strided samples are checked,
+    all at once: the connection and the projection are evaluated on the
+    stack of sampled knots.
     The norm is the ambient Euclidean one: an indefinite norm could hide a
     nonzero null acceleration.  Values below GEODESIC_TOL certify the
     curve as a geodesic.
@@ -245,19 +360,14 @@ def geodesic_residual(g: MetricField, c: CurveSample) -> float:
         raise ValueError("curve carries no acceleration samples")
     if len(c.times) < 3:
         raise ValueError("need at least 3 samples")
-    idx = range(1, len(c.times) - 1)
+    stride = 1
     if len(c.times) - 2 > RESIDUAL_MAX_SAMPLES:
         stride = (len(c.times) - 2) // RESIDUAL_MAX_SAMPLES + 1
-        idx = range(1, len(c.times) - 1, stride)
-    worst = 0.0
-    for i in idx:
-        p = c.points[i]
-        v = c.velocities[i]
-        gamma = christoffel(g, p)
-        resid = c.accelerations[i] + apply_christoffel(gamma, v, v)
-        resid = metric_orthogonal_project(g, p, resid)
-        worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+    idx = slice(1, len(c.times) - 1, stride)
+    P, V = c.points[idx], c.velocities[idx]
+    resid = c.accelerations[idx] + apply_christoffel(christoffel(g, P), V, V)
+    resid = metric_orthogonal_project(g, P, resid)
+    return float(np.max(np.linalg.norm(resid, axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,16 +376,16 @@ class PeriodCertificate:
 
     ``deck_word`` carries the curve endpoint back to the start:
     deck_word.apply(c(period)) = c(0) within position_gap.  ``curve`` is
-    the integration run that found the return, from the start to the knot
-    where it stopped, past ``period``; ``certified_flow`` reads the flow
-    line off it without integrating again.
+    the run that found the return (a ``DenseCurve`` or an
+    ``ExactCurve``), from the start to where it stopped, past ``period``;
+    ``certified_flow`` reads the flow line off it without a second run.
     """
 
     period: float
     deck_word: DeckElement
     position_gap: float
     velocity_gap: float
-    curve: Optional[DenseCurve] = None
+    curve: Optional[DenseCurve | ExactCurve] = None
 
 
 def detect_period(
@@ -288,40 +398,42 @@ def detect_period(
 ) -> Optional[PeriodCertificate]:
     """Find the minimal period of the integral curve of K through p0.
 
-    The flow is integrated and scanned together: as the stepper accepts
-    knots, the quotient distance to p0 is evaluated on the dense output
-    at the grid times i * step strictly below the last knot.  Once the
-    curve has left the ``DIP_THRESHOLD`` ball around p0, each run of grid
-    times inside it is a candidate return.  As soon as the run closes and
-    the knots cover its refinement window, a deck word within
-    3 * ``DIP_THRESHOLD`` of the run's minimum is looked up and the return
-    is refined by bisection on the signed crossing of the Poincare section
-    through p0 normal to the initial velocity; it is certified when both
-    the position and the velocity gap are within ``tol``.  Integration
-    stops at the first certified return; without one it runs to
-    ``horizon`` and a run still open there is refined last.  The
-    certificate carries the run as ``curve``.  Returns None when no
-    certified return exists within the horizon (including the case of a
-    stationary point of the field).
+    The run of the flow line (``_run``) and the return scan go together.
+    The quotient distance to p0 is evaluated at the grid times i * step
+    on the stretch the run covers so far.  Once the curve has left the
+    ``DIP_THRESHOLD`` ball around p0, each run of grid times inside it is
+    a candidate return.  As soon as the run closes and the curve covers
+    its refinement window, a deck word within 3 * ``DIP_THRESHOLD`` of the
+    run's minimum is looked up and the return is refined by bisection on
+    the signed crossing of the Poincare section through p0 normal to the
+    initial velocity; it is certified when both the position and the
+    velocity gap are within ``tol``.  The run ends at the first certified
+    return; without one it goes on to ``horizon`` and a run still open
+    there is refined last.  The certificate carries the run as ``curve``.
+    Returns None when no certified return exists within the horizon
+    (including the case of a stationary point of the field).
 
-    The scan step is ``SCAN_RESOLUTION``, shrunk to ``DIP_THRESHOLD /
-    (4 * fastest knot so far)`` so that a fast field cannot step over a
-    dip; the scan starts again from t = 0 whenever that bound shrinks.
-    The knots are those of a whole-horizon run, so the answer does not
-    depend on the horizon beyond the return, as long as no faster knot
-    lies past it.
+    A skew linear field gives the closed-form run, which the scan reads
+    ``_SCAN_CHUNK`` grid times at a time.  Its speed is constant along the
+    line, so the scan step is ``SCAN_RESOLUTION``, shrunk to
+    ``DIP_THRESHOLD / (4 * |K(p0)|)`` so that a fast field cannot step
+    over a dip.  Any other field is integrated by ``solve_rk45`` at the
+    local tolerance ``tol_ode``, which applies to such runs only; the
+    scan follows the knots as the stepper accepts them, its step is
+    bounded by the fastest knot so far, and it starts again from t = 0
+    whenever that bound shrinks.  Those knots are those of a
+    whole-horizon run, so the answer does not depend on the horizon
+    beyond the return, as long as no faster knot lies past it.
     """
     p0 = np.asarray(p0, dtype=float)
-    field, rhs, project = _flow_problem(M, K)
-    v0 = np.asarray(field(p0), dtype=float)
+    K = as_field(K)
+    v0 = np.asarray(K.evaluator(p0), dtype=float)
     if float(np.linalg.norm(v0)) < 1e-12:
         return None
-    scan = _ReturnScan(M, field, p0, v0, tol)
-    dense = solve_rk45(rhs, p0, float(horizon), tol=tol_ode, project=project, stop=scan.advance)
-    if scan.certificate is None:
-        scan.finish(dense.ts, dense.ys, dense.fs)
+    scan = _ReturnScan(M, K.evaluator, p0, v0, tol)
+    run = _run(M, K, p0, float(horizon), tol_ode, scan)
     cert = scan.certificate
-    return None if cert is None else dataclasses.replace(cert, curve=dense)
+    return None if cert is None else dataclasses.replace(cert, curve=run)
 
 
 def _window(ts, ys, fs, a: float, b: float) -> DenseCurve:
@@ -336,13 +448,16 @@ def _window(ts, ys, fs, a: float, b: float) -> DenseCurve:
 
 
 class _ReturnScan:
-    """The return scan of ``detect_period``, fed with knots as they come.
+    """The return scan of ``detect_period``.
 
-    ``advance`` is the integrator's stop callback: every ``_SCAN_KNOTS``
-    knots it scans the grid times strictly below the last knot and refines
-    the closed dip runs whose window the knots reach strictly past.
+    It reads the curve through ``window(a, b)``, a callable that gives
+    the curve's positions on [a, b].  Both kinds of run feed it.  ``advance``
+    is the integrator's stop callback: every ``_SCAN_KNOTS`` knots it
+    scans the grid times strictly below the last knot and refines the
+    closed dip runs whose window the knots reach strictly past.
     ``finish`` scans the rest of the grid after a run to the horizon and
-    refines every run left, including one still open there.
+    refines every run left, including one still open there.  ``follow``
+    does both on a closed-form curve, one chunk of the grid at a time.
     """
 
     def __init__(self, M, field, p0, v0, tol):
@@ -365,15 +480,33 @@ class _ReturnScan:
 
     def advance(self, ts, ys, fs) -> bool:
         if len(ts) - self.seen >= _SCAN_KNOTS:
-            self._scan(ts, ys, fs, math.ceil(ts[-1] / self._update_step(fs)) - 1)
-            self._refine(ts, ys, fs, ts[-1])
+            window = functools.partial(_window, ts, ys, fs)
+            self._scan(window, math.ceil(ts[-1] / self._update_step(fs)) - 1)
+            self._refine(window, ts[-1], ts[-1])
         return self.certificate is not None
 
     def finish(self, ts, ys, fs) -> None:
-        self._scan(ts, ys, fs, math.ceil(ts[-1] / self._update_step(fs)))
+        window = functools.partial(_window, ts, ys, fs)
+        self._scan(window, math.ceil(ts[-1] / self._update_step(fs)))
+        self._close(window, ts[-1])
+
+    def follow(self, curve, horizon: float) -> float:
+        """Scan a closed-form curve on [0, horizon) until its first
+        certified return; the time the scan reached."""
+        window = lambda a, b: curve
+        total = math.ceil(horizon / self._update_step([self.v0]))
+        while self.certificate is None and self.scanned < total:
+            self._scan(window, min(self.scanned + _SCAN_CHUNK, total))
+            self._refine(window, self.scanned * self.step, horizon)
+        if self.certificate is None:
+            self._close(window, horizon)
+        return min(horizon, self.scanned * self.step)
+
+    def _close(self, window, end: float) -> None:
+        """Refine every run left, the one still open at ``end`` last."""
         if self.run is not None:
             self.pending.append(self.run[0])
-        self._refine(ts, ys, fs, math.inf)
+        self._refine(window, math.inf, end)
 
     def _update_step(self, fs) -> float:
         # the dip window is DIP_THRESHOLD / speed wide: never step over it
@@ -386,14 +519,14 @@ class _ReturnScan:
                 self._restart()
         return self.step
 
-    def _scan(self, ts, ys, fs, count: int) -> None:
+    def _scan(self, window, count: int) -> None:
         """Scan the grid times of index below ``count``."""
         first = self.scanned
         if count <= first:
             return
         self.scanned = count
         ss = np.arange(first, count) * self.step
-        d = self.M.quotient_distance(_window(ts, ys, fs, ss[0], ss[-1])(ss), self.p0)
+        d = self.M.quotient_distance(window(ss[0], ss[-1])(ss), self.p0)
         thr = DIP_THRESHOLD
         # require the orbit to leave the start before accepting returns
         if not self.escaped:
@@ -415,20 +548,21 @@ class _ReturnScan:
             if self.run is None or d[k] < self.run[1]:
                 self.run = (first + k, float(d[k]))
 
-    def _refine(self, ts, ys, fs, reach: float) -> None:
-        """Refine pending runs in order while ``reach`` lies past their window."""
+    def _refine(self, window, reach: float, end: float) -> None:
+        """Refine pending runs in order while ``reach`` lies past their
+        window; no window reaches past ``end``, where the curve ends."""
         while self.pending and self.certificate is None:
             s_best = self.pending[0] * self.step
             if not reach > s_best + 5 * self.step:
                 return
             self.pending.pop(0)
-            self.certificate = self._refine_return(ts, ys, fs, s_best)
+            self.certificate = self._refine_return(window, s_best, end)
 
-    def _refine_return(self, ts, ys, fs, s_best: float) -> Optional[PeriodCertificate]:
+    def _refine_return(self, window, s_best: float, end: float) -> Optional[PeriodCertificate]:
         M, p0, step = self.M, self.p0, self.step
         lo = max(0.0, s_best - 5 * step)
-        hi = min(float(ts[-1]), s_best + 5 * step)
-        dense = _window(ts, ys, fs, lo, hi)
+        hi = min(float(end), s_best + 5 * step)
+        dense = window(lo, hi)
         word = reduce_point(M, dense(s_best), p0, tol=3 * DIP_THRESHOLD)
         if word is None:
             return None

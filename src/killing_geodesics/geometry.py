@@ -539,40 +539,62 @@ def metric_jacobian(g: MetricField, p: Array) -> Array:
     return central_diff(rowwise(g.matrix), p, np.eye(g.manifold.ambient_dim), FD_STEP_FIRST)
 
 
+def _metric_at(g: MetricField, p: Array) -> Array:
+    """The ambient matrix at p, or at each row of an (N, d) stack through
+    ``stacked``."""
+    if p.ndim == 1:
+        return g.matrix(p)
+    return np.asarray(stacked(g.matrix, p[: p.shape[1] + 1])(p), dtype=float)
+
+
 def christoffel(g: MetricField, p) -> Array:
-    """Connection coefficients Gamma[k,i,j] of the ambient metric at p.
+    """Connection coefficients Gamma[..., k, i, j] of the ambient metric at
+    p, or at each row of an (N, d) stack.
 
     Torsion-free by construction (symmetric in i, j).  Raises
-    SingularMetricError when the ambient matrix is numerically degenerate.
+    SingularMetricError when the ambient matrix is numerically degenerate
+    at some point.
     """
     p = np.asarray(p, dtype=float)
-    G = g.matrix(p)
-    n = G.shape[0]
-    if abs(float(np.linalg.det(G))) < 1e-12:
+    G = _metric_at(g, p)
+    n = G.shape[-1]
+    if np.any(np.abs(np.linalg.det(G)) < 1e-12):
         raise SingularMetricError("metric degenerate at evaluation point")
-    d = metric_jacobian(g, p)
+    if p.ndim == 1 or g.jacobian is None:
+        d = metric_jacobian(g, p)
+    else:
+        d = np.asarray(stacked(g.jacobian, p[: p.shape[1] + 1])(p), dtype=float)
     # lowered coefficients: 0.5 * (d_i g_lj + d_j g_li - d_l g_ij)
     low = 0.5 * (
-        np.einsum("ilj->lij", d) + np.einsum("jli->lij", d) - d
+        np.einsum("...ilj->...lij", d) + np.einsum("...jli->...lij", d) - d
     )
-    gamma = np.linalg.solve(G, low.reshape(n, n * n)).reshape(n, n, n)
+    gamma = np.linalg.solve(G, low.reshape(G.shape[:-1] + (n * n,))).reshape(G.shape[:-1] + (n, n))
     return gamma
 
 
 def apply_christoffel(gamma: Array, v: Array, w: Array) -> Array:
-    return np.einsum("kij,i,j->k", gamma, v, w)
+    """Gamma(v, w), at one point or row by row for stacks."""
+    if np.ndim(v) == 1:
+        return np.einsum("kij,i,j->k", gamma, v, w)
+    return np.einsum("nkij,ni,nj->nk", gamma, v, w)
 
 
 def metric_orthogonal_project(g: MetricField, p: Array, u: Array) -> Array:
-    """Project an ambient vector g-orthogonally onto the tangent space."""
+    """Project an ambient vector g-orthogonally onto the tangent space, at
+    one point or row by row for (N, d) stacks of points and vectors."""
     M = g.manifold
     if M.constraint is None:
         return np.array(u, dtype=float)
-    grad = M.grad_constraint(p)
-    G = g.matrix(p)
-    ginv_grad = np.linalg.solve(G, grad)
-    denom = float(grad @ ginv_grad)
-    return u - (float(grad @ u) / denom) * ginv_grad
+    p = np.asarray(p, dtype=float)
+    G = _metric_at(g, p)
+    if p.ndim == 1:
+        grad = M.grad_constraint(p)
+        ginv_grad = np.linalg.solve(G, grad)
+        denom = float(grad @ ginv_grad)
+        return u - (float(grad @ u) / denom) * ginv_grad
+    grad = np.asarray(stacked(M.grad_constraint, p[: p.shape[1] + 1])(p), dtype=float)
+    ginv_grad = np.linalg.solve(G, grad[..., None])[..., 0]
+    return u - (inner(grad, u) / inner(grad, ginv_grad))[:, None] * ginv_grad
 
 
 def covariant_derivative(g: MetricField, X: Callable[[Array], Array], v, p) -> Array:

@@ -45,8 +45,10 @@ class KillingField:
     Killing residual stayed below tolerance on construction samples;
     perturbed non-Killing fields are legitimate objects with
     ``certified=False``.  ``linear`` holds the matrix A of a linear field,
-    K(p) = A p (see ``linear_field``); it describes the field, which is
-    still evaluated through ``evaluator`` only.  Functions that take a
+    K(p) = A p (see ``linear_field``).  When A is skew, the flows of
+    ``flows`` read the flow line exp(tA)·p off A in closed form instead
+    of integrating ``evaluator``; every other use evaluates the field
+    through ``evaluator``.  Functions that take a
     field accept a bare callable too and normalise it with ``as_field``.
     """
 
@@ -68,6 +70,22 @@ def linear_field(A, label: str = "K", generator: Optional[tuple] = None, basis: 
     or an (N, d) stack."""
     A = np.asarray(A, dtype=float)
     return KillingField(lambda p: matvec(A, p), label, generator, basis, jacobian=constant(A.T.copy()), linear=A)
+
+
+def eigen_groups(S: Array, tol: float):
+    """The kernel and the eigen-groups of a symmetric positive semidefinite S.
+
+    Returns (fixed, groups).  The rows of ``fixed`` are an orthonormal
+    basis of the eigenvectors whose eigenvalue is at most ``tol``.  Each
+    group (E, w) holds the orthonormal rows E of one run of eigenvalues
+    above ``tol`` that lie within ``tol`` of their neighbours, and w, their
+    mean.  For S = -A² with A skew the groups are the invariant subspaces
+    on which A turns at the rate sqrt(w).
+    """
+    w, V = np.linalg.eigh(S)
+    nonzero = np.flatnonzero(w > tol)
+    runs = np.split(nonzero, np.flatnonzero(np.diff(w[nonzero]) > tol) + 1) if len(nonzero) else []
+    return V[:, w <= tol].T, [(V[:, idx].T, float(np.mean(w[idx]))) for idx in runs]
 
 
 def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], float]]:
@@ -97,16 +115,13 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
     for i, a in enumerate(A):
         if any(np.abs(a @ b - b @ a).max() > tol for b in A[i + 1 :] + [K.linear]):
             return None
-    w, V = np.linalg.eigh(sum(math.pi**-i * -(a @ a) for i, a in enumerate(A)))
-    nonzero = np.flatnonzero(w > tol)
-    groups = np.split(nonzero, np.flatnonzero(np.diff(w[nonzero]) > tol) + 1)
-    if any(len(idx) != 2 for idx in groups):
+    fixed, groups = eigen_groups(sum(math.pi**-i * -(a @ a) for i, a in enumerate(A)), tol)
+    if not groups or any(len(E) != 2 for E, _ in groups):
         return None
-    planes = [V[:, idx].T for idx in groups]
+    planes = [E for E, _ in groups]
     rates = np.array([[E[1] @ a @ E[0] for E in planes] for a in A])
     if np.linalg.matrix_rank(rates, tol) < len(planes):
         return None
-    fixed = V[:, w <= tol].T
 
     def distance(p, r):
         radial = [np.linalg.norm(E @ p) - np.linalg.norm(E @ r) for E in planes]

@@ -1,0 +1,138 @@
+"""Closed-form flows of skew linear fields, cross-checked against RK45.
+
+A field whose ``linear`` matrix A is skew flows by plane rotations,
+exp(tA)·p, and its runs are that closed form.  The same field as a bare
+callable has no ``linear`` matrix and is integrated by RK45; both runs go
+through the one return scan.  On stationary-s3 and its first five
+approximants, sampled lines must certify on both paths with periods that
+agree to ``PERIOD_TOL``, and the closed form must give the closure period
+2π·q to 1e-12 relative.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import killing_geodesics as kg
+from killing_geodesics import flows
+from killing_geodesics.flows import PERIOD_TOL, ExactCurve
+from killing_geodesics.killing import linear_field
+
+SQRT2 = math.sqrt(2.0)
+TWO_PI = 2.0 * math.pi
+
+
+def _closed_form(p0, t, beta):
+    """Oracle: the field with generator (1, beta) moves (z, w) to
+    (e^{it} z, e^{i beta t} w)."""
+    z = complex(p0[0], p0[1]) * complex(math.cos(t), math.sin(t))
+    w = complex(p0[2], p0[3]) * complex(math.cos(beta * t), math.sin(beta * t))
+    return np.array([z.real, z.imag, w.real, w.imag])
+
+
+def _approximants(s3):
+    return kg.approximate_closed(s3.killing, 5)
+
+
+def _generic(p0) -> bool:
+    return min(math.hypot(p0[0], p0[1]), math.hypot(p0[2], p0[3])) > 0.05
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_sampled_lines_certify_on_both_paths(s3, k):
+    field, frac = _approximants(s3)[k]
+    M = s3.manifold
+    q = frac.denominator
+    horizon = s3.angle_period * (q + 1)
+    starts = [p for p in M.sample_points(np.random.default_rng(100 + k), 2) if _generic(p)]
+    assert starts
+    for p0 in list(s3.exceptional_starts) + starts:
+        exact = kg.detect_period(M, field, p0, horizon)
+        rk45 = kg.detect_period(M, field.evaluator, p0, horizon)
+        assert isinstance(exact.curve, ExactCurve) and not isinstance(rk45.curve, ExactCurve)
+        assert abs(exact.period - rk45.period) <= PERIOD_TOL
+        assert exact.position_gap <= PERIOD_TOL and exact.velocity_gap <= PERIOD_TOL
+    for p0 in starts:
+        # a line off both circles closes after q turns of the z-circle
+        assert exact.period == pytest.approx(TWO_PI * q, rel=1e-12)
+
+
+def test_circles_certify_on_both_paths_and_generic_lines_stay_open(s3):
+    M = s3.manifold
+    for p0, period in zip(s3.exceptional_starts, s3.expected["periods"]):
+        exact = kg.detect_period(M, s3.killing, p0, 50.0)
+        rk45 = kg.detect_period(M, s3.killing.evaluator, p0, 50.0)
+        assert abs(exact.period - rk45.period) <= PERIOD_TOL
+        assert exact.period == pytest.approx(period, rel=1e-12)
+    p0 = M.sample_points(np.random.default_rng(7), 1)[0]
+    assert kg.detect_period(M, s3.killing, p0, 50.0) is None
+    assert kg.detect_period(M, s3.killing.evaluator, p0, 50.0) is None
+
+
+def test_closure_period_is_exact(s3):
+    for field, frac in _approximants(s3):
+        q = frac.denominator
+        cert = kg.detect_period(s3.manifold, field, s3.probe_point, s3.angle_period * (q + 1))
+        assert abs(cert.period / (TWO_PI * q) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_curve_matches_the_rotation(s3, k):
+    # k = 0 is the q = 1 field: the rates are 1 twice, one 4-dim group
+    field, frac = _approximants(s3)[k]
+    beta = frac.numerator / frac.denominator
+    p0 = s3.probe_point
+    curve = kg.flow(s3.manifold, field, p0, 40.0).dense
+    assert isinstance(curve, ExactCurve)
+    assert len(curve.rates) == (1 if k == 0 else 2)
+    ss = np.linspace(0.0, 40.0, 97)
+    expected = np.array([_closed_form(p0, s, beta) for s in ss])
+    assert np.max(np.abs(curve(ss) - expected)) <= 1e-13
+    assert np.max(np.abs(curve.derivative(ss) - expected @ field.linear.T)) <= 1e-13
+    assert np.array_equal(curve(ss[5]), curve(ss)[5])
+    # knots: every 2π / (128 · fastest rate), then t_end; on the sphere, with the field there
+    h = TWO_PI / (128 * max(1.0, abs(beta)))
+    assert curve.ts[1] == pytest.approx(h, rel=1e-15) and curve.ts[-1] == 40.0
+    assert np.all(np.diff(curve.ts) <= curve.ts[1] * (1.0 + 1e-12))
+    assert np.max(np.abs(np.einsum("ni,ni->n", curve.ys, curve.ys) - 1.0)) <= 1e-13
+    assert np.array_equal(curve.fs, np.array([field(y) for y in curve.ys]))
+
+
+def test_only_skew_linear_fields_take_the_closed_form(s3, flat_torus, klein):
+    M = s3.manifold
+    p0 = s3.probe_point
+    assert isinstance(kg.flow(M, s3.killing, p0, 1.0).dense, ExactCurve)
+    # a bare callable, a non-skew linear field and constant fields are integrated
+    stretch = linear_field(np.diag([1.0, 0.0, 0.0, 0.0]) + s3.killing.linear)
+    for entry, K, start in [
+        (s3, s3.killing.evaluator, p0),
+        (s3, stretch, p0),
+        (flat_torus, flat_torus.killing, flat_torus.probe_point),
+        (klein, klein.killing, klein.probe_point),
+    ]:
+        assert not isinstance(kg.flow(entry.manifold, K, start, 1.0).dense, ExactCurve)
+
+
+def test_zero_horizon_and_stationary_start(s3):
+    M = s3.manifold
+    curve = kg.flow(M, s3.killing, s3.probe_point, 0.0)
+    assert list(curve.times) == [0.0] and np.array_equal(curve.points[0], s3.probe_point)
+    # a field that turns only the z-plane leaves the w-circle fixed
+    rot_z = s3.family.members[0]
+    assert kg.detect_period(M, rot_z, np.array([0.0, 0.0, 1.0, 0.0]), 10.0) is None
+
+
+def test_scan_memory_is_bounded(s3, monkeypatch):
+    # the scan of a closed-form run evaluates at most one chunk at a time
+    sizes = []
+    call = ExactCurve.__call__
+
+    def recorded(self, s):
+        sizes.append(np.size(s))
+        return call(self, s)
+
+    monkeypatch.setattr(ExactCurve, "__call__", recorded)
+    field, frac = _approximants(s3)[4]
+    kg.detect_period(s3.manifold, field, s3.probe_point, s3.angle_period * (frac.denominator + 1))
+    assert max(sizes) <= flows._SCAN_CHUNK < sum(sizes)

@@ -7,6 +7,7 @@ import pytest
 import killing_geodesics as kg
 from killing_geodesics import flows
 from killing_geodesics.errors import StiffnessError
+from killing_geodesics.geometry import apply_christoffel, christoffel, metric_orthogonal_project
 from killing_geodesics.integrate import solve_rk45
 
 SQRT2 = math.sqrt(2.0)
@@ -144,6 +145,27 @@ class TestGeodesicResidual:
         curve = kg.flow(flat_torus.manifold, flat_torus.killing, np.array([0.3, 0.1]), 2.0)
         assert kg.geodesic_residual(flat_torus.metric, curve) <= 1e-12
 
+    def test_stack_matches_the_knot_loop(self, s3, mapping_torus):
+        # the residual evaluates the connection and the projection on the
+        # stack of knots; the reference takes one knot at a time.  The
+        # terms are O(1), so the two agree to a few ulps of 1.
+        def loop(g, c):
+            worst = 0.0
+            for p, v, a in zip(c.points[1:-1], c.velocities[1:-1], c.accelerations[1:-1]):
+                resid = a + apply_christoffel(christoffel(g, p), v, v)
+                worst = max(worst, float(np.linalg.norm(metric_orthogonal_project(g, p, resid))))
+            return worst
+
+        pole = np.array([0.0, 0.0, 1.0, 0.0])
+        cases = [
+            (s3.metric, kg.flow(s3.manifold, s3.killing, np.array([1.0, 0.0, 0.0, 0.0]), 2 * math.pi)),
+            (s3.metric, kg.flow(s3.manifold, s3.killing.evaluator, s3.probe_point, 2.0)),
+            (s3.metric, kg.shoot_geodesic(s3.metric, s3.probe_point, s3.killing(s3.probe_point), 1.0)),
+            (mapping_torus.metric, kg.flow(mapping_torus.manifold, mapping_torus.killing, pole, 1.0)),
+        ]
+        for g, curve in cases:
+            assert abs(kg.geodesic_residual(g, curve) - loop(g, curve)) <= 1e-14
+
 
 class TestDetectPeriod:
     def test_klein_exceptional_fibers(self, klein):
@@ -227,9 +249,11 @@ class TestStreamedScan:
             )
 
     def test_window_matches_whole_curve(self, s3):
-        # the scan and the refinement interpolate on knot windows; on its
-        # interval a window must give the whole curve's values bit for bit
-        dense = kg.flow(s3.manifold, s3.killing, s3.probe_point, 10.0).dense
+        # the scan and the refinement interpolate on knot windows of an
+        # RK45 run (the S³ field as a bare callable has no closed form);
+        # on its interval a window must give the whole curve's values bit
+        # for bit
+        dense = kg.flow(s3.manifold, s3.killing.evaluator, s3.probe_point, 10.0).dense
         ts, ys, fs = list(dense.ts), list(dense.ys), list(dense.fs)
         k = len(ts) // 2
         rng = np.random.default_rng(0)

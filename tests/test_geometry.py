@@ -10,6 +10,7 @@ from killing_geodesics.geometry import (
     apply_christoffel,
     christoffel,
     metric_jacobian,
+    metric_orthogonal_project,
 )
 
 from conftest import random_tangent
@@ -128,6 +129,42 @@ class TestChristoffel:
         g = kg.MetricField(M, lambda p: np.diag([1.0, 0.0]), (1, 0), "riemannian")
         with pytest.raises(SingularMetricError):
             christoffel(g, np.zeros(2))
+
+
+class TestStacks:
+    """On an (N, d) stack, christoffel and metric_orthogonal_project give
+    each row's single-point value.  The rows go through stacked LAPACK
+    and einsum calls, whose rounding may differ from the single-point
+    calls by a few ulps."""
+
+    def _bumpy(self):
+        # a metric written for one point: a stack takes the row loop
+        return kg.MetricField(chart_2d(), lambda p: np.diag([1.0 + p[0] ** 2, 2.0 + math.sin(p[1])]), (2, 0), "riemannian")
+
+    def test_christoffel_rows(self, s3, rng):
+        P = s3.manifold.sample_points(rng, 9)
+        cases = [(s3.metric, P), (dataclasses.replace(s3.metric, jacobian=None), P), (self._bumpy(), rng.normal(size=(7, 2)))]
+        for g, Q in cases:
+            rows = np.array([christoffel(g, q) for q in Q])
+            assert np.abs(christoffel(g, Q) - rows).max() <= 1e-12 * np.abs(rows).max()
+
+    def test_projection_rows(self, s3, rng):
+        P = s3.manifold.sample_points(rng, 9)
+        U = rng.normal(size=P.shape)
+        rows = np.array([metric_orthogonal_project(s3.metric, p, u) for p, u in zip(P, U)])
+        assert np.abs(metric_orthogonal_project(s3.metric, P, U) - rows).max() <= 1e-13
+
+    def test_apply_christoffel_rows(self, s3, rng):
+        P = s3.manifold.sample_points(rng, 5)
+        V = rng.normal(size=P.shape)
+        gamma = christoffel(s3.metric, P)
+        rows = np.array([apply_christoffel(c, v, v) for c, v in zip(gamma, V)])
+        assert np.abs(apply_christoffel(gamma, V, V) - rows).max() <= 1e-13
+
+    def test_degenerate_row_raises(self):
+        g = kg.MetricField(chart_2d(), lambda p: np.diag([1.0, p[0]]), (2, 0), "riemannian")
+        with pytest.raises(SingularMetricError):
+            christoffel(g, np.array([[1.0, 0.0], [0.5, 0.3], [0.0, 0.2]]))
 
 
 class TestCovariantDerivative:

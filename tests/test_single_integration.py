@@ -2,9 +2,12 @@
 
 The run that certifies a period also gives the orbit's curve: its knots
 below T are those of ``flow`` bit for bit, so deduplication and the
-geodesic residual need no second integration.  Deduplication skips the
-exact distance when the cached coarse samples put the point out of reach,
-and that skip never changes a decision.
+geodesic residual need no second integration.  That holds for both kinds
+of run: the RK45 run of a field without a skew ``linear`` matrix (here
+the S³ field as a bare callable) and the closed-form run of the S³ field
+itself, which integrates nothing.  Deduplication skips the exact distance
+when the cached coarse samples put the point out of reach, and that skip
+never changes a decision.
 """
 
 import functools
@@ -25,41 +28,34 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _starts(s3, klein, flat_torus, mapping_torus):
-    """(entry, start, horizon): both S³ circles, the generic Klein fibre,
-    a flat-torus line and the mapping-torus pole."""
+    """(entry, field, start, horizon) of RK45 runs: both S³ circles of the
+    S³ field as a bare callable, which has no ``linear`` matrix, the
+    generic Klein fibre, a flat-torus line and the mapping-torus pole."""
+    bare = s3.killing.evaluator
     return [
-        (s3, np.array([1.0, 0.0, 0.0, 0.0]), 50.0),
-        (s3, np.array([0.0, 0.0, 1.0, 0.0]), 50.0),
-        (klein, np.array([0.3, 0.0]), 10.0),
-        (flat_torus, np.array([0.2, 0.35]), 4.0),
-        (mapping_torus, np.array([0.0, 0.0, 1.0, 0.0]), 10.0),
+        (s3, bare, np.array([1.0, 0.0, 0.0, 0.0]), 50.0),
+        (s3, bare, np.array([0.0, 0.0, 1.0, 0.0]), 50.0),
+        (klein, klein.killing, np.array([0.3, 0.0]), 10.0),
+        (flat_torus, flat_torus.killing, np.array([0.2, 0.35]), 4.0),
+        (mapping_torus, mapping_torus.killing, np.array([0.0, 0.0, 1.0, 0.0]), 10.0),
     ]
 
 
-class TestCertifiedFlow:
-    @pytest.mark.parametrize("fraction", [1.0, 0.6])
-    def test_same_knots_and_residual_as_flow(self, s3, klein, flat_torus, mapping_torus, fraction):
-        for entry, p0, horizon in _starts(s3, klein, flat_torus, mapping_torus):
-            M, K = entry.manifold, entry.killing
-            cert = kg.detect_period(M, K, p0, horizon)
-            assert cert is not None and cert.curve.t_end > cert.period, entry.name
-            T = fraction * cert.period
-            curve = kg.certified_flow(M, K, cert, T)
-            ref = kg.flow(M, K, p0, T)
-            assert len(curve.times) == len(ref.times) > 3, entry.name
-            for name in ("times", "points", "velocities", "accelerations"):
-                assert np.array_equal(getattr(curve, name)[:-1], getattr(ref, name)[:-1]), (entry.name, name)
-            assert curve.t_end == T and ref.t_end == pytest.approx(T, abs=1e-12)
-            assert np.linalg.norm(curve.points[-1] - ref.points[-1]) <= 1e-9
-            assert kg.geodesic_residual(entry.metric, curve) == kg.geodesic_residual(entry.metric, ref), entry.name
-
-    def test_rejects_time_past_the_run(self, s3):
-        cert = kg.detect_period(s3.manifold, s3.killing, np.array([1.0, 0.0, 0.0, 0.0]), 50.0)
-        with pytest.raises(ValueError):
-            kg.certified_flow(s3.manifold, s3.killing, cert, cert.curve.t_end + 1.0)
+def _exact_starts(s3):
+    """(field, start) of closed-form runs on S³: both circles of the S³
+    field, and a q = 1 torus line and a generic line of its first and
+    last approximants."""
+    closed = [field for field, _ in kg.approximate_closed(s3.killing, 5)]
+    return [
+        (s3.killing, np.array([1.0, 0.0, 0.0, 0.0])),
+        (s3.killing, np.array([0.0, 0.0, 1.0, 0.0])),
+        (closed[0], np.array([math.sqrt(2.0 - SQRT2), 0.0, math.sqrt(SQRT2 - 1.0), 0.0])),
+        (closed[-1], s3.probe_point),
+    ]
 
 
-def test_search_integrates_each_orbit_once(s3, monkeypatch):
+def _counting(monkeypatch):
+    """Count ``solve_rk45`` runs and calls of ``flow`` from ``critical``."""
     runs, flows_called = [0], [0]
     solve = flows.solve_rk45
 
@@ -73,10 +69,67 @@ def test_search_integrates_each_orbit_once(s3, monkeypatch):
 
     monkeypatch.setattr(flows, "solve_rk45", counted)
     monkeypatch.setattr(critical, "flow", no_flow)
-    orbits = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=64, seed=42)
+    return runs, flows_called
+
+
+class TestCertifiedFlow:
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    def test_same_knots_and_residual_as_flow(self, s3, klein, flat_torus, mapping_torus, fraction):
+        for entry, K, p0, horizon in _starts(s3, klein, flat_torus, mapping_torus):
+            M = entry.manifold
+            cert = kg.detect_period(M, K, p0, horizon)
+            assert cert is not None and cert.curve.t_end > cert.period, entry.name
+            T = fraction * cert.period
+            curve = kg.certified_flow(M, K, cert, T)
+            ref = kg.flow(M, K, p0, T)
+            assert len(curve.times) == len(ref.times) > 3, entry.name
+            for name in ("times", "points", "velocities", "accelerations"):
+                assert np.array_equal(getattr(curve, name)[:-1], getattr(ref, name)[:-1]), (entry.name, name)
+            assert curve.t_end == T and ref.t_end == pytest.approx(T, abs=1e-12)
+            assert np.linalg.norm(curve.points[-1] - ref.points[-1]) <= 1e-9
+            assert kg.geodesic_residual(entry.metric, curve) == kg.geodesic_residual(entry.metric, ref), entry.name
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.6])
+    def test_exact_run_gives_the_knots_of_flow(self, s3, fraction, monkeypatch):
+        runs, _ = _counting(monkeypatch)
+        M = s3.manifold
+        for K, p0 in _exact_starts(s3):
+            cert = kg.detect_period(M, K, p0, 200.0)
+            assert isinstance(cert.curve, flows.ExactCurve) and cert.curve.t_end > cert.period
+            T = fraction * cert.period
+            curve = kg.certified_flow(M, K, cert, T)
+            ref = kg.flow(M, K, p0, T)
+            assert len(curve.times) > 50
+            # every knot, the last one included
+            for name in ("times", "points", "velocities", "accelerations"):
+                assert np.array_equal(getattr(curve, name), getattr(ref, name)), name
+            assert curve.t_end == ref.t_end == T
+            assert kg.geodesic_residual(s3.metric, curve) == kg.geodesic_residual(s3.metric, ref)
+        assert runs[0] == 0
+
+    def test_rejects_time_past_the_run(self, s3):
+        for K in (s3.killing, s3.killing.evaluator):
+            cert = kg.detect_period(s3.manifold, K, np.array([1.0, 0.0, 0.0, 0.0]), 50.0)
+            with pytest.raises(ValueError):
+                kg.certified_flow(s3.manifold, K, cert, cert.curve.t_end + 1.0)
+
+
+def test_search_integrates_each_orbit_once(s3, monkeypatch):
+    # the S³ field as a bare callable takes RK45: one run per orbit
+    runs, flows_called = _counting(monkeypatch)
+    orbits = kg.find_critical_orbits(s3.metric, s3.killing.evaluator, s3.manifold, budget=64, seed=42)
     assert len(orbits) == 2
     assert all(o.period is not None for o in orbits)
     assert runs[0] == len(orbits)
+    assert flows_called[0] == 0
+
+
+def test_exact_search_integrates_nothing(s3, monkeypatch):
+    runs, flows_called = _counting(monkeypatch)
+    orbits = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=64, seed=42)
+    assert len(orbits) == 2
+    assert all(o.period is not None for o in orbits)
+    assert runs[0] == 0
     assert flows_called[0] == 0
 
 
