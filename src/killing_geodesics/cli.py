@@ -46,46 +46,57 @@ def parse_vector(text: str):
     return tuple(parse_scalar(tok) for tok in text.split(","))
 
 
-def _add_entry_params(p: argparse.ArgumentParser) -> None:
+_ENTRY_PARAMS = ("alpha", "slope", "theta")
+
+
+def _add_command(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
+    """A subcommand that calls ``run(entry, **flags given)``.
+
+    Its flags default to ``SUPPRESS``: a flag left out is not forwarded,
+    so the library signature holds the one default.  Only flags for
+    which the library has none set a default here.
+    """
+    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    p.set_defaults(run=run)
     p.add_argument("entry", help="gallery entry name (see `list`)")
-    p.add_argument("--alpha", type=parse_scalar, default=None, help="torus direction for stationary-s3")
-    p.add_argument("--slope", type=parse_vector, default=None, help="field slope a,b for flat-torus")
-    p.add_argument("--theta", type=parse_scalar, default=None, help="rotation angle for mapping-torus")
+    p.add_argument("--alpha", type=parse_scalar, help="torus direction for stationary-s3")
+    p.add_argument("--slope", type=parse_vector, help="field slope a,b for flat-torus")
+    p.add_argument("--theta", type=parse_scalar, help="rotation angle for mapping-torus")
+    p.add_argument("--out", default=None)
+    return p
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands.
+
+    ``analyze``, ``approximate`` and ``trace`` forward to
+    ``analyze_entry``, ``approximate_entry`` and ``trace_entry`` the flags
+    the user gave and nothing else; tolerances are library constants and
+    no flag sets them.  ``--n``, ``--T`` and ``--out`` default here, since
+    the library has no default for them.
+    """
     parser = argparse.ArgumentParser(
         prog="kgeo",
         description="Periodic geodesics from Killing flows on the gallery manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="critical orbits, residuals and periods")
-    _add_entry_params(p)
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--horizon", type=parse_scalar, default=50.0)
-    p.add_argument("--tol-geo", type=parse_scalar, default=1e-5)
-    p.add_argument("--tol-period", type=parse_scalar, default=1e-6)
-    p.add_argument("--out", default=None)
+    p = _add_command(sub, "analyze", analyze_entry, "critical orbits, residuals and periods")
+    p.add_argument("--budget", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--horizon", type=parse_scalar)
 
-    p = sub.add_parser("approximate", help="closed Killing approximants and certificate")
-    _add_entry_params(p)
+    p = _add_command(sub, "approximate", approximate_entry, "closed Killing approximants and certificate")
     p.add_argument("--n", type=int, default=4, help="number of convergents")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--budget", type=int, default=24)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol-period", type=parse_scalar, default=1e-6)
-    p.add_argument("--out", default=None)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("trace", help="integrate one curve and emit CSV")
-    _add_entry_params(p)
+    p = _add_command(sub, "trace", trace_entry, "integrate one curve and emit CSV")
     p.add_argument("--start", type=parse_vector, required=True)
     p.add_argument("--T", type=parse_scalar, default=1.0)
     p.add_argument("--geodesic", action="store_true", help="trace a geodesic instead of the flow")
-    p.add_argument("--velocity", type=parse_vector, default=None)
-    p.add_argument("--tol", type=parse_scalar, default=1e-10)
-    p.add_argument("--out", default=None)
+    p.add_argument("--velocity", type=parse_vector)
 
     sub.add_parser("list", help="list gallery entries")
     return parser
@@ -100,13 +111,14 @@ def _emit(text: str, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
-    if args.command == "list":
+    flags = vars(_make_parser().parse_args(argv))
+    if flags.pop("command") == "list":
         for name in ENTRY_NAMES:
             print(name)
         return 0
+    run, out = flags.pop("run"), flags.pop("out")
     try:
-        entry = build_entry(args.entry, alpha=args.alpha, slope=args.slope, theta=args.theta)
+        entry = build_entry(flags.pop("entry"), **{k: flags.pop(k) for k in _ENTRY_PARAMS if k in flags})
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -114,36 +126,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "analyze":
-            report = analyze_entry(
-                entry,
-                seed=args.seed,
-                budget=args.budget,
-                horizon=args.horizon,
-                tol_geo=args.tol_geo,
-                tol_period=args.tol_period,
-            )
-            _emit(report.to_json(), args.out)
-        elif args.command == "approximate":
-            report = approximate_entry(
-                entry,
-                n=args.n,
-                seed=args.seed,
-                samples=args.samples,
-                budget=args.budget,
-                tol_period=args.tol_period,
-            )
-            _emit(report.to_json(), args.out)
-        elif args.command == "trace":
-            csv = trace_entry(
-                entry,
-                args.start,
-                args.T,
-                tol_ode=args.tol,
-                geodesic=args.geodesic,
-                velocity=args.velocity,
-            )
-            _emit(csv, args.out)
+        result = run(entry, **flags)
+        _emit(result if isinstance(result, str) else result.to_json(), out)
     except (OffManifoldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

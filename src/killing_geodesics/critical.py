@@ -48,7 +48,12 @@ class CriticalOrbit:
     classification: str  # "min" | "max" | "saddle" | "degenerate" | "degenerate_constant"
     geodesic_residual: float
     period: Optional[float] = None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the transverse Hessian has a null direction, as it
+        has everywhere when f is constant."""
+        return self.classification in ("degenerate", "degenerate_constant")
 
 
 def f_eval(g: MetricField, K, p) -> float:
@@ -328,7 +333,6 @@ def find_critical_orbits(
     budget: int = 64,
     seed: int = 42,
     horizon: float = 50.0,
-    tol_ode: float = 1e-10,
 ) -> list:
     """Locate the critical orbits of f = g(K, K) on the manifold.
 
@@ -362,8 +366,9 @@ def find_critical_orbits(
     sampled f-variance below 1e-12 short-circuits into a single
     degenerate-constant marker meaning every point is critical.
 
-    ``tol_ode`` is the local tolerance of the RK45 runs; a field whose
-    ``linear`` matrix is skew is flowed in closed form and needs none.
+    Every run of a flow line is one of ``flows``: closed-form for a field
+    whose ``linear`` matrix is skew, integrated at ``flows.ODE_TOL``
+    otherwise, with periods certified to ``flows.PERIOD_TOL``.
 
     K, g and their jacobians are normalised once, here: K goes through
     ``as_field``, an evaluator that cannot map a stack of points row by
@@ -380,9 +385,9 @@ def find_critical_orbits(
     fvals = core.values(samples)
     if float(np.var(fvals)) < DEGENERATE_VARIANCE:
         rep = samples[0]
-        cert = detect_period(M, K, rep, horizon, tol_ode=tol_ode)
+        cert = detect_period(M, K, rep, horizon)
         if cert is None:
-            line = flow(M, K, rep, min(horizon, 10.0), tol=tol_ode)
+            line = flow(M, K, rep, min(horizon, 10.0))
         else:
             line = certified_flow(M, K, cert, cert.period)
         return [
@@ -393,7 +398,6 @@ def find_critical_orbits(
                 classification="degenerate_constant",
                 geodesic_residual=geodesic_residual(g, line),
                 period=cert.period if cert else None,
-                degenerate=True,
             )
         ]
 
@@ -427,18 +431,17 @@ def find_critical_orbits(
                 members_killing = all(certify_killing_field(g, m).certified for m in K.basis)
             if members_killing:
                 continue
-        cert = detect_period(M, K, p, horizon, tol_ode=tol_ode)
+        cert = detect_period(M, K, p, horizon)
         speed = float(np.linalg.norm(core.field(p)))
         span = min(horizon, 4.0 * math.pi / max(speed, 0.1) + 1.0)
         if cert is None:
-            line = flow(M, K, p, span, tol=tol_ode)
+            line = flow(M, K, p, span)
         else:
             line = certified_flow(M, K, cert, min(cert.period, span))
-        degenerate = False
         try:
             label, _ = classify_critical(g, K, p)
         except DegenerateCriticalPointError:
-            label, degenerate = "degenerate", True
+            label = "degenerate"
         curves.append(line)
         out.append(
             CriticalOrbit(
@@ -448,7 +451,6 @@ def find_critical_orbits(
                 classification=label,
                 geodesic_residual=geodesic_residual(g, line),
                 period=cert.period if cert else None,
-                degenerate=degenerate,
             )
         )
     out.sort(key=lambda o: o.f_value)

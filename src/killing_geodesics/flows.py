@@ -4,11 +4,15 @@ A flow line comes from one run constructor, ``_run``.  A field whose
 ``linear`` matrix A is skew flows by plane rotations, exp(tA)·p, and its
 run is that closed form (``ExactCurve``), with no integration.  Every
 other field, and every geodesic, is integrated in ambient coordinates
-with the adaptive RK 5(4) stepper.  Embedded manifolds get a constraint
-projection at every knot of either kind of run.  Periodicity is detected
-modulo the deck group: a return is a time s and a deck word g with
-g.c(s) = c(0) and dg.c'(s) = c'(0) within tolerance, refined by bisection
-on a Poincare-section crossing function evaluated on the run.  Period
+with the adaptive RK 5(4) stepper, flows at ``ODE_TOL`` and geodesics at
+the tighter ``GEODESIC_ODE_TOL``.  Each tolerance is a module constant,
+read where its certificate is made: a return certifies a period within
+``PERIOD_TOL`` and a residual below ``GEODESIC_TOL`` certifies a
+geodesic.  Embedded manifolds get a constraint projection at every knot
+of either kind of run.  Periodicity is detected modulo the deck group: a
+return is a time s and a deck word g with g.c(s) = c(0) and
+dg.c'(s) = c'(0) within tolerance, refined by bisection on a
+Poincare-section crossing function evaluated on the run.  Period
 detection runs with the run: it scans and refines on the stretch covered
 so far and ends the run at the first certified return, so a line that
 closes early is not followed to the horizon.  The certificate keeps that
@@ -44,6 +48,8 @@ from .killing import LINEAR_TOL, KillingFamily, KillingField, as_field, eigen_gr
 
 PERIOD_TOL = 1e-6
 GEODESIC_TOL = 1e-5
+ODE_TOL = 1e-10  # local tolerance of integrated flow runs
+GEODESIC_ODE_TOL = 1e-11  # local tolerance of geodesic shooting
 SCAN_RESOLUTION = 1e-3
 DIP_THRESHOLD = 1e-2
 BISECTION_STEPS = 60
@@ -209,18 +215,18 @@ class ExactCurve:
         return np.array([np.asarray(self.field(y), dtype=float) for y in self.ys])
 
 
-def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, tol: float, scan: Optional[_ReturnScan] = None):
+def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, scan: Optional[_ReturnScan] = None):
     """The run of the flow line of K from p0 on [0, T].
 
     A field whose ``linear`` matrix is skew gets its ``ExactCurve``; every
     other field is integrated by ``solve_rk45`` at the local tolerance
-    ``tol``.  With ``scan``, the run feeds the return scan and ends at its
-    first certified return.
+    ``ODE_TOL``.  With ``scan``, the run feeds the return scan and ends at
+    its first certified return.
     """
     field, rhs, project = _flow_problem(M, K)
     exact = ExactCurve.of(K, p0, T, project, field)
     if exact is None:
-        dense = solve_rk45(rhs, p0, T, tol=tol, project=project, stop=None if scan is None else scan.advance)
+        dense = solve_rk45(rhs, p0, T, tol=ODE_TOL, project=project, stop=None if scan is None else scan.advance)
         if scan is not None and scan.certificate is None:
             scan.finish(dense.ts, dense.ys, dense.fs)
         return dense
@@ -229,23 +235,16 @@ def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, tol: float, sca
     return exact
 
 
-def flow(
-    M: ManifoldModel,
-    K,
-    p0,
-    T: float,
-    tol: float = 1e-10,
-    metric: Optional[MetricField] = None,
-) -> CurveSample:
+def flow(M: ManifoldModel, K, p0, T: float, metric: Optional[MetricField] = None) -> CurveSample:
     """The field flow c' = K(c), c(0) = p0 on [0, T].
 
     The curve is exact for a skew linear field and integrated otherwise,
-    with the local tolerance ``tol`` (see ``_run``).  When ``metric`` is
+    at the local tolerance ``ODE_TOL`` (see ``_run``).  When ``metric`` is
     given, the drift of g(K, K) along the curve is recorded in
     ``energy_drift`` (it should vanish for Killing fields).
     """
     K = as_field(K)
-    run = _run(M, K, np.asarray(p0, dtype=float), float(T), tol)
+    run = _run(M, K, np.asarray(p0, dtype=float), float(T))
     return _flow_curve(M, K.evaluator, run, metric)
 
 
@@ -318,12 +317,12 @@ def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:
     return rhs
 
 
-def shoot_geodesic(g: MetricField, p0, v0, T: float, tol: float = 1e-11) -> CurveSample:
+def shoot_geodesic(g: MetricField, p0, v0, T: float) -> CurveSample:
     """Integrate the geodesic with initial point p0 and velocity v0.
 
-    The default local tolerance is tighter than the flow default: energy
-    conservation over a full period must stay below 1e-9 absolute, which
-    1e-10 only meets without margin.
+    The local tolerance ``GEODESIC_ODE_TOL`` is tighter than the flows'
+    ``ODE_TOL``: energy conservation over a full period must stay below
+    1e-9 absolute, which 1e-10 only meets without margin.
     """
     M = g.manifold
     n = M.ambient_dim
@@ -334,7 +333,7 @@ def shoot_geodesic(g: MetricField, p0, v0, T: float, tol: float = 1e-11) -> Curv
         def project(y):
             x = M.project_point(y[:n])
             return np.concatenate([x, M.tangent_project(x, y[n:])])
-    dense = solve_rk45(geodesic_rhs(g), np.concatenate([p0, v0]), float(T), tol=tol, project=project)
+    dense = solve_rk45(geodesic_rhs(g), np.concatenate([p0, v0]), float(T), tol=GEODESIC_ODE_TOL, project=project)
     points = dense.ys[:, :n]
     velocities = dense.ys[:, n:]
     accelerations = dense.fs[:, n:]
@@ -388,14 +387,7 @@ class PeriodCertificate:
     curve: Optional[DenseCurve | ExactCurve] = None
 
 
-def detect_period(
-    M: ManifoldModel,
-    K,
-    p0,
-    horizon: float,
-    tol: float = PERIOD_TOL,
-    tol_ode: float = 1e-10,
-) -> Optional[PeriodCertificate]:
+def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCertificate]:
     """Find the minimal period of the integral curve of K through p0.
 
     The run of the flow line (``_run``) and the return scan go together.
@@ -407,31 +399,31 @@ def detect_period(
     run's minimum is looked up and the return is refined by bisection on
     the signed crossing of the Poincare section through p0 normal to the
     initial velocity; it is certified when both the position and the
-    velocity gap are within ``tol``.  The run ends at the first certified
-    return; without one it goes on to ``horizon`` and a run still open
-    there is refined last.  The certificate carries the run as ``curve``.
-    Returns None when no certified return exists within the horizon
-    (including the case of a stationary point of the field).
+    velocity gap are within ``PERIOD_TOL``.  The run ends at the first
+    certified return; without one it goes on to ``horizon`` and a run
+    still open there is refined last.  The certificate carries the run
+    as ``curve``.  Returns None when no certified return exists within
+    the horizon (including the case of a stationary point of the field).
 
     A skew linear field gives the closed-form run, which the scan reads
     ``_SCAN_CHUNK`` grid times at a time.  Its speed is constant along the
     line, so the scan step is ``SCAN_RESOLUTION``, shrunk to
     ``DIP_THRESHOLD / (4 * |K(p0)|)`` so that a fast field cannot step
     over a dip.  Any other field is integrated by ``solve_rk45`` at the
-    local tolerance ``tol_ode``, which applies to such runs only; the
-    scan follows the knots as the stepper accepts them, its step is
-    bounded by the fastest knot so far, and it starts again from t = 0
-    whenever that bound shrinks.  Those knots are those of a
-    whole-horizon run, so the answer does not depend on the horizon
-    beyond the return, as long as no faster knot lies past it.
+    local tolerance ``ODE_TOL``; the scan follows the knots as the
+    stepper accepts them, its step is bounded by the fastest knot so far,
+    and it starts again from t = 0 whenever that bound shrinks.  Those
+    knots are those of a whole-horizon run, so the answer does not depend
+    on the horizon beyond the return, as long as no faster knot lies past
+    it.
     """
     p0 = np.asarray(p0, dtype=float)
     K = as_field(K)
     v0 = np.asarray(K.evaluator(p0), dtype=float)
     if float(np.linalg.norm(v0)) < 1e-12:
         return None
-    scan = _ReturnScan(M, K.evaluator, p0, v0, tol)
-    run = _run(M, K, p0, float(horizon), tol_ode, scan)
+    scan = _ReturnScan(M, K.evaluator, p0, v0)
+    run = _run(M, K, p0, float(horizon), scan)
     cert = scan.certificate
     return None if cert is None else dataclasses.replace(cert, curve=run)
 
@@ -460,13 +452,12 @@ class _ReturnScan:
     does both on a closed-form curve, one chunk of the grid at a time.
     """
 
-    def __init__(self, M, field, p0, v0, tol):
+    def __init__(self, M, field, p0, v0):
         self.M = M
         self.field = field
         self.p0 = p0
         self.v0 = v0
         self.unit = v0 / float(np.linalg.norm(v0))
-        self.tol = tol
         self.seen = 0           # knots whose speed bounds the step
         self.step = math.inf
         self.certificate: Optional[PeriodCertificate] = None
@@ -602,18 +593,12 @@ class _ReturnScan:
         pos_gap = float(np.linalg.norm(word.apply(p_star) - p0))
         v_star = np.asarray(self.field(p_star), dtype=float)
         vel_gap = float(np.linalg.norm(word.apply_vector(v_star) - self.v0))
-        if pos_gap <= self.tol and vel_gap <= self.tol:
+        if pos_gap <= PERIOD_TOL and vel_gap <= PERIOD_TOL:
             return PeriodCertificate(s_star, word, pos_gap, vel_gap)
         return None
 
 
-def translate_geodesic(
-    F: KillingFamily,
-    l: int,
-    gamma: CurveSample,
-    t: float,
-    tol: float = 1e-10,
-) -> CurveSample:
+def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -> CurveSample:
     """Apply the time-t flow of family member l pointwise to a curve.
 
     The input must be an integral curve of a combined field of the family
@@ -634,7 +619,7 @@ def translate_geodesic(
         if span == 0.0:
             new_points[i] = p
         else:
-            new_points[i] = flow(M, mover, p, span, tol=tol).points[-1]
+            new_points[i] = flow(M, mover, p, span).points[-1]
     field = gamma.field
     new_velocities = np.array([field(p) for p in new_points])
     new_acc = _field_accelerations(field, new_points, new_velocities)

@@ -183,18 +183,14 @@ def killing_residual(g: MetricField, K, p) -> float:
     return worst
 
 
-def certify_killing_field(
-    g: MetricField,
-    K: KillingField,
-    n_samples: int = 50,
-    seed: int = 0,
-    tol: float = KILLING_RESIDUAL_TOL,
-) -> KillingField:
-    """Return a copy of K with the certification flag and residual filled in."""
+def certify_killing_field(g: MetricField, K: KillingField, n_samples: int = 50, seed: int = 0) -> KillingField:
+    """Return a copy of K with the certification flag and residual filled
+    in: certified when the residual stays within ``KILLING_RESIDUAL_TOL``
+    on ``n_samples`` seeded points."""
     rng = np.random.default_rng(seed)
     pts = g.manifold.sample_points(rng, n_samples)
     worst = max(killing_residual(g, K, p) for p in pts)
-    return dataclasses.replace(K, certified=bool(worst <= tol), max_residual=float(worst))
+    return dataclasses.replace(K, certified=bool(worst <= KILLING_RESIDUAL_TOL), max_residual=float(worst))
 
 
 def make_killing_field(
@@ -203,12 +199,10 @@ def make_killing_field(
     label: str = "K",
     generator: Optional[tuple] = None,
     basis: Optional[tuple] = None,
-    certify_samples: int = 50,
-    seed: int = 0,
     jacobian: Optional[Callable[[Array], Array]] = None,
 ) -> KillingField:
     K = KillingField(evaluator, label=label, generator=generator, basis=basis, jacobian=jacobian)
-    return certify_killing_field(g, K, n_samples=certify_samples, seed=seed)
+    return certify_killing_field(g, K)
 
 
 def lie_bracket(X, Y, p) -> Array:
@@ -223,14 +217,9 @@ def lie_bracket(X, Y, p) -> Array:
     return directional_diff(fy, p, [fx(p)])[0] - directional_diff(fx, p, [fy(p)])[0]
 
 
-def make_killing_family(
-    g: MetricField,
-    members,
-    n_samples: int = 20,
-    seed: int = 0,
-    tol: float = COMMUTE_TOL,
-) -> KillingFamily:
-    """Bundle fields into a family, verifying pairwise commutation on samples."""
+def make_killing_family(g: MetricField, members, n_samples: int = 20, seed: int = 0) -> KillingFamily:
+    """Bundle fields into a family, verifying pairwise commutation on
+    samples: the brackets must stay within ``COMMUTE_TOL``."""
     rng = np.random.default_rng(seed)
     pts = g.manifold.sample_points(rng, n_samples)
     worst = 0.0
@@ -238,7 +227,7 @@ def make_killing_family(
         for j in range(i + 1, len(members)):
             for p in pts:
                 worst = max(worst, float(np.linalg.norm(lie_bracket(members[i], members[j], p))))
-    return KillingFamily(tuple(members), commuting=bool(worst <= tol), max_bracket=worst)
+    return KillingFamily(tuple(members), commuting=bool(worst <= COMMUTE_TOL), max_bracket=worst)
 
 
 def gram_matrix(g: MetricField, F: KillingFamily, q) -> Array:

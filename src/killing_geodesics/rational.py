@@ -24,6 +24,7 @@ from .killing import KillingField, KillingFamily, combine_family, certify_killin
 # Convergent denominators beyond this exceed what a double can resolve.
 MAX_DENOMINATOR = 10_000_000
 RATIONAL_DETECT_DENOMINATOR = 1_000_000
+CERTIFY_SAMPLES = 30  # sampled points of each approximant's Killing certificate
 
 
 def continued_fraction_convergents(alpha: float, n: int, max_q: int = MAX_DENOMINATOR) -> list:
@@ -93,19 +94,15 @@ class TorusDirection:
         return TorusDirection(coords, False, None)
 
 
-def approximate_closed(
-    K: KillingField,
-    n: int,
-    metric: Optional[MetricField] = None,
-    certify_samples: int = 30,
-) -> list:
+def approximate_closed(K: KillingField, n: int, metric: Optional[MetricField] = None) -> list:
     """Closed Killing fields from the convergents of the generator slope.
 
     Returns a list of ``(field, fraction)`` pairs where the k-th field has
     generator (1, p_k/q_k).  On an angle-normalized torus action every
     integral line of such a field is periodic with period dividing
     ``angle_period * q_k``.  A rational input slope yields the single
-    exact field, already closed.
+    exact field, already closed.  With ``metric``, each field is certified
+    Killing on ``CERTIFY_SAMPLES`` points.
     """
     if K.generator is None or K.basis is None:
         raise UnsupportedCapabilityError(
@@ -117,17 +114,12 @@ def approximate_closed(
     alpha = float(gen[1] / gen[0])
     family = KillingFamily(tuple(K.basis), commuting=True)
     exact = detect_rational(alpha)
-    if exact is not None:
-        field = combine_family(family, (gen[0], gen[0] * exact.numerator / exact.denominator))
-        if metric is not None:
-            field = certify_killing_field(metric, field, n_samples=certify_samples)
-        return [(field, exact)]
+    fractions = [exact] if exact is not None else continued_fraction_convergents(alpha, n)
     out = []
-    for frac in continued_fraction_convergents(alpha, n):
-        coeff = (gen[0], gen[0] * frac.numerator / frac.denominator)
-        field = combine_family(family, coeff)
+    for frac in fractions:
+        field = combine_family(family, (gen[0], gen[0] * frac.numerator / frac.denominator))
         if metric is not None:
-            field = certify_killing_field(metric, field, n_samples=certify_samples)
+            field = certify_killing_field(metric, field, n_samples=CERTIFY_SAMPLES)
         out.append((field, frac))
     return out
 

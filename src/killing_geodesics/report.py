@@ -3,10 +3,13 @@
 Reports serialize to JSON with a fixed field order and floats printed
 with 17 significant digits, so identical invocations are byte-identical
 except for ``runtime_ms``.  Fractions are serialized as integer pairs.
+The ``tolerances`` block prints the module constants behind each
+certificate; no tolerance is a parameter.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -16,12 +19,12 @@ import numpy as np
 
 from .critical import find_critical_orbits
 from .errors import OffManifoldError, UnsupportedCapabilityError
-from .flows import CurveSample, curve_to_csv, detect_period, flow, shoot_geodesic
+from .flows import GEODESIC_TOL, ODE_TOL, PERIOD_TOL, curve_to_csv, detect_period, flow, shoot_geodesic
 from .gallery import GalleryEntry
-from .killing import killing_residual
-from .rational import approximate_closed, certify_uniform_convergence
+from .killing import KILLING_RESIDUAL_TOL, killing_residual
+from .rational import ApproximationCertificate, approximate_closed, certify_uniform_convergence
 
-KILLING_TOL = 1e-8
+RESIDUAL_SAMPLES = 50  # sampled points of killing_residual_max
 
 
 def _fmt(x: float) -> str:
@@ -73,18 +76,7 @@ class AnalysisReport:
     tolerances: dict
 
     def to_dict(self) -> dict:
-        return {
-            "entry_name": self.entry_name,
-            "signature": list(self.signature),
-            "killing_residual_max": self.killing_residual_max,
-            "degenerate_constant": self.degenerate_constant,
-            "critical_orbits": self.critical_orbits,
-            "fiber_scan": self.fiber_scan,
-            "approximation": self.approximation,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_json(self) -> str:
         return dumps(self.to_dict()) + "\n"
@@ -105,28 +97,19 @@ def _orbit_dicts(orbits) -> list:
     return out
 
 
-def _residual_max(entry: GalleryEntry, samples: int, seed: int) -> float:
+def _residual_max(entry: GalleryEntry, seed: int) -> float:
     rng = np.random.default_rng(seed + 1)
-    pts = entry.manifold.sample_points(rng, samples)
+    pts = entry.manifold.sample_points(rng, RESIDUAL_SAMPLES)
     return max(killing_residual(entry.metric, entry.killing, p) for p in pts)
 
 
-def analyze_entry(
-    entry: GalleryEntry,
-    seed: int = 42,
-    budget: int = 64,
-    horizon: float = 50.0,
-    tol_geo: float = 1e-5,
-    tol_period: float = 1e-6,
-    tol_ode: float = 1e-10,
-    residual_samples: int = 50,
-) -> AnalysisReport:
+def analyze_entry(entry: GalleryEntry, seed: int = 42, budget: int = 64, horizon: float = 50.0) -> AnalysisReport:
     """Killing certification + critical search + period detection."""
     t0 = time.perf_counter()
     M = entry.manifold
     g = entry.metric
-    res_max = _residual_max(entry, residual_samples, seed)
-    orbits = find_critical_orbits(g, entry.killing, M, budget=budget, seed=seed, horizon=horizon, tol_ode=tol_ode)
+    res_max = _residual_max(entry, seed)
+    orbits = find_critical_orbits(g, entry.killing, M, budget=budget, seed=seed, horizon=horizon)
     degenerate = any(o.classification == "degenerate_constant" for o in orbits)
     fiber_scan = None
     if degenerate:
@@ -134,7 +117,7 @@ def analyze_entry(
         starts = list(entry.exceptional_starts) + [M.sample_point(rng) for _ in range(8)]
         fiber_scan = []
         for p0 in starts:
-            cert = detect_period(M, entry.killing, p0, min(horizon, 25.0), tol=tol_period, tol_ode=tol_ode)
+            cert = detect_period(M, entry.killing, p0, min(horizon, 25.0))
             row = {
                 "start": [float(x) for x in p0],
                 "period": cert.period if cert else None,
@@ -154,22 +137,16 @@ def analyze_entry(
         runtime_ms=runtime_ms,
         seed=seed,
         tolerances={
-            "tol_geo": tol_geo,
-            "tol_period": tol_period,
-            "tol_ode": tol_ode,
-            "killing_residual": KILLING_TOL,
+            "tol_geo": GEODESIC_TOL,
+            "tol_period": PERIOD_TOL,
+            "tol_ode": ODE_TOL,
+            "killing_residual": KILLING_RESIDUAL_TOL,
         },
     )
 
 
 def approximate_entry(
-    entry: GalleryEntry,
-    n: int,
-    seed: int = 42,
-    samples: int = 500,
-    budget: int = 24,
-    tol_period: float = 1e-6,
-    tol_ode: float = 1e-10,
+    entry: GalleryEntry, n: int, seed: int = 42, samples: int = 500, budget: int = 24
 ) -> AnalysisReport:
     """Closed-approximation certificate plus per-approximant search.
 
@@ -193,12 +170,12 @@ def approximate_entry(
         cert = certify_uniform_convergence(M, g, K, approximants, samples=samples, seed=seed)
         cert_dict = cert.as_dict()
     else:
-        cert_dict = {"convergents": [], "gaps": [], "sup_field_gaps": [], "min_f_signs": []}
+        cert_dict = ApproximationCertificate((), (), (), ()).as_dict()
     per = []
     for field, frac in approximants:
         horizon = entry.angle_period * (frac.denominator + 1)
-        orbits = find_critical_orbits(g, field, M, budget=budget, seed=seed, horizon=horizon, tol_ode=tol_ode)
-        closure = detect_period(M, field, entry.probe_point, horizon, tol=tol_period, tol_ode=tol_ode)
+        orbits = find_critical_orbits(g, field, M, budget=budget, seed=seed, horizon=horizon)
+        closure = detect_period(M, field, entry.probe_point, horizon)
         per.append(
             {
                 "fraction": {"p": frac.numerator, "q": frac.denominator},
@@ -207,7 +184,7 @@ def approximate_entry(
             }
         )
     cert_dict["per_approximant"] = per
-    res_max = _residual_max(entry, 50, seed)
+    res_max = _residual_max(entry, seed)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return AnalysisReport(
         entry_name=entry.name,
@@ -220,22 +197,19 @@ def approximate_entry(
         runtime_ms=runtime_ms,
         seed=seed,
         tolerances={
-            "tol_period": tol_period,
-            "tol_ode": tol_ode,
-            "killing_residual": KILLING_TOL,
+            "tol_period": PERIOD_TOL,
+            "tol_ode": ODE_TOL,
+            "killing_residual": KILLING_RESIDUAL_TOL,
         },
     )
 
 
-def trace_entry(
-    entry: GalleryEntry,
-    start,
-    T: float,
-    tol_ode: float = 1e-10,
-    geodesic: bool = False,
-    velocity=None,
-) -> str:
-    """Trace the Killing flow (or a geodesic) and return the CSV text."""
+def trace_entry(entry: GalleryEntry, start, T: float, geodesic: bool = False, velocity=None) -> str:
+    """Trace the Killing flow (or a geodesic) and return the CSV text.
+
+    The flow runs at ``flows.ODE_TOL``; a geodesic is shot at
+    ``flows.GEODESIC_ODE_TOL``, as ``shoot_geodesic`` does everywhere.
+    """
     M = entry.manifold
     start = np.asarray(start, dtype=float)
     if len(start) == M.ambient_dim // 2 and M.ambient_dim % 2 == 0:
@@ -249,7 +223,7 @@ def trace_entry(
     if geodesic:
         if velocity is None:
             velocity = entry.killing(start)
-        curve: CurveSample = shoot_geodesic(entry.metric, start, velocity, T, tol=tol_ode)
+        curve = shoot_geodesic(entry.metric, start, velocity, T)
     else:
-        curve = flow(M, entry.killing, start, T, tol=tol_ode, metric=entry.metric)
+        curve = flow(M, entry.killing, start, T, metric=entry.metric)
     return curve_to_csv(entry.metric, curve)

@@ -7,7 +7,8 @@ import pytest
 
 from killing_geodesics import cli
 from killing_geodesics.errors import SearchFailureError
-from killing_geodesics.report import dumps
+from killing_geodesics.gallery import build_entry
+from killing_geodesics.report import analyze_entry, dumps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,3 +132,58 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "analyze_entry", boom)
         assert cli.main(["analyze", "klein-bottle"]) == 3
+
+
+class TestForwarding:
+    """The CLI forwards the flags given and nothing else, so every default
+    lives in the library signature."""
+
+    @staticmethod
+    def _recorded(monkeypatch, name, argv):
+        calls = []
+
+        def record(entry, **kwargs):
+            calls.append(kwargs)
+            return ""
+
+        monkeypatch.setattr(cli, name, record)
+        assert cli.main(argv) == 0
+        return calls
+
+    def test_no_flags_gives_the_library_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "klein-bottle", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        direct = json.loads(analyze_entry(build_entry("klein-bottle")).to_json())
+        del report["runtime_ms"], direct["runtime_ms"]
+        assert report == direct
+
+    def test_no_flags_forward_nothing(self, monkeypatch):
+        assert self._recorded(monkeypatch, "analyze_entry", ["analyze", "klein-bottle"]) == [{}]
+
+    def test_given_flags_reach_analyze(self, monkeypatch):
+        argv = ["analyze", "klein-bottle", "--seed", "7", "--budget", "8", "--horizon", "30"]
+        assert self._recorded(monkeypatch, "analyze_entry", argv) == [{"seed": 7, "budget": 8, "horizon": 30.0}]
+
+    def test_given_flags_reach_approximate(self, monkeypatch):
+        argv = ["approximate", "stationary-s3", "--samples", "50"]
+        assert self._recorded(monkeypatch, "approximate_entry", argv) == [{"n": 4, "samples": 50}]
+
+    def test_given_flags_reach_trace(self, monkeypatch):
+        argv = ["trace", "stationary-s3", "--start", "1,0", "--geodesic"]
+        assert self._recorded(monkeypatch, "trace_entry", argv) == [{"start": (1.0, 0.0), "T": 1.0, "geodesic": True}]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "klein-bottle", "--tol-geo", "1e-5"],
+            ["analyze", "klein-bottle", "--tol-period", "1e-6"],
+            ["approximate", "stationary-s3", "--tol-period", "1e-6"],
+            ["trace", "klein-bottle", "--start", "0,0", "--tol", "1e-10"],
+        ],
+        ids=["analyze-tol-geo", "analyze-tol-period", "approximate-tol-period", "trace-tol"],
+    )
+    def test_tolerance_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
