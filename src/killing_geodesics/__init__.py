@@ -21,13 +21,11 @@ from .geometry import (
     DeckElement,
     ManifoldModel,
     MetricField,
-    TangentVector,
     christoffel,
     covariant_derivative,
     make_deck_generator,
     metric_eval,
     reduce_point,
-    tangent_vector,
 )
 from .killing import (
     KillingFamily,

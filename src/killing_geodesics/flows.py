@@ -55,6 +55,7 @@ DIP_THRESHOLD = 1e-2
 BISECTION_STEPS = 60
 RESIDUAL_MAX_SAMPLES = 2000  # interior samples geodesic_residual checks at most
 DEDUP_RESOLUTION = 5e-3  # scan step of min_distance_to_point
+HAUSDORFF_SAMPLES = 300  # times per curve of hausdorff_distance
 _SCAN_KNOTS = 8  # knots between two return scans of detect_period
 _SCAN_CHUNK = 4096  # grid times per return scan of a closed-form run
 _KNOTS_PER_TURN = 128  # knots of a closed-form run per turn of its fastest plane
@@ -686,10 +687,11 @@ def out_of_reach(M: ManifoldModel, c: CurveSample, q, radius: float) -> bool:
     return coarse > radius + c.max_speed * DEDUP_RESOLUTION
 
 
-def hausdorff_distance(M: ManifoldModel, c1: CurveSample, c2: CurveSample, n_samples: int = 300) -> float:
-    """Hausdorff distance between two curve images in the quotient."""
-    s1 = np.linspace(0.0, c1.t_end, n_samples)
-    s2 = np.linspace(0.0, c2.t_end, n_samples)
+def hausdorff_distance(M: ManifoldModel, c1: CurveSample, c2: CurveSample) -> float:
+    """Hausdorff distance between two curve images in the quotient, on
+    ``HAUSDORFF_SAMPLES`` evenly spaced times of each."""
+    s1 = np.linspace(0.0, c1.t_end, HAUSDORFF_SAMPLES)
+    s2 = np.linspace(0.0, c2.t_end, HAUSDORFF_SAMPLES)
     pts1 = c1.position_at(s1)
     pts2 = c2.position_at(s2)
     d12 = max(float(np.min(M.quotient_distance(pts2, p))) for p in pts1)

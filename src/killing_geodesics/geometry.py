@@ -121,13 +121,6 @@ def stacked(fn: Callable[[Array], Array], probe: Array) -> Callable[[Array], Arr
     return rowwise(fn)
 
 
-def _as_components(v) -> Array:
-    """Accept a plain array or a TangentVector and return ambient components."""
-    if isinstance(v, TangentVector):
-        return v.components
-    return np.asarray(v, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class DeckElement:
     """An affine deck transformation ``p -> matrix @ p + offset``.
@@ -145,7 +138,7 @@ class DeckElement:
         return self.matrix @ np.asarray(p, dtype=float) + self.offset
 
     def apply_vector(self, v: Array) -> Array:
-        return self.matrix @ _as_components(v)
+        return self.matrix @ np.asarray(v, dtype=float)
 
     def compose(self, other: "DeckElement") -> "DeckElement":
         """Return self ∘ other."""
@@ -309,7 +302,7 @@ class ManifoldModel:
 
     def tangent_project(self, p: Array, v) -> Array:
         """Euclidean-orthogonal projection of ``v`` onto the tangent space."""
-        v = _as_components(v)
+        v = np.asarray(v, dtype=float)
         if self.constraint is None:
             return np.array(v, dtype=float)
         grad = self.grad_constraint(p)
@@ -480,20 +473,6 @@ def reduce_point(
 
 
 @dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A tangent vector stored in ambient coordinates at a base point."""
-
-    base: Array
-    components: Array
-
-
-def tangent_vector(M: ManifoldModel, p, v) -> TangentVector:
-    """Construct a TangentVector, projecting ``v`` onto T_pM."""
-    p = np.asarray(p, dtype=float)
-    return TangentVector(p, M.tangent_project(p, v))
-
-
-@dataclass(frozen=True, eq=False)
 class MetricField:
     """A field of symmetric bilinear forms in ambient coordinates.
 
@@ -523,11 +502,19 @@ def metric_eval(g: MetricField, p, v, w) -> float:
     p = np.asarray(p, dtype=float)
     g.manifold.check_on_manifold(p)
     G = g.matrix(p)
-    v = _as_components(v)
-    w = _as_components(w)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
     a = v + w
     b = v - w
     return 0.25 * (float(a @ (G @ a)) - float(b @ (G @ b)))
+
+
+def at_points(fn: Callable[[Array], Array], p: Array) -> Array:
+    """``fn`` at one point, or at each row of an (N, d) stack through
+    ``stacked``."""
+    if p.ndim == 1:
+        return np.asarray(fn(p), dtype=float)
+    return np.asarray(stacked(fn, p[: p.shape[1] + 1])(p), dtype=float)
 
 
 def metric_jacobian(g: MetricField, p: Array) -> Array:
@@ -535,16 +522,8 @@ def metric_jacobian(g: MetricField, p: Array) -> Array:
     analytic when available, else ``central_diff`` of the metric."""
     p = np.asarray(p, dtype=float)
     if g.jacobian is not None:
-        return np.asarray(g.jacobian(p), dtype=float)
+        return at_points(g.jacobian, p)
     return central_diff(rowwise(g.matrix), p, np.eye(g.manifold.ambient_dim), FD_STEP_FIRST)
-
-
-def _metric_at(g: MetricField, p: Array) -> Array:
-    """The ambient matrix at p, or at each row of an (N, d) stack through
-    ``stacked``."""
-    if p.ndim == 1:
-        return g.matrix(p)
-    return np.asarray(stacked(g.matrix, p[: p.shape[1] + 1])(p), dtype=float)
 
 
 def christoffel(g: MetricField, p) -> Array:
@@ -556,14 +535,11 @@ def christoffel(g: MetricField, p) -> Array:
     at some point.
     """
     p = np.asarray(p, dtype=float)
-    G = _metric_at(g, p)
+    G = at_points(g.matrix, p)
     n = G.shape[-1]
     if np.any(np.abs(np.linalg.det(G)) < 1e-12):
         raise SingularMetricError("metric degenerate at evaluation point")
-    if p.ndim == 1 or g.jacobian is None:
-        d = metric_jacobian(g, p)
-    else:
-        d = np.asarray(stacked(g.jacobian, p[: p.shape[1] + 1])(p), dtype=float)
+    d = metric_jacobian(g, p)
     # lowered coefficients: 0.5 * (d_i g_lj + d_j g_li - d_l g_ij)
     low = 0.5 * (
         np.einsum("...ilj->...lij", d) + np.einsum("...jli->...lij", d) - d
@@ -586,13 +562,13 @@ def metric_orthogonal_project(g: MetricField, p: Array, u: Array) -> Array:
     if M.constraint is None:
         return np.array(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    G = _metric_at(g, p)
+    G = at_points(g.matrix, p)
     if p.ndim == 1:
         grad = M.grad_constraint(p)
         ginv_grad = np.linalg.solve(G, grad)
         denom = float(grad @ ginv_grad)
         return u - (float(grad @ u) / denom) * ginv_grad
-    grad = np.asarray(stacked(M.grad_constraint, p[: p.shape[1] + 1])(p), dtype=float)
+    grad = at_points(M.grad_constraint, p)
     ginv_grad = np.linalg.solve(G, grad[..., None])[..., 0]
     return u - (inner(grad, u) / inner(grad, ginv_grad))[:, None] * ginv_grad
 
@@ -606,7 +582,7 @@ def covariant_derivative(g: MetricField, X: Callable[[Array], Array], v, p) -> A
     onto the tangent space.
     """
     p = np.asarray(p, dtype=float)
-    v = _as_components(v)
+    v = np.asarray(v, dtype=float)
     if not np.any(v):
         return np.zeros(v.shape)
     V = np.atleast_2d(v)

@@ -100,7 +100,7 @@ def _orbit_dicts(orbits) -> list:
 def _residual_max(entry: GalleryEntry, seed: int) -> float:
     rng = np.random.default_rng(seed + 1)
     pts = entry.manifold.sample_points(rng, RESIDUAL_SAMPLES)
-    return max(killing_residual(entry.metric, entry.killing, p) for p in pts)
+    return killing_residual(entry.metric, entry.killing, pts)
 
 
 def analyze_entry(entry: GalleryEntry, seed: int = 42, budget: int = 64, horizon: float = 50.0) -> AnalysisReport:

@@ -1,6 +1,7 @@
 """Every tolerance is one module constant and every default one library
-signature: no function takes a tolerance, the report prints the
-constants, and the CLI restates no library default."""
+signature: no function takes a tolerance or a sampling knob that no
+caller sets, the report prints the constants, and the CLI restates no
+library default."""
 
 import argparse
 import inspect
@@ -41,6 +42,20 @@ def test_no_tolerance_parameter(function):
     names = inspect.signature(function).parameters
     knobs = [n for n in names if n.startswith("tol") or n in ("certify_samples", "residual_samples")]
     assert knobs == []
+
+
+# sampling knobs no caller set, now module constants of the same value
+SAMPLING_CONSTANTS = (
+    (kg.make_killing_family, ("n_samples", "seed")),
+    (kg.certify_killing_field, ("seed",)),
+    (kg.hausdorff_distance, ("n_samples",)),
+    (kg.validate_entry, ("seed",)),
+)
+
+
+@pytest.mark.parametrize("function, names", SAMPLING_CONSTANTS, ids=[f.__name__ for f, _ in SAMPLING_CONSTANTS])
+def test_no_sampling_knob(function, names):
+    assert set(names).isdisjoint(inspect.signature(function).parameters)
 
 
 def _library_defaults(function) -> set:

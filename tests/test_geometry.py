@@ -60,16 +60,6 @@ class TestMetricEval:
         with pytest.raises(OffManifoldError):
             kg.metric_eval(s3.metric, p, v, v)
 
-    def test_accepts_tangent_vector_objects(self, s3, rng):
-        p = s3.manifold.sample_point(rng)
-        raw = rng.normal(size=4)
-        tv = kg.tangent_vector(s3.manifold, p, raw)
-        grad = s3.manifold.grad_constraint(p)
-        assert abs(grad @ tv.components) <= 1e-10
-        a = kg.metric_eval(s3.metric, p, tv, tv)
-        b = kg.metric_eval(s3.metric, p, tv.components, tv.components)
-        assert a == b
-
 
 class TestChristoffel:
     def test_flat_metric_vanishes(self, flat_torus):

@@ -2,19 +2,24 @@
 
 Every fold of a hand-written stencil into ``geometry.central_diff`` is
 pinned bit for bit against the per-point stencil it replaced, written out
-here as the reference.  The finite-difference fallbacks work on stacks of
-points, and the reflection conversions round-trip on random S³ points for
-a field with an analytic jacobian and for a bare callable.
+here as the reference.  The Killing residual and the Lie bracket read the
+field jacobians instead of a stencil; they are checked against the
+per-point stencils they replaced to a stated tolerance, and against
+independent references.  The finite-difference fallbacks work on stacks
+of points, and the reflection conversions round-trip on random S³ points
+for a field with an analytic jacobian and for a bare callable.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import killing_geodesics as kg
+from killing_geodesics.errors import OffManifoldError
 from killing_geodesics.geometry import (
     apply_christoffel,
     christoffel,
@@ -22,6 +27,7 @@ from killing_geodesics.geometry import (
     metric_jacobian,
     metric_orthogonal_project,
 )
+from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
 H = 1e-5
@@ -81,6 +87,10 @@ def _reference_residual(g, field, p):
     return worst
 
 
+def _reference_bracket(X, Y, p):
+    return _reference_directional(Y, X(p), p) - _reference_directional(X, Y(p), p)
+
+
 def _fields(all_entries, s3):
     """(entry, field) for every gallery entry, plus a bare single-point
     field on S³ that can only be evaluated row by row."""
@@ -98,13 +108,6 @@ class TestFoldsAreBitwise:
                 assert len(line.points) > entry.manifold.ambient_dim + 1
                 assert np.array_equal(line.accelerations, _reference_accelerations(field, line.points)), entry.name
 
-    def test_killing_residual(self, all_entries, s3):
-        rng = np.random.default_rng(32)
-        for entry, K in _fields(all_entries, s3):
-            field = K.evaluator if isinstance(K, kg.KillingField) else K
-            for p in entry.manifold.sample_points(rng, 5):
-                assert kg.killing_residual(entry.metric, K, p) == _reference_residual(entry.metric, field, p)
-
     def test_covariant_derivative_rows_match_single_vectors(self, all_entries, s3):
         rng = np.random.default_rng(33)
         for entry, K in _fields(all_entries, s3):
@@ -114,12 +117,102 @@ class TestFoldsAreBitwise:
                 single = np.array([kg.covariant_derivative(entry.metric, K, b, p) for b in basis])
                 assert np.array_equal(rows, single), entry.name
 
-    def test_lie_bracket(self, s3):
+
+def _skew(seed, d=4):
+    S = np.random.default_rng(seed).normal(size=(d, d))
+    return S - S.T
+
+
+def _flow_map(A, t):
+    """exp(tA) by its Taylor series, to double precision for |tA| << 1."""
+    term = out = np.eye(len(A))
+    for k in range(1, 30):
+        term = term @ (t * A) / k
+        out = out + term
+    return out
+
+
+def _pullback_derivative(g, A, p, h=1e-4):
+    """d/dt at 0 of exp(tA)ᵀ G(exp(tA) p) exp(tA), the Lie derivative of
+    the ambient metric along p -> A p, by a five-point stencil in t."""
+
+    def pullback(t):
+        E = _flow_map(A, t)
+        return E.T @ g.matrix(E @ p) @ E
+
+    return (-pullback(2 * h) + 8 * pullback(h) - 8 * pullback(-h) + pullback(-2 * h)) / (12 * h)
+
+
+class TestKillingEquation:
+    """``killing_residual`` as L_K g on the jacobians, and ``lie_bracket``
+    as J_Yᵀ X - J_Xᵀ Y."""
+
+    def test_residual_agrees_with_the_stencil(self, all_entries, s3):
+        # the stencil's finite-difference floor is about 2e-11 on S³
+        rng = np.random.default_rng(32)
+        for entry, K in _fields(all_entries, s3):
+            field = K.evaluator if isinstance(K, kg.KillingField) else K
+            for p in entry.manifold.sample_points(rng, 5):
+                new = kg.killing_residual(entry.metric, K, p)
+                assert abs(new - _reference_residual(entry.metric, field, p)) <= 1e-9, entry.name
+
+    def test_residual_agrees_with_the_stencil_off_killing(self, s3):
+        A = _skew(40)
+        for p in s3.manifold.sample_points(np.random.default_rng(41), 5):
+            ref = _reference_residual(s3.metric, lambda q: A @ q, p)
+            assert ref > 0.1
+            assert kg.killing_residual(s3.metric, lambda q: A @ q, p) == pytest.approx(ref, rel=1e-8)
+
+    def test_residual_is_the_derivative_of_the_pulled_back_metric(self, s3):
+        A = _skew(42)
+        K = linear_field(A)
+        for p in s3.manifold.sample_points(np.random.default_rng(43), 5):
+            B = s3.manifold.tangent_basis(p)
+            expected = float(np.abs(B @ _pullback_derivative(s3.metric, A, p) @ B.T).max())
+            assert expected > 0.1
+            assert kg.killing_residual(s3.metric, K, p) == pytest.approx(expected, rel=1e-10)
+
+    def test_stack_is_the_max_over_its_points(self, all_entries, s3):
+        A = _skew(44)
+        fields = _fields(all_entries, s3) + [(s3, lambda q: A @ q)]
+        rng = np.random.default_rng(45)
+        for entry, K in fields:
+            P = entry.manifold.sample_points(rng, 12)
+            each = max(kg.killing_residual(entry.metric, K, p) for p in P)
+            assert kg.killing_residual(entry.metric, K, P) == pytest.approx(each, rel=1e-12, abs=1e-15), entry.name
+
+    def test_off_manifold_point_raises(self, s3):
+        off = np.array([1.1, 0.0, 0.0, 0.0])
+        with pytest.raises(OffManifoldError):
+            kg.killing_residual(s3.metric, s3.killing, off)
+        P = s3.manifold.sample_points(np.random.default_rng(46), 6)
+        with pytest.raises(OffManifoldError):
+            kg.killing_residual(s3.metric, s3.killing, np.vstack([P, off]))
+
+    def test_bracket_agrees_with_the_stencil(self, all_entries, s3):
+        A = _rotation(SQRT2)
+        pairs = [(e, *e.family.members) for e in all_entries if e.family is not None and len(e.family) == 2]
+        pairs.append((s3, lambda p: A @ p, s3.family.members[0]))
         rng = np.random.default_rng(34)
-        K1, K2 = s3.family.members
-        for p in s3.manifold.sample_points(rng, 5):
-            ref = _reference_directional(K2.evaluator, K1(p), p) - _reference_directional(K1.evaluator, K2(p), p)
-            assert np.array_equal(kg.lie_bracket(K1, K2, p), ref)
+        for entry, X, Y in pairs:
+            for p in entry.manifold.sample_points(rng, 5):
+                assert np.abs(kg.lie_bracket(X, Y, p) - _reference_bracket(X, Y, p)).max() <= 1e-9, entry.name
+
+    def test_bracket_agrees_with_the_stencil_off_commuting(self, s3):
+        A, B = _skew(47), _skew(48)
+        X, Y = (lambda p: A @ p), (lambda p: B @ p)
+        for p in s3.manifold.sample_points(np.random.default_rng(49), 5):
+            ref = _reference_bracket(X, Y, p)
+            np.testing.assert_allclose(kg.lie_bracket(X, Y, p), ref, rtol=1e-8, atol=0)
+
+    def test_bracket_of_linear_fields_is_the_commutator(self, s3):
+        # oracle: [Ap, Bp]^i = (Ap)^m ∂_m (Bp)^i - (Bp)^m ∂_m (Ap)^i = ((BA - AB) p)^i
+        A, B = _skew(50), _skew(51)
+        P = s3.manifold.sample_points(np.random.default_rng(52), 6)
+        exact = P @ (B @ A - A @ B).T
+        np.testing.assert_allclose(kg.lie_bracket(linear_field(A), linear_field(B), P), exact, rtol=0, atol=1e-14)
+        for p, row in zip(P, exact):
+            np.testing.assert_allclose(kg.lie_bracket(lambda q: A @ q, lambda q: B @ q, p), row, rtol=0, atol=1e-8)
 
 
 class TestFallbacksOnStacks:
