@@ -60,6 +60,18 @@ class TestMetricEval:
         with pytest.raises(OffManifoldError):
             kg.metric_eval(s3.metric, p, v, v)
 
+    def test_accepts_tangent_vector_objects(self, s3, rng):
+        # tangent vectors are plain array-likes: a projected vector passed
+        # as a list gives the same value as the ndarray it came from
+        p = s3.manifold.sample_point(rng)
+        raw = rng.normal(size=4)
+        v = s3.manifold.tangent_project(p, list(raw))
+        grad = s3.manifold.grad_constraint(p)
+        assert abs(grad @ v) <= 1e-10
+        a = kg.metric_eval(s3.metric, p, list(v), tuple(v))
+        b = kg.metric_eval(s3.metric, p, v, v)
+        assert a == b
+
 
 class TestChristoffel:
     def test_flat_metric_vanishes(self, flat_torus):
