@@ -57,7 +57,6 @@ from .flows import (
 from .critical import (
     CriticalOrbit,
     classify_critical,
-    f_eval,
     find_critical_orbits,
     grad_f,
 )

@@ -19,16 +19,15 @@ Hessian that Newton steps on.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point, out_of_reach
-from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner, stacked
+from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner, metric_jacobian
 from .killing import KillingField, as_field, certify_killing_field, energy, energy_terms, reflect, torus_orbit_distance
 
 GRAD_TOL = 1e-7
@@ -54,11 +53,6 @@ class CriticalOrbit:
         """Whether the transverse Hessian has a null direction, as it
         has everywhere when f is constant."""
         return self.classification in ("degenerate", "degenerate_constant")
-
-
-def f_eval(g: MetricField, K, p) -> float:
-    """Energy f(p) = g(K_p, K_p)."""
-    return energy(g, K, p)
 
 
 def _energy_at(g: MetricField, K):
@@ -107,9 +101,7 @@ def classify_critical(g: MetricField, K, p):
     """
     M = g.manifold
     p = np.asarray(p, dtype=float)
-    probe = M.sample_points(np.random.default_rng(0), M.ambient_dim + 1)
-    core = _batched_energy(g, as_field(K), probe)
-    Mb = _batched_manifold(M, probe)
+    core = _Energy(g, as_field(K))
     P = p[None]
     _, grad, _, k = core.parts(P)
     basis = M.tangent_basis(p)
@@ -119,7 +111,7 @@ def classify_critical(g: MetricField, K, p):
     if float(np.linalg.norm(k)) > 1e-10:
         # orthonormal complement of the flow direction inside the tangent space
         basis = np.linalg.svd(k[None])[2][1:] @ basis
-    eig = np.linalg.eigvalsh(basis @ _hessian(core, Mb, P, grad, _normals(Mb, P))[0] @ basis.T)
+    eig = np.linalg.eigvalsh(basis @ _hessian(core, M, P, grad, _normals(M, P))[0] @ basis.T)
     if np.any(np.abs(eig) <= CLASSIFY_EIG_TOL):
         raise DegenerateCriticalPointError(f"transverse eigenvalues {eig} too close to zero")
     if np.all(eig > 0):
@@ -131,57 +123,29 @@ def classify_critical(g: MetricField, K, p):
 
 @dataclass(frozen=True, eq=False)
 class _Energy:
-    """f = g(K, K) and its ambient gradient on (N, d) stacks of points."""
+    """f = g(K, K) and its ambient gradient on (N, d) stacks of points,
+    for a field from ``as_field``."""
 
-    field: Callable[[Array], Array]
-    field_jac: Callable[[Array], Array]  # [n, m] = ∂K/∂x_m at point n
-    metric: Callable[[Array], Array]
-    metric_jac: Callable[[Array], Array]  # [n, m] = ∂G/∂x_m at point n
-    lorentzian: bool
+    g: MetricField
+    K: KillingField
 
     def values(self, P: Array) -> Array:
-        return energy_terms(self.metric(P), self.field(P))[1]
+        return energy_terms(self.g.matrix(P), self.K(P))[1]
 
     def parts(self, P: Array):
         """f, its ambient gradient, G and K at each row.
 
         ∇f_m = 2 (∂_m K)·(G K) + K^T (∂_m G) K.
         """
-        k = np.asarray(self.field(P), dtype=float)
-        G = np.asarray(self.metric(P), dtype=float)
+        k = self.K(P)
+        G = self.g.matrix(P)
         gk, f = energy_terms(G, k)
-        grad = 2.0 * np.einsum("nmi,ni->nm", self.field_jac(P), gk)
-        grad = grad + np.einsum("ni,nmij,nj->nm", k, self.metric_jac(P), k)
+        grad = 2.0 * np.einsum("nmi,ni->nm", self.K.jacobian(P), gk)
+        grad = grad + np.einsum("ni,nmij,nj->nm", k, metric_jacobian(self.g, P), k)
         return f, grad, G, k
 
     def gradient(self, P: Array) -> Array:
         return self.parts(P)[1]
-
-
-def _batched_energy(g: MetricField, K: KillingField, probe: Array) -> _Energy:
-    """Stack-capable K, g and jacobians for a field from ``as_field``; a
-    missing metric jacobian becomes central differences of the stacked
-    metric."""
-    metric = stacked(g.matrix, probe)
-    if g.jacobian is None:
-        eye = np.eye(probe.shape[1])
-        metric_jac = lambda P: central_diff(metric, P, eye, FD_STEP_FIRST)
-    else:
-        metric_jac = stacked(g.jacobian, probe)
-    field_jac = stacked(K.jacobian, probe)
-    return _Energy(stacked(K.evaluator, probe), field_jac, metric, metric_jac, g.role == "lorentzian")
-
-
-def _batched_manifold(M: ManifoldModel, probe: Array) -> ManifoldModel:
-    """M with a constraint and its derivatives that accept (N, d) stacks."""
-    if M.constraint is None:
-        return M
-    return dataclasses.replace(
-        M,
-        constraint=stacked(M.constraint, probe),
-        constraint_grad=stacked(M.grad_constraint, probe),
-        constraint_hess=stacked(M.hess_constraint, probe),
-    )
 
 
 def _bordered_solve(A: Array, borders: list, rhs: Array) -> Array:
@@ -233,7 +197,7 @@ def _descent_direction(core: _Energy, M: ManifoldModel, P: Array):
     """
     f, grad, G, k = core.parts(P)
     A = np.broadcast_to(np.eye(P.shape[1]), G.shape).copy()
-    if core.lorentzian:
+    if core.g.role == "lorentzian":
         t = f < -1e-10
         A[t] = reflect(G[t], *energy_terms(G[t], k[t]))
     return f, _bordered_solve(A, _normals(M, P), grad)
@@ -369,19 +333,13 @@ def find_critical_orbits(
     Every run of a flow line is one of ``flows``: closed-form for a field
     whose ``linear`` matrix is skew, integrated at ``flows.ODE_TOL``
     otherwise, with periods certified to ``flows.PERIOD_TOL``.
-
-    K, g and their jacobians are normalised once, here: K goes through
-    ``as_field``, an evaluator that cannot map a stack of points row by
-    row is wrapped in a row loop, and a missing metric jacobian becomes
-    central differences.
     """
     if M is None:
         M = g.manifold
     K = as_field(K)
     rng = np.random.default_rng(seed)
     samples = M.sample_points(rng, PROBE_SAMPLES)
-    probe = samples[: M.ambient_dim + 1]
-    core = _batched_energy(g, K, probe)
+    core = _Energy(g, K)
     fvals = core.values(samples)
     if float(np.var(fvals)) < DEGENERATE_VARIANCE:
         rep = samples[0]
@@ -405,12 +363,12 @@ def find_critical_orbits(
     order += [i for i in range(len(samples)) if i not in order]
     starts = [samples[i] for i in order[:budget]]
 
-    rows = _search_rows(core, _batched_manifold(M, probe), np.array(starts))
+    rows = _search_rows(core, M, np.array(starts))
     candidates = []
     for p in rows:
         gn = float(np.linalg.norm(grad_f(g, K, p)))
         if gn <= GRAD_TOL:
-            candidates.append((p, f_eval(g, K, p), gn))
+            candidates.append((p, energy(g, K, p), gn))
     if not candidates:
         raise SearchFailureError("no start converged to a critical point")
 
@@ -432,7 +390,7 @@ def find_critical_orbits(
             if members_killing:
                 continue
         cert = detect_period(M, K, p, horizon)
-        speed = float(np.linalg.norm(core.field(p)))
+        speed = float(np.linalg.norm(K(p)))
         span = min(horizon, 4.0 * math.pi / max(speed, 0.1) + 1.0)
         if cert is None:
             line = flow(M, K, p, span)

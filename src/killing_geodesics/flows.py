@@ -41,7 +41,6 @@ from .geometry import (
     directional_diff,
     metric_orthogonal_project,
     reduce_point,
-    stacked,
 )
 from .integrate import DenseCurve, solve_rk45
 from .killing import LINEAR_TOL, KillingFamily, KillingField, as_field, eigen_groups, energy_terms
@@ -103,20 +102,19 @@ class CurveSample:
 
 
 def _energy_values(g: MetricField, points: Array, velocities: Array) -> Array:
-    return energy_terms(np.array([g.matrix(p) for p in points]), velocities)[1]
+    return energy_terms(g.matrix(points), velocities)[1]
 
 
 def _constraint_drift(M: ManifoldModel, points: Array) -> float:
     if M.constraint is None:
         return 0.0
-    return max(M.constraint_residual(p) for p in points)
+    return float(np.max(np.abs(np.asarray(M.constraint(points), dtype=float))))
 
 
 def _field_accelerations(field, points: Array, velocities: Array) -> Array:
     """d/ds of the field along its own integral curve: its derivative
-    along ``velocities`` = field(points) at every knot, in one stencil on
-    the evaluator stacked on the first d + 1 knots."""
-    return directional_diff(stacked(field, points[: points.shape[1] + 1]), points, velocities)
+    along ``velocities`` = field(points) at every knot, in one stencil."""
+    return directional_diff(field, points, velocities)
 
 
 def _flow_problem(M: ManifoldModel, K):
@@ -146,9 +144,9 @@ class ExactCurve:
     for every multiplicity of the rates.  ``__call__`` and ``derivative``
     evaluate this formula.  The knots ``ts`` lie at i·h below ``t_end``,
     with h = 2π / (``_KNOTS_PER_TURN``·max ω_j), and at ``t_end``; ``ys``
-    holds c there, projected onto the manifold point by point, and ``fs``
-    the field at those points, as an integration run holds them.  The
-    knots are computed when first read.  Every formula acts on each time
+    holds c there, projected onto the manifold, and ``fs`` the field at
+    those points, as an integration run holds them.  The knots are
+    computed when first read.  Every formula acts on each time
     on its own, so the knots below T are the same, bit for bit, on every
     run from p0 that reaches past T.
     """
@@ -207,13 +205,11 @@ class ExactCurve:
     @functools.cached_property
     def ys(self) -> Array:
         ys = self(self.ts)
-        if self.project is None:
-            return ys
-        return np.array([self.project(y) for y in ys])
+        return ys if self.project is None else self.project(ys)
 
     @functools.cached_property
     def fs(self) -> Array:
-        return np.array([np.asarray(self.field(y), dtype=float) for y in self.ys])
+        return np.asarray(self.field(self.ys), dtype=float)
 
 
 def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, scan: Optional[_ReturnScan] = None):
@@ -622,7 +618,7 @@ def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -
         else:
             new_points[i] = flow(M, mover, p, span).points[-1]
     field = gamma.field
-    new_velocities = np.array([field(p) for p in new_points])
+    new_velocities = np.asarray(field(new_points), dtype=float)
     new_acc = _field_accelerations(field, new_points, new_velocities)
     dense = DenseCurve(gamma.times.copy(), new_points.copy(), new_velocities.copy())
     return CurveSample(

@@ -30,6 +30,7 @@ from .geometry import (
     inner,
     make_deck_generator,
     signature_of_gram,
+    stackwise,
     tangent_gram,
 )
 from .killing import (
@@ -86,7 +87,7 @@ def _constant_field(g: MetricField, components, label, generator) -> KillingFiel
     return certify_killing_field(
         g,
         KillingField(
-            lambda p, _v=constant(v): _v(p).copy(),
+            stackwise(lambda p, _v=constant(v): _v(p).copy()),
             label=label,
             generator=generator,
             jacobian=constant(zero),
@@ -240,8 +241,8 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
         kind="embedded",
         ambient_dim=4,
         intrinsic_dim=3,
-        constraint=lambda p: inner(p, p) - 1.0,
-        constraint_grad=lambda p: 2.0 * p,
+        constraint=stackwise(lambda p: inner(p, p) - 1.0),
+        constraint_grad=stackwise(lambda p: 2.0 * p),
         constraint_hess=constant(2.0 * np.eye(4)),
         sampler=_sphere_sampler(4),
     )
@@ -348,8 +349,8 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
         kind="product_quotient",
         ambient_dim=4,
         intrinsic_dim=3,
-        constraint=sphere_constraint,
-        constraint_grad=sphere_grad,
+        constraint=stackwise(sphere_constraint),
+        constraint_grad=stackwise(sphere_grad),
         constraint_hess=constant(hess),
         deck_generators=(
             make_deck_generator(0, np.diag([-1.0, -1.0, -1.0, 1.0]), np.zeros(4)),

@@ -7,6 +7,13 @@ a deck group.  Tangent vectors are stored in ambient coordinates and
 projected onto the tangent space when needed.  ``central_diff`` is the
 one finite-difference stencil; only ``critical._tangent_df`` (the
 independent gradient certificate) keeps its own.
+
+Every evaluator (a field, a metric, a constraint, and their derivatives)
+takes one point of shape (d,) or an (N, d) stack, and then returns one
+value per row.  ``ManifoldModel``, ``MetricField`` and
+``killing.KillingField`` bring their callables to that contract once,
+when built, through ``as_evaluator``; every layer then calls them
+directly.
 """
 
 from __future__ import annotations
@@ -27,7 +34,12 @@ FD_STEP_SECOND = 1e-4
 
 CONSTRAINT_TOL = 1e-8
 IDENTIFY_TOL = 1e-6
-DEFAULT_MAX_WORD_LEN = 6
+MAX_WORD_LEN = 6  # deck words reduce_point searches, after reduction
+PROJECT_TOL = 1e-13  # constraint residual at which project_point stops
+PROJECT_MAX_ITER = 20
+REDUCE_MAX_ITER = 100000  # greedy moves of reduce_to_fundamental
+DECK_IDENTITY_TOL = 1e-9
+SIGNATURE_TOL = 1e-10  # eigenvalues of signature_of_gram counted as zero
 
 
 def matvec(A: Array, x: Array) -> Array:
@@ -43,9 +55,54 @@ def matvec(A: Array, x: Array) -> Array:
     return np.einsum("...ij,...j->...i", A, x)
 
 
+def stackwise(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """Mark ``fn`` as mapping an (N, d) stack row by row by construction,
+    so that ``as_evaluator`` keeps it as it is."""
+    fn.stackwise = True
+    return fn
+
+
+def as_evaluator(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """``fn`` as an evaluator of one point or of an (N, d) stack.
+
+    None and a ``stackwise`` callable are returned as they are; any other
+    is wrapped.  One point goes straight to ``fn``.  The first stack of
+    more than d rows settles, once, whether ``fn`` maps a stack row by
+    row: on the first d + 1 rows its output must have the shape of, and
+    match to 1e-12, its outputs row by row.  Later stacks go to ``fn``
+    whole if it does, row by row if not.  A stack of at most d rows, too
+    short to tell, goes row by row until then.
+    """
+    if fn is None or getattr(fn, "stackwise", False):
+        return fn
+    whole = None
+
+    def evaluate(p):
+        nonlocal whole
+        if np.ndim(p) == 1:
+            return fn(p)
+        d = np.shape(p)[1]
+        if whole is None and len(p) > d:
+            rows = _rows(fn, p[: d + 1])
+            try:
+                out = np.asarray(fn(p[: d + 1]), dtype=float)
+                whole = out.shape == rows.shape and np.allclose(out, rows, rtol=1e-12, atol=1e-14)
+            except (ValueError, TypeError, IndexError):
+                whole = False
+        return fn(p) if whole else _rows(fn, p)
+
+    evaluate.__wrapped__ = fn
+    return stackwise(evaluate)
+
+
+def _rows(fn, P) -> Array:
+    return np.array([np.asarray(fn(p), dtype=float) for p in P])
+
+
 def constant(value: Array) -> Callable[[Array], Array]:
     """A constant evaluator: ``value`` at one point, stacked for (N, d)."""
 
+    @stackwise
     def evaluate(p, _v=value):
         return _v if np.ndim(p) == 1 else np.broadcast_to(_v, np.shape(p)[:-1] + _v.shape)
 
@@ -90,37 +147,6 @@ def directional_diff(fn: Callable[[Array], Array], p: Array, v: Array) -> Array:
     return central_diff(fn, p, v[:, None, :] / nv[:, None, None], FD_STEP_FIRST)[:, 0] * nv[:, None]
 
 
-def rowwise(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
-    """``fn`` applied row by row to an ``(N, d)`` stack; a single point
-    goes straight through."""
-
-    def loop(P):
-        P = np.asarray(P, dtype=float)
-        if P.ndim == 1:
-            return fn(P)
-        return np.array([np.asarray(fn(p), dtype=float) for p in P])
-
-    return loop
-
-
-def stacked(fn: Callable[[Array], Array], probe: Array) -> Callable[[Array], Array]:
-    """``fn`` if it maps a stack of points row by row, else ``rowwise(fn)``.
-
-    ``probe`` must hold d + 1 points, so a single-point callable cannot
-    pass by a coincidence of square shapes; a shorter one proves nothing.
-    """
-    if len(probe) <= probe.shape[1]:
-        return rowwise(fn)
-    rows = np.array([np.asarray(fn(p), dtype=float) for p in probe])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == rows.shape and np.allclose(out, rows, rtol=1e-12, atol=1e-14):
-            return fn
-    except (ValueError, TypeError, IndexError):
-        pass
-    return rowwise(fn)
-
-
 @dataclass(frozen=True, eq=False)
 class DeckElement:
     """An affine deck transformation ``p -> matrix @ p + offset``.
@@ -153,11 +179,11 @@ class DeckElement:
         word = tuple((i, -e) for (i, e) in reversed(self.word))
         return DeckElement(inv, -inv @ self.offset, word)
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
         n = self.matrix.shape[0]
         return (
-            np.abs(self.matrix - np.eye(n)).max() <= tol
-            and np.abs(self.offset).max() <= tol
+            np.abs(self.matrix - np.eye(n)).max() <= DECK_IDENTITY_TOL
+            and np.abs(self.offset).max() <= DECK_IDENTITY_TOL
         )
 
     def key(self) -> bytes:
@@ -214,6 +240,10 @@ class ManifoldModel:
     constraint_grad, constraint_hess : callable, optional
         Analytic gradient / Hessian of the constraint; finite differences
         are used when absent.
+
+    The constraint and its derivatives are evaluators: one point or an
+    (N, d) stack, normalised by ``as_evaluator`` when the model is built
+    (module docstring).
     deck_generators : tuple of DeckElement
         Generators of the deck group for quotient kinds.
     fundamental_box : array (ambient_dim, 2), optional
@@ -245,6 +275,8 @@ class ManifoldModel:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.kind != "flat_quotient" and self.constraint is None:
             raise ValueError(f"{self.kind} manifolds need a constraint")
+        for name in ("constraint", "constraint_grad", "constraint_hess"):
+            object.__setattr__(self, name, as_evaluator(getattr(self, name)))
 
     # -- constraint handling -------------------------------------------------
 
@@ -253,46 +285,47 @@ class ManifoldModel:
             return 0.0
         return abs(float(self.constraint(np.asarray(p, dtype=float))))
 
-    def check_on_manifold(self, p: Array, tol: float = CONSTRAINT_TOL) -> None:
+    def check_on_manifold(self, p: Array) -> None:
         r = self.constraint_residual(p)
-        if r > tol:
-            raise OffManifoldError(f"constraint residual {r:.3e} exceeds {tol:.1e}")
+        if r > CONSTRAINT_TOL:
+            raise OffManifoldError(f"constraint residual {r:.3e} exceeds {CONSTRAINT_TOL:.1e}")
 
     def grad_constraint(self, p: Array) -> Array:
         p = np.asarray(p, dtype=float)
         if self.constraint_grad is not None:
             return np.asarray(self.constraint_grad(p), dtype=float)
-        return central_diff(rowwise(self.constraint), p, np.eye(self.ambient_dim), FD_STEP_FIRST)
+        return central_diff(self.constraint, p, np.eye(self.ambient_dim), FD_STEP_FIRST)
 
     def hess_constraint(self, p: Array) -> Array:
         p = np.asarray(p, dtype=float)
         if self.constraint_hess is not None:
             return np.asarray(self.constraint_hess(p), dtype=float)
-        H = central_diff(rowwise(self.grad_constraint), p, np.eye(self.ambient_dim), FD_STEP_SECOND)
+        H = central_diff(self.grad_constraint, p, np.eye(self.ambient_dim), FD_STEP_SECOND)
         return 0.5 * (H + np.swapaxes(H, -1, -2))
 
-    def project_point(self, p: Array, tol: float = 1e-13, max_iter: int = 20) -> Array:
+    def project_point(self, p: Array) -> Array:
         """Newton-project nearby ambient points onto the constraint set.
 
         ``p`` is one point or an ``(N, d)`` stack whose rows stop on their
-        own once their residual is within ``tol``.  A single point is
+        own once their residual is within ``PROJECT_TOL``, after at most
+        ``PROJECT_MAX_ITER`` steps.  A single point is
         passed to the constraint as a 1-D array.
         """
         p = np.array(p, dtype=float)
         if self.constraint is None:
             return p
         if p.ndim == 1:
-            for _ in range(max_iter):
+            for _ in range(PROJECT_MAX_ITER):
                 r = float(self.constraint(p))
-                if abs(r) <= tol:
+                if abs(r) <= PROJECT_TOL:
                     break
                 grad = self.grad_constraint(p)
                 p = p - r * grad / (grad @ grad)
             return p
         live = np.arange(len(p))
-        for _ in range(max_iter):
+        for _ in range(PROJECT_MAX_ITER):
             r = np.asarray(self.constraint(p[live]), dtype=float)
-            far = np.abs(r) > tol
+            far = np.abs(r) > PROJECT_TOL
             if not far.any():
                 break
             live, r = live[far], r[far]
@@ -381,7 +414,7 @@ class ManifoldModel:
             frontier = new_frontier
         return ball
 
-    def reduce_to_fundamental(self, p: Array, max_iter: int = 100000):
+    def reduce_to_fundamental(self, p: Array):
         """Greedily move ``p`` into the fundamental box.
 
         Returns ``(reduced_point, element)`` with ``element.apply(p) ==
@@ -404,7 +437,7 @@ class ManifoldModel:
         current = p.copy()
         element = ident
         cur_score = score(current)
-        for _ in range(max_iter):
+        for _ in range(REDUCE_MAX_ITER):
             if cur_score == (0.0, 0):
                 break
             best = None
@@ -445,14 +478,13 @@ def reduce_point(
     M: ManifoldModel,
     p: Array,
     q: Array,
-    max_word_len: int = DEFAULT_MAX_WORD_LEN,
     tol: float = IDENTIFY_TOL,
 ) -> Optional[DeckElement]:
     """Find a deck word carrying ``p`` to ``q``.
 
     Returns an element ``g`` with ``|g.apply(p) - q| <= tol``, or ``None``.
     Both points are first reduced into the fundamental box, so the returned
-    word may be longer than ``max_word_len`` when the points are far apart;
+    word may be longer than ``MAX_WORD_LEN`` when the points are far apart;
     the bound applies to the residual search after reduction.
     """
     p = np.asarray(p, dtype=float)
@@ -463,10 +495,10 @@ def reduce_point(
         return None
     p_red, wp = M.reduce_to_fundamental(p)
     q_red, wq = M.reduce_to_fundamental(q)
-    for s in M.deck_ball(min(max_word_len, 3)):
+    for s in M.deck_ball(min(MAX_WORD_LEN, 3)):
         if np.linalg.norm(s.apply(p_red) - q_red) <= tol:
             return wq.inverse().compose(s).compose(wp)
-    for s in M.deck_ball(max_word_len):
+    for s in M.deck_ball(MAX_WORD_LEN):
         if np.linalg.norm(s.apply(p) - q) <= tol:
             return s
     return None
@@ -479,7 +511,9 @@ class MetricField:
     ``evaluator(p)`` returns the ambient matrix of the form; restricted to
     tangent vectors it is the metric.  ``jacobian(p)``, when provided,
     returns the array ``d[k,i,j] = ∂_k g_ij`` and replaces finite
-    differences in the connection coefficients.
+    differences in the connection coefficients.  Both are evaluators of
+    one point or an (N, d) stack, normalised by ``as_evaluator`` when the
+    field is built (module docstring).
     """
 
     manifold: ManifoldModel
@@ -488,6 +522,10 @@ class MetricField:
     role: str = "lorentzian"  # "riemannian" | "lorentzian" | "semi_riemannian"
     index: int = 1
     jacobian: Optional[Callable[[Array], Array]] = None
+
+    def __post_init__(self):
+        for name in ("evaluator", "jacobian"):
+            object.__setattr__(self, name, as_evaluator(getattr(self, name)))
 
     def matrix(self, p: Array) -> Array:
         return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)
@@ -509,21 +547,13 @@ def metric_eval(g: MetricField, p, v, w) -> float:
     return 0.25 * (float(a @ (G @ a)) - float(b @ (G @ b)))
 
 
-def at_points(fn: Callable[[Array], Array], p: Array) -> Array:
-    """``fn`` at one point, or at each row of an (N, d) stack through
-    ``stacked``."""
-    if p.ndim == 1:
-        return np.asarray(fn(p), dtype=float)
-    return np.asarray(stacked(fn, p[: p.shape[1] + 1])(p), dtype=float)
-
-
 def metric_jacobian(g: MetricField, p: Array) -> Array:
     """d[..., k, i, j] = ∂_k g_ij at one point or an ``(N, d)`` stack,
     analytic when available, else ``central_diff`` of the metric."""
     p = np.asarray(p, dtype=float)
     if g.jacobian is not None:
-        return at_points(g.jacobian, p)
-    return central_diff(rowwise(g.matrix), p, np.eye(g.manifold.ambient_dim), FD_STEP_FIRST)
+        return np.asarray(g.jacobian(p), dtype=float)
+    return central_diff(g.matrix, p, np.eye(g.manifold.ambient_dim), FD_STEP_FIRST)
 
 
 def christoffel(g: MetricField, p) -> Array:
@@ -535,7 +565,7 @@ def christoffel(g: MetricField, p) -> Array:
     at some point.
     """
     p = np.asarray(p, dtype=float)
-    G = at_points(g.matrix, p)
+    G = g.matrix(p)
     n = G.shape[-1]
     if np.any(np.abs(np.linalg.det(G)) < 1e-12):
         raise SingularMetricError("metric degenerate at evaluation point")
@@ -562,13 +592,13 @@ def metric_orthogonal_project(g: MetricField, p: Array, u: Array) -> Array:
     if M.constraint is None:
         return np.array(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    G = at_points(g.matrix, p)
+    G = g.matrix(p)
     if p.ndim == 1:
         grad = M.grad_constraint(p)
         ginv_grad = np.linalg.solve(G, grad)
         denom = float(grad @ ginv_grad)
         return u - (float(grad @ u) / denom) * ginv_grad
-    grad = at_points(M.grad_constraint, p)
+    grad = M.grad_constraint(p)
     ginv_grad = np.linalg.solve(G, grad[..., None])[..., 0]
     return u - (inner(grad, u) / inner(grad, ginv_grad))[:, None] * ginv_grad
 
@@ -577,7 +607,8 @@ def covariant_derivative(g: MetricField, X: Callable[[Array], Array], v, p) -> A
     """Levi-Civita covariant derivative (∇_v X)(p) in ambient coordinates.
 
     ``v`` is one vector or the rows of a matrix, one derivative each.
-    ``X`` must be evaluable in a neighborhood of the manifold.  For
+    ``X`` must be evaluable in a neighborhood of the manifold; it goes
+    through ``as_evaluator``, so a single-point callable will do.  For
     constrained manifolds the ambient result is projected g-orthogonally
     onto the tangent space.
     """
@@ -588,15 +619,16 @@ def covariant_derivative(g: MetricField, X: Callable[[Array], Array], v, p) -> A
     V = np.atleast_2d(v)
     gamma = christoffel(g, p)
     Xp = np.asarray(X(p), dtype=float)
-    amb = directional_diff(rowwise(X), p, V)
+    amb = directional_diff(as_evaluator(X), p, V)
     out = [metric_orthogonal_project(g, p, a + apply_christoffel(gamma, w, Xp)) for a, w in zip(amb, V)]
     return np.reshape(out, v.shape)
 
 
-def signature_of_gram(gram: Array, tol: float = 1e-10) -> tuple:
-    """Count (positive, negative) eigenvalues of a symmetric Gram matrix."""
+def signature_of_gram(gram: Array) -> tuple:
+    """Count (positive, negative) eigenvalues of a symmetric Gram matrix,
+    beyond ``SIGNATURE_TOL``."""
     eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return (int(np.sum(eig > tol)), int(np.sum(eig < -tol)))
+    return (int(np.sum(eig > SIGNATURE_TOL)), int(np.sum(eig < -SIGNATURE_TOL)))
 
 
 def tangent_gram(g: MetricField, p: Array) -> Array:

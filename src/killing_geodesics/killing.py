@@ -28,14 +28,14 @@ from .geometry import (
     FD_STEP_FIRST,
     Array,
     MetricField,
-    at_points,
+    as_evaluator,
     central_diff,
     constant,
     inner,
     matvec,
     metric_eval,
     metric_jacobian,
-    rowwise,
+    stackwise,
 )
 
 KILLING_RESIDUAL_TOL = 1e-8
@@ -60,8 +60,9 @@ class KillingField:
     K(p) = A p (see ``linear_field``).  When A is skew, the flows of
     ``flows`` read the flow line exp(tA)·p off A in closed form instead
     of integrating ``evaluator``; every other use evaluates the field
-    through ``evaluator``.  Functions that take a
-    field accept a bare callable too and normalise it with ``as_field``.
+    through ``evaluator``.  ``evaluator`` and ``jacobian`` take a point
+    or an (N, d) stack once the field is built (``geometry``).  Functions
+    that take a field accept a bare callable too, through ``as_field``.
     """
 
     evaluator: Callable[[Array], Array]
@@ -73,6 +74,10 @@ class KillingField:
     jacobian: Optional[Callable[[Array], Array]] = None  # row m = ∂field/∂x_m
     linear: Optional[Array] = None  # A with K(p) = A p
 
+    def __post_init__(self):
+        for name in ("evaluator", "jacobian"):
+            object.__setattr__(self, name, as_evaluator(getattr(self, name)))
+
     def __call__(self, p: Array) -> Array:
         return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)
 
@@ -81,7 +86,7 @@ def linear_field(A, label: str = "K", generator: Optional[tuple] = None, basis: 
     """The field K(p) = A p with its constant jacobian A^T, for one point
     or an (N, d) stack."""
     A = np.asarray(A, dtype=float)
-    return KillingField(lambda p: matvec(A, p), label, generator, basis, jacobian=constant(A.T.copy()), linear=A)
+    return KillingField(stackwise(lambda p: matvec(A, p)), label, generator, basis, jacobian=constant(A.T.copy()), linear=A)
 
 
 def eigen_groups(S: Array, tol: float):
@@ -147,20 +152,20 @@ def as_field(K) -> KillingField:
     """K as a KillingField with a jacobian.
 
     A bare callable is wrapped; a missing jacobian becomes ``central_diff``
-    of the evaluator, row by row, at ``FD_STEP_FIRST``.  A field that has
-    a jacobian is returned as it is.
+    of the evaluator at ``FD_STEP_FIRST``, all displaced points in one
+    call.  A field that has a jacobian is returned as it is.
     """
     if not isinstance(K, KillingField):
         K = KillingField(K)
     if K.jacobian is not None:
         return K
-    field = rowwise(K.evaluator)
+    field = K.evaluator
 
     def jacobian(p):
         p = np.asarray(p, dtype=float)
         return central_diff(field, p, np.eye(p.shape[-1]), FD_STEP_FIRST)
 
-    return dataclasses.replace(K, jacobian=jacobian)
+    return dataclasses.replace(K, jacobian=stackwise(jacobian))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,18 +198,19 @@ def killing_residual(g: MetricField, K, p) -> float:
     for q in rows:
         M.check_on_manifold(q)
     K = as_field(K)
-    G = at_points(g.matrix, p)
-    J = at_points(K.jacobian, p)
-    flow = np.einsum("...m,...mij->...ij", at_points(K.evaluator, p), metric_jacobian(g, p))
+    G = g.matrix(p)
+    J = np.asarray(K.jacobian(p), dtype=float)
+    flow = np.einsum("...m,...mij->...ij", K(p), metric_jacobian(g, p))
     L = flow + J @ G + G @ np.swapaxes(J, -1, -2)
     B = np.array([M.tangent_basis(q) for q in rows])
     return float(np.abs(B @ L @ np.swapaxes(B, -1, -2)).max())
 
 
-def certify_killing_field(g: MetricField, K: KillingField, n_samples: int = 50) -> KillingField:
+def certify_killing_field(g: MetricField, K, n_samples: int = 50) -> KillingField:
     """Return a copy of K with the certification flag and residual filled
     in: certified when the residual stays within ``KILLING_RESIDUAL_TOL``
     on ``n_samples`` points seeded by ``CERTIFY_SEED``."""
+    K = as_field(K)
     pts = g.manifold.sample_points(np.random.default_rng(CERTIFY_SEED), n_samples)
     worst = killing_residual(g, K, pts)
     return dataclasses.replace(K, certified=bool(worst <= KILLING_RESIDUAL_TOL), max_residual=worst)
@@ -233,15 +239,16 @@ def lie_bracket(X, Y, p) -> Array:
     X, Y = as_field(X), as_field(Y)
 
     def derivative(A, B):  # J_Aᵀ B, the derivative of A along B
-        return np.einsum("...mi,...m->...i", at_points(A.jacobian, p), at_points(B.evaluator, p))
+        return np.einsum("...mi,...m->...i", np.asarray(A.jacobian(p), dtype=float), B(p))
 
     return derivative(Y, X) - derivative(X, Y)
 
 
 def make_killing_family(g: MetricField, members) -> KillingFamily:
-    """Bundle fields into a family, verifying pairwise commutation on
-    ``FAMILY_SAMPLES`` points seeded by ``FAMILY_SEED``: the brackets must
-    stay within ``COMMUTE_TOL``."""
+    """Bundle fields, through ``as_field``, into a family, verifying
+    pairwise commutation on ``FAMILY_SAMPLES`` points seeded by
+    ``FAMILY_SEED``: the brackets must stay within ``COMMUTE_TOL``."""
+    members = [as_field(m) for m in members]
     pts = g.manifold.sample_points(np.random.default_rng(FAMILY_SEED), FAMILY_SAMPLES)
     brackets = [lie_bracket(a, b, pts) for i, a in enumerate(members) for b in members[i + 1 :]]
     worst = max((float(np.linalg.norm(br, axis=-1).max()) for br in brackets), default=0.0)
@@ -290,11 +297,13 @@ def combine_family(F: KillingFamily, x) -> KillingField:
     if all(K.linear is not None for K in members):
         return linear_field(combine([K.linear for K in members]), label, generator, members)
 
+    @stackwise
     def evaluator(p):
         return combine([K(p) for K in members])
 
     jacobian = None
     if all(K.jacobian is not None for K in members):
+        @stackwise
         def jacobian(p):
             return combine([np.asarray(K.jacobian(p), dtype=float) for K in members])
 
@@ -321,7 +330,7 @@ def lorentz_to_riemann(g: MetricField, K) -> MetricField:
 
     n = g.manifold.intrinsic_dim
     jac = _conversion_jacobian(g, K) if g.jacobian is not None else None
-    return MetricField(g.manifold, evaluator, (n, 0), "riemannian", 0, jac)
+    return MetricField(g.manifold, stackwise(evaluator), (n, 0), "riemannian", 0, jac)
 
 
 def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
@@ -343,7 +352,7 @@ def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
 
     n = g_R.manifold.intrinsic_dim
     jac = _conversion_jacobian(g_R, K) if g_R.jacobian is not None else None
-    return MetricField(g_R.manifold, evaluator, (n - 1, 1), "lorentzian", 1, jac)
+    return MetricField(g_R.manifold, stackwise(evaluator), (n - 1, 1), "lorentzian", 1, jac)
 
 
 def energy_terms(G: Array, k: Array):
@@ -386,7 +395,7 @@ def _conversion_jacobian(g: MetricField, K: KillingField) -> Callable[[Array], A
         douter = dgk[..., :, :, None] * gk[..., None, None, :] + gk[..., None, :, None] * dgk[..., :, None, :]
         return dG - 2.0 * (douter * f - outer * df[..., None, None]) / (f * f)
 
-    return jac
+    return stackwise(jac)
 
 
 def energy(g: MetricField, K, p) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnsupportedCapabilityError
 from .geometry import ManifoldModel, MetricField
-from .killing import KillingField, KillingFamily, combine_family, certify_killing_field, energy_terms
+from .killing import KillingFamily, as_field, combine_family, certify_killing_field, energy_terms
 
 # Convergent denominators beyond this exceed what a double can resolve.
 MAX_DENOMINATOR = 10_000_000
@@ -59,16 +59,17 @@ def continued_fraction_convergents(alpha: float, n: int, max_q: int = MAX_DENOMI
     return out
 
 
-def detect_rational(alpha: float, max_q: int = RATIONAL_DETECT_DENOMINATOR) -> Optional[Fraction]:
+def detect_rational(alpha: float) -> Optional[Fraction]:
     """Return an exact fraction equal to alpha within double resolution.
 
-    Rationality is certified only up to denominator ``max_q``, and only
-    when the stored double coincides with p/q to a few ulps: a looser
-    threshold would fire on genuine irrationals, whose convergents with
-    q <= 1e6 already come within ~1/q^2 = 1e-12.
+    Rationality is certified only up to denominator
+    ``RATIONAL_DETECT_DENOMINATOR``, and only when the stored double
+    coincides with p/q to a few ulps: a looser threshold would fire on
+    genuine irrationals, whose convergents with q <= 1e6 already come
+    within ~1/q^2 = 1e-12.
     """
     tol = 4.0 * np.finfo(float).eps * max(1.0, abs(alpha))
-    convergents = continued_fraction_convergents(alpha, 64, max_q=max_q)
+    convergents = continued_fraction_convergents(alpha, 64, max_q=RATIONAL_DETECT_DENOMINATOR)
     for frac in convergents:
         if abs(alpha - frac.numerator / frac.denominator) <= tol:
             return frac
@@ -94,7 +95,7 @@ class TorusDirection:
         return TorusDirection(coords, False, None)
 
 
-def approximate_closed(K: KillingField, n: int, metric: Optional[MetricField] = None) -> list:
+def approximate_closed(K, n: int, metric: Optional[MetricField] = None) -> list:
     """Closed Killing fields from the convergents of the generator slope.
 
     Returns a list of ``(field, fraction)`` pairs where the k-th field has
@@ -104,6 +105,7 @@ def approximate_closed(K: KillingField, n: int, metric: Optional[MetricField] = 
     exact field, already closed.  With ``metric``, each field is certified
     Killing on ``CERTIFY_SAMPLES`` points.
     """
+    K = as_field(K)
     if K.generator is None or K.basis is None:
         raise UnsupportedCapabilityError(
             "field carries no torus-generator coordinates (evaluator-only field)"
@@ -145,7 +147,7 @@ class ApproximationCertificate:
 def certify_uniform_convergence(
     M: ManifoldModel,
     g: MetricField,
-    K: KillingField,
+    K,
     approximants: list,
     samples: int = 500,
     seed: int = 7,
@@ -155,13 +157,14 @@ def certify_uniform_convergence(
     Enforces the certificate invariants: strictly decreasing gaps, the
     best-approximation bound gap < 1/q^2, and non-increasing field gaps.
     """
+    K = as_field(K)
     if K.generator is None:
         raise UnsupportedCapabilityError("field carries no torus-generator coordinates")
     alpha = float(K.generator[1] / K.generator[0])
     rng = np.random.default_rng(seed)
     pts = M.sample_points(rng, samples)
-    base_vals = np.array([K(p) for p in pts])
-    metric = np.array([g.matrix(p) for p in pts])
+    base_vals = K(pts)
+    metric = g.matrix(pts)
     gaps = []
     sup_gaps = []
     signs = []
@@ -169,7 +172,7 @@ def certify_uniform_convergence(
     for field, frac in approximants:
         fractions.append(frac)
         gaps.append(abs(alpha - frac.numerator / frac.denominator))
-        vals = np.array([field(p) for p in pts])
+        vals = as_field(field)(pts)
         sup_gaps.append(float(np.max(np.linalg.norm(vals - base_vals, axis=1))))
         signs.append(bool(np.min(energy_terms(metric, vals)[1]) < 0.0))
     for i in range(1, len(gaps)):

@@ -1,7 +1,9 @@
 """The stacked evaluation layer and the lockstep critical search.
 
 Every evaluator the search calls maps an (N, d) stack of points row by
-row, the analytic gradient of f agrees with the finite-difference
+row: the gallery's by construction, so they are called unwrapped, and any
+other callable through ``geometry.as_evaluator``, which probes it once.
+The analytic gradient of f agrees with the finite-difference
 certificate, and a row of the lockstep search does not depend on the
 other rows in its batch.
 """
@@ -31,15 +33,21 @@ def _assert_rowwise(fn, P):
     np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-14)
 
 
+def _assert_unwrapped(fn):
+    # so every layer calls the gallery without a probe or a row loop
+    assert not hasattr(fn, "__wrapped__")
+    assert geometry.as_evaluator(fn) is fn
+
+
 class TestStackedEvaluators:
     def test_field_metric_and_jacobians(self, all_entries):
         for entry in all_entries:
             P = _stack_points(entry)
-            K, g = entry.killing, entry.metric
-            for fn in (K.evaluator, K.jacobian, g.matrix, g.jacobian):
+            g = entry.metric
+            fields = (entry.killing,) + (entry.family.members if entry.family else ())
+            for fn in [g.evaluator, g.jacobian] + [fn for K in fields for fn in (K.evaluator, K.jacobian)]:
                 _assert_rowwise(fn, P)
-                # so the search runs the gallery without a row loop
-                assert geometry.stacked(fn, P[: entry.manifold.ambient_dim + 1]) is fn
+                _assert_unwrapped(fn)
 
     def test_constraint_and_projection(self, all_entries):
         rng = np.random.default_rng(8)
@@ -51,6 +59,8 @@ class TestStackedEvaluators:
             _assert_rowwise(M.constraint, P)
             _assert_rowwise(M.grad_constraint, P)
             _assert_rowwise(M.hess_constraint, P)
+            for fn in (M.constraint, M.constraint_grad, M.constraint_hess):
+                _assert_unwrapped(fn)
             projected = M.project_point(P)
             rows = np.array([M.project_point(p) for p in P])
             np.testing.assert_allclose(projected, rows, rtol=1e-14, atol=1e-14)
@@ -67,13 +77,62 @@ class TestStackedEvaluators:
         assert abs(float(q @ q) - 1.0) <= 1e-13
 
 
+def _counting(calls):
+    """A callable that maps stacks and records the ndim of each argument."""
+
+    def double(p):
+        calls.append(np.ndim(p))
+        return 2.0 * np.asarray(p, dtype=float)
+
+    return double
+
+
+class TestAsEvaluator:
+    def test_probe_runs_once(self):
+        calls = []
+        K = kg.KillingField(_counting(calls))
+        P = np.random.default_rng(3).normal(size=(7, 4))
+        for _ in range(20):
+            np.testing.assert_array_equal(K(P), 2.0 * P)
+        # the probe: d + 1 rows one at a time and once as a stack
+        assert calls == [1] * 5 + [2] + [2] * 20
+
+    def test_short_stacks_wait_for_the_probe(self):
+        calls = []
+        ev = geometry.as_evaluator(_counting(calls))
+        ev(np.ones((4, 4)))
+        assert calls == [1] * 4
+        ev(np.ones((5, 4)))
+        ev(np.ones((2, 4)))
+        assert calls == [1] * 4 + [1] * 5 + [2] + [2] + [2]
+
+    def test_single_point_callable_on_a_square_stack(self):
+        A = np.random.default_rng(4).normal(size=(4, 4))
+        ev = geometry.as_evaluator(lambda p: A @ p)
+        rng = np.random.default_rng(5)
+        for n in (4, 9, 4):  # before and after the probe
+            P = rng.normal(size=(n, 4))
+            assert np.array_equal(ev(P), np.array([A @ p for p in P]))
+
+    def test_replace_does_not_wrap_twice(self, s3):
+        A = np.zeros((4, 4))
+        K = kg.KillingField(lambda p: A @ p)
+        again = dataclasses.replace(K, label="again")
+        assert again.evaluator is K.evaluator
+        assert not hasattr(K.evaluator.__wrapped__, "__wrapped__")
+        M = dataclasses.replace(s3.manifold, constraint=lambda p: float(p @ p) - 1.0)
+        assert dataclasses.replace(M, sampler=None).constraint is M.constraint
+        g = dataclasses.replace(s3.metric, evaluator=lambda p: np.eye(4))
+        assert dataclasses.replace(g, role="riemannian").evaluator is g.evaluator
+
+
 class TestAnalyticGradient:
     def test_matches_certificate_by_duality(self, all_entries, rng):
         # g(grad f, e) = df(e) = ∇f·e for every tangent e
         for entry in all_entries:
             M, g, K = entry.manifold, entry.metric, entry.killing
             P = M.sample_points(rng, 50)
-            core = critical._batched_energy(g, K, P[: M.ambient_dim + 1])
+            core = critical._Energy(g, K)
             grads = core.gradient(P)
             for p, grad in zip(P, grads):
                 cert = critical.grad_f(g, K, p)
@@ -86,9 +145,7 @@ class TestLockstepSearch:
     def test_rows_do_not_depend_on_the_batch(self, s3):
         M, g, K = s3.manifold, s3.metric, s3.killing
         starts = M.sample_points(np.random.default_rng(42), 64)
-        probe = starts[: M.ambient_dim + 1]
-        core = critical._batched_energy(g, K, probe)
-        M = critical._batched_manifold(M, probe)
+        core = critical._Energy(g, K)
         alone = critical._search_rows(core, M, starts[:3])
         batch = critical._search_rows(core, M, starts)
         assert alone.shape == (6, 4)

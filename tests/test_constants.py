@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
-from killing_geodesics import cli
+from killing_geodesics import cli, geometry, rational
 from killing_geodesics.flows import GEODESIC_ODE_TOL, GEODESIC_TOL, ODE_TOL, PERIOD_TOL
 from killing_geodesics.killing import KILLING_RESIDUAL_TOL
 
@@ -55,6 +55,23 @@ SAMPLING_CONSTANTS = (
 
 @pytest.mark.parametrize("function, names", SAMPLING_CONSTANTS, ids=[f.__name__ for f, _ in SAMPLING_CONSTANTS])
 def test_no_sampling_knob(function, names):
+    assert set(names).isdisjoint(inspect.signature(function).parameters)
+
+
+# other parameters no caller set, now module constants of the same value
+FIXED_PARAMETERS = (
+    (kg.reduce_point, ("max_word_len",)),
+    (kg.ManifoldModel.check_on_manifold, ("tol",)),
+    (kg.ManifoldModel.project_point, ("tol", "max_iter")),
+    (kg.ManifoldModel.reduce_to_fundamental, ("max_iter",)),
+    (kg.DeckElement.is_identity, ("tol",)),
+    (geometry.signature_of_gram, ("tol",)),
+    (rational.detect_rational, ("max_q",)),
+)
+
+
+@pytest.mark.parametrize("function, names", FIXED_PARAMETERS, ids=[f.__qualname__ for f, _ in FIXED_PARAMETERS])
+def test_no_fixed_parameter(function, names):
     assert set(names).isdisjoint(inspect.signature(function).parameters)
 
 

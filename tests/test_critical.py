@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
-from killing_geodesics.critical import classify_critical, f_eval, grad_f
+from killing_geodesics.critical import classify_critical, grad_f
 from killing_geodesics.errors import DegenerateCriticalPointError
 from killing_geodesics.geometry import covariant_derivative
 
@@ -18,21 +18,21 @@ class TestEnergy:
     def test_klein_constant(self, klein, rng):
         for _ in range(5):
             p = klein.manifold.sample_point(rng)
-            assert f_eval(klein.metric, klein.killing, p) == pytest.approx(-1.0, abs=1e-14)
+            assert kg.energy(klein.metric, klein.killing, p) == pytest.approx(-1.0, abs=1e-14)
 
     def test_sphere_values(self, s3):
-        assert f_eval(s3.metric, s3.killing, C1) == pytest.approx(-1.0, abs=1e-12)
-        assert f_eval(s3.metric, s3.killing, C2) == pytest.approx(-2.0, abs=1e-12)
+        assert kg.energy(s3.metric, s3.killing, C1) == pytest.approx(-1.0, abs=1e-12)
+        assert kg.energy(s3.metric, s3.killing, C2) == pytest.approx(-2.0, abs=1e-12)
 
     def test_sphere_closed_form(self, s3, rng):
         # oracle: f = -(|z|^2 + 2 |w|^2) on the unit sphere
         for _ in range(20):
             p = s3.manifold.sample_point(rng)
             expected = -(p[0] ** 2 + p[1] ** 2 + 2.0 * (p[2] ** 2 + p[3] ** 2))
-            assert f_eval(s3.metric, s3.killing, p) == pytest.approx(expected, abs=1e-12)
+            assert kg.energy(s3.metric, s3.killing, p) == pytest.approx(expected, abs=1e-12)
 
     def test_null_combination(self, flat_torus_null):
-        assert f_eval(flat_torus_null.metric, flat_torus_null.killing, np.array([0.5, 0.5])) == pytest.approx(0.0, abs=1e-14)
+        assert kg.energy(flat_torus_null.metric, flat_torus_null.killing, np.array([0.5, 0.5])) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestGradient:
@@ -128,7 +128,7 @@ class TestSearch:
     def test_f_value_matches_representative(self, s3):
         orbits = kg.find_critical_orbits(s3.metric, s3.killing, budget=8, seed=0)
         for o in orbits:
-            assert o.f_value == f_eval(s3.metric, s3.killing, o.representative)
+            assert o.f_value == kg.energy(s3.metric, s3.killing, o.representative)
 
     def test_determinism(self, s3):
         a = kg.find_critical_orbits(s3.metric, s3.killing, budget=12, seed=9)

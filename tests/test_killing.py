@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
-from killing_geodesics.errors import NotTimelikeError, VanishingFieldError
+from killing_geodesics.errors import NotTimelikeError, UnsupportedCapabilityError, VanishingFieldError
 
 from conftest import random_tangent
 
@@ -214,3 +214,31 @@ class TestFamilies:
     def test_commuting_flag(self, s3):
         assert s3.family.commuting
         assert s3.family.max_bracket <= 1e-7
+
+
+def _certified(entry, f):
+    assert kg.certify_killing_field(entry.metric, f).certified
+
+
+def _combined(entry, f):
+    K = kg.combine_family(kg.make_killing_family(entry.metric, (f, f)), (1.0, 1.0))
+    p = entry.probe_point
+    assert np.array_equal(K(p), 2.0 * f(p))
+
+
+def _not_closable(entry, f):
+    with pytest.raises(UnsupportedCapabilityError):
+        kg.approximate_closed(f, 3)
+
+
+def _no_convergence_certificate(entry, f):
+    with pytest.raises(UnsupportedCapabilityError):
+        kg.certify_uniform_convergence(entry.manifold, entry.metric, f, [])
+
+
+@pytest.mark.parametrize("use", [_certified, _combined, _not_closable, _no_convergence_certificate])
+def test_takes_a_bare_callable(s3, use):
+    """Every function that takes a field takes a bare single-point
+    callable too, through ``as_field``."""
+    A = s3.killing.linear
+    use(s3, lambda p: A @ p)
