@@ -62,7 +62,6 @@ from .critical import (
 )
 from .rational import (
     ApproximationCertificate,
-    TorusDirection,
     approximate_closed,
     certify_uniform_convergence,
     continued_fraction_convergents,

@@ -293,12 +293,11 @@ def _search_rows(core: _Energy, M: ManifoldModel, starts: Array) -> Array:
 def find_critical_orbits(
     g: MetricField,
     K,
-    M: Optional[ManifoldModel] = None,
     budget: int = 64,
     seed: int = 42,
     horizon: float = 50.0,
 ) -> list:
-    """Locate the critical orbits of f = g(K, K) on the manifold.
+    """Locate the critical orbits of f = g(K, K) on ``g.manifold``.
 
     Multi-start descent on f and -f from ``budget`` of ``PROBE_SAMPLES``
     seeded samples (always including the sampled argmin and argmax) and
@@ -334,8 +333,7 @@ def find_critical_orbits(
     whose ``linear`` matrix is skew, integrated at ``flows.ODE_TOL``
     otherwise, with periods certified to ``flows.PERIOD_TOL``.
     """
-    if M is None:
-        M = g.manifold
+    M = g.manifold
     K = as_field(K)
     rng = np.random.default_rng(seed)
     samples = M.sample_points(rng, PROBE_SAMPLES)

@@ -5,7 +5,12 @@ A flow line comes from one run constructor, ``_run``.  A field whose
 run is that closed form (``ExactCurve``), with no integration.  Every
 other field, and every geodesic, is integrated in ambient coordinates
 with the adaptive RK 5(4) stepper, flows at ``ODE_TOL`` and geodesics at
-the tighter ``GEODESIC_ODE_TOL``.  Each tolerance is a module constant,
+the tighter ``GEODESIC_ODE_TOL``.  A geodesic is integrated on the
+Euler-Lagrange form of the energy ½ g(v, v) (``geodesic_rhs``): one
+evaluation of the metric and its jacobian and one solve per right-hand
+side, with no Christoffel tensor.  ``geodesic_residual`` certifies a
+curve on the other form, through ``christoffel``, so the certificate
+does not share the integrator's algebra.  Each tolerance is a module constant,
 read where its certificate is made: a return certifies a period within
 ``PERIOD_TOL`` and a residual below ``GEODESIC_TOL`` certifies a
 geodesic.  Embedded manifolds get a constraint projection at every knot
@@ -39,8 +44,10 @@ from .geometry import (
     apply_christoffel,
     christoffel,
     directional_diff,
+    metric_jacobian,
     metric_orthogonal_project,
     reduce_point,
+    solve_metric,
 )
 from .integrate import DenseCurve, solve_rk45
 from .killing import LINEAR_TOL, KillingFamily, KillingField, as_field, eigen_groups, energy_terms
@@ -291,9 +298,17 @@ def certified_flow(M: ManifoldModel, K, cert: PeriodCertificate, T: float) -> Cu
 def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:
     """Right-hand side of the geodesic equation in ambient coordinates.
 
-    For constrained manifolds the ambient acceleration gets the Lagrange
-    multiplier term that keeps the curve on the level set; this reproduces
-    the Levi-Civita geodesics of the induced metric.
+    The geodesics are the Euler-Lagrange curves of the energy
+    L = ½ g(v, v) (O'Neill, "Semi-Riemannian Geometry", ch. 3):
+
+        G a = ½ (vᵀ ∂_l G v)_l − (∂_v G) v + λ ∇c,   ∂_v G = Σ_k v_k ∂_k G,
+
+    which is G times −Γ(v, v) + λ G⁻¹∇c, with no Christoffel tensor
+    built.  One evaluation of G and of ∂G and one solve, against the
+    force and the constraint normal ∇c as two columns, make each call.
+    On a constrained manifold the multiplier λ, from
+    ∇c·a + vᵀ (Hess c) v = 0, keeps the curve on the level set; this
+    reproduces the Levi-Civita geodesics of the induced metric.
     """
     M = g.manifold
     n = M.ambient_dim
@@ -301,13 +316,14 @@ def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:
     def rhs(_t, y):
         x = y[:n]
         v = y[n:]
-        gamma = christoffel(g, x)
-        a = -apply_christoffel(gamma, v, v)
-        if M.constraint is not None:
+        dv = metric_jacobian(g, x) @ v  # dv[k, i] = (∂_k G v)_i
+        force = 0.5 * (dv @ v) - v @ dv
+        if M.constraint is None:
+            a = solve_metric(g.matrix(x), force)
+        else:
             grad = M.grad_constraint(x)
-            hess = M.hess_constraint(x)
-            ginv_grad = np.linalg.solve(g.matrix(x), grad)
-            lam = -(float(grad @ a) + float(v @ (hess @ v))) / float(grad @ ginv_grad)
+            a, ginv_grad = solve_metric(g.matrix(x), np.stack([force, grad], axis=1)).T
+            lam = -(float(grad @ a) + float(v @ (M.hess_constraint(x) @ v))) / float(grad @ ginv_grad)
             a = a + lam * ginv_grad
         return np.concatenate([v, a])
 

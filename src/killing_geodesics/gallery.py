@@ -385,30 +385,14 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
 # commuting families on flat tori
 
 
-def make_commuting_family_example(m: int = 2) -> GalleryEntry:
-    """Flat torus with m commuting unit timelike translation fields.
+def make_commuting_family_example() -> GalleryEntry:
+    """Flat torus T^4 with two commuting unit timelike translation fields.
 
-    m = 1 is the Lorentzian 2-torus; m = 2 is T^4 with
-    dx^2 + dy^2 - dt1^2 - dt2^2 and the family {∂t1, ∂t2}, whose Gram
-    matrix is constantly diag(-1, -1).  Flow-translating a closed
-    geodesic by the second field produces pairwise distinct closed
+    The metric is dx^2 + dy^2 - dt1^2 - dt2^2 and the family {∂t1, ∂t2},
+    whose Gram matrix is constantly diag(-1, -1).  Flow-translating a
+    closed geodesic by the second field produces pairwise distinct closed
     geodesics, the sample-scale form of the infinite-family argument.
     """
-    if m not in (1, 2):
-        raise ValueError("only m in {1, 2} is built here")
-    if m == 1:
-        base = make_flat_lorentzian_torus((0.0, 1.0))
-        family = make_killing_family(base.metric, (base.killing,))
-        return GalleryEntry(
-            name="commuting-t2",
-            manifold=base.manifold,
-            metric=base.metric,
-            killing=base.killing,
-            family=family,
-            expected={**base.expected, "gram_diagonal": (-1.0,)},
-            angle_period=1.0,
-            probe_point=base.probe_point,
-        )
     M = ManifoldModel(
         kind="flat_quotient",
         ambient_dim=4,
@@ -463,7 +447,7 @@ def build_entry(
     if name == "mapping-torus":
         return make_mapping_torus(theta if theta is not None else 1.0)
     if name == "commuting-t4":
-        return make_commuting_family_example(2)
+        return make_commuting_family_example()
     raise KeyError(f"unknown gallery entry {name!r}")
 
 

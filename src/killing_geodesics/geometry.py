@@ -556,26 +556,34 @@ def metric_jacobian(g: MetricField, p: Array) -> Array:
     return central_diff(g.matrix, p, np.eye(g.manifold.ambient_dim), FD_STEP_FIRST)
 
 
+def solve_metric(G: Array, b: Array) -> Array:
+    """G⁻¹ b for the ambient metric matrix G (or a stack of them).
+
+    Raises SingularMetricError when |det G| < 1e-12 at some point: the
+    metric is numerically degenerate there and has no inverse.
+    """
+    if np.any(np.abs(np.linalg.det(G)) < 1e-12):
+        raise SingularMetricError("metric degenerate at evaluation point")
+    return np.linalg.solve(G, b)
+
+
 def christoffel(g: MetricField, p) -> Array:
     """Connection coefficients Gamma[..., k, i, j] of the ambient metric at
     p, or at each row of an (N, d) stack.
 
     Torsion-free by construction (symmetric in i, j).  Raises
     SingularMetricError when the ambient matrix is numerically degenerate
-    at some point.
+    at some point (``solve_metric``).
     """
     p = np.asarray(p, dtype=float)
     G = g.matrix(p)
     n = G.shape[-1]
-    if np.any(np.abs(np.linalg.det(G)) < 1e-12):
-        raise SingularMetricError("metric degenerate at evaluation point")
     d = metric_jacobian(g, p)
     # lowered coefficients: 0.5 * (d_i g_lj + d_j g_li - d_l g_ij)
     low = 0.5 * (
         np.einsum("...ilj->...lij", d) + np.einsum("...jli->...lij", d) - d
     )
-    gamma = np.linalg.solve(G, low.reshape(G.shape[:-1] + (n * n,))).reshape(G.shape[:-1] + (n, n))
-    return gamma
+    return solve_metric(G, low.reshape(G.shape[:-1] + (n * n,))).reshape(G.shape[:-1] + (n, n))
 
 
 def apply_christoffel(gamma: Array, v: Array, w: Array) -> Array:

@@ -76,25 +76,6 @@ def detect_rational(alpha: float) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class TorusDirection:
-    """Generator coordinates of a field in an explicit torus action."""
-
-    coords: tuple
-    rational: bool
-    fractions: Optional[tuple] = None  # exact ratios coords[i]/coords[0] when rational
-
-    @staticmethod
-    def from_coords(coords) -> "TorusDirection":
-        coords = tuple(float(c) for c in coords)
-        if coords[0] == 0.0:
-            raise ValueError("first torus coordinate must be nonzero")
-        ratios = [detect_rational(c / coords[0]) for c in coords]
-        if all(r is not None for r in ratios):
-            return TorusDirection(coords, True, tuple(ratios))
-        return TorusDirection(coords, False, None)
-
-
 def approximate_closed(K, n: int, metric: Optional[MetricField] = None) -> list:
     """Closed Killing fields from the convergents of the generator slope.
 

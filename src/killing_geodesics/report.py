@@ -109,7 +109,7 @@ def analyze_entry(entry: GalleryEntry, seed: int = 42, budget: int = 64, horizon
     M = entry.manifold
     g = entry.metric
     res_max = _residual_max(entry, seed)
-    orbits = find_critical_orbits(g, entry.killing, M, budget=budget, seed=seed, horizon=horizon)
+    orbits = find_critical_orbits(g, entry.killing, budget=budget, seed=seed, horizon=horizon)
     degenerate = any(o.classification == "degenerate_constant" for o in orbits)
     fiber_scan = None
     if degenerate:
@@ -174,7 +174,7 @@ def approximate_entry(
     per = []
     for field, frac in approximants:
         horizon = entry.angle_period * (frac.denominator + 1)
-        orbits = find_critical_orbits(g, field, M, budget=budget, seed=seed, horizon=horizon)
+        orbits = find_critical_orbits(g, field, budget=budget, seed=seed, horizon=horizon)
         closure = detect_period(M, field, entry.probe_point, horizon)
         per.append(
             {
@@ -207,16 +207,14 @@ def approximate_entry(
 def trace_entry(entry: GalleryEntry, start, T: float, geodesic: bool = False, velocity=None) -> str:
     """Trace the Killing flow (or a geodesic) and return the CSV text.
 
+    ``start`` holds all ``ambient_dim`` coordinates of the start point.
     The flow runs at ``flows.ODE_TOL``; a geodesic is shot at
     ``flows.GEODESIC_ODE_TOL``, as ``shoot_geodesic`` does everywhere.
     """
     M = entry.manifold
     start = np.asarray(start, dtype=float)
-    if len(start) == M.ambient_dim // 2 and M.ambient_dim % 2 == 0:
-        # complex shorthand: real parts of (z, w) pairs
-        full = np.zeros(M.ambient_dim)
-        full[0::2] = start
-        start = full
+    if len(start) != M.ambient_dim:
+        raise ValueError(f"start needs {M.ambient_dim} coordinates")
     if M.constraint_residual(start) > 1e-6:
         raise OffManifoldError("start point too far from the manifold")
     start = M.project_point(start)

@@ -41,7 +41,7 @@ def mapping_torus():
 
 @pytest.fixture(scope="session")
 def t4():
-    return kg.make_commuting_family_example(2)
+    return kg.make_commuting_family_example()
 
 
 @pytest.fixture(scope="session")

@@ -79,7 +79,7 @@ def test_criterion_2_gradient_identity(all_entries):
 def test_criterion_3_stationary_sphere_two_orbits(s3):
     with criterion(3, "stationary S3: exactly the two expected critical orbits"):
         t0 = time.perf_counter()
-        orbits = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=64, seed=42)
+        orbits = kg.find_critical_orbits(s3.metric, s3.killing, budget=64, seed=42)
         assert len(orbits) == 2
         lo, hi = orbits
         assert abs(lo.f_value - (-2.0)) <= 1e-6
@@ -97,7 +97,7 @@ def test_criterion_4_klein_bottle_fibers(klein):
     with criterion(4, "Klein bottle: two exceptional fibers, interval orbit space"):
         t0 = time.perf_counter()
         M, g, K = klein.manifold, klein.metric, klein.killing
-        orbits = kg.find_critical_orbits(g, K, M, seed=42)
+        orbits = kg.find_critical_orbits(g, K, seed=42)
         assert orbits[0].classification == "degenerate_constant"
         assert abs(orbits[0].f_value - (-1.0)) <= 1e-12
         # deck-arithmetic oracle: a fiber over x0 is exceptional exactly
@@ -185,7 +185,7 @@ def test_criterion_6_closed_approximation(s3):
         line_rng = np.random.default_rng(606)
         for field, frac in approximants:
             horizon = 2 * math.pi * (frac.denominator + 1)
-            orbits = kg.find_critical_orbits(s3.metric, field, s3.manifold, budget=16, seed=42, horizon=horizon)
+            orbits = kg.find_critical_orbits(s3.metric, field, budget=16, seed=42, horizon=horizon)
             certified = [
                 o for o in orbits if o.period is not None and o.geodesic_residual <= 1e-5
             ]

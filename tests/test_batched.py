@@ -155,8 +155,8 @@ class TestLockstepSearch:
         A = np.zeros((4, 4))
         A[1, 0], A[0, 1] = 1.0, -1.0
         A[3, 2], A[2, 3] = SQRT2, -SQRT2
-        plain = kg.find_critical_orbits(s3.metric, lambda p: A @ p, s3.manifold, budget=16, seed=42)
-        gallery = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=16, seed=42)
+        plain = kg.find_critical_orbits(s3.metric, lambda p: A @ p, budget=16, seed=42)
+        gallery = kg.find_critical_orbits(s3.metric, s3.killing, budget=16, seed=42)
         assert len(plain) == len(gallery) == 2
         for a, b in zip(plain, gallery):
             assert a.classification == b.classification
@@ -173,7 +173,7 @@ class TestLockstepSearch:
             sampler=s3.manifold.sampler,
         )
         g = dataclasses.replace(s3.metric, manifold=M)
-        orbits = kg.find_critical_orbits(g, s3.killing, M, budget=8, seed=42)
+        orbits = kg.find_critical_orbits(g, s3.killing, budget=8, seed=42)
         assert [o.classification for o in orbits] == ["min", "max"]
         assert [o.f_value for o in orbits] == pytest.approx([-2.0, -1.0], abs=1e-9)
 
@@ -187,6 +187,6 @@ class TestLockstepSearch:
             return grad
 
         monkeypatch.setattr(critical, "grad_f", recording)
-        kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=64, seed=42)
+        kg.find_critical_orbits(s3.metric, s3.killing, budget=64, seed=42)
         assert len(norms) == 128
         assert max(norms) <= 1e-9

@@ -106,7 +106,9 @@ class TestCommands:
         assert len(proc.stdout.strip().split("\n")) == 2
 
     def test_trace_half_length_start(self):
-        proc = run_cli("trace", "stationary-s3", "--start", "1,0", "--T", "0.5")
+        # a start gives every ambient coordinate, so half of them is refused
+        assert run_cli("trace", "stationary-s3", "--start", "1,0", "--T", "0.5").returncode == 2
+        proc = run_cli("trace", "stationary-s3", "--start", "1,0,0,0", "--T", "0.5")
         assert proc.returncode == 0
         first = proc.stdout.strip().split("\n")[1].split(",")
         assert [float(x) for x in first[1:5]] == [1.0, 0.0, 0.0, 0.0]
@@ -119,6 +121,14 @@ class TestExitCodes:
     def test_off_manifold_start(self):
         proc = run_cli("trace", "stationary-s3", "--start", "2,0,0,0", "--T", "1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "entry, start", [("commuting-t4", "0.1,0.2"), ("klein-bottle", "0.3")], ids=["t4-half", "klein-half"]
+    )
+    def test_start_of_wrong_length(self, entry, start):
+        proc = run_cli("trace", entry, "--start", start, "--T", "1")
+        assert proc.returncode == 2
+        assert "start needs" in proc.stderr
 
     def test_rational_theta(self):
         assert run_cli("analyze", "mapping-torus", "--theta", "pi").returncode == 2
@@ -170,8 +180,9 @@ class TestForwarding:
         assert self._recorded(monkeypatch, "approximate_entry", argv) == [{"n": 4, "samples": 50}]
 
     def test_given_flags_reach_trace(self, monkeypatch):
-        argv = ["trace", "stationary-s3", "--start", "1,0", "--geodesic"]
-        assert self._recorded(monkeypatch, "trace_entry", argv) == [{"start": (1.0, 0.0), "T": 1.0, "geodesic": True}]
+        argv = ["trace", "stationary-s3", "--start", "1,0,0,0", "--geodesic"]
+        recorded = [{"start": (1.0, 0.0, 0.0, 0.0), "T": 1.0, "geodesic": True}]
+        assert self._recorded(monkeypatch, "trace_entry", argv) == recorded
 
     @pytest.mark.parametrize(
         "argv",

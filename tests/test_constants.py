@@ -67,6 +67,8 @@ FIXED_PARAMETERS = (
     (kg.DeckElement.is_identity, ("tol",)),
     (geometry.signature_of_gram, ("tol",)),
     (rational.detect_rational, ("max_q",)),
+    (kg.find_critical_orbits, ("M",)),
+    (kg.make_commuting_family_example, ("m",)),
 )
 
 

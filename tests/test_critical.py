@@ -95,7 +95,7 @@ class TestClassification:
 
 class TestSearch:
     def test_sphere_two_orbits(self, s3):
-        orbits = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=32, seed=42)
+        orbits = kg.find_critical_orbits(s3.metric, s3.killing, budget=32, seed=42)
         assert len(orbits) == 2
         lo, hi = orbits
         assert lo.f_value == pytest.approx(-2.0, abs=1e-6)
@@ -107,13 +107,13 @@ class TestSearch:
         assert hi.period == pytest.approx(2 * math.pi, abs=1e-6)
 
     def test_orbits_geometrically_distinct(self, s3):
-        orbits = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=16, seed=3)
+        orbits = kg.find_critical_orbits(s3.metric, s3.killing, budget=16, seed=3)
         a = kg.flow(s3.manifold, s3.killing, orbits[0].representative, orbits[0].period)
         b = kg.flow(s3.manifold, s3.killing, orbits[1].representative, orbits[1].period)
         assert kg.hausdorff_distance(s3.manifold, a, b) > 1e-3
 
     def test_klein_degenerate_constant(self, klein):
-        orbits = kg.find_critical_orbits(klein.metric, klein.killing, klein.manifold, seed=42)
+        orbits = kg.find_critical_orbits(klein.metric, klein.killing, seed=42)
         assert len(orbits) == 1
         assert orbits[0].classification == "degenerate_constant"
         assert orbits[0].f_value == pytest.approx(-1.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import killing_geodesics as kg
 from killing_geodesics import flows
-from killing_geodesics.errors import StiffnessError
+from killing_geodesics.errors import SingularMetricError, StiffnessError
 from killing_geodesics.geometry import apply_christoffel, christoffel, metric_orthogonal_project
 from killing_geodesics.integrate import solve_rk45
 
@@ -123,6 +124,72 @@ class TestShootGeodesic:
         ge = kg.shoot_geodesic(s3.metric, p0, s3.killing(p0), 2 * math.pi)
         for s in np.linspace(0.0, 2 * math.pi, 25):
             assert np.linalg.norm(fl.position_at(s) - ge.position_at(s)) <= 1e-6
+
+
+def _rhs_case(request, name):
+    """The metric of a right-hand-side case: stationary-s3 with its analytic
+    jacobian and with finite differences, mapping-torus (a constant
+    metric and a constraint) and flat-torus (a constant metric)."""
+    if name == "s3-fd":
+        return dataclasses.replace(request.getfixturevalue("s3").metric, jacobian=None)
+    return request.getfixturevalue(name.replace("-", "_")).metric
+
+
+class TestGeodesicRhs:
+    """``geodesic_rhs`` solves the Euler-Lagrange form G a = ½ (vᵀ ∂_l G v)_l
+    − (∂_v G) v + λ ∇c; the reference writes the same acceleration from
+    the Christoffel symbols, −Γ(v, v) + λ G⁻¹∇c."""
+
+    @staticmethod
+    def reference(g, x, v):
+        a = -apply_christoffel(christoffel(g, x), v, v)
+        M = g.manifold
+        if M.constraint is not None:
+            grad = M.grad_constraint(x)
+            ginv_grad = np.linalg.solve(g.matrix(x), grad)
+            lam = -(grad @ a + v @ (M.hess_constraint(x) @ v)) / (grad @ ginv_grad)
+            a = a + lam * ginv_grad
+        return a
+
+    @pytest.mark.parametrize("case", ["s3", "s3-fd", "mapping-torus", "flat-torus"])
+    def test_matches_the_christoffel_form(self, request, case, rng):
+        g = _rhs_case(request, case)
+        M = g.manifold
+        rhs = flows.geodesic_rhs(g)
+        for _ in range(20):
+            x = M.sample_point(rng)
+            v = M.tangent_project(x, rng.normal(size=M.ambient_dim))
+            v *= rng.uniform(0.0, 30.0) / np.linalg.norm(v)
+            out = rhs(0.0, np.concatenate([x, v]))
+            ref = self.reference(g, x, v)
+            assert np.array_equal(out[: M.ambient_dim], v)
+            assert np.linalg.norm(out[M.ambient_dim:] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_one_metric_evaluation_per_call(self, s3, rng):
+        calls = {"metric": 0, "jacobian": 0}
+
+        def counting(name, fn):
+            def evaluate(p):
+                calls[name] += 1
+                return fn(p)
+            return evaluate
+
+        g = dataclasses.replace(
+            s3.metric,
+            evaluator=counting("metric", s3.metric.evaluator),
+            jacobian=counting("jacobian", s3.metric.jacobian),
+        )
+        rhs = flows.geodesic_rhs(g)
+        x = s3.manifold.sample_point(rng)
+        for n in range(1, 4):
+            rhs(0.0, np.concatenate([x, s3.killing(x)]))
+            assert calls == {"metric": n, "jacobian": n}
+
+    def test_degenerate_metric_raises(self):
+        M = kg.ManifoldModel(kind="flat_quotient", ambient_dim=2, intrinsic_dim=2)
+        g = kg.MetricField(M, lambda p: np.diag([1.0, 0.0]), (1, 0), "riemannian")
+        with pytest.raises(SingularMetricError):
+            kg.shoot_geodesic(g, np.zeros(2), np.array([1.0, 0.0]), 1.0)
 
 
 class TestGeodesicResidual:

@@ -114,17 +114,6 @@ class TestCommutingFamily:
             A = kg.gram_matrix(t4.metric, t4.family, q)
             assert np.allclose(A, np.diag([-1.0, -1.0]), atol=1e-14)
 
-    def test_m1_reduces_to_lorentzian_torus(self):
-        e = kg.make_commuting_family_example(1)
-        assert e.metric.role == "lorentzian"
-        assert len(e.family.members) == 1
-        A = kg.gram_matrix(e.metric, e.family, np.array([0.1, 0.2]))
-        assert np.allclose(A, [[-1.0]], atol=1e-14)
-
-    def test_unsupported_m(self):
-        with pytest.raises(ValueError):
-            kg.make_commuting_family_example(3)
-
     def test_combined_lines_close(self, t4):
         K = kg.combine_family(t4.family, (1.0, 0.0))
         cert = kg.detect_period(t4.manifold, K, np.zeros(4), 3.0)

@@ -64,7 +64,7 @@ def hopf(s3):
 
 
 def _search(s3, K, budget, seed=42):
-    return kg.find_critical_orbits(s3.metric, K, s3.manifold, budget=budget, seed=seed, horizon=4.0 * math.pi)
+    return kg.find_critical_orbits(s3.metric, K, budget=budget, seed=seed, horizon=4.0 * math.pi)
 
 
 def _counting(monkeypatch, name):

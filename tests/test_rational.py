@@ -44,11 +44,6 @@ class TestConvergents:
         assert detect_rational(SQRT2) is None
         assert detect_rational(1.0 / math.pi) is None
 
-    def test_torus_direction(self):
-        d = kg.TorusDirection.from_coords((1.0, 1.5))
-        assert d.rational and d.fractions[1] == Fraction(3, 2)
-        assert not kg.TorusDirection.from_coords((1.0, SQRT2)).rational
-
 
 class TestApproximateClosed:
     def test_sphere_generators(self, s3):

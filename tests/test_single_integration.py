@@ -117,7 +117,7 @@ class TestCertifiedFlow:
 def test_search_integrates_each_orbit_once(s3, monkeypatch):
     # the S³ field as a bare callable takes RK45: one run per orbit
     runs, flows_called = _counting(monkeypatch)
-    orbits = kg.find_critical_orbits(s3.metric, s3.killing.evaluator, s3.manifold, budget=64, seed=42)
+    orbits = kg.find_critical_orbits(s3.metric, s3.killing.evaluator, budget=64, seed=42)
     assert len(orbits) == 2
     assert all(o.period is not None for o in orbits)
     assert runs[0] == len(orbits)
@@ -126,7 +126,7 @@ def test_search_integrates_each_orbit_once(s3, monkeypatch):
 
 def test_exact_search_integrates_nothing(s3, monkeypatch):
     runs, flows_called = _counting(monkeypatch)
-    orbits = kg.find_critical_orbits(s3.metric, s3.killing, s3.manifold, budget=64, seed=42)
+    orbits = kg.find_critical_orbits(s3.metric, s3.killing, budget=64, seed=42)
     assert len(orbits) == 2
     assert all(o.period is not None for o in orbits)
     assert runs[0] == 0
