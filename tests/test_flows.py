@@ -1,6 +1,9 @@
 import cmath
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,21 @@ import killing_geodesics as kg
 from killing_geodesics import flows
 from killing_geodesics.errors import SingularMetricError, StiffnessError
 from killing_geodesics.geometry import apply_christoffel, christoffel, metric_orthogonal_project
-from killing_geodesics.integrate import solve_rk45
+from killing_geodesics.integrate import solve_dop853, solve_rk45
 
 SQRT2 = math.sqrt(2.0)
+STEPPERS = (solve_rk45, solve_dop853)
+STEPPER_IDS = [solve.__name__ for solve in STEPPERS]
+ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+
+
+def _benchmark_oracle():
+    """The benchmark's oracle module, which parses step collapses."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = oracle  # its dataclasses look their module up
+    spec.loader.exec_module(oracle)
+    return oracle
 
 
 def s3_closed_form_flow(p0, s, alpha):
@@ -61,19 +76,42 @@ class TestFlow:
         curve = kg.flow(s3.manifold, s3.killing, s3.probe_point, 20.0)
         assert curve.constraint_drift <= 1e-8
 
-    def test_step_collapse_raises(self, flat_torus):
+    @pytest.mark.parametrize("solve", STEPPERS, ids=STEPPER_IDS)
+    def test_step_collapse_raises(self, solve):
+        # y' = (1 + y²)² blows up at t = π/4; the benchmark's oracle reads
+        # the step and the time off the message, and must not take this
+        # collapse for rounding residue at the horizon
+        blowup = lambda t, y: np.array([(1.0 + y[0] ** 2) ** 2, 0.0])
+        with pytest.raises(StiffnessError) as info:
+            solve(blowup, np.zeros(2), 2.0, tol=1e-10)
+        oracle = _benchmark_oracle()
+        match = oracle._COLLAPSE.search(str(info.value))
+        assert match is not None
+        assert float(match[2]) == pytest.approx(math.pi / 4, abs=1e-3)
+        assert not oracle.raised(info.value).known_defect
+
+    def test_flow_passes_step_collapse_up(self, flat_torus):
         blowup = lambda p: np.array([(1.0 + p[0] ** 2) ** 2, 0.0])
         with pytest.raises(StiffnessError):
-            kg.flow(flat_torus.manifold, blowup, np.array([0.0, 0.0]), 2.0)
+            kg.flow(flat_torus.manifold, blowup, np.zeros(2), 2.0)
 
-
-    def test_rounding_residue_at_horizon_is_arrival(self):
+    @pytest.mark.parametrize("solve", STEPPERS, ids=STEPPER_IDS)
+    def test_rounding_residue_at_horizon_is_arrival(self, solve):
         # the last step leaves 4.4e-16 before t_end = 8/3, far below
         # MIN_STEP: that is rounding, not a collapsing step
         y0 = np.array([0.14792203578495655, 0.819626719119277])
-        curve = solve_rk45(lambda t, y: np.array([0.0, 3.0]), y0, 8 / 3)
+        curve = solve(lambda t, y: np.array([0.0, 3.0]), y0, 8 / 3, tol=1e-10)
         assert curve.t_end == pytest.approx(8 / 3, abs=1e-12)
         assert curve.ys[-1] == pytest.approx([y0[0], y0[1] + 8.0], abs=1e-9)
+
+    @pytest.mark.parametrize("solve", STEPPERS, ids=STEPPER_IDS)
+    def test_zero_and_negative_horizons(self, solve):
+        y0 = np.array([0.5, -1.0])
+        curve = solve(lambda t, y: -y, y0, 0.0, tol=1e-10)
+        assert curve.ts.tolist() == [0.0] and curve.t_end == 0.0
+        assert np.array_equal(curve(0.0), y0) and np.array_equal(curve.fs[0], -y0)
+        with pytest.raises(ValueError):
+            solve(lambda t, y: -y, y0, -1.0, tol=1e-10)
 
 
 class TestShootGeodesic:
@@ -122,8 +160,22 @@ class TestShootGeodesic:
         p0 = np.array([1.0, 0.0, 0.0, 0.0])
         fl = kg.flow(s3.manifold, s3.killing, p0, 2 * math.pi)
         ge = kg.shoot_geodesic(s3.metric, p0, s3.killing(p0), 2 * math.pi)
+        # the geodesic's continuous extension holds 4e-11 between its
+        # sparse knots; cubic Hermite on them would miss by 1.6e-5
         for s in np.linspace(0.0, 2 * math.pi, 25):
-            assert np.linalg.norm(fl.position_at(s) - ge.position_at(s)) <= 1e-6
+            assert np.linalg.norm(fl.position_at(s) - ge.position_at(s)) <= 1e-8
+
+    @pytest.mark.parametrize("c", [1.0, 30.0])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_scaled_field_over_its_period(self, s3, c, start):
+        # the energy scales with c², and so does the bound on its drift
+        K = kg.make_killing_field(s3.metric, lambda p: c * np.asarray(s3.killing.evaluator(p)))
+        p0 = s3.exceptional_starts[start]
+        cert = kg.detect_period(s3.manifold, K, p0, 8 * math.pi / c)
+        curve = kg.shoot_geodesic(s3.metric, p0, K(p0), cert.period)
+        assert curve.energy_drift <= 1e-9 * c * c
+        assert curve.constraint_drift <= 1e-12
+        assert kg.geodesic_residual(s3.metric, curve) <= flows.GEODESIC_TOL
 
 
 def _rhs_case(request, name):

@@ -1,0 +1,84 @@
+"""The Dormand-Prince 8(5,3) tableau, checked by its order conditions and
+by its observed order on y' = λy, so that a mistyped digit shows."""
+
+import numpy as np
+import pytest
+
+from killing_geodesics import integrate
+from killing_geodesics.integrate import A8, B8, C8, D8, E3, E5
+
+
+def test_row_sums_are_the_nodes():
+    assert np.max(np.abs(A8.sum(axis=1) - C8)) <= 2e-15
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_weights_integrate_polynomials(k):
+    # the 8th-order solution integrates t^(k-1) exactly on [0, 1]
+    assert abs(B8 @ C8[:12] ** (k - 1) - 1.0 / k) <= 2e-15
+
+
+def _extension_weights(theta: float):
+    """b(θ) with y(θh) = y0 + h Σ_i b_i(θ) k_i: the coefficients F0..F6 of a
+    step as weights on its 16 stages (stage 12 is the derivative at the
+    new state), summed as in ``contd8``."""
+    W = np.zeros((7, 16))
+    W[0, :12] = B8  # F0 = y1 - y0
+    W[1] = -W[0]
+    W[1, 0] += 1.0  # F1 = h k0 - F0
+    W[2] = 2.0 * W[0]
+    W[2, [0, 12]] -= 1.0  # F2 = 2 F0 - h (k0 + k12)
+    W[3:] = D8
+    acc = W[6]
+    for j in range(5, -1, -1):
+        acc = W[j] + (theta if j % 2 else 1.0 - theta) * acc
+    return theta * acc
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.5, 0.77, 1.0])
+def test_extension_weights_integrate_polynomials(theta):
+    # the 7th-order extension integrates t^(k-1) exactly on [0, θ]
+    b = _extension_weights(theta)
+    for k in range(1, 8):
+        assert abs(b @ C8 ** (k - 1) - theta ** k / k) <= 5e-15
+
+
+def test_error_weights_sum_to_zero():
+    # each embedded solution is consistent, so the differences of their
+    # weights from the 8th-order ones sum to zero
+    assert abs(E5.sum()) <= 1e-15
+    assert abs(E3.sum()) <= 1e-15
+
+
+def _one_step(lam: float, h: float):
+    """One DOP853 step of y' = λy from y(0) = 1, with its continuous extension."""
+    rhs = lambda _t, y: lam * y
+    steps = integrate._DOP853(1)
+    y0 = np.array([1.0])
+    f0 = rhs(0.0, y0)
+    y1, _ = steps.step(rhs, 0.0, y0, f0, h, 1.0)
+    f1 = rhs(h, y1)
+    steps.accept(rhs, 0.0, h, y0, y1, f1)
+    return steps.curve([0.0, h], [y0, y1], [f0, f1])
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1.0])
+def test_local_order_nine(lam):
+    # the one-step error of an 8th-order method is O(h^9): halving h
+    # divides it by about 2^9
+    h = 0.4
+    errors = [abs(_one_step(lam, s).ys[1, 0] - np.exp(lam * s)) for s in (h, h / 2)]
+    assert 2 ** 8.5 <= errors[0] / errors[1] <= 2 ** 9.5
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1.0])
+def test_continuous_extension_order_eight(lam):
+    # the 7th-order extension is within O(h^8) of the solution inside the step
+    def error(h):
+        curve = _one_step(lam, h)
+        s = np.linspace(0.0, h, 41)
+        return float(np.max(np.abs(curve(s)[:, 0] - np.exp(lam * s))))
+
+    for h in (0.5, 0.25):
+        assert error(h) <= 1e-5 * h ** 8
+    assert 2 ** 7.5 <= error(0.5) / error(0.25) <= 2 ** 8.5
