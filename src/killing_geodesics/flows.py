@@ -15,16 +15,17 @@ one solve per right-hand side, with no Christoffel tensor.
 ``christoffel``, so the certificate does not share the integrator's
 algebra.  Each tolerance is a module constant, read where its
 certificate is made: a return certifies a period within ``PERIOD_TOL``
-and a residual below ``GEODESIC_TOL`` certifies a geodesic.  Embedded manifolds get a constraint projection at every knot
-of either kind of run.  Periodicity is detected modulo the deck group: a
-return is a time s and a deck word g with g.c(s) = c(0) and
-dg.c'(s) = c'(0) within tolerance, refined by bisection on a
-Poincare-section crossing function evaluated on the run.  Period
-detection runs with the run: it scans and refines on the stretch covered
-so far and ends the run at the first certified return, so a line that
-closes early is not followed to the horizon.  The certificate keeps that
-run, and ``certified_flow`` reads the flow line up to the period off it
-instead of computing it again.
+and a residual below ``GEODESIC_TOL`` certifies a geodesic.  On a level
+set both runs are projected onto the constraint at every knot, and a
+``CurveSample`` reads its knot values off its run.  Periodicity is
+detected modulo the deck group: a return is a time s and a deck word g
+with g.c(s) = c(0) and dg.c'(s) = c'(0) within tolerance, refined by
+bisection on a Poincare-section crossing function evaluated on the run.
+Period detection runs with the run: it scans and refines on the stretch
+covered so far and ends the run at the first certified return, so a line
+that closes early is not followed to the horizon.  The certificate keeps
+that run, and ``certified_flow`` reads the flow line up to the period off
+it instead of computing it again.
 """
 
 from __future__ import annotations
@@ -73,20 +74,44 @@ _KNOTS_PER_TURN = 128  # knots of a closed-form run per turn of its fastest plan
 class CurveSample:
     """A time-stamped integrated curve with conservation diagnostics.
 
-    ``dense`` interpolates the full ODE state: the point itself for flow
-    curves, the stacked (point, velocity) pair for geodesics.
+    ``dense`` interpolates the full ODE state, and the knot values are read
+    off it: a flow state (width n) is the point, with the velocity as its
+    derivative; a geodesic state (width 2n) is the (point, velocity) pair,
+    with the acceleration in the second half of its derivative.
     """
 
     manifold: ManifoldModel
-    kind: str                      # "flow" | "geodesic"
-    times: Array
-    points: Array
-    velocities: Array
-    accelerations: Optional[Array]
     energy_drift: float
-    constraint_drift: float
     dense: DenseCurve
     field: Optional[Callable[[Array], Array]] = None
+
+    @property
+    def times(self) -> Array:
+        return self.dense.ts
+
+    @property
+    def points(self) -> Array:
+        return self.dense.ys[:, : self.manifold.ambient_dim]
+
+    @property
+    def velocities(self) -> Array:
+        n = self.manifold.ambient_dim
+        return self.dense.fs if self.dense.ys.shape[1] == n else self.dense.ys[:, n:]
+
+    @functools.cached_property
+    def accelerations(self) -> Optional[Array]:
+        """Integrated on a geodesic; on a flow curve the derivative of its
+        ``field`` along the velocity, in one stencil, or None without one."""
+        if self.field is not None:
+            return directional_diff(self.field, self.points, self.velocities)
+        n = self.manifold.ambient_dim
+        return self.dense.fs[:, n:] if self.dense.ys.shape[1] == 2 * n else None
+
+    @functools.cached_property
+    def constraint_drift(self) -> float:
+        """The largest constraint residual at a knot (0 without a constraint)."""
+        c = self.manifold.constraint
+        return 0.0 if c is None else float(np.max(np.abs(np.asarray(c(self.points), dtype=float))))
 
     @property
     def t_end(self) -> float:
@@ -112,18 +137,6 @@ class CurveSample:
 
 def _energy_values(g: MetricField, points: Array, velocities: Array) -> Array:
     return energy_terms(g.matrix(points), velocities)[1]
-
-
-def _constraint_drift(M: ManifoldModel, points: Array) -> float:
-    if M.constraint is None:
-        return 0.0
-    return float(np.max(np.abs(np.asarray(M.constraint(points), dtype=float))))
-
-
-def _field_accelerations(field, points: Array, velocities: Array) -> Array:
-    """d/ds of the field along its own integral curve: its derivative
-    along ``velocities`` = field(points) at every knot, in one stencil."""
-    return directional_diff(field, points, velocities)
 
 
 def _flow_problem(M: ManifoldModel, K):
@@ -256,17 +269,11 @@ def flow(M: ManifoldModel, K, p0, T: float, metric: Optional[MetricField] = None
 
 def _flow_curve(M: ManifoldModel, field, dense: DenseCurve, metric: Optional[MetricField] = None) -> CurveSample:
     """The flow curve of ``field`` whose knots are those of ``dense``."""
-    points = dense.ys
-    velocities = dense.fs
-    accelerations = _field_accelerations(field, points, velocities)
     drift = math.nan
     if metric is not None:
-        vals = _energy_values(metric, points, velocities)
+        vals = _energy_values(metric, dense.ys, dense.fs)
         drift = float(np.max(np.abs(vals - vals[0])))
-    return CurveSample(
-        M, "flow", dense.ts, points, velocities, accelerations,
-        drift, _constraint_drift(M, points), dense, field,
-    )
+    return CurveSample(M, drift, dense, field)
 
 
 def certified_flow(M: ManifoldModel, K, cert: PeriodCertificate, T: float) -> CurveSample:
@@ -352,15 +359,9 @@ def shoot_geodesic(g: MetricField, p0, v0, T: float) -> CurveSample:
             x = M.project_point(y[:n])
             return np.concatenate([x, M.tangent_project(x, y[n:])])
     dense = solve_dop853(geodesic_rhs(g), np.concatenate([p0, v0]), float(T), tol=GEODESIC_ODE_TOL, project=project)
-    points = dense.ys[:, :n]
-    velocities = dense.ys[:, n:]
-    accelerations = dense.fs[:, n:]
-    vals = _energy_values(g, points, velocities)
+    vals = _energy_values(g, dense.ys[:, :n], dense.ys[:, n:])
     drift = float(np.max(np.abs(vals - vals[0])))
-    return CurveSample(
-        M, "geodesic", dense.ts, points, velocities, accelerations,
-        drift, _constraint_drift(M, points), dense,
-    )
+    return CurveSample(M, drift, dense)
 
 
 def geodesic_residual(g: MetricField, c: CurveSample) -> float:
@@ -638,14 +639,9 @@ def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -
             new_points[i] = p
         else:
             new_points[i] = flow(M, mover, p, span).points[-1]
-    field = gamma.field
-    new_velocities = np.asarray(field(new_points), dtype=float)
-    new_acc = _field_accelerations(field, new_points, new_velocities)
-    dense = DenseCurve(gamma.times.copy(), new_points.copy(), new_velocities.copy())
-    return CurveSample(
-        M, "flow", gamma.times.copy(), new_points, new_velocities, new_acc,
-        math.nan, _constraint_drift(M, new_points), dense, field,
-    )
+    new_velocities = np.asarray(gamma.field(new_points), dtype=float)
+    dense = DenseCurve(gamma.times.copy(), new_points, new_velocities)
+    return CurveSample(M, math.nan, dense, gamma.field)
 
 
 def min_distance_to_point(M: ManifoldModel, c: CurveSample, q) -> float:

@@ -63,7 +63,7 @@ class GalleryEntry:
     orbit_coordinate: Optional[Callable[[Array], float]] = None
 
 
-def _constant_metric(M: ManifoldModel, diag, role: str, index: int = 1, signature=None) -> MetricField:
+def _constant_metric(M: ManifoldModel, diag, signature=None) -> MetricField:
     """Constant ambient diagonal metric; ``signature`` is the intrinsic
     one on the tangent space (inferred from the diagonal only when the
     manifold fills its chart)."""
@@ -77,7 +77,7 @@ def _constant_metric(M: ManifoldModel, diag, role: str, index: int = 1, signatur
             int(np.sum(np.asarray(diag) > 0)),
             int(np.sum(np.asarray(diag) < 0)),
         )
-    return MetricField(M, constant(G), tuple(signature), role, index, constant(zero))
+    return MetricField(M, constant(G), tuple(signature), jacobian=constant(zero))
 
 
 def _constant_field(g: MetricField, components, label, generator) -> KillingField:
@@ -116,9 +116,7 @@ def make_flat_lorentzian_torus(slope=(0.0, 1.0)) -> GalleryEntry:
     if a == 0.0 and b == 0.0:
         raise ValueError("slope must be nonzero")
     M = ManifoldModel(
-        kind="flat_quotient",
         ambient_dim=2,
-        intrinsic_dim=2,
         deck_generators=(
             make_deck_generator(0, np.eye(2), [1.0, 0.0]),
             make_deck_generator(1, np.eye(2), [0.0, 1.0]),
@@ -126,7 +124,7 @@ def make_flat_lorentzian_torus(slope=(0.0, 1.0)) -> GalleryEntry:
         fundamental_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
         quotient_distance_fn=_lattice_distance,
     )
-    g = _constant_metric(M, [1.0, -1.0], "lorentzian")
+    g = _constant_metric(M, [1.0, -1.0])
     dx = _constant_field(g, [1.0, 0.0], "dx", (1.0, 0.0))
     dt = _constant_field(g, [0.0, 1.0], "dt", (0.0, 1.0))
     family = make_killing_family(g, (dx, dt))
@@ -176,9 +174,7 @@ def make_klein_bottle() -> GalleryEntry:
     is the interval [0, 1/2].
     """
     M = ManifoldModel(
-        kind="flat_quotient",
         ambient_dim=2,
-        intrinsic_dim=2,
         deck_generators=(
             make_deck_generator(0, np.eye(2), [1.0, 0.0]),
             make_deck_generator(1, np.array([[-1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0]),
@@ -186,7 +182,7 @@ def make_klein_bottle() -> GalleryEntry:
         fundamental_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
         quotient_distance_fn=_klein_distance,
     )
-    g = _constant_metric(M, [1.0, -1.0], "lorentzian")
+    g = _constant_metric(M, [1.0, -1.0])
     K = _constant_field(g, [0.0, 1.0], "dt", None)
 
     def orbit_coordinate(p) -> float:
@@ -238,15 +234,13 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
     """
     alpha = float(alpha)
     M = ManifoldModel(
-        kind="embedded",
         ambient_dim=4,
-        intrinsic_dim=3,
         constraint=stackwise(lambda p: inner(p, p) - 1.0),
         constraint_grad=stackwise(lambda p: 2.0 * p),
         constraint_hess=constant(2.0 * np.eye(4)),
         sampler=_sphere_sampler(4),
     )
-    round_metric = _constant_metric(M, [1.0, 1.0, 1.0, 1.0], "riemannian", 0, signature=(3, 0))
+    round_metric = _constant_metric(M, [1.0, 1.0, 1.0, 1.0], signature=(3, 0))
     A1 = np.zeros((4, 4))
     A1[0, 1] = -1.0
     A1[1, 0] = 1.0
@@ -346,9 +340,7 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
         return np.array([v[0], v[1], v[2], rng.uniform(0.0, 1.0)])
 
     M = ManifoldModel(
-        kind="product_quotient",
         ambient_dim=4,
-        intrinsic_dim=3,
         constraint=stackwise(sphere_constraint),
         constraint_grad=stackwise(sphere_grad),
         constraint_hess=constant(hess),
@@ -360,7 +352,7 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
         sampler=sampler,
         quotient_distance_fn=_mapping_torus_distance(theta),
     )
-    g = _constant_metric(M, [1.0, 1.0, 1.0, -1.0], "lorentzian", signature=(2, 1))
+    g = _constant_metric(M, [1.0, 1.0, 1.0, -1.0], signature=(2, 1))
     K = _constant_field(g, [0.0, 0.0, 0.0, 1.0], "dt", None)
     expected = {
         "f_constant": -1.0,
@@ -394,16 +386,14 @@ def make_commuting_family_example() -> GalleryEntry:
     geodesics, the sample-scale form of the infinite-family argument.
     """
     M = ManifoldModel(
-        kind="flat_quotient",
         ambient_dim=4,
-        intrinsic_dim=4,
         deck_generators=tuple(
             make_deck_generator(i, np.eye(4), np.eye(4)[i]) for i in range(4)
         ),
         fundamental_box=np.array([[0.0, 1.0]] * 4),
         quotient_distance_fn=_lattice_distance,
     )
-    g = _constant_metric(M, [1.0, 1.0, -1.0, -1.0], "semi_riemannian", 2)
+    g = _constant_metric(M, [1.0, 1.0, -1.0, -1.0])
     K1 = _constant_field(g, [0.0, 0.0, 1.0, 0.0], "dt1", (1.0, 0.0))
     K2 = _constant_field(g, [0.0, 0.0, 0.0, 1.0], "dt2", (0.0, 1.0))
     family = make_killing_family(g, (K1, K2))

@@ -1,12 +1,12 @@
 """Computational manifolds, metrics, connections and quotient identity.
 
-Points live in ambient coordinates.  A manifold is either a flat quotient
-(ambient chart modulo a deck group), an embedded codimension-one level set
-``constraint(p) = 0``, or a product quotient carrying both a constraint and
-a deck group.  Tangent vectors are stored in ambient coordinates and
-projected onto the tangent space when needed.  ``central_diff`` is the
-one finite-difference stencil; only ``critical._tangent_df`` (the
-independent gradient certificate) keeps its own.
+Points live in ambient coordinates.  A manifold is the ambient chart, or
+the codimension-one level set ``constraint(p) = 0`` when it has a
+constraint, modulo the deck group of its ``deck_generators``, if any.
+Tangent vectors are stored in ambient coordinates and projected onto the
+tangent space when needed.  ``central_diff`` is the one finite-difference
+stencil; only ``critical._tangent_df`` (the independent gradient
+certificate) keeps its own.
 
 Every evaluator (a field, a metric, a constraint, and their derivatives)
 takes one point of shape (d,) or an (N, d) stack, and then returns one
@@ -226,17 +226,16 @@ def make_deck_generator(index: int, matrix, offset) -> DeckElement:
 
 @dataclass(frozen=True, eq=False)
 class ManifoldModel:
-    """A computational manifold.
+    """A computational manifold: a chart or level set modulo a deck group.
 
     Parameters
     ----------
-    kind : str
-        One of ``"flat_quotient"``, ``"embedded"``, ``"product_quotient"``.
-    ambient_dim, intrinsic_dim : int
-        Dimensions of the ambient chart space and the manifold itself.
+    ambient_dim : int
+        Dimension of the ambient chart space.  The manifold's own,
+        ``intrinsic_dim``, is one less when it has a constraint.
     constraint : callable, optional
         Scalar function whose zero level set is the manifold (codimension
-        one).  Required for embedded and product-quotient kinds.
+        one); without it the manifold fills its chart.
     constraint_grad, constraint_hess : callable, optional
         Analytic gradient / Hessian of the constraint; finite differences
         are used when absent.
@@ -245,7 +244,7 @@ class ManifoldModel:
     (N, d) stack, normalised by ``as_evaluator`` when the model is built
     (module docstring).
     deck_generators : tuple of DeckElement
-        Generators of the deck group for quotient kinds.
+        Generators of the deck group, if any.
     fundamental_box : array (ambient_dim, 2), optional
         Coordinate bounds of a fundamental region, used for sampling and
         for greedy reduction of faraway points.
@@ -257,9 +256,7 @@ class ManifoldModel:
         points one by one and is much slower.
     """
 
-    kind: str
     ambient_dim: int
-    intrinsic_dim: int
     constraint: Optional[Callable[[Array], float]] = None
     constraint_grad: Optional[Callable[[Array], Array]] = None
     constraint_hess: Optional[Callable[[Array], Array]] = None
@@ -271,12 +268,13 @@ class ManifoldModel:
     def __post_init__(self):
         if self.intrinsic_dim < 2:
             raise ValueError("manifolds here have dimension >= 2")
-        if self.kind not in ("flat_quotient", "embedded", "product_quotient"):
-            raise ValueError(f"unknown manifold kind {self.kind!r}")
-        if self.kind != "flat_quotient" and self.constraint is None:
-            raise ValueError(f"{self.kind} manifolds need a constraint")
         for name in ("constraint", "constraint_grad", "constraint_hess"):
             object.__setattr__(self, name, as_evaluator(getattr(self, name)))
+
+    @property
+    def intrinsic_dim(self) -> int:
+        """The ambient dimension, less one for the scalar constraint."""
+        return self.ambient_dim - (self.constraint is not None)
 
     # -- constraint handling -------------------------------------------------
 
@@ -513,19 +511,24 @@ class MetricField:
     returns the array ``d[k,i,j] = ∂_k g_ij`` and replaces finite
     differences in the connection coefficients.  Both are evaluators of
     one point or an (N, d) stack, normalised by ``as_evaluator`` when the
-    field is built (module docstring).
+    field is built (module docstring).  ``signature`` counts (positive,
+    negative) directions on the tangent space; ``role`` names its index.
     """
 
     manifold: ManifoldModel
     evaluator: Callable[[Array], Array]
     signature: tuple
-    role: str = "lorentzian"  # "riemannian" | "lorentzian" | "semi_riemannian"
-    index: int = 1
-    jacobian: Optional[Callable[[Array], Array]] = None
+    jacobian: Optional[Callable[[Array], Array]] = field(default=None, kw_only=True)
 
     def __post_init__(self):
         for name in ("evaluator", "jacobian"):
             object.__setattr__(self, name, as_evaluator(getattr(self, name)))
+
+    @property
+    def role(self) -> str:
+        """The name of the index ``signature[1]``: 0, 1 or above."""
+        index = self.signature[1]
+        return "riemannian" if index == 0 else "lorentzian" if index == 1 else "semi_riemannian"
 
     def matrix(self, p: Array) -> Array:
         return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)

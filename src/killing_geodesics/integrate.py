@@ -1,9 +1,9 @@
 """Adaptive embedded Runge-Kutta integration with dense output.
 
-Two steppers share one driver (``_drive``): the first-step heuristic,
-the step-size rule, the ``MIN_STEP`` floor, ``MAX_STEPS``, and the
+Two steppers share one driver (``_drive``): the first-step heuristic
+and the step-size rule, both with the stepper's own exponent, the ``MIN_STEP`` floor, ``MAX_STEPS``, and the
 projection of the state after every accepted step (used to pin long
-flows onto an embedded constraint set), with the derivative evaluated
+flows onto a constraint level set), with the derivative evaluated
 again at the projected state.
 
 - ``solve_rk45``: Dormand-Prince 5(4).  It propagates the 5th-order
@@ -408,7 +408,7 @@ def _drive(
 
     scale0 = tol + tol * float(np.max(np.abs(y)))
     fn = float(np.linalg.norm(f))
-    h = min(t_end, 0.1 * scale0 ** 0.2, 0.01 * (1.0 + float(np.linalg.norm(y))) / (1.0 + fn))
+    h = min(t_end, 0.1 * scale0 ** steps.exponent, 0.01 * (1.0 + float(np.linalg.norm(y))) / (1.0 + fn))
     h = max(h, 1e-8)
     t = 0.0
     for _ in range(MAX_STEPS):

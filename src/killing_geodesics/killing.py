@@ -53,14 +53,15 @@ class KillingField:
 
     ``generator`` holds the coordinates of the field in an explicit torus
     action whose fundamental fields are ``basis`` (set only for gallery
-    entries built from such actions).  ``certified`` records whether the
-    Killing residual stayed below tolerance on construction samples;
-    perturbed non-Killing fields are legitimate objects with
-    ``certified=False``.  ``linear`` holds the matrix A of a linear field,
-    K(p) = A p (see ``linear_field``).  When A is skew, the flows of
-    ``flows`` read the flow line exp(tA)·p off A in closed form instead
-    of integrating ``evaluator``; every other use evaluates the field
-    through ``evaluator``.  ``evaluator`` and ``jacobian`` take a point
+    entries built from such actions).  ``max_residual`` is the Killing
+    residual ``certify_killing_field`` measured on its samples (inf until
+    measured), and ``certified`` says whether it stayed within
+    ``KILLING_RESIDUAL_TOL``; perturbed non-Killing fields are legitimate
+    objects that are not certified.  ``linear`` holds the matrix A of a
+    linear field, K(p) = A p (see ``linear_field``).  When A is skew, the
+    flows of ``flows`` read the flow line exp(tA)·p off A in closed form
+    instead of integrating ``evaluator``; every other use evaluates the
+    field through ``evaluator``.  ``evaluator`` and ``jacobian`` take a point
     or an (N, d) stack once the field is built (``geometry``).  Functions
     that take a field accept a bare callable too, through ``as_field``.
     """
@@ -69,7 +70,6 @@ class KillingField:
     label: str = "K"
     generator: Optional[tuple] = None
     basis: Optional[tuple] = None  # fundamental fields of the torus action
-    certified: bool = False
     max_residual: float = math.inf
     jacobian: Optional[Callable[[Array], Array]] = None  # row m = ∂field/∂x_m
     linear: Optional[Array] = None  # A with K(p) = A p
@@ -77,6 +77,10 @@ class KillingField:
     def __post_init__(self):
         for name in ("evaluator", "jacobian"):
             object.__setattr__(self, name, as_evaluator(getattr(self, name)))
+
+    @property
+    def certified(self) -> bool:
+        return self.max_residual <= KILLING_RESIDUAL_TOL
 
     def __call__(self, p: Array) -> Array:
         return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)
@@ -170,15 +174,20 @@ def as_field(K) -> KillingField:
 
 @dataclass(frozen=True, eq=False)
 class KillingFamily:
-    """A finite family of Killing fields, with the commutation flag
-    verified on samples at construction."""
+    """A finite family of Killing fields.  ``max_bracket`` is the largest
+    pairwise Lie bracket ``make_killing_family`` measured on its samples
+    (inf until measured), and ``commuting`` says whether it stayed within
+    ``COMMUTE_TOL``."""
 
     members: tuple
-    commuting: bool
-    max_bracket: float = 0.0
+    max_bracket: float = math.inf
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def commuting(self) -> bool:
+        return self.max_bracket <= COMMUTE_TOL
 
 
 def killing_residual(g: MetricField, K, p) -> float:
@@ -207,13 +216,13 @@ def killing_residual(g: MetricField, K, p) -> float:
 
 
 def certify_killing_field(g: MetricField, K, n_samples: int = 50) -> KillingField:
-    """Return a copy of K with the certification flag and residual filled
-    in: certified when the residual stays within ``KILLING_RESIDUAL_TOL``
-    on ``n_samples`` points seeded by ``CERTIFY_SEED``."""
+    """Return a copy of K with its residual filled in, the largest on
+    ``n_samples`` points seeded by ``CERTIFY_SEED``: certified when it
+    stays within ``KILLING_RESIDUAL_TOL``."""
     K = as_field(K)
     pts = g.manifold.sample_points(np.random.default_rng(CERTIFY_SEED), n_samples)
     worst = killing_residual(g, K, pts)
-    return dataclasses.replace(K, certified=bool(worst <= KILLING_RESIDUAL_TOL), max_residual=worst)
+    return dataclasses.replace(K, max_residual=worst)
 
 
 def make_killing_field(
@@ -252,7 +261,7 @@ def make_killing_family(g: MetricField, members) -> KillingFamily:
     pts = g.manifold.sample_points(np.random.default_rng(FAMILY_SEED), FAMILY_SAMPLES)
     brackets = [lie_bracket(a, b, pts) for i, a in enumerate(members) for b in members[i + 1 :]]
     worst = max((float(np.linalg.norm(br, axis=-1).max()) for br in brackets), default=0.0)
-    return KillingFamily(tuple(members), commuting=bool(worst <= COMMUTE_TOL), max_bracket=worst)
+    return KillingFamily(tuple(members), max_bracket=worst)
 
 
 def gram_matrix(g: MetricField, F: KillingFamily, q) -> Array:
@@ -330,7 +339,7 @@ def lorentz_to_riemann(g: MetricField, K) -> MetricField:
 
     n = g.manifold.intrinsic_dim
     jac = _conversion_jacobian(g, K) if g.jacobian is not None else None
-    return MetricField(g.manifold, stackwise(evaluator), (n, 0), "riemannian", 0, jac)
+    return MetricField(g.manifold, stackwise(evaluator), (n, 0), jacobian=jac)
 
 
 def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
@@ -352,7 +361,7 @@ def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
 
     n = g_R.manifold.intrinsic_dim
     jac = _conversion_jacobian(g_R, K) if g_R.jacobian is not None else None
-    return MetricField(g_R.manifold, stackwise(evaluator), (n - 1, 1), "lorentzian", 1, jac)
+    return MetricField(g_R.manifold, stackwise(evaluator), (n - 1, 1), jacobian=jac)
 
 
 def energy_terms(G: Array, k: Array):

@@ -95,7 +95,7 @@ def approximate_closed(K, n: int, metric: Optional[MetricField] = None) -> list:
     if len(gen) != 2 or gen[0] == 0.0:
         raise UnsupportedCapabilityError("generator must be of the form (a, b) with a != 0")
     alpha = float(gen[1] / gen[0])
-    family = KillingFamily(tuple(K.basis), commuting=True)
+    family = KillingFamily(tuple(K.basis))
     exact = detect_rational(alpha)
     fractions = [exact] if exact is not None else continued_fraction_convergents(alpha, n)
     out = []

@@ -68,9 +68,7 @@ class TestStackedEvaluators:
 
     def test_projection_keeps_scalar_constraints(self):
         M = kg.ManifoldModel(
-            kind="embedded",
             ambient_dim=3,
-            intrinsic_dim=2,
             constraint=lambda p: float(p @ p) - 1.0,
         )
         q = M.project_point(np.array([0.6, 0.0, 0.9]))
@@ -123,7 +121,7 @@ class TestAsEvaluator:
         M = dataclasses.replace(s3.manifold, constraint=lambda p: float(p @ p) - 1.0)
         assert dataclasses.replace(M, sampler=None).constraint is M.constraint
         g = dataclasses.replace(s3.metric, evaluator=lambda p: np.eye(4))
-        assert dataclasses.replace(g, role="riemannian").evaluator is g.evaluator
+        assert dataclasses.replace(g, signature=(3, 0)).evaluator is g.evaluator
 
 
 class TestAnalyticGradient:
@@ -166,9 +164,7 @@ class TestLockstepSearch:
     def test_scalar_constraint_is_wrapped(self, s3):
         # a constraint written for one point, with finite-difference derivatives
         M = kg.ManifoldModel(
-            kind="embedded",
             ambient_dim=4,
-            intrinsic_dim=3,
             constraint=lambda p: float(p @ p) - 1.0,
             sampler=s3.manifold.sampler,
         )

@@ -4,7 +4,9 @@ caller sets, the report prints the constants, and the CLI restates no
 library default."""
 
 import argparse
+import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ import pytest
 import killing_geodesics as kg
 from killing_geodesics import cli, geometry, rational
 from killing_geodesics.flows import GEODESIC_ODE_TOL, GEODESIC_TOL, ODE_TOL, PERIOD_TOL
-from killing_geodesics.killing import KILLING_RESIDUAL_TOL
+from killing_geodesics.integrate import DenseCurve
+from killing_geodesics.killing import COMMUTE_TOL, KILLING_RESIDUAL_TOL
 
 TOLERANCES = {
     "tol_geo": GEODESIC_TOL,
@@ -111,3 +114,56 @@ def test_trace_shoots_geodesics_at_their_own_tolerance(s3):
     # rows, not the text: a failing text comparison diffs the CSVs for minutes
     assert len(traced) == len(expected)
     assert traced == expected
+
+
+# The constructor fields of the core records.  A fact that another field
+# or a stored measurement gives is a read-only property, not a field.
+RECORD_FIELDS = {
+    kg.ManifoldModel: (
+        "ambient_dim", "constraint", "constraint_grad", "constraint_hess",
+        "deck_generators", "fundamental_box", "sampler", "quotient_distance_fn",
+    ),
+    kg.MetricField: ("manifold", "evaluator", "signature", "jacobian"),
+    kg.KillingField: ("evaluator", "label", "generator", "basis", "max_residual", "jacobian", "linear"),
+    kg.KillingFamily: ("members", "max_bracket"),
+    kg.CurveSample: ("manifold", "energy_drift", "dense", "field"),
+}
+
+
+@pytest.mark.parametrize("record", RECORD_FIELDS, ids=[r.__name__ for r in RECORD_FIELDS])
+def test_record_stores_each_fact_once(record):
+    assert tuple(f.name for f in dataclasses.fields(record)) == RECORD_FIELDS[record]
+
+
+def test_derived_facts_read_their_source(s3):
+    M = s3.manifold
+    assert (M.intrinsic_dim, kg.ManifoldModel(ambient_dim=4).intrinsic_dim) == (3, 4)
+    roles = {sig: kg.MetricField(M, s3.metric.evaluator, sig).role for sig in ((3, 0), (2, 1), (1, 2))}
+    assert roles == {(3, 0): "riemannian", (2, 1): "lorentzian", (1, 2): "semi_riemannian"}
+    with pytest.raises(TypeError):  # the jacobian is keyword-only
+        kg.MetricField(M, s3.metric.evaluator, (3, 0), "riemannian")
+    assert s3.killing.certified and s3.killing.max_residual <= KILLING_RESIDUAL_TOL
+    assert not kg.KillingField(s3.killing.evaluator).certified
+    assert not dataclasses.replace(s3.killing, max_residual=2 * KILLING_RESIDUAL_TOL).certified
+    assert s3.family.commuting and s3.family.max_bracket <= COMMUTE_TOL
+    assert not kg.KillingFamily(s3.family.members).commuting
+
+
+def test_curve_facts_read_off_the_run(s3):
+    M, K, p = s3.manifold, s3.killing, s3.probe_point
+    line = kg.flow(M, K, p, 1.0)
+    geodesic = kg.shoot_geodesic(s3.metric, p, K(p), 1.0)
+    run = line.dense
+    assert line.times is run.ts
+    np.testing.assert_array_equal(line.points, run.ys)
+    np.testing.assert_array_equal(line.velocities, run.fs)
+    np.testing.assert_array_equal(line.accelerations, geometry.directional_diff(line.field, run.ys, run.fs))
+    run = geodesic.dense
+    assert geodesic.field is None and geodesic.times is run.ts
+    np.testing.assert_array_equal(geodesic.points, run.ys[:, :4])
+    np.testing.assert_array_equal(geodesic.velocities, run.ys[:, 4:])
+    np.testing.assert_array_equal(geodesic.accelerations, run.fs[:, 4:])
+    for c in (line, geodesic):
+        assert c.constraint_drift == np.abs(M.constraint(c.points)).max() <= 1e-12
+    bare = kg.CurveSample(M, math.nan, DenseCurve(line.times, line.points, line.velocities))
+    assert bare.accelerations is None

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
-from killing_geodesics.critical import classify_critical, grad_f
+from killing_geodesics import critical
+from killing_geodesics.critical import _bordered_solve, classify_critical, grad_f
 from killing_geodesics.errors import DegenerateCriticalPointError
 from killing_geodesics.geometry import covariant_derivative
+from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,6 +132,30 @@ class TestSearch:
         for o in orbits:
             assert o.f_value == kg.energy(s3.metric, s3.killing, o.representative)
 
+    def test_orbit_without_period(self, s3, monkeypatch):
+        # the paper's weaker hypothesis: K = rot-z - √2 rot-w is timelike
+        # only near the two circles for the metric built from rot-z + rot-w.
+        # In s = |z|², f = 2 - s - 2((1 + √2) s - √2)², whose maximum is a
+        # torus of lines of irrational slope: no line closes, so that
+        # record has no period and its curve is flowed instead
+        rot_z, rot_w = s3.family.members
+        round_g = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0), jacobian=lambda p: np.zeros((4, 4, 4)))
+        g = kg.riemann_to_lorentz(round_g, kg.combine_family(s3.family, (1.0, 1.0)))
+        K = kg.certify_killing_field(g, linear_field(rot_z.linear - SQRT2 * rot_w.linear, basis=(rot_z, rot_w)))
+        assert K.certified
+        flows = []
+        monkeypatch.setattr(critical, "flow", lambda *args: flows.append(args) or kg.flow(*args))
+        out = kg.find_critical_orbits(g, K, budget=64, seed=42)
+        s_max = (SQRT2 - 0.25 / (1.0 + SQRT2)) / (1.0 + SQRT2)
+        f_max = 2.0 - s_max - 0.125 / (1.0 + SQRT2) ** 2
+        assert [o.f_value for o in out] == pytest.approx([-2.0, -1.0, f_max], abs=1e-9)
+        assert [o.classification for o in out] == ["min", "min", "degenerate"]
+        assert out[0].period == pytest.approx(2 * math.pi / SQRT2, abs=1e-6)
+        assert out[1].period == pytest.approx(2 * math.pi, abs=1e-6)
+        assert out[2].period is None
+        assert len(flows) == 1
+        assert max(o.geodesic_residual for o in out) <= 1e-9
+
     def test_determinism(self, s3):
         a = kg.find_critical_orbits(s3.metric, s3.killing, budget=12, seed=9)
         b = kg.find_critical_orbits(s3.metric, s3.killing, budget=12, seed=9)
@@ -138,3 +164,15 @@ class TestSearch:
             assert oa.f_value == ob.f_value
             assert np.array_equal(oa.representative, ob.representative)
             assert oa.period == ob.period
+
+
+def test_bordered_solve_singular_row():
+    # a zero border makes its row's system singular: that row alone falls
+    # back to least squares, and the others keep the batch solve
+    A = np.broadcast_to(np.diag([2.0, 3.0, 4.0]), (3, 3, 3))
+    border = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    rhs = np.tile([1.0, 2.0, 3.0], (3, 1))
+    x = _bordered_solve(A, [border], rhs)
+    regular = [0, 2]
+    np.testing.assert_array_equal(x[regular], _bordered_solve(A[regular], [border[regular]], rhs[regular]))
+    np.testing.assert_allclose(x[1], [0.5, 2.0 / 3.0, 0.75], rtol=1e-12)

@@ -126,16 +126,14 @@ class TestShootGeodesic:
     def test_round_sphere_great_circle(self):
         # oracle: c(s) = cos(s) p + sin(s) v for unit tangent v
         M = kg.ManifoldModel(
-            kind="embedded",
             ambient_dim=4,
-            intrinsic_dim=3,
             constraint=lambda p: float(p @ p) - 1.0,
             constraint_grad=lambda p: 2.0 * p,
             constraint_hess=lambda p: 2.0 * np.eye(4),
             sampler=lambda rng: (lambda u: u / np.linalg.norm(u))(rng.normal(size=4)),
         )
         zero_jac = np.zeros((4, 4, 4))
-        g = kg.MetricField(M, lambda p: np.eye(4), (3, 0), "riemannian", 0, lambda p: zero_jac)
+        g = kg.MetricField(M, lambda p: np.eye(4), (3, 0), jacobian=lambda p: zero_jac)
         p0 = np.array([1.0, 0.0, 0.0, 0.0])
         v0 = np.array([0.0, 1.0, 0.0, 0.0])
         curve = kg.shoot_geodesic(g, p0, v0, 2 * math.pi)
@@ -238,8 +236,8 @@ class TestGeodesicRhs:
             assert calls == {"metric": n, "jacobian": n}
 
     def test_degenerate_metric_raises(self):
-        M = kg.ManifoldModel(kind="flat_quotient", ambient_dim=2, intrinsic_dim=2)
-        g = kg.MetricField(M, lambda p: np.diag([1.0, 0.0]), (1, 0), "riemannian")
+        M = kg.ManifoldModel(ambient_dim=2)
+        g = kg.MetricField(M, lambda p: np.diag([1.0, 0.0]), (1, 0))
         with pytest.raises(SingularMetricError):
             kg.shoot_geodesic(g, np.zeros(2), np.array([1.0, 0.0]), 1.0)
 
@@ -447,14 +445,15 @@ class TestTranslateGeodesic:
         assert np.abs(moved.points - line.points).max() == 0.0
 
     def test_flat_translation(self, t4):
-        # oracle: translating the closed t1-line by 0.25 in t2 shifts the
-        # image by exactly 0.25, a parallel closed geodesic
+        # oracle: translating the closed t1-line by t = ±0.25 in t2 shifts
+        # the image by exactly t, a parallel closed geodesic
         line = kg.flow(t4.manifold, t4.killing, np.zeros(4), 1.0)
-        moved = kg.translate_geodesic(t4.family, 1, line, 0.25)
-        expected = line.points + np.array([0.0, 0.0, 0.0, 0.25])
-        assert np.abs(moved.points - expected).max() <= 1e-9
-        assert kg.geodesic_residual(t4.metric, moved) <= 1e-12
-        assert kg.hausdorff_distance(t4.manifold, line, moved) == pytest.approx(0.25, abs=1e-6)
+        for t in (0.25, -0.25):
+            moved = kg.translate_geodesic(t4.family, 1, line, t)
+            expected = line.points + np.array([0.0, 0.0, 0.0, t])
+            assert np.abs(moved.points - expected).max() <= 1e-9
+            assert kg.geodesic_residual(t4.metric, moved) <= 1e-12
+            assert kg.hausdorff_distance(t4.manifold, line, moved) == pytest.approx(0.25, abs=1e-6)
 
     def test_sphere_isometry_image(self, s3):
         p0 = np.array([1.0, 0.0, 0.0, 0.0])

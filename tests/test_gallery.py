@@ -122,7 +122,6 @@ class TestCommutingFamily:
     def test_index_two_signature(self, t4):
         assert tuple(t4.metric.signature) == (2, 2)
         assert t4.metric.role == "semi_riemannian"
-        assert t4.metric.index == 2
 
 
 class TestRegistry:

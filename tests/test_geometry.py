@@ -20,13 +20,13 @@ SQRT2 = math.sqrt(2.0)
 
 def chart_2d():
     """A bare 2d coordinate patch (no deck group, no constraint)."""
-    return kg.ManifoldModel(kind="flat_quotient", ambient_dim=2, intrinsic_dim=2)
+    return kg.ManifoldModel(ambient_dim=2)
 
 
 def minkowski_plane():
     M = chart_2d()
     G = np.diag([1.0, -1.0])
-    return kg.MetricField(M, lambda p: G, (1, 1), "lorentzian")
+    return kg.MetricField(M, lambda p: G, (1, 1))
 
 
 class TestMetricEval:
@@ -41,7 +41,7 @@ class TestMetricEval:
     def test_round_sphere_restriction(self, s3):
         # ambient Euclidean inner product restricted to the tangent space
         M = s3.manifold
-        round_g = kg.MetricField(M, lambda p: np.eye(4), (3, 0), "riemannian")
+        round_g = kg.MetricField(M, lambda p: np.eye(4), (3, 0))
         p = np.array([1.0, 0.0, 0.0, 0.0])
         v = np.array([0.0, 1.0, 0.0, 0.0])
         assert kg.metric_eval(round_g, p, v, v) == pytest.approx(1.0, abs=1e-15)
@@ -85,7 +85,7 @@ class TestChristoffel:
         # Gamma^phi_{theta phi} = cot(theta).
         M = chart_2d()
         g = kg.MetricField(
-            M, lambda p: np.diag([1.0, math.sin(p[0]) ** 2]), (2, 0), "riemannian"
+            M, lambda p: np.diag([1.0, math.sin(p[0]) ** 2]), (2, 0)
         )
         for theta in (1.0, math.pi / 2):
             p = np.array([theta, 0.4])
@@ -98,7 +98,7 @@ class TestChristoffel:
     def test_equator_values_vanish(self):
         M = chart_2d()
         g = kg.MetricField(
-            M, lambda p: np.diag([1.0, math.sin(p[0]) ** 2]), (2, 0), "riemannian"
+            M, lambda p: np.diag([1.0, math.sin(p[0]) ** 2]), (2, 0)
         )
         gamma = christoffel(g, np.array([math.pi / 2, 0.0]))
         assert abs(gamma[0, 1, 1]) <= 1e-7
@@ -128,7 +128,7 @@ class TestChristoffel:
 
     def test_degenerate_metric_raises(self):
         M = chart_2d()
-        g = kg.MetricField(M, lambda p: np.diag([1.0, 0.0]), (1, 0), "riemannian")
+        g = kg.MetricField(M, lambda p: np.diag([1.0, 0.0]), (1, 0))
         with pytest.raises(SingularMetricError):
             christoffel(g, np.zeros(2))
 
@@ -141,7 +141,7 @@ class TestStacks:
 
     def _bumpy(self):
         # a metric written for one point: a stack takes the row loop
-        return kg.MetricField(chart_2d(), lambda p: np.diag([1.0 + p[0] ** 2, 2.0 + math.sin(p[1])]), (2, 0), "riemannian")
+        return kg.MetricField(chart_2d(), lambda p: np.diag([1.0 + p[0] ** 2, 2.0 + math.sin(p[1])]), (2, 0))
 
     def test_christoffel_rows(self, s3, rng):
         P = s3.manifold.sample_points(rng, 9)
@@ -164,7 +164,7 @@ class TestStacks:
         assert np.abs(apply_christoffel(gamma, V, V) - rows).max() <= 1e-13
 
     def test_degenerate_row_raises(self):
-        g = kg.MetricField(chart_2d(), lambda p: np.diag([1.0, p[0]]), (2, 0), "riemannian")
+        g = kg.MetricField(chart_2d(), lambda p: np.diag([1.0, p[0]]), (2, 0))
         with pytest.raises(SingularMetricError):
             christoffel(g, np.array([[1.0, 0.0], [0.5, 0.3], [0.0, 0.2]]))
 
@@ -180,15 +180,13 @@ class TestCovariantDerivative:
         # acceleration -p, which is normal to the sphere, so the
         # covariant acceleration vanishes.
         M = kg.ManifoldModel(
-            kind="embedded",
             ambient_dim=4,
-            intrinsic_dim=3,
             constraint=lambda p: float(p @ p) - 1.0,
             constraint_grad=lambda p: 2.0 * p,
             constraint_hess=lambda p: 2.0 * np.eye(4),
             sampler=lambda rng: (lambda v: v / np.linalg.norm(v))(rng.normal(size=4)),
         )
-        g = kg.MetricField(M, lambda p: np.eye(4), (3, 0), "riemannian")
+        g = kg.MetricField(M, lambda p: np.eye(4), (3, 0))
         A = np.zeros((4, 4))
         A[0, 1], A[1, 0], A[2, 3], A[3, 2] = -1.0, 1.0, -1.0, 1.0
         K = lambda p: A @ p
@@ -245,9 +243,7 @@ class TestDeckGroup:
         # the vectorized coset formula must agree with BFS over short words
         M = klein.manifold
         generic = kg.ManifoldModel(
-            kind="flat_quotient",
             ambient_dim=2,
-            intrinsic_dim=2,
             deck_generators=M.deck_generators,
             fundamental_box=M.fundamental_box,
         )
@@ -281,11 +277,7 @@ class TestDeckGroup:
 class TestManifoldInvariants:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
-            kg.ManifoldModel(kind="flat_quotient", ambient_dim=1, intrinsic_dim=1)
-
-    def test_embedded_needs_constraint(self):
-        with pytest.raises(ValueError):
-            kg.ManifoldModel(kind="embedded", ambient_dim=3, intrinsic_dim=2)
+            kg.ManifoldModel(ambient_dim=1)
 
     def test_tangent_projection_invariant(self, s3, rng):
         M = s3.manifold

@@ -82,3 +82,13 @@ def test_continuous_extension_order_eight(lam):
     for h in (0.5, 0.25):
         assert error(h) <= 1e-5 * h ** 8
     assert 2 ** 7.5 <= error(0.5) / error(0.25) <= 2 ** 8.5
+
+
+@pytest.mark.parametrize("solve, exponent", [(integrate.solve_rk45, 0.2), (integrate.solve_dop853, 1 / 8)])
+def test_first_step_takes_the_stepper_exponent(solve, exponent):
+    # from y = 0, on a slope small enough that the cap 0.01 / (1 + |f|)
+    # does not bind, the first step is 0.1·tol^exponent, with the
+    # exponent of the stepper's own step rule; a constant slope accepts it
+    tol = 1e-11
+    run = solve(lambda _t, y: np.full(2, 1e-3), np.zeros(2), 1.0, tol=tol)
+    assert run.ts[1] == 0.1 * tol ** exponent

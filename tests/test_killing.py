@@ -83,7 +83,7 @@ class TestConversions:
         assert f2 == pytest.approx(-2.0, abs=1e-12)
 
     def test_vanishing_field_error(self, s3):
-        g_round = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0), "riemannian")
+        g_round = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0))
         zero = lambda p: np.zeros(4)
         g = kg.riemann_to_lorentz(g_round, zero)
         with pytest.raises(VanishingFieldError):

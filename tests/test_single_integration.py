@@ -190,7 +190,7 @@ def _spiral(t_end=2.0, knot_step=1e-3, pitch=1e-2):
     """A planar spiral r = 1 + pitch * θ / 2π whose angle θ = t + t³
     speeds up from 1 to about 13: its second turn runs 1e-2 outside the
     first.  The knots carry the exact derivatives."""
-    M = kg.ManifoldModel(kind="flat_quotient", ambient_dim=2, intrinsic_dim=2)
+    M = kg.ManifoldModel(ambient_dim=2)
     t = np.arange(0.0, t_end + knot_step / 2, knot_step)
     theta, dtheta = t + t**3, 1.0 + 3.0 * t**2
     r, dr = 1.0 + pitch * theta / (2 * math.pi), pitch / (2 * math.pi)
@@ -198,7 +198,7 @@ def _spiral(t_end=2.0, knot_step=1e-3, pitch=1e-2):
     normal = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
     ys = r[:, None] * radial
     fs = dtheta[:, None] * (dr * radial + r[:, None] * normal)
-    curve = CurveSample(M, "flow", t, ys, fs, None, math.nan, 0.0, DenseCurve(t, ys, fs))
+    curve = CurveSample(M, math.nan, DenseCurve(t, ys, fs))
     return M, curve
 
 

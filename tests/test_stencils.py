@@ -43,9 +43,7 @@ def _rotation(alpha):
 
 def _sphere(**derivatives):
     return kg.ManifoldModel(
-        kind="embedded",
         ambient_dim=4,
-        intrinsic_dim=3,
         constraint=lambda p: float(p @ p) - 1.0,
         sampler=lambda rng: (lambda v: v / np.linalg.norm(v))(rng.normal(size=4)),
         **derivatives,
@@ -244,7 +242,7 @@ class TestFallbacksOnStacks:
 def _round_metric():
     M = _sphere(constraint_grad=lambda p: 2.0 * p, constraint_hess=lambda p: 2.0 * np.eye(4))
     eye, zero = np.eye(4), np.zeros((4, 4, 4))
-    return kg.MetricField(M, lambda p: eye, (3, 0), "riemannian", 0, jacobian=lambda p: zero)
+    return kg.MetricField(M, lambda p: eye, (3, 0), jacobian=lambda p: zero)
 
 
 _A = _rotation(SQRT2)
