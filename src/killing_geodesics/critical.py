@@ -35,6 +35,11 @@ DEDUP_DISTANCE = 1e-4
 DEGENERATE_VARIANCE = 1e-12
 CLASSIFY_EIG_TOL = 1e-6
 PROBE_SAMPLES = 256  # seeded samples: the f-variance test and the pool of starts
+DESCENT_MAX_ITER = 300  # lockstep rounds of _descend
+DESCENT_GRAD_STOP = 1e-9  # descent direction norm at which a row stops
+NEWTON_MAX_ITER = 20
+NEWTON_TRUST = 0.3  # longest Newton step
+TANGENT_FD_STEP = 1e-5  # step of _tangent_df's own stencil
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +66,13 @@ def _energy_at(g: MetricField, K):
     return lambda q: float(energy_terms(g.matrix(q), np.asarray(field(q), dtype=float))[1])
 
 
-def _tangent_df(f, p: Array, basis: Array, h: float = 1e-5) -> Array:
+def _tangent_df(f, p: Array, basis: Array) -> Array:
     """Directional derivatives of f along a tangent basis (central FD).
 
     Kept apart from ``geometry.central_diff`` on purpose: it is the
     independent certificate of the analytic gradient.
     """
+    h = TANGENT_FD_STEP
     return np.array([(f(p + h * b) - f(p - h * b)) / (2 * h) for b in basis])
 
 
@@ -203,7 +209,7 @@ def _descent_direction(core: _Energy, M: ManifoldModel, P: Array):
     return f, _bordered_solve(A, _normals(M, P), grad)
 
 
-def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array, max_iter=300, grad_stop=1e-9):
+def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
     """Projected gradient descent on sign*f with Armijo backtracking.
 
     Every row keeps its own step and stops on its own; the rows still
@@ -212,13 +218,13 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array, max_iter=30
     P = M.project_point(P)
     step = np.full(len(P), 0.1)
     live = np.arange(len(P))
-    for _ in range(max_iter):
+    for _ in range(DESCENT_MAX_ITER):
         if not len(live):
             break
         f, d = _descent_direction(core, M, P[live])
         d = sign[live, None] * d
         nd = np.linalg.norm(d, axis=1)
-        moving = nd > grad_stop
+        moving = nd > DESCENT_GRAD_STOP
         live, fp, d, nd = live[moving], sign[live][moving] * f[moving], d[moving], nd[moving]
         accepted = np.zeros(len(live), dtype=bool)
         trial = step[live]
@@ -252,14 +258,14 @@ def _hessian(core: _Energy, M: ManifoldModel, P: Array, grad: Array, normals: li
     return H
 
 
-def _newton_refine(core: _Energy, M: ManifoldModel, P: Array, max_iter=20, trust=0.3):
+def _newton_refine(core: _Energy, M: ManifoldModel, P: Array):
     """Newton steps on the KKT system that borders out the flow direction.
 
     The Hessian is ``_hessian``.  Rows stop on their own.
     """
     P = P.copy()
     live = np.arange(len(P))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
         Q = P[live]
@@ -277,7 +283,7 @@ def _newton_refine(core: _Energy, M: ManifoldModel, P: Array, max_iter=20, trust
         kt[np.linalg.norm(kt, axis=1) <= 1e-10] = 0.0
         delta = _bordered_solve(H, [kt] + normals, -grad)
         nd = np.linalg.norm(delta, axis=1)
-        delta = np.where((nd > trust)[:, None], delta * (trust / nd)[:, None], delta)
+        delta = np.where((nd > NEWTON_TRUST)[:, None], delta * (NEWTON_TRUST / nd)[:, None], delta)
         P[live] = M.project_point(Q + delta)
         live = live[nd >= 1e-14]
     return P

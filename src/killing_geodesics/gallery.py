@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import VanishingFieldError
 from .geometry import (
     Array,
     ManifoldModel,

@@ -18,9 +18,9 @@ directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ FD_STEP_SECOND = 1e-4
 
 CONSTRAINT_TOL = 1e-8
 IDENTIFY_TOL = 1e-6
-MAX_WORD_LEN = 6  # deck words reduce_point searches, after reduction
+MAX_WORD_LEN = 6  # radius of deck_ball: reduce_point's longest word between reduced points
 PROJECT_TOL = 1e-13  # constraint residual at which project_point stops
 PROJECT_MAX_ITER = 20
 REDUCE_MAX_ITER = 100000  # greedy moves of reduce_to_fundamental
@@ -252,8 +252,10 @@ class ManifoldModel:
         Draws one point on the manifold; default samples the box and
         projects onto the constraint set.
     quotient_distance_fn : callable(points, q) -> distances, optional
-        Vectorized exact quotient distance; the generic path reduces
-        points one by one and is much slower.
+        Vectorized exact quotient distance.  Without it, the generic path
+        reduces each point into the fundamental box and takes the minimum
+        over ``deck_ball``; it is much slower, and it is the reference
+        the tests check every closed form against.
     """
 
     ambient_dim: int
@@ -384,33 +386,16 @@ class ManifoldModel:
 
     # -- deck group -----------------------------------------------------------
 
-    def deck_moves(self) -> list:
+    @cached_property
+    def deck_moves(self) -> tuple:
         """Generators and their inverses."""
-        moves = []
-        for g in self.deck_generators:
-            moves.append(g)
-            moves.append(g.inverse())
-        return moves
+        return tuple(m for g in self.deck_generators for m in (g, g.inverse()))
 
-    def deck_ball(self, radius: int) -> list:
-        """All distinct deck elements of word length <= radius (BFS)."""
-        ident = identity_element(self.ambient_dim)
-        ball = [ident]
-        seen = {ident.key()}
-        frontier = [ident]
-        moves = self.deck_moves()
-        for _ in range(radius):
-            new_frontier = []
-            for el in frontier:
-                for m in moves:
-                    cand = m.compose(el)
-                    k = cand.key()
-                    if k not in seen:
-                        seen.add(k)
-                        ball.append(cand)
-                        new_frontier.append(cand)
-            frontier = new_frontier
-        return ball
+    @cached_property
+    def deck_ball(self) -> "DeckBall":
+        """All distinct deck elements of word length <= ``MAX_WORD_LEN``,
+        in BFS order; built on first use, once per model."""
+        return _bfs_ball(self.deck_moves, self.ambient_dim)
 
     def reduce_to_fundamental(self, p: Array):
         """Greedily move ``p`` into the fundamental box.
@@ -431,23 +416,17 @@ class ManifoldModel:
             outside = int(np.count_nonzero((q < lo) | (q >= hi)))
             return (excess, outside)
 
-        moves = self.deck_moves()
-        current = p.copy()
-        element = ident
-        cur_score = score(current)
+        moves = self.deck_moves
+        current, element, cur_score = p.copy(), ident, score(p)
         for _ in range(REDUCE_MAX_ITER):
             if cur_score == (0.0, 0):
                 break
-            best = None
-            for m in moves:
-                cand = m.apply(current)
-                s = score(cand)
-                if s < cur_score and (best is None or s < best[0]):
-                    best = (s, cand, m)
-            if best is None:
+            cands = [m.apply(current) for m in moves]
+            scores = [score(c) for c in cands]
+            k = min(range(len(moves)), key=scores.__getitem__)  # the first best move
+            if not scores[k] < cur_score:
                 break
-            cur_score, current, m = best
-            element = m.compose(element)
+            cur_score, current, element = scores[k], cands[k], moves[k].compose(element)
         return current, element
 
     def quotient_distance(self, points, q) -> Array:
@@ -462,44 +441,56 @@ class ManifoldModel:
             d = np.linalg.norm(pts - q, axis=1)
         else:
             q_red, _ = self.reduce_to_fundamental(q)
-            ball = self.deck_ball(3)
-            d = np.empty(len(pts))
-            for i, p in enumerate(pts):
-                p_red, _ = self.reduce_to_fundamental(p)
-                d[i] = min(
-                    float(np.linalg.norm(g.apply(p_red) - q_red)) for g in ball
-                )
+            images = (self.deck_ball.images(self.reduce_to_fundamental(p)[0]) for p in pts)
+            d = np.array([np.linalg.norm(im - q_red, axis=1).min() for im in images])
         return float(d[0]) if single else d
 
 
-def reduce_point(
-    M: ManifoldModel,
-    p: Array,
-    q: Array,
-    tol: float = IDENTIFY_TOL,
-) -> Optional[DeckElement]:
+class DeckBall(NamedTuple):
+    """Deck elements stacked in BFS order: ``matrices`` (n, d, d),
+    ``offsets`` (n, d) and ``words``."""
+
+    matrices: Array
+    offsets: Array
+    words: tuple
+
+    def images(self, p: Array) -> Array:
+        """Every element applied to the point ``p``: one row each."""
+        return matvec(self.matrices, p) + self.offsets
+
+
+def _bfs_ball(moves: tuple, dim: int) -> DeckBall:
+    """The deck elements of word length <= ``MAX_WORD_LEN``, level by level:
+    each element of the last level composed with every move in turn, and
+    kept the first time its ``key`` shows up."""
+    ident = identity_element(dim)
+    found = {ident.key(): ident}
+    level = [ident]
+    for _ in range(MAX_WORD_LEN):
+        level = [c for c in (m.compose(el) for el in level for m in moves) if found.setdefault(c.key(), c) is c]
+    ball = found.values()
+    return DeckBall(np.array([e.matrix for e in ball]), np.array([e.offset for e in ball]), tuple(e.word for e in ball))
+
+
+def reduce_point(M: ManifoldModel, p: Array, q: Array, tol: float = IDENTIFY_TOL) -> Optional[DeckElement]:
     """Find a deck word carrying ``p`` to ``q``.
 
     Returns an element ``g`` with ``|g.apply(p) - q| <= tol``, or ``None``.
-    Both points are first reduced into the fundamental box, so the returned
-    word may be longer than ``MAX_WORD_LEN`` when the points are far apart;
-    the bound applies to the residual search after reduction.
+    One search: both points are reduced into the fundamental box, by
+    ``wp`` and ``wq``; every element of ``M.deck_ball`` is tested at once
+    on the reduced points, and the first ``s`` in BFS order within ``tol``
+    gives ``g = wq⁻¹ ∘ s ∘ wp``.  So ``MAX_WORD_LEN`` counts the word
+    length after reduction: ``g`` is longer when the points are far
+    apart.  Without deck generators the ball is the identity alone.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not M.deck_generators:
-        if np.linalg.norm(p - q) <= tol:
-            return identity_element(M.ambient_dim)
-        return None
     p_red, wp = M.reduce_to_fundamental(p)
     q_red, wq = M.reduce_to_fundamental(q)
-    for s in M.deck_ball(min(MAX_WORD_LEN, 3)):
-        if np.linalg.norm(s.apply(p_red) - q_red) <= tol:
-            return wq.inverse().compose(s).compose(wp)
-    for s in M.deck_ball(MAX_WORD_LEN):
-        if np.linalg.norm(s.apply(p) - q) <= tol:
-            return s
-    return None
+    ball = M.deck_ball
+    hits = np.flatnonzero(np.linalg.norm(ball.images(p_red) - q_red, axis=1) <= tol)
+    if not len(hits):
+        return None
+    k = hits[0]
+    return wq.inverse().compose(DeckElement(ball.matrices[k], ball.offsets[k], ball.words[k])).compose(wp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,10 @@
 """Adaptive embedded Runge-Kutta integration with dense output.
 
 Two steppers share one driver (``_drive``): the first-step heuristic
-and the step-size rule, both with the stepper's own exponent, the ``MIN_STEP`` floor, ``MAX_STEPS``, and the
-projection of the state after every accepted step (used to pin long
-flows onto a constraint level set), with the derivative evaluated
-again at the projected state.
+and the step-size rule, both with the stepper's own exponent, the
+``MIN_STEP`` floor, ``MAX_STEPS``, and the projection of the state after
+every accepted step (used to pin long flows onto a constraint level
+set), with the derivative evaluated again at the projected state.
 
 - ``solve_rk45``: Dormand-Prince 5(4).  It propagates the 5th-order
   solution and controls the embedded 4th-order error estimate.  Dense

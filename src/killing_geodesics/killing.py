@@ -328,18 +328,12 @@ def lorentz_to_riemann(g: MetricField, K) -> MetricField:
     """
     if g.role != "lorentzian":
         raise ValueError("lorentz_to_riemann needs a Lorentzian metric")
-    K = as_field(K)
 
-    def evaluator(p, _g=g, _field=K.evaluator):
-        G = _g.matrix(p)
-        gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
+    def check(f):
         if (f >= -1e-10).any():
             raise NotTimelikeError(f"field not timelike here: g(K,K) = {np.max(f):.3e}")
-        return reflect(G, gk, f)
 
-    n = g.manifold.intrinsic_dim
-    jac = _conversion_jacobian(g, K) if g.jacobian is not None else None
-    return MetricField(g.manifold, stackwise(evaluator), (n, 0), jacobian=jac)
+    return _reflected(g, K, check, (g.manifold.intrinsic_dim, 0))
 
 
 def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
@@ -350,18 +344,27 @@ def riemann_to_lorentz(g_R: MetricField, K) -> MetricField:
     """
     if g_R.role != "riemannian":
         raise ValueError("riemann_to_lorentz needs a Riemannian metric")
-    K = as_field(K)
 
-    def evaluator(p, _g=g_R, _field=K.evaluator):
-        G = _g.matrix(p)
-        gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
+    def check(f):
         if (f < 1e-12).any():
             raise VanishingFieldError("field vanishes (or metric not positive) here")
+
+    return _reflected(g_R, K, check, (g_R.manifold.intrinsic_dim - 1, 1))
+
+
+def _reflected(g: MetricField, K, check, signature: tuple) -> MetricField:
+    """The lazy reflection of ``g`` in ``K``, the body of both
+    conversions: ``check(f)`` raises where f = g(K, K) rules it out."""
+    K = as_field(K)
+
+    def evaluator(p, _g=g, _field=K.evaluator):
+        G = _g.matrix(p)
+        gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
+        check(f)
         return reflect(G, gk, f)
 
-    n = g_R.manifold.intrinsic_dim
-    jac = _conversion_jacobian(g_R, K) if g_R.jacobian is not None else None
-    return MetricField(g_R.manifold, stackwise(evaluator), (n - 1, 1), jacobian=jac)
+    jac = _conversion_jacobian(g, K) if g.jacobian is not None else None
+    return MetricField(g.manifold, stackwise(evaluator), signature, jacobian=jac)
 
 
 def energy_terms(G: Array, k: Array):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
-from killing_geodesics import cli, geometry, rational
+from killing_geodesics import cli, critical, geometry, rational
 from killing_geodesics.flows import GEODESIC_ODE_TOL, GEODESIC_TOL, ODE_TOL, PERIOD_TOL
 from killing_geodesics.integrate import DenseCurve
 from killing_geodesics.killing import COMMUTE_TOL, KILLING_RESIDUAL_TOL
@@ -64,6 +64,10 @@ def test_no_sampling_knob(function, names):
 # other parameters no caller set, now module constants of the same value
 FIXED_PARAMETERS = (
     (kg.reduce_point, ("max_word_len",)),
+    (kg.ManifoldModel.deck_ball.func, ("radius",)),
+    (critical._descend, ("max_iter", "grad_stop")),
+    (critical._newton_refine, ("max_iter", "trust")),
+    (critical._tangent_df, ("h",)),
     (kg.ManifoldModel.check_on_manifold, ("tol",)),
     (kg.ManifoldModel.project_point, ("tol", "max_iter")),
     (kg.ManifoldModel.reduce_to_fundamental, ("max_iter",)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
+from killing_geodesics import geometry
 from killing_geodesics.errors import OffManifoldError, SingularMetricError
 from killing_geodesics.geometry import (
     apply_christoffel,
@@ -239,17 +240,37 @@ class TestDeckGroup:
         assert np.all(reduced >= -1e-12) and np.all(reduced < 1.0 + 1e-12)
         assert M.quotient_distance(reduced, p) <= 1e-9
 
-    def test_klein_distance_matches_word_search(self, klein, rng):
-        # the vectorized coset formula must agree with BFS over short words
-        M = klein.manifold
-        generic = kg.ManifoldModel(
-            ambient_dim=2,
-            deck_generators=M.deck_generators,
-            fundamental_box=M.fundamental_box,
-        )
+    def test_reduce_point_far_corner(self, t4):
+        # reduction moves p by 7 along t; the reduced points are then a word
+        # of length 4 apart: the whole ball is searched after reduction
+        p = np.array([0.995, 0.995, 0.995, 7.995])
+        q = np.full(4, 0.005)
+        word = kg.reduce_point(t4.manifold, p, q, tol=0.03)
+        assert word is not None
+        assert np.linalg.norm(word.apply(p) - q) <= 0.03
+
+    def test_deck_ball_built_once(self, monkeypatch):
+        built = []
+        bfs = geometry._bfs_ball
+        monkeypatch.setattr(geometry, "_bfs_ball", lambda *args: built.append(args) or bfs(*args))
+        entry = kg.build_entry("klein-bottle")
+        for p0 in ([0.3, 0.2], [0.0, 0.5], [0.3, 0.7]):
+            assert kg.detect_period(entry.manifold, entry.killing, np.array(p0), 5.0) is not None
+        assert len(built) == 1
+        assert len(entry.manifold.deck_ball.words) == 85  # word length <= MAX_WORD_LEN
+
+    @pytest.mark.parametrize("name", ["flat_torus", "klein", "mapping_torus", "t4"])
+    def test_quotient_distance_matches_word_search(self, name, request, rng):
+        # each vectorized closed form must agree with the generic path, the
+        # minimum over the deck ball after reduction
+        M = request.getfixturevalue(name).manifold
+        generic = dataclasses.replace(M, quotient_distance_fn=None)
+        moves = M.deck_moves
         for _ in range(25):
-            p = rng.uniform(-1.0, 2.0, size=2)
-            q = rng.uniform(0.0, 1.0, size=2)
+            p = M.sample_point(rng)
+            for k in rng.integers(len(moves), size=3):
+                p = moves[k].apply(p)
+            q = M.sample_point(rng)
             fast = M.quotient_distance(p, q)
             slow = generic.quotient_distance(p, q)
             assert fast == pytest.approx(slow, abs=1e-9)
