@@ -5,7 +5,10 @@ periodic geodesics through the identity grad f = -2 ∇_K K.  The search
 runs every (start, sign) pair in lockstep as one stack of points:
 projected descent on f and on -f, then Newton refinement on the Hessian
 transverse to the flow direction, both on the analytic ambient gradient
-of f.  Deduplication, period detection, residual certification and
+of f.  Descent on ±f ends at minima and maxima, so the search returns
+the extrema of f on the orbit space, not its index-1 critical sets
+(saddles), which ``classify_critical`` still labels when given one.
+Deduplication, period detection, residual certification and
 classification follow, one record at a time.  Deduplication merges
 candidates on one flow line and, where K comes with a certified
 commuting family of linear isometries, on one orbit of the family's
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point, out_of_reach
-from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner, metric_jacobian
+from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner
 from .killing import KillingField, as_field, certify_killing_field, energy, energy_terms, reflect, torus_orbit_distance
 
 GRAD_TOL = 1e-7
@@ -60,12 +63,6 @@ class CriticalOrbit:
         return self.classification in ("degenerate", "degenerate_constant")
 
 
-def _energy_at(g: MetricField, K):
-    """Unchecked f at one ambient point, for finite differences."""
-    field = as_field(K).evaluator
-    return lambda q: float(energy_terms(g.matrix(q), np.asarray(field(q), dtype=float))[1])
-
-
 def _tangent_df(f, p: Array, basis: Array) -> Array:
     """Directional derivatives of f along a tangent basis (central FD).
 
@@ -88,7 +85,7 @@ def grad_f(g: MetricField, K, p) -> Array:
     p = np.asarray(p, dtype=float)
     M.check_on_manifold(p)
     basis = M.tangent_basis(p)
-    df = _tangent_df(_energy_at(g, K), p, basis)
+    df = _tangent_df(_Energy(g, as_field(K)).values, p, basis)
     gram = basis @ g.matrix(p) @ basis.T
     return np.linalg.solve(gram, df) @ basis
 
@@ -129,8 +126,8 @@ def classify_critical(g: MetricField, K, p):
 
 @dataclass(frozen=True, eq=False)
 class _Energy:
-    """f = g(K, K) and its ambient gradient on (N, d) stacks of points,
-    for a field from ``as_field``."""
+    """f = g(K, K) and its ambient gradient on (N, d) stacks of points;
+    ``values`` also takes one point, unchecked, for finite differences."""
 
     g: MetricField
     K: KillingField
@@ -147,7 +144,7 @@ class _Energy:
         G = self.g.matrix(P)
         gk, f = energy_terms(G, k)
         grad = 2.0 * np.einsum("nmi,ni->nm", self.K.jacobian(P), gk)
-        grad = grad + np.einsum("ni,nmij,nj->nm", k, metric_jacobian(self.g, P), k)
+        grad = grad + np.einsum("ni,nmij,nj->nm", k, self.g.jacobian(P), k)
         return f, grad, G, k
 
     def gradient(self, P: Array) -> Array:
@@ -183,7 +180,7 @@ def _solve_or_lstsq(S: Array, r: Array) -> Array:
 
 def _normals(M: ManifoldModel, P: Array) -> list:
     """The constraint normal at each row, as the one border of a tangent solve."""
-    return [] if M.constraint is None else [M.grad_constraint(P)]
+    return [] if M.constraint is None else [M.constraint_grad(P)]
 
 
 def _tangent(v: Array, normals: list) -> Array:
@@ -254,7 +251,7 @@ def _hessian(core: _Energy, M: ManifoldModel, P: Array, grad: Array, normals: li
     H = 0.5 * (H + H.transpose(0, 2, 1))
     for c in normals:
         lam = inner(grad, c) / inner(c, c)
-        H = H - lam[:, None, None] * M.hess_constraint(P)
+        H = H - lam[:, None, None] * M.constraint_hess(P)
     return H
 
 
@@ -308,7 +305,9 @@ def find_critical_orbits(
     Multi-start descent on f and -f from ``budget`` of ``PROBE_SAMPLES``
     seeded samples (always including the sampled argmin and argmax) and
     Newton refinement, all rows in lockstep, then the finite-difference
-    gradient certificate on every row.  The certified rows, in order of f,
+    gradient certificate on every row.  Descent on ±f ends at the extrema
+    of f on the orbit space, so its index-1 critical sets (saddles) are
+    not returned.  The certified rows, in order of f,
     are deduplicated against the kept records at the same f (to
     1e-6·(1 + |f|)).  First by flow reach: a row within
     ``DEDUP_DISTANCE`` of a kept orbit's curve joins it.  Then modulo the

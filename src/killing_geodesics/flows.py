@@ -47,7 +47,6 @@ from .geometry import (
     apply_christoffel,
     christoffel,
     directional_diff,
-    metric_jacobian,
     metric_orthogonal_project,
     reduce_point,
     solve_metric,
@@ -111,7 +110,7 @@ class CurveSample:
     def constraint_drift(self) -> float:
         """The largest constraint residual at a knot (0 without a constraint)."""
         c = self.manifold.constraint
-        return 0.0 if c is None else float(np.max(np.abs(np.asarray(c(self.points), dtype=float))))
+        return 0.0 if c is None else float(np.max(np.abs(c(self.points))))
 
     @property
     def t_end(self) -> float:
@@ -163,14 +162,14 @@ class ExactCurve:
 
         c(t) = p0 + Σ_j [(cos(ω_j t) - 1)·x_j + sin(ω_j t)·y_j],
 
-    for every multiplicity of the rates.  ``__call__`` and ``derivative``
-    evaluate this formula.  The knots ``ts`` lie at i·h below ``t_end``,
-    with h = 2π / (``_KNOTS_PER_TURN``·max ω_j), and at ``t_end``; ``ys``
+    for every multiplicity of the rates.  ``__call__`` evaluates this
+    formula.  The knots ``ts`` lie at i·h below ``t_end``, with
+    h = 2π / (``_KNOTS_PER_TURN``·max ω_j), and at ``t_end``; ``ys``
     holds c there, projected onto the manifold, and ``fs`` the field at
     those points, as an integration run holds them.  The knots are
-    computed when first read.  Every formula acts on each time
-    on its own, so the knots below T are the same, bit for bit, on every
-    run from p0 that reaches past T.
+    computed when first read.  Every formula acts on each time on its
+    own, so the knots below T are the same, bit for bit, on every run
+    from p0 that reaches past T.
     """
 
     p0: Array
@@ -210,14 +209,6 @@ class ExactCurve:
             y = y + (np.cos(angle) - 1.0) * x + np.sin(angle) * v
         return y[0] if np.ndim(s) == 0 else y
 
-    def derivative(self, s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        dy = np.zeros((len(s_arr), len(self.p0)))
-        for x, v, w in zip(self.cos_part, self.sin_part, self.rates):
-            angle = (w * s_arr)[:, None]
-            dy = dy + w * (np.cos(angle) * v - np.sin(angle) * x)
-        return dy[0] if np.ndim(s) == 0 else dy
-
     @functools.cached_property
     def ts(self) -> Array:
         h = 2.0 * math.pi / (_KNOTS_PER_TURN * float(np.max(self.rates)))
@@ -231,7 +222,7 @@ class ExactCurve:
 
     @functools.cached_property
     def fs(self) -> Array:
-        return np.asarray(self.field(self.ys), dtype=float)
+        return self.field(self.ys)
 
 
 def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, scan: Optional[_ReturnScan] = None):
@@ -299,7 +290,7 @@ def certified_flow(M: ManifoldModel, K, cert: PeriodCertificate, T: float) -> Cu
     dense = DenseCurve(
         np.append(run.ts[:n], float(T)),
         np.vstack([run.ys[:n], y]),
-        np.vstack([run.fs[:n], np.asarray(field(y), dtype=float)]),
+        np.vstack([run.fs[:n], field(y)]),
     )
     return _flow_curve(M, field, dense)
 
@@ -325,14 +316,14 @@ def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:
     def rhs(_t, y):
         x = y[:n]
         v = y[n:]
-        dv = metric_jacobian(g, x) @ v  # dv[k, i] = (∂_k G v)_i
+        dv = g.jacobian(x) @ v  # dv[k, i] = (∂_k G v)_i
         force = 0.5 * (dv @ v) - v @ dv
         if M.constraint is None:
             a = solve_metric(g.matrix(x), force)
         else:
-            grad = M.grad_constraint(x)
+            grad = M.constraint_grad(x)
             a, ginv_grad = solve_metric(g.matrix(x), np.stack([force, grad], axis=1)).T
-            lam = -(float(grad @ a) + float(v @ (M.hess_constraint(x) @ v))) / float(grad @ ginv_grad)
+            lam = -(float(grad @ a) + float(v @ (M.constraint_hess(x) @ v))) / float(grad @ ginv_grad)
             a = a + lam * ginv_grad
         return np.concatenate([v, a])
 
@@ -438,7 +429,7 @@ def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCer
     """
     p0 = np.asarray(p0, dtype=float)
     K = as_field(K)
-    v0 = np.asarray(K.evaluator(p0), dtype=float)
+    v0 = K.evaluator(p0)
     if float(np.linalg.norm(v0)) < 1e-12:
         return None
     scan = _ReturnScan(M, K.evaluator, p0, v0)
@@ -610,7 +601,7 @@ class _ReturnScan:
             return None
         p_star = dense(s_star)
         pos_gap = float(np.linalg.norm(word.apply(p_star) - p0))
-        v_star = np.asarray(self.field(p_star), dtype=float)
+        v_star = self.field(p_star)
         vel_gap = float(np.linalg.norm(word.apply_vector(v_star) - self.v0))
         if pos_gap <= PERIOD_TOL and vel_gap <= PERIOD_TOL:
             return PeriodCertificate(s_star, word, pos_gap, vel_gap)
@@ -639,7 +630,7 @@ def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -
             new_points[i] = p
         else:
             new_points[i] = flow(M, mover, p, span).points[-1]
-    new_velocities = np.asarray(gamma.field(new_points), dtype=float)
+    new_velocities = gamma.field(new_points)
     dense = DenseCurve(gamma.times.copy(), new_points, new_velocities)
     return CurveSample(M, math.nan, dense, gamma.field)
 

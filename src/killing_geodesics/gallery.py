@@ -104,7 +104,7 @@ def _lattice_distance(pts: Array, q: Array) -> Array:
 # flat Lorentzian 2-torus
 
 
-def make_flat_lorentzian_torus(slope=(0.0, 1.0)) -> GalleryEntry:
+def make_flat_lorentzian_torus(slope) -> GalleryEntry:
     """T^2 = R^2/Z^2 with dx^2 - dt^2 and the constant field a ∂x + b ∂t.
 
     The energy is the constant a^2 - b^2, so every point is critical and

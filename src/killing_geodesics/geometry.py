@@ -10,10 +10,13 @@ certificate) keeps its own.
 
 Every evaluator (a field, a metric, a constraint, and their derivatives)
 takes one point of shape (d,) or an (N, d) stack, and then returns one
-value per row.  ``ManifoldModel``, ``MetricField`` and
+float array value per row.  ``ManifoldModel``, ``MetricField`` and
 ``killing.KillingField`` bring their callables to that contract once,
-when built, through ``as_evaluator``; every layer then calls them
-directly.
+when built, through ``as_evaluator``, and fill each derivative they were
+built without with ``central_diff`` of their own evaluator
+(``_derivative``).  Once a record is built its value and derivative
+evaluators are complete, float-valued and stack-aware, and every layer
+calls them directly.
 """
 
 from __future__ import annotations
@@ -66,12 +69,13 @@ def as_evaluator(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
     """``fn`` as an evaluator of one point or of an (N, d) stack.
 
     None and a ``stackwise`` callable are returned as they are; any other
-    is wrapped.  One point goes straight to ``fn``.  The first stack of
-    more than d rows settles, once, whether ``fn`` maps a stack row by
-    row: on the first d + 1 rows its output must have the shape of, and
-    match to 1e-12, its outputs row by row.  Later stacks go to ``fn``
-    whole if it does, row by row if not.  A stack of at most d rows, too
-    short to tell, goes row by row until then.
+    is wrapped, and its outputs become float arrays.  One point goes
+    straight to ``fn``.  The first stack of more than d rows settles,
+    once, whether ``fn`` maps a stack row by row: on the first d + 1 rows
+    its output must have the shape of, and match to 1e-12, its outputs
+    row by row.  Later stacks go to ``fn`` whole if it does, row by row if
+    not.  A stack of at most d rows, too short to tell, goes row by row
+    until then.
     """
     if fn is None or getattr(fn, "stackwise", False):
         return fn
@@ -80,7 +84,7 @@ def as_evaluator(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
     def evaluate(p):
         nonlocal whole
         if np.ndim(p) == 1:
-            return fn(p)
+            return np.asarray(fn(p), dtype=float)
         d = np.shape(p)[1]
         if whole is None and len(p) > d:
             rows = _rows(fn, p[: d + 1])
@@ -89,7 +93,7 @@ def as_evaluator(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
                 whole = out.shape == rows.shape and np.allclose(out, rows, rtol=1e-12, atol=1e-14)
             except (ValueError, TypeError, IndexError):
                 whole = False
-        return fn(p) if whole else _rows(fn, p)
+        return np.asarray(fn(p), dtype=float) if whole else _rows(fn, p)
 
     evaluate.__wrapped__ = fn
     return stackwise(evaluate)
@@ -134,6 +138,28 @@ def central_diff(fn: Callable[[Array], Array], p: Array, dirs: Array, h: float) 
     vals = np.asarray(fn(pts.reshape(-1, p.shape[-1])), dtype=float)
     vals = vals.reshape(pts.shape[:-1] + vals.shape[1:])
     return (vals[0] - vals[1]) / (2 * h)
+
+
+def _derivative(given, fn, h: float, symmetric: bool = False):
+    """A record's derivative evaluator: ``given``, or else the
+    ``central_diff`` of its evaluator ``fn`` at step ``h`` along every
+    coordinate, averaged with its transpose over the last two axes when
+    ``symmetric``.  A stencil made here is marked ``filled``, and a marked
+    ``given`` is made again from ``fn``: a record rebuilt by
+    ``dataclasses.replace`` with a new evaluator differentiates the new
+    one.  None without ``fn``."""
+    if given is not None and not getattr(given, "filled", False):
+        return as_evaluator(given)
+    if fn is None:
+        return None
+
+    @stackwise
+    def derivative(p):
+        D = central_diff(fn, p, np.eye(np.shape(p)[-1]), h)
+        return 0.5 * (D + np.swapaxes(D, -1, -2)) if symmetric else D
+
+    derivative.filled = True
+    return derivative
 
 
 def directional_diff(fn: Callable[[Array], Array], p: Array, v: Array) -> Array:
@@ -237,8 +263,10 @@ class ManifoldModel:
         Scalar function whose zero level set is the manifold (codimension
         one); without it the manifold fills its chart.
     constraint_grad, constraint_hess : callable, optional
-        Analytic gradient / Hessian of the constraint; finite differences
-        are used when absent.
+        Analytic gradient / Hessian of the constraint.  A missing one is
+        filled when the model is built: the gradient by ``central_diff``
+        of the constraint at ``FD_STEP_FIRST``, the Hessian by the
+        symmetrised ``central_diff`` of the gradient at ``FD_STEP_SECOND``.
 
     The constraint and its derivatives are evaluators: one point or an
     (N, d) stack, normalised by ``as_evaluator`` when the model is built
@@ -270,8 +298,11 @@ class ManifoldModel:
     def __post_init__(self):
         if self.intrinsic_dim < 2:
             raise ValueError("manifolds here have dimension >= 2")
-        for name in ("constraint", "constraint_grad", "constraint_hess"):
-            object.__setattr__(self, name, as_evaluator(getattr(self, name)))
+        object.__setattr__(self, "constraint", as_evaluator(self.constraint))
+        object.__setattr__(self, "constraint_grad", _derivative(self.constraint_grad, self.constraint, FD_STEP_FIRST))
+        object.__setattr__(
+            self, "constraint_hess", _derivative(self.constraint_hess, self.constraint_grad, FD_STEP_SECOND, symmetric=True)
+        )
 
     @property
     def intrinsic_dim(self) -> int:
@@ -290,19 +321,6 @@ class ManifoldModel:
         if r > CONSTRAINT_TOL:
             raise OffManifoldError(f"constraint residual {r:.3e} exceeds {CONSTRAINT_TOL:.1e}")
 
-    def grad_constraint(self, p: Array) -> Array:
-        p = np.asarray(p, dtype=float)
-        if self.constraint_grad is not None:
-            return np.asarray(self.constraint_grad(p), dtype=float)
-        return central_diff(self.constraint, p, np.eye(self.ambient_dim), FD_STEP_FIRST)
-
-    def hess_constraint(self, p: Array) -> Array:
-        p = np.asarray(p, dtype=float)
-        if self.constraint_hess is not None:
-            return np.asarray(self.constraint_hess(p), dtype=float)
-        H = central_diff(self.grad_constraint, p, np.eye(self.ambient_dim), FD_STEP_SECOND)
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
-
     def project_point(self, p: Array) -> Array:
         """Newton-project nearby ambient points onto the constraint set.
 
@@ -319,17 +337,17 @@ class ManifoldModel:
                 r = float(self.constraint(p))
                 if abs(r) <= PROJECT_TOL:
                     break
-                grad = self.grad_constraint(p)
+                grad = self.constraint_grad(p)
                 p = p - r * grad / (grad @ grad)
             return p
         live = np.arange(len(p))
         for _ in range(PROJECT_MAX_ITER):
-            r = np.asarray(self.constraint(p[live]), dtype=float)
+            r = self.constraint(p[live])
             far = np.abs(r) > PROJECT_TOL
             if not far.any():
                 break
             live, r = live[far], r[far]
-            grad = self.grad_constraint(p[live])
+            grad = self.constraint_grad(p[live])
             p[live] = p[live] - r[:, None] * grad / inner(grad, grad)[:, None]
         return p
 
@@ -338,7 +356,7 @@ class ManifoldModel:
         v = np.asarray(v, dtype=float)
         if self.constraint is None:
             return np.array(v, dtype=float)
-        grad = self.grad_constraint(p)
+        grad = self.constraint_grad(np.asarray(p, dtype=float))
         return v - (grad @ v) / (grad @ grad) * grad
 
     def tangent_basis(self, p: Array) -> Array:
@@ -498,12 +516,13 @@ class MetricField:
     """A field of symmetric bilinear forms in ambient coordinates.
 
     ``evaluator(p)`` returns the ambient matrix of the form; restricted to
-    tangent vectors it is the metric.  ``jacobian(p)``, when provided,
-    returns the array ``d[k,i,j] = ∂_k g_ij`` and replaces finite
-    differences in the connection coefficients.  Both are evaluators of
-    one point or an (N, d) stack, normalised by ``as_evaluator`` when the
-    field is built (module docstring).  ``signature`` counts (positive,
-    negative) directions on the tangent space; ``role`` names its index.
+    tangent vectors it is the metric.  ``jacobian(p)`` returns the array
+    ``d[k,i,j] = ∂_k g_ij``: the analytic one when given, else
+    ``central_diff`` of ``evaluator`` at ``FD_STEP_FIRST``, filled when
+    the field is built.  Both are evaluators of one point or an (N, d)
+    stack, normalised by ``as_evaluator`` when the field is built (module
+    docstring).  ``signature`` counts (positive, negative) directions on
+    the tangent space; ``role`` names its index.
     """
 
     manifold: ManifoldModel
@@ -512,8 +531,8 @@ class MetricField:
     jacobian: Optional[Callable[[Array], Array]] = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        for name in ("evaluator", "jacobian"):
-            object.__setattr__(self, name, as_evaluator(getattr(self, name)))
+        object.__setattr__(self, "evaluator", as_evaluator(self.evaluator))
+        object.__setattr__(self, "jacobian", _derivative(self.jacobian, self.evaluator, FD_STEP_FIRST))
 
     @property
     def role(self) -> str:
@@ -522,7 +541,7 @@ class MetricField:
         return "riemannian" if index == 0 else "lorentzian" if index == 1 else "semi_riemannian"
 
     def matrix(self, p: Array) -> Array:
-        return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)
+        return self.evaluator(np.asarray(p, dtype=float))
 
 
 def metric_eval(g: MetricField, p, v, w) -> float:
@@ -539,15 +558,6 @@ def metric_eval(g: MetricField, p, v, w) -> float:
     a = v + w
     b = v - w
     return 0.25 * (float(a @ (G @ a)) - float(b @ (G @ b)))
-
-
-def metric_jacobian(g: MetricField, p: Array) -> Array:
-    """d[..., k, i, j] = ∂_k g_ij at one point or an ``(N, d)`` stack,
-    analytic when available, else ``central_diff`` of the metric."""
-    p = np.asarray(p, dtype=float)
-    if g.jacobian is not None:
-        return np.asarray(g.jacobian(p), dtype=float)
-    return central_diff(g.matrix, p, np.eye(g.manifold.ambient_dim), FD_STEP_FIRST)
 
 
 def solve_metric(G: Array, b: Array) -> Array:
@@ -572,7 +582,7 @@ def christoffel(g: MetricField, p) -> Array:
     p = np.asarray(p, dtype=float)
     G = g.matrix(p)
     n = G.shape[-1]
-    d = metric_jacobian(g, p)
+    d = g.jacobian(p)
     # lowered coefficients: 0.5 * (d_i g_lj + d_j g_li - d_l g_ij)
     low = 0.5 * (
         np.einsum("...ilj->...lij", d) + np.einsum("...jli->...lij", d) - d
@@ -596,11 +606,11 @@ def metric_orthogonal_project(g: MetricField, p: Array, u: Array) -> Array:
     p = np.asarray(p, dtype=float)
     G = g.matrix(p)
     if p.ndim == 1:
-        grad = M.grad_constraint(p)
+        grad = M.constraint_grad(p)
         ginv_grad = np.linalg.solve(G, grad)
         denom = float(grad @ ginv_grad)
         return u - (float(grad @ u) / denom) * ginv_grad
-    grad = M.grad_constraint(p)
+    grad = M.constraint_grad(p)
     ginv_grad = np.linalg.solve(G, grad[..., None])[..., 0]
     return u - (inner(grad, u) / inner(grad, ginv_grad))[:, None] * ginv_grad
 
@@ -620,8 +630,9 @@ def covariant_derivative(g: MetricField, X: Callable[[Array], Array], v, p) -> A
         return np.zeros(v.shape)
     V = np.atleast_2d(v)
     gamma = christoffel(g, p)
-    Xp = np.asarray(X(p), dtype=float)
-    amb = directional_diff(as_evaluator(X), p, V)
+    X = as_evaluator(X)
+    amb = directional_diff(X, p, V)
+    Xp = X(p)
     out = [metric_orthogonal_project(g, p, a + apply_christoffel(gamma, w, Xp)) for a, w in zip(amb, V)]
     return np.reshape(out, v.shape)
 

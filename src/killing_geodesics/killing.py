@@ -28,13 +28,12 @@ from .geometry import (
     FD_STEP_FIRST,
     Array,
     MetricField,
+    _derivative,
     as_evaluator,
-    central_diff,
     constant,
     inner,
     matvec,
     metric_eval,
-    metric_jacobian,
     stackwise,
 )
 
@@ -61,9 +60,12 @@ class KillingField:
     linear field, K(p) = A p (see ``linear_field``).  When A is skew, the
     flows of ``flows`` read the flow line exp(tA)·p off A in closed form
     instead of integrating ``evaluator``; every other use evaluates the
-    field through ``evaluator``.  ``evaluator`` and ``jacobian`` take a point
-    or an (N, d) stack once the field is built (``geometry``).  Functions
-    that take a field accept a bare callable too, through ``as_field``.
+    field through ``evaluator``.  ``jacobian`` holds J[m, i] = ∂_m K_i:
+    the analytic one when given, else ``central_diff`` of ``evaluator``
+    at ``FD_STEP_FIRST``, filled when the field is built.  Both take a
+    point or an (N, d) stack and return float arrays once the field is
+    built (``geometry``).  Functions that take a field accept a bare
+    callable too, through ``as_field``.
     """
 
     evaluator: Callable[[Array], Array]
@@ -75,15 +77,15 @@ class KillingField:
     linear: Optional[Array] = None  # A with K(p) = A p
 
     def __post_init__(self):
-        for name in ("evaluator", "jacobian"):
-            object.__setattr__(self, name, as_evaluator(getattr(self, name)))
+        object.__setattr__(self, "evaluator", as_evaluator(self.evaluator))
+        object.__setattr__(self, "jacobian", _derivative(self.jacobian, self.evaluator, FD_STEP_FIRST))
 
     @property
     def certified(self) -> bool:
         return self.max_residual <= KILLING_RESIDUAL_TOL
 
     def __call__(self, p: Array) -> Array:
-        return np.asarray(self.evaluator(np.asarray(p, dtype=float)), dtype=float)
+        return self.evaluator(np.asarray(p, dtype=float))
 
 
 def linear_field(A, label: str = "K", generator: Optional[tuple] = None, basis: Optional[tuple] = None) -> KillingField:
@@ -153,23 +155,9 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
 
 
 def as_field(K) -> KillingField:
-    """K as a KillingField with a jacobian.
-
-    A bare callable is wrapped; a missing jacobian becomes ``central_diff``
-    of the evaluator at ``FD_STEP_FIRST``, all displaced points in one
-    call.  A field that has a jacobian is returned as it is.
-    """
-    if not isinstance(K, KillingField):
-        K = KillingField(K)
-    if K.jacobian is not None:
-        return K
-    field = K.evaluator
-
-    def jacobian(p):
-        p = np.asarray(p, dtype=float)
-        return central_diff(field, p, np.eye(p.shape[-1]), FD_STEP_FIRST)
-
-    return dataclasses.replace(K, jacobian=stackwise(jacobian))
+    """K as a KillingField: a bare callable is wrapped, and its jacobian
+    filled, by ``KillingField``; a field is returned as it is."""
+    return K if isinstance(K, KillingField) else KillingField(K)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +184,10 @@ def killing_residual(g: MetricField, K, p) -> float:
     L_K g = Σ_m K_m ∂_m G + J G + G Jᵀ with J[m, i] = ∂_m K_i (module
     docstring); the rows of B are ``tangent_basis``, Euclidean-orthonormal
     in the ambient chart (not g-orthonormal), which avoids normalizing
-    against null directions of an indefinite metric.  G, ∂G and J are
-    analytic where the metric and field carry jacobians, else central
-    differences (``metric_jacobian``, ``as_field``).  Raises
-    OffManifoldError at a point off the manifold.
+    against null directions of an indefinite metric.  ∂G and J are the
+    jacobians the metric and the field carry: analytic where they were
+    built with them, else the central differences filled when they were
+    built.  Raises OffManifoldError at a point off the manifold.
     """
     p = np.asarray(p, dtype=float)
     M = g.manifold
@@ -208,8 +196,8 @@ def killing_residual(g: MetricField, K, p) -> float:
         M.check_on_manifold(q)
     K = as_field(K)
     G = g.matrix(p)
-    J = np.asarray(K.jacobian(p), dtype=float)
-    flow = np.einsum("...m,...mij->...ij", K(p), metric_jacobian(g, p))
+    J = K.jacobian(p)
+    flow = np.einsum("...m,...mij->...ij", K(p), g.jacobian(p))
     L = flow + J @ G + G @ np.swapaxes(J, -1, -2)
     B = np.array([M.tangent_basis(q) for q in rows])
     return float(np.abs(B @ L @ np.swapaxes(B, -1, -2)).max())
@@ -248,7 +236,7 @@ def lie_bracket(X, Y, p) -> Array:
     X, Y = as_field(X), as_field(Y)
 
     def derivative(A, B):  # J_Aᵀ B, the derivative of A along B
-        return np.einsum("...mi,...m->...i", np.asarray(A.jacobian(p), dtype=float), B(p))
+        return np.einsum("...mi,...m->...i", A.jacobian(p), B(p))
 
     return derivative(Y, X) - derivative(X, Y)
 
@@ -310,11 +298,9 @@ def combine_family(F: KillingFamily, x) -> KillingField:
     def evaluator(p):
         return combine([K(p) for K in members])
 
-    jacobian = None
-    if all(K.jacobian is not None for K in members):
-        @stackwise
-        def jacobian(p):
-            return combine([np.asarray(K.jacobian(p), dtype=float) for K in members])
+    @stackwise
+    def jacobian(p):
+        return combine([K.jacobian(p) for K in members])
 
     return KillingField(evaluator, label=label, generator=generator, basis=members, jacobian=jacobian)
 
@@ -359,12 +345,11 @@ def _reflected(g: MetricField, K, check, signature: tuple) -> MetricField:
 
     def evaluator(p, _g=g, _field=K.evaluator):
         G = _g.matrix(p)
-        gk, f = energy_terms(G, np.asarray(_field(p), dtype=float))
+        gk, f = energy_terms(G, _field(p))
         check(f)
         return reflect(G, gk, f)
 
-    jac = _conversion_jacobian(g, K) if g.jacobian is not None else None
-    return MetricField(g.manifold, stackwise(evaluator), signature, jacobian=jac)
+    return MetricField(g.manifold, stackwise(evaluator), signature, jacobian=_conversion_jacobian(g, K))
 
 
 def energy_terms(G: Array, k: Array):
@@ -386,19 +371,17 @@ def reflect(G: Array, gk: Array, f: Array) -> Array:
 
 
 def _conversion_jacobian(g: MetricField, K: KillingField) -> Callable[[Array], Array]:
-    """Analytic jacobian of G - 2 (GK)(GK)^T / (K^T G K).
-
-    Requires an analytic jacobian on the input metric and takes the field
-    derivative from ``K.jacobian`` (see ``as_field``).  Accepts one point
-    or an ``(N, d)`` stack when its inputs do.
+    """Jacobian of G - 2 (GK)(GK)^T / (K^T G K) by the quotient rule, on
+    the jacobians ``g.jacobian`` and ``K.jacobian``.  Accepts one point or
+    an ``(N, d)`` stack.
     """
 
     def jac(p, _g=g, _field=K.evaluator, _fj=K.jacobian):
         p = np.asarray(p, dtype=float)
         G = _g.matrix(p)
-        dG = np.asarray(_g.jacobian(p), dtype=float)
-        k = np.asarray(_field(p), dtype=float)
-        dk = np.asarray(_fj(p), dtype=float)
+        dG = _g.jacobian(p)
+        k = _field(p)
+        dk = _fj(p)
         gk, f = energy_terms(G, k)
         f = f[..., None, None, None]
         dgk = np.einsum("...mij,...j->...mi", dG, k) + np.einsum("...ij,...mj->...mi", G, dk)

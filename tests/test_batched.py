@@ -57,8 +57,8 @@ class TestStackedEvaluators:
                 continue
             P = _stack_points(entry) + 1e-3 * rng.normal(size=(7, M.ambient_dim))
             _assert_rowwise(M.constraint, P)
-            _assert_rowwise(M.grad_constraint, P)
-            _assert_rowwise(M.hess_constraint, P)
+            _assert_rowwise(M.constraint_grad, P)
+            _assert_rowwise(M.constraint_hess, P)
             for fn in (M.constraint, M.constraint_grad, M.constraint_hess):
                 _assert_unwrapped(fn)
             projected = M.project_point(P)

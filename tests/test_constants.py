@@ -89,6 +89,18 @@ def _library_defaults(function) -> set:
     return {p.name for p in params if p.default is not inspect.Parameter.empty}
 
 
+@pytest.mark.parametrize(
+    "builder, name",
+    [(kg.make_flat_lorentzian_torus, "slope"), (kg.make_stationary_sphere, "alpha"), (kg.make_mapping_torus, "theta")],
+    ids=["flat-torus", "stationary-s3", "mapping-torus"],
+)
+def test_builder_parameter_is_required(builder, name):
+    # the default lives in build_entry alone
+    assert list(inspect.signature(builder).parameters) == [name]
+    assert _library_defaults(builder) == set()
+    assert name in _library_defaults(kg.build_entry)
+
+
 def test_cli_restates_no_library_default():
     parser = cli._make_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices

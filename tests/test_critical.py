@@ -79,7 +79,37 @@ class TestGradient:
             assert np.linalg.norm(grad_f(g, K, p) - oracle) <= 1e-5
 
 
+def _warped_torus():
+    """The stationary T³ = R³/Z³ with dx² + dy² - φ dz², where
+    φ = 3 + cos 2πx + cos 2πy, and K = ∂z, every line closing at period
+    1.  On the orbit space T² the energy f = -φ has its minimum -5 at
+    (0, 0), its maximum -1 at (½, ½) and two saddles, f = -3, at (0, ½)
+    and (½, 0).  Metric and field are bare callables."""
+
+    def metric(p):
+        G = np.zeros(np.shape(p)[:-1] + (3, 3))
+        G[..., 0, 0] = G[..., 1, 1] = 1.0
+        G[..., 2, 2] = -(3.0 + np.cos(2 * math.pi * p[..., 0]) + np.cos(2 * math.pi * p[..., 1]))
+        return G
+
+    M = kg.ManifoldModel(
+        ambient_dim=3,
+        deck_generators=tuple(kg.make_deck_generator(i, np.eye(3), np.eye(3)[i]) for i in range(3)),
+        fundamental_box=np.array([[0.0, 1.0]] * 3),
+        quotient_distance_fn=lambda pts, q: np.linalg.norm((pts - q) - np.round(pts - q), axis=1),
+    )
+    g = kg.MetricField(M, metric, (2, 1))
+    K = kg.certify_killing_field(g, lambda p: np.array([0.0, 0.0, 1.0]))
+    assert K.max_residual == 0.0
+    return g, K
+
+
 class TestClassification:
+    def test_warped_torus_saddles(self):
+        g, K = _warped_torus()
+        expected = {(0, 0.5): "saddle", (0.5, 0): "saddle", (0, 0): "min", (0.5, 0.5): "max"}
+        assert {xy: classify_critical(g, K, np.array([*xy, 0.3]))[0] for xy in expected} == expected
+
     def test_sphere_extrema(self, s3):
         label1, eig1 = classify_critical(s3.metric, s3.killing, C1)
         label2, eig2 = classify_critical(s3.metric, s3.killing, C2)
@@ -107,6 +137,15 @@ class TestSearch:
         assert lo.geodesic_residual <= 1e-5 and hi.geodesic_residual <= 1e-5
         assert lo.period == pytest.approx(math.pi * SQRT2, abs=1e-6)
         assert hi.period == pytest.approx(2 * math.pi, abs=1e-6)
+
+    def test_descent_finds_only_the_extrema(self):
+        # the warped torus's saddles, f = -3, are critical orbits too, but
+        # descent on ±f ends at minima and maxima only
+        g, K = _warped_torus()
+        out = kg.find_critical_orbits(g, K, budget=64, seed=42)
+        assert [o.f_value for o in out] == pytest.approx([-5.0, -1.0], abs=1e-9)
+        assert [o.classification for o in out] == ["min", "max"]
+        assert [o.period for o in out] == pytest.approx([1.0, 1.0], abs=1e-6)
 
     def test_orbits_geometrically_distinct(self, s3):
         orbits = kg.find_critical_orbits(s3.metric, s3.killing, budget=16, seed=3)

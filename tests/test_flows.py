@@ -195,9 +195,9 @@ class TestGeodesicRhs:
         a = -apply_christoffel(christoffel(g, x), v, v)
         M = g.manifold
         if M.constraint is not None:
-            grad = M.grad_constraint(x)
+            grad = M.constraint_grad(x)
             ginv_grad = np.linalg.solve(g.matrix(x), grad)
-            lam = -(grad @ a + v @ (M.hess_constraint(x) @ v)) / (grad @ ginv_grad)
+            lam = -(grad @ a + v @ (M.constraint_hess(x) @ v)) / (grad @ ginv_grad)
             a = a + lam * ginv_grad
         return a
 
@@ -334,6 +334,33 @@ class TestDetectPeriod:
     def test_fixed_point_returns_none(self, flat_torus):
         zero = lambda p: np.zeros(2)
         assert kg.detect_period(flat_torus.manifold, zero, np.array([0.1, 0.1]), 5.0) is None
+
+    def test_start_never_left_returns_none(self, flat_torus, monkeypatch):
+        # K / 1e4 moves 1e-4 over the horizon, inside the DIP_THRESHOLD
+        # ball around the start: no dip is a candidate, none is refined
+        monkeypatch.setattr(flows, "reduce_point", lambda *args, **kwargs: pytest.fail("a dip was refined"))
+        slow = lambda p: 1e-4 * flat_torus.killing(p)
+        assert kg.detect_period(flat_torus.manifold, slow, np.array([0.2, 0.35]), 1.0) is None
+
+    def test_dip_without_deck_word_returns_none(self, klein, monkeypatch):
+        # the torus distance on the Klein bottle reports a dip at s = 1,
+        # where (0.3, 1) is no image of (0.3, 0): the deck group has no
+        # word there, so that dip gives no period; the glide twice does
+        lattice = lambda pts, q: np.linalg.norm((pts - q) - np.round(pts - q), axis=1)
+        M = dataclasses.replace(klein.manifold, quotient_distance_fn=lattice)
+        words = []
+
+        def reduce_point(M, p, q, **kwargs):
+            words.append(kg.reduce_point(M, p, q, **kwargs))
+            return words[-1]
+
+        monkeypatch.setattr(flows, "reduce_point", reduce_point)
+        p0 = np.array([0.3, 0.0])
+        assert kg.detect_period(M, klein.killing, p0, 1.5) is None
+        assert words == [None]
+        cert = kg.detect_period(M, klein.killing, p0, 2.5)
+        assert cert is not None and cert.period == pytest.approx(2.0, abs=1e-6)
+        assert words[1] is None and words[2] is cert.deck_word
 
     def test_mapping_torus_pole(self, mapping_torus):
         pole = np.array([0.0, 0.0, 1.0, 0.0])

@@ -5,9 +5,10 @@ pinned bit for bit against the per-point stencil it replaced, written out
 here as the reference.  The Killing residual and the Lie bracket read the
 field jacobians instead of a stencil; they are checked against the
 per-point stencils they replaced to a stated tolerance, and against
-independent references.  The finite-difference fallbacks work on stacks
-of points, and the reflection conversions round-trip on random S³ points
-for a field with an analytic jacobian and for a bare callable.
+independent references.  The derivatives a record fills when it is
+built without them work on stacks of points and follow a new evaluator,
+and the reflection conversions round-trip on random S³ points for a
+field with an analytic jacobian and for a bare callable.
 """
 
 import dataclasses
@@ -19,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import killing_geodesics as kg
+from killing_geodesics import geometry
 from killing_geodesics.errors import OffManifoldError
 from killing_geodesics.geometry import (
     apply_christoffel,
     christoffel,
     metric_eval,
-    metric_jacobian,
     metric_orthogonal_project,
 )
 from killing_geodesics.killing import linear_field
@@ -217,14 +218,14 @@ class TestFallbacksOnStacks:
     def test_constraint_gradient_and_hessian(self):
         M = _sphere()
         P = M.sample_points(np.random.default_rng(35), 6)
-        np.testing.assert_allclose(M.grad_constraint(P[0]), 2.0 * P[0], atol=1e-6)
-        np.testing.assert_allclose(M.grad_constraint(P), 2.0 * P, atol=1e-6)
-        np.testing.assert_allclose(M.hess_constraint(P[0]), 2.0 * np.eye(4), atol=1e-6)
-        np.testing.assert_allclose(M.hess_constraint(P), np.broadcast_to(2.0 * np.eye(4), (6, 4, 4)), atol=1e-6)
+        np.testing.assert_allclose(M.constraint_grad(P[0]), 2.0 * P[0], atol=1e-6)
+        np.testing.assert_allclose(M.constraint_grad(P), 2.0 * P, atol=1e-6)
+        np.testing.assert_allclose(M.constraint_hess(P[0]), 2.0 * np.eye(4), atol=1e-6)
+        np.testing.assert_allclose(M.constraint_hess(P), np.broadcast_to(2.0 * np.eye(4), (6, 4, 4)), atol=1e-6)
 
     def test_metric_jacobian(self, s3):
         P = s3.manifold.sample_points(np.random.default_rng(36), 6)
-        fd = metric_jacobian(dataclasses.replace(s3.metric, jacobian=None), P)
+        fd = dataclasses.replace(s3.metric, jacobian=None).jacobian(P)
         np.testing.assert_allclose(fd, s3.metric.jacobian(P), atol=1e-6)
 
     def test_as_field_jacobian(self):
@@ -237,6 +238,48 @@ class TestFallbacksOnStacks:
 
     def test_as_field_keeps_a_complete_field(self, s3):
         assert kg.as_field(s3.killing) is s3.killing
+
+
+def _stencil(fn, P, h):
+    return geometry.central_diff(fn, P, np.eye(P.shape[-1]), h)
+
+
+class TestFilledDerivatives:
+    """A record built without a derivative fills it once, when built:
+    ``central_diff`` of its own evaluator along the coordinates, at
+    ``FD_STEP_FIRST`` (the constraint Hessian: of the gradient, at
+    ``FD_STEP_SECOND``, symmetrised).  Rebuilt with a new evaluator by
+    ``dataclasses.replace``, it differentiates the new one."""
+
+    P = np.random.default_rng(38).normal(size=(5, 4))
+
+    def test_manifold(self):
+        M = _sphere()
+        grad = _stencil(M.constraint, self.P, geometry.FD_STEP_FIRST)
+        hess = _stencil(lambda X: _stencil(M.constraint, X, geometry.FD_STEP_FIRST), self.P, geometry.FD_STEP_SECOND)
+        np.testing.assert_array_equal(M.constraint_grad(self.P), grad)
+        np.testing.assert_array_equal(M.constraint_hess(self.P), 0.5 * (hess + hess.transpose(0, 2, 1)))
+        np.testing.assert_array_equal(M.constraint_grad(self.P[0]), grad[0])
+        moved = dataclasses.replace(M, constraint=lambda p: float(p @ p) - 4.0 * p[0] ** 3)
+        np.testing.assert_array_equal(moved.constraint_grad(self.P), _stencil(moved.constraint, self.P, geometry.FD_STEP_FIRST))
+        assert np.abs(moved.constraint_grad(self.P) - grad).max() > 1.0
+        assert np.abs(moved.constraint_hess(self.P) - M.constraint_hess(self.P)).max() > 1.0
+
+    def test_metric(self):
+        g = kg.MetricField(_sphere(), lambda p: np.diag(1.0 + p * p), (3, 0))
+        np.testing.assert_array_equal(g.jacobian(self.P), _stencil(g.evaluator, self.P, geometry.FD_STEP_FIRST))
+        moved = dataclasses.replace(g, evaluator=lambda p: np.diag(1.0 + p**4))
+        np.testing.assert_array_equal(moved.jacobian(self.P), _stencil(moved.evaluator, self.P, geometry.FD_STEP_FIRST))
+        assert np.abs(moved.jacobian(self.P) - g.jacobian(self.P)).max() > 1.0
+
+    def test_field(self, s3):
+        K = kg.KillingField(lambda p: p * p)
+        np.testing.assert_array_equal(K.jacobian(self.P), _stencil(K.evaluator, self.P, geometry.FD_STEP_FIRST))
+        moved = dataclasses.replace(K, evaluator=lambda p: p**3)
+        np.testing.assert_array_equal(moved.jacobian(self.P), _stencil(moved.evaluator, self.P, geometry.FD_STEP_FIRST))
+        assert np.abs(moved.jacobian(self.P) - K.jacobian(self.P)).max() > 1.0
+        # a derivative the record was built with is kept
+        assert dataclasses.replace(s3.killing, evaluator=lambda p: p**3).jacobian is s3.killing.jacobian
 
 
 def _round_metric():
