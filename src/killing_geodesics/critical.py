@@ -9,15 +9,17 @@ of f.  Descent on ±f ends at minima and maxima, so the search returns
 the extrema of f on the orbit space, not its index-1 critical sets
 (saddles), which ``classify_critical`` still labels when given one.
 Deduplication, period detection, residual certification and
-classification follow, one record at a time.  Deduplication merges
-candidates on one flow line and, where K comes with a certified
-commuting family of linear isometries, on one orbit of the family's
-torus, so a Morse-Bott critical set gives one record.  Each kept record
-gets one run of its flow line (closed-form for a skew linear field): the
-run that certifies its period also gives the curve that later
-candidates are deduplicated against and that the geodesic residual is
-measured on.  Classification reads the transverse
-Hessian that Newton steps on.
+classification follow, one record at a time, on one record path.
+Where f is constant every point is critical: there is no search, and
+one sampled point is the single candidate of that path, labelled
+"degenerate_constant".  Deduplication merges candidates on one flow
+line and, where K comes with a certified commuting family of linear
+isometries, on one orbit of the family's torus, so a Morse-Bott
+critical set gives one record.  Each kept record gets one run of its
+flow line (closed-form for a skew linear field): the run that certifies
+its period also gives the curve that later candidates are deduplicated
+against and that the geodesic residual is measured on.  Classification
+reads the transverse Hessian that Newton steps on.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
-from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point, out_of_reach
+from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point
 from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner
 from .killing import KillingField, as_field, certify_killing_field, energy, energy_terms, reflect, torus_orbit_distance
 
@@ -325,14 +327,17 @@ def find_critical_orbits(
 
     A row that starts a new record gets its period from
     ``detect_period``; the certificate's run gives the orbit's curve up
-    to min(period, 4π/speed + 1) through ``certified_flow``, so the orbit
-    gets one run, and only an orbit without a certificate is flowed
-    for 4π/speed + 1 instead.  That curve serves the later deduplication
-    and the geodesic residual; ``classify_critical`` labels the record
-    "degenerate" where the transverse Hessian has a null direction, as on
-    a Morse-Bott set of positive dimension transverse to the flow.  A
-    sampled f-variance below 1e-12 short-circuits into a single
-    degenerate-constant marker meaning every point is critical.
+    to min(period, span), span = min(horizon, 4π/speed + 1), through
+    ``certified_flow``, so the orbit gets one run, and only an orbit
+    without a certificate is flowed for span instead.  That curve serves
+    the later deduplication and the geodesic residual;
+    ``classify_critical`` labels the record "degenerate" where the
+    transverse Hessian has a null direction, as on a Morse-Bott set of
+    positive dimension transverse to the flow.  Where the sampled
+    f-variance is below ``DEGENERATE_VARIANCE`` every point is critical:
+    there is no search, and the first sample is the one candidate of
+    the same record path, labelled "degenerate_constant" in place of a
+    classification.
 
     Every run of a flow line is one of ``flows``: closed-form for a field
     whose ``linear`` matrix is skew, integrated at ``flows.ODE_TOL``
@@ -344,36 +349,20 @@ def find_critical_orbits(
     samples = M.sample_points(rng, PROBE_SAMPLES)
     core = _Energy(g, K)
     fvals = core.values(samples)
-    if float(np.var(fvals)) < DEGENERATE_VARIANCE:
-        rep = samples[0]
-        cert = detect_period(M, K, rep, horizon)
-        if cert is None:
-            line = flow(M, K, rep, min(horizon, 10.0))
-        else:
-            line = certified_flow(M, K, cert, cert.period)
-        return [
-            CriticalOrbit(
-                representative=rep,
-                f_value=float(fvals[0]),
-                grad_norm=float(np.linalg.norm(grad_f(g, K, rep))),
-                classification="degenerate_constant",
-                geodesic_residual=geodesic_residual(g, line),
-                period=cert.period if cert else None,
-            )
-        ]
-
-    order = [int(np.argmin(fvals)), int(np.argmax(fvals))]
-    order += [i for i in range(len(samples)) if i not in order]
-    starts = [samples[i] for i in order[:budget]]
-
-    rows = _search_rows(core, M, np.array(starts))
-    candidates = []
-    for p in rows:
-        gn = float(np.linalg.norm(grad_f(g, K, p)))
-        if gn <= GRAD_TOL:
-            candidates.append((p, energy(g, K, p), gn))
-    if not candidates:
-        raise SearchFailureError("no start converged to a critical point")
+    constant = float(np.var(fvals)) < DEGENERATE_VARIANCE
+    if constant:
+        candidates = [(samples[0], float(fvals[0]), float(np.linalg.norm(grad_f(g, K, samples[0]))))]
+    else:
+        order = [int(np.argmin(fvals)), int(np.argmax(fvals))]
+        order += [i for i in range(len(samples)) if i not in order]
+        rows = _search_rows(core, M, samples[order[:budget]])
+        candidates = []
+        for p in rows:
+            gn = float(np.linalg.norm(grad_f(g, K, p)))
+            if gn <= GRAD_TOL:
+                candidates.append((p, energy(g, K, p), gn))
+        if not candidates:
+            raise SearchFailureError("no start converged to a critical point")
 
     candidates.sort(key=lambda c: (c[1], tuple(np.round(c[0], 9))))
     torus = None if M.deck_generators else torus_orbit_distance(K)
@@ -382,10 +371,7 @@ def find_critical_orbits(
     curves = []
     for p, fv, gn in candidates:
         level = [(o, line) for o, line in zip(out, curves) if abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))]
-        if any(
-            not out_of_reach(M, line, p, DEDUP_DISTANCE) and min_distance_to_point(M, line, p) <= DEDUP_DISTANCE
-            for _, line in level
-        ):
+        if any(min_distance_to_point(M, line, p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for _, line in level):
             continue
         if torus is not None and any(torus(p, o.representative) <= DEDUP_DISTANCE for o, _ in level):
             if members_killing is None:
@@ -399,10 +385,13 @@ def find_critical_orbits(
             line = flow(M, K, p, span)
         else:
             line = certified_flow(M, K, cert, min(cert.period, span))
-        try:
-            label, _ = classify_critical(g, K, p)
-        except DegenerateCriticalPointError:
-            label = "degenerate"
+        if constant:
+            label = "degenerate_constant"
+        else:
+            try:
+                label, _ = classify_critical(g, K, p)
+            except DegenerateCriticalPointError:
+                label = "degenerate"
         curves.append(line)
         out.append(
             CriticalOrbit(

@@ -384,7 +384,9 @@ class PeriodCertificate:
     """Certified return of a flow line modulo the deck group.
 
     ``deck_word`` carries the curve endpoint back to the start:
-    deck_word.apply(c(period)) = c(0) within position_gap.  ``curve`` is
+    deck_word.apply(c(period)) = c(0) within position_gap <= PERIOD_TOL,
+    and its differential carries c'(period) to c'(0) within velocity_gap
+    <= PERIOD_TOL * |K(p0)|, relative to the speed.  ``curve`` is
     the run that found the return (a ``DenseCurve`` or an
     ``ExactCurve``), from the start to where it stopped, past ``period``;
     ``certified_flow`` reads the flow line off it without a second run.
@@ -408,12 +410,16 @@ def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCer
     its refinement window, a deck word within 3 * ``DIP_THRESHOLD`` of the
     run's minimum is looked up and the return is refined by bisection on
     the signed crossing of the Poincare section through p0 normal to the
-    initial velocity; it is certified when both the position and the
-    velocity gap are within ``PERIOD_TOL``.  The run ends at the first
-    certified return; without one it goes on to ``horizon`` and a run
-    still open there is refined last.  The certificate carries the run
-    as ``curve``.  Returns None when no certified return exists within
-    the horizon (including the case of a stationary point of the field).
+    initial velocity.  The bracket of that bisection starts one scan step
+    in, so the trivial return at s = 0 is never refined, whatever the
+    time scale.  A return is certified when the position gap is within
+    ``PERIOD_TOL`` and the velocity gap within ``PERIOD_TOL`` * |K(p0)|, so
+    that K -> cK divides the period by c and certifies the same return.
+    The run ends at the first certified return; without one it goes on
+    to ``horizon`` and a run still open there is refined last.  The
+    certificate carries the run as ``curve``.  Returns None when no
+    certified return exists within the horizon (including the case of a
+    stationary point of the field).
 
     A skew linear field gives the closed-form run, which the scan reads
     ``_SCAN_CHUNK`` grid times at a time.  Its speed is constant along the
@@ -561,7 +567,8 @@ class _ReturnScan:
 
     def _refine_return(self, window, s_best: float, end: float) -> Optional[PeriodCertificate]:
         M, p0, step = self.M, self.p0, self.step
-        lo = max(0.0, s_best - 5 * step)
+        # one scan step in: the trivial return at s = 0 is never bracketed
+        lo = max(step, s_best - 5 * step)
         hi = min(float(end), s_best + 5 * step)
         dense = window(lo, hi)
         word = reduce_point(M, dense(s_best), p0, tol=3 * DIP_THRESHOLD)
@@ -597,13 +604,11 @@ class _ReturnScan:
             else:
                 a, fa = m, fm
         s_star = 0.5 * (a + b)
-        if s_star <= 1e-6:
-            return None
         p_star = dense(s_star)
         pos_gap = float(np.linalg.norm(word.apply(p_star) - p0))
         v_star = self.field(p_star)
         vel_gap = float(np.linalg.norm(word.apply_vector(v_star) - self.v0))
-        if pos_gap <= PERIOD_TOL and vel_gap <= PERIOD_TOL:
+        if pos_gap <= PERIOD_TOL and vel_gap <= PERIOD_TOL * float(np.linalg.norm(self.v0)):
             return PeriodCertificate(s_star, word, pos_gap, vel_gap)
         return None
 
@@ -635,25 +640,31 @@ def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -
     return CurveSample(M, math.nan, dense, gamma.field)
 
 
-def min_distance_to_point(M: ManifoldModel, c: CurveSample, q) -> float:
-    """Minimal quotient distance from a curve image to a point.
+def min_distance_to_point(M: ManifoldModel, c: CurveSample, q, radius: float) -> float:
+    """Minimal quotient distance from a curve image to a point, exact
+    up to ``radius``: a value above ``radius`` only says that the curve
+    stays beyond it.
 
-    Scans the curve's cached ``dedup_samples`` and refines every
-    competitive local minimum: refining only the global coarse minimum
-    can lock onto the wrong dip when true minima fall between samples.
-    A sample is competitive within ``max_speed * DEDUP_RESOLUTION`` of the
-    coarse minimum, a bound on how far the curve moves in one step.  The
-    last sample's refinement reaches ``t_end``: a curve of one period ends
+    Scans the curve's cached ``dedup_samples``.  Every curve point lies
+    within ``max_speed * DEDUP_RESOLUTION`` of a sample (half of it
+    between two samples, a whole step past the last one), and the
+    quotient distance moves no faster than the point, so a coarse
+    minimum beyond ``radius`` plus that bound is returned unrefined.
+    Otherwise every local minimum within the bound of the coarse minimum
+    is refined: refining only the global coarse minimum can lock onto
+    the wrong dip when true minima fall between samples.  The last
+    sample's refinement reaches ``t_end``: a curve of one period ends
     less than a step after it, and the stretch in between would be
     missed.
     """
     q = np.asarray(q, dtype=float)
-    if len(c.times) < 2 or c.t_end == 0.0:
-        return float(np.min(M.quotient_distance(c.points, q)))
     ss, positions = c.dedup_samples
     d = M.quotient_distance(positions, q)
     best = float(np.min(d))
-    margin = best + c.max_speed * DEDUP_RESOLUTION
+    bound = c.max_speed * DEDUP_RESOLUTION
+    if best > radius + bound:
+        return best
+    margin = best + bound
     interior = (d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])
     candidates = [j + 1 for j in np.nonzero(interior & (d[1:-1] <= margin))[0]]
     candidates += [0, len(ss) - 1]
@@ -672,23 +683,6 @@ def min_distance_to_point(M: ManifoldModel, c: CurveSample, q) -> float:
             lo = max(lo, float(grid[k]) - width)
             hi = min(hi, float(grid[k]) + width)
     return best
-
-
-def out_of_reach(M: ManifoldModel, c: CurveSample, q, radius: float) -> bool:
-    """Whether the cached coarse samples alone show that no point of the
-    curve comes within ``radius`` of q.
-
-    Every curve point lies within ``max_speed * DEDUP_RESOLUTION`` of a
-    sample (half that between two samples, a whole step past the last
-    one), and the quotient distance moves no faster than the point.  So
-    a coarse minimum beyond ``radius`` plus that bound puts every point,
-    and ``min_distance_to_point``, beyond ``radius``.
-    """
-    _, positions = c.dedup_samples
-    if not len(positions):
-        return False
-    coarse = float(np.min(M.quotient_distance(positions, np.asarray(q, dtype=float))))
-    return coarse > radius + c.max_speed * DEDUP_RESOLUTION
 
 
 def hausdorff_distance(M: ManifoldModel, c1: CurveSample, c2: CurveSample) -> float:

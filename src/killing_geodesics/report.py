@@ -83,8 +83,10 @@ class AnalysisReport:
 
 
 def _orbit_dicts(orbits) -> list:
+    """The orbits as JSON rows, in the order of f that
+    ``find_critical_orbits`` returns them in."""
     out = []
-    for o in sorted(orbits, key=lambda o: o.f_value):
+    for o in orbits:
         out.append(
             {
                 "f_value": o.f_value,

@@ -17,6 +17,7 @@ import pytest
 import killing_geodesics as kg
 from killing_geodesics import flows
 from killing_geodesics.flows import PERIOD_TOL, ExactCurve
+from killing_geodesics.integrate import DenseCurve
 from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
@@ -120,6 +121,19 @@ def test_zero_horizon_and_stationary_start(s3):
     # a field that turns only the z-plane leaves the w-circle fixed
     rot_z = s3.family.members[0]
     assert kg.detect_period(M, rot_z, np.array([0.0, 0.0, 1.0, 0.0]), 10.0) is None
+
+
+def test_zero_field_has_no_closed_form(s3):
+    # the zero matrix is skew but turns no plane: its flow is integrated,
+    # and stands still
+    M = s3.manifold
+    zero = linear_field(np.zeros((4, 4)))
+    p0 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert ExactCurve.of(zero, p0, 1.0, M.project_point, zero.evaluator) is None
+    curve = kg.flow(M, zero, p0, 1.0)
+    assert isinstance(curve.dense, DenseCurve) and curve.t_end == 1.0
+    assert np.array_equal(curve.points, np.tile(p0, (len(curve.times), 1)))
+    assert kg.detect_period(M, zero, p0, 10.0) is None
 
 
 def test_scan_memory_is_bounded(s3, monkeypatch):

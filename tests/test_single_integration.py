@@ -5,9 +5,9 @@ below T are those of ``flow`` bit for bit, so deduplication and the
 geodesic residual need no second integration.  That holds for both kinds
 of run: the RK45 run of a field without a skew ``linear`` matrix (here
 the S³ field as a bare callable) and the closed-form run of the S³ field
-itself, which integrates nothing.  Deduplication skips the exact distance
-when the cached coarse samples put the point out of reach, and that skip
-never changes a decision.
+itself, which integrates nothing.  Deduplication returns the coarse
+distance unrefined when the cached coarse samples put the point out of
+reach, and that early exit never changes a decision.
 """
 
 import functools
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import killing_geodesics as kg
 from killing_geodesics import critical, flows
 from killing_geodesics.critical import DEDUP_DISTANCE
-from killing_geodesics.flows import DEDUP_RESOLUTION, CurveSample, min_distance_to_point, out_of_reach
+from killing_geodesics.flows import DEDUP_RESOLUTION, CurveSample, min_distance_to_point
 from killing_geodesics.integrate import DenseCurve
 
 SQRT2 = math.sqrt(2.0)
@@ -133,7 +133,7 @@ def test_exact_search_integrates_nothing(s3, monkeypatch):
     assert flows_called[0] == 0
 
 
-# -- the skip test of deduplication ----------------------------------------
+# -- the early exit of deduplication ---------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,8 +171,8 @@ def test_skip_never_drops_a_duplicate(index, where, direction, distance):
     curve = curves[index]
     u = np.asarray(direction) / np.linalg.norm(direction)
     q = M.project_point(curve.position_at(where * curve.t_end) + distance * u)
-    if out_of_reach(M, curve, q, DEDUP_DISTANCE):
-        assert min_distance_to_point(M, curve, q) > DEDUP_DISTANCE
+    within = min_distance_to_point(M, curve, q, DEDUP_DISTANCE) <= DEDUP_DISTANCE
+    assert within == (min_distance_to_point(M, curve, q, math.inf) <= DEDUP_DISTANCE)
 
 
 def test_dedup_samples_are_cached_and_exact():
@@ -211,7 +211,7 @@ def test_refinement_reaches_past_the_last_sample(s3):
     ss, _ = curve.dedup_samples
     q = curve.position_at(0.5 * (ss[-1] + curve.t_end))
     assert 0.5 * (curve.t_end - ss[-1]) > 1e-3
-    assert min_distance_to_point(M, curve, q) <= 1e-7
+    assert min_distance_to_point(M, curve, q, math.inf) <= 1e-7
 
 
 def test_margin_uses_the_fastest_knot():
@@ -227,4 +227,4 @@ def test_margin_uses_the_fastest_knot():
     _, positions = curve.dedup_samples
     assert float(np.min(M.quotient_distance(positions, q))) > 1e-2
     assert float(np.linalg.norm(curve.velocities[0])) < 1.01 < 12.0 < curve.max_speed
-    assert abs(min_distance_to_point(M, curve, q) - truth) <= 1e-9
+    assert abs(min_distance_to_point(M, curve, q, math.inf) - truth) <= 1e-9
