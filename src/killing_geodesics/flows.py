@@ -4,8 +4,8 @@ A flow line comes from one run constructor, ``_run``.  A field whose
 ``linear`` matrix A is skew flows by plane rotations, exp(tA)·p, and its
 run is that closed form (``ExactCurve``), with no integration.  Every
 other field is integrated in ambient coordinates with the adaptive
-RK 5(4) stepper at ``ODE_TOL``, whose cubic Hermite knots the period
-detector bisects on.  Every geodesic is integrated with the adaptive
+RK 5(4) stepper at ``ODE_TOL``, whose cubic Hermite output the period
+detector refines returns on.  Every geodesic is integrated with the adaptive
 Dormand-Prince 8(5,3) stepper at the tighter ``GEODESIC_ODE_TOL`` and
 interpolated by its 7th-order continuous extension.  A geodesic is
 integrated on the Euler-Lagrange form of the energy ½ g(v, v)
@@ -20,7 +20,7 @@ set both runs are projected onto the constraint at every knot, and a
 ``CurveSample`` reads its knot values off its run.  Periodicity is
 detected modulo the deck group: a return is a time s and a deck word g
 with g.c(s) = c(0) and dg.c'(s) = c'(0) within tolerance, refined by
-bisection on a Poincare-section crossing function evaluated on the run.
+safeguarded Newton steps on a Poincare-section crossing along the run.
 Period detection runs with the run: it scans and refines on the stretch
 covered so far and ends the run at the first certified return, so a line
 that closes early is not followed to the horizon.  The certificate keeps
@@ -60,7 +60,7 @@ ODE_TOL = 1e-10  # local tolerance of integrated flow runs
 GEODESIC_ODE_TOL = 1e-11  # local tolerance of geodesic shooting
 SCAN_RESOLUTION = 1e-3
 DIP_THRESHOLD = 1e-2
-BISECTION_STEPS = 60
+BISECTION_STEPS = 60  # cap on the safeguarded Newton steps of one return refinement
 RESIDUAL_MAX_SAMPLES = 2000  # interior samples geodesic_residual checks at most
 DEDUP_RESOLUTION = 5e-3  # scan step of min_distance_to_point
 HAUSDORFF_SAMPLES = 300  # times per curve of hausdorff_distance
@@ -408,18 +408,19 @@ def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCer
     ``DIP_THRESHOLD`` ball around p0, each run of grid times inside it is
     a candidate return.  As soon as the run closes and the curve covers
     its refinement window, a deck word within 3 * ``DIP_THRESHOLD`` of the
-    run's minimum is looked up and the return is refined by bisection on
-    the signed crossing of the Poincare section through p0 normal to the
-    initial velocity.  The bracket of that bisection starts one scan step
-    in, so the trivial return at s = 0 is never refined, whatever the
-    time scale.  A return is certified when the position gap is within
-    ``PERIOD_TOL`` and the velocity gap within ``PERIOD_TOL`` * |K(p0)|, so
-    that K -> cK divides the period by c and certifies the same return.
-    The run ends at the first certified return; without one it goes on
-    to ``horizon`` and a run still open there is refined last.  The
-    certificate carries the run as ``curve``.  Returns None when no
-    certified return exists within the horizon (including the case of a
-    stationary point of the field).
+    run's minimum is looked up and the return is refined on the signed
+    crossing of the Poincare section through p0 normal to the initial
+    velocity, by at most ``BISECTION_STEPS`` safeguarded Newton steps
+    (``rtsafe``, Press et al., "Numerical Recipes", sec. 9.4) in a
+    bracket that starts one scan step in, so the trivial return at s = 0
+    is never refined, whatever the time scale.  A return is certified when
+    the position gap is within ``PERIOD_TOL`` and the velocity gap within
+    ``PERIOD_TOL`` * |K(p0)|, so that K -> cK divides the period by c and
+    certifies the same return.  The run ends at the first certified
+    return; without one it goes on to ``horizon`` and a run still open
+    there is refined last.  The certificate carries the run as ``curve``.
+    Returns None when no certified return exists within the horizon
+    (including the case of a stationary point of the field).
 
     A skew linear field gives the closed-form run, which the scan reads
     ``_SCAN_CHUNK`` grid times at a time.  Its speed is constant along the
@@ -462,7 +463,8 @@ class _ReturnScan:
     the curve's positions on [a, b].  Both kinds of run feed it.  ``advance``
     is the integrator's stop callback: every ``_SCAN_KNOTS`` knots it
     scans the grid times strictly below the last knot and refines the
-    closed dip runs whose window the knots reach strictly past.
+    closed dip runs whose window the knots reach strictly past, each by
+    safeguarded Newton on its section crossing (``_refine_return``).
     ``finish`` scans the rest of the grid after a run to the horizon and
     refines every run left, including one still open there.  ``follow``
     does both on a closed-form curve, one chunk of the grid at a time.
@@ -576,33 +578,41 @@ class _ReturnScan:
             return None
         # word.apply(p_best) ≈ p0, so the crossing applies word to c(s) directly
 
-        def crossing(s):
-            return float((word.apply(dense(float(s))) - p0) @ self.unit)
+        def crossing(y):
+            return (y @ word.matrix.T + word.offset - p0) @ self.unit
 
-        # bracket the sign change nearest to the dip minimum
+        # bracket the first sign change on the grid, evaluated as one stack
         grid = np.linspace(lo, hi, 21)
-        vals = [crossing(s) for s in grid]
-        bracket = None
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                bracket = (grid[i], grid[i])
-                break
-            if vals[i] * vals[i + 1] < 0:
-                bracket = (grid[i], grid[i + 1])
-                break
-        if bracket is None:
+        vals = crossing(dense(grid))
+        hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+        if len(hits) == 0:
             return None
-        a, b = bracket
-        fa = crossing(a)
+        i = int(hits[0])
+        a, fa = float(grid[i]), float(vals[i])
+        b = a if fa == 0.0 else float(grid[i + 1])
+        # rtsafe: Newton steps on the crossing (derivative u·dg·K(c(s))) in the
+        # bracket [a, b], which shrinks by sign; a step that would leave it
+        # bisects it.  Like bisection, this ends on adjacent floats at the root
+        s_new = 0.5 * (a + b)
         for _ in range(BISECTION_STEPS):
-            if a == b:
-                break
-            m = 0.5 * (a + b)
-            fm = crossing(m)
-            if fa * fm <= 0:
-                b = m
+            s = s_new
+            y = dense(s)
+            f = float(crossing(y))
+            if fa * f <= 0:
+                b = s
             else:
-                a, fa = m, fm
+                a, fa = s, f
+            df = float(word.apply_vector(self.field(y)) @ self.unit)
+            s_new = s - f / df if df else math.nan
+            # a step onto an end, to an ulp or so, tests the float next to it
+            if abs(s_new - a) <= 2 * math.ulp(a):
+                s_new = math.nextafter(a, b)
+            elif abs(s_new - b) <= 2 * math.ulp(b):
+                s_new = math.nextafter(b, a)
+            if not a < s_new < b:
+                s_new = 0.5 * (a + b)
+            if not a < s_new < b:  # no float lies strictly inside [a, b]
+                break
         s_star = 0.5 * (a + b)
         p_star = dense(s_star)
         pos_gap = float(np.linalg.norm(word.apply(p_star) - p0))

@@ -8,9 +8,9 @@ set), with the derivative evaluated again at the projected state.
 
 - ``solve_rk45``: Dormand-Prince 5(4).  It propagates the 5th-order
   solution and controls the embedded 4th-order error estimate.  Dense
-  output is cubic Hermite interpolation between accepted steps, which
-  is what the period detector bisects on; a stop callback lets it end
-  the run at the first certified return.  Flows run on it.
+  output is cubic Hermite interpolation between accepted steps, on
+  which the period detector refines its returns; a stop callback lets
+  it end the run at the first certified return.  Flows run on it.
 - ``solve_dop853``: Dormand-Prince 8(5,3), the DOP853 code of Hairer,
   Norsett and Wanner, "Solving Ordinary Differential Equations I" (2nd
   ed., 1993, sec. II.5-II.6), after Prince and Dormand, "High order

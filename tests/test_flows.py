@@ -36,6 +36,33 @@ def s3_closed_form_flow(p0, s, alpha):
     return np.array([z.real, z.imag, w.real, w.imag])
 
 
+def spy_refinements(monkeypatch):
+    """Record, per ``_refine_return``, the times of its scalar evaluations
+    of the curve, in order; its stacked evaluation of the bracket grid is
+    not one of them."""
+    refinements = []
+    refine = flows._ReturnScan._refine_return
+
+    def spy(self, window, s_best, end):
+        times = []
+        refinements.append(times)
+
+        def counted(a, b):
+            curve = window(a, b)
+
+            def call(s):
+                if np.ndim(s) == 0:
+                    times.append(float(s))
+                return curve(s)
+
+            return call
+
+        return refine(self, counted, s_best, end)
+
+    monkeypatch.setattr(flows._ReturnScan, "_refine_return", spy)
+    return refinements
+
+
 class TestFlow:
     def test_klein_unit_time(self, klein):
         M = klein.manifold
@@ -362,6 +389,49 @@ class TestDetectPeriod:
         assert cert is not None and cert.period == pytest.approx(2.0, abs=1e-6)
         assert words[1] is None and words[2] is cert.deck_word
 
+    @pytest.mark.parametrize("x0", [0.0, 0.3, 0.75])
+    def test_speed_varies_along_the_line(self, flat_torus, x0, monkeypatch):
+        # oracle: K = (2 + sin 2πx)∂x closes after ∫₀¹ dx / (2 + sin 2πx) = 1/√3;
+        # the speed grows past the first knots, so the scan step shrinks
+        # and the scan starts again, and the crossing is not linear in s
+        restarts = [0]
+        restart = flows._ReturnScan._restart
+
+        def counted(self):
+            restarts[0] += 1
+            restart(self)
+
+        monkeypatch.setattr(flows._ReturnScan, "_restart", counted)
+
+        def K(p):
+            p = np.asarray(p, dtype=float)
+            return np.stack([2.0 + np.sin(2 * np.pi * p[..., 0]), np.zeros_like(p[..., 0])], axis=-1)
+
+        cert = kg.detect_period(flat_torus.manifold, K, np.array([x0, 0.35]), 3.0)
+        assert cert is not None and cert.period == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-7)
+        assert restarts[0] >= 3  # the first scan and at least two restarts
+
+    def test_open_dip_at_horizon_has_no_bracket(self, flat_torus, monkeypatch):
+        # K = ∂t closes at s = 1, and its dip opens at s = 0.99: a run to
+        # 0.995 ends inside the dip, whose crossing s - 1 keeps its sign
+        # on the refinement window [0.989, 0.995], so no grid value
+        # brackets a return; the same start certifies past s = 1
+        refinements = spy_refinements(monkeypatch)
+        words = []
+
+        def reduce_point(M, p, q, **kwargs):
+            words.append(kg.reduce_point(M, p, q, **kwargs))
+            return words[-1]
+
+        monkeypatch.setattr(flows, "reduce_point", reduce_point)
+        p0 = np.array([0.2, 0.35])
+        assert kg.detect_period(flat_torus.manifold, flat_torus.killing, p0, 0.995) is None
+        # the dip has a deck word, and no Newton step follows its lookup
+        assert len(words) == 1 and words[0] is not None
+        assert refinements == [[pytest.approx(0.994)]]
+        cert = kg.detect_period(flat_torus.manifold, flat_torus.killing, p0, 1.005)
+        assert cert is not None and cert.period == pytest.approx(1.0, abs=1e-6)
+
     def test_mapping_torus_pole(self, mapping_torus):
         pole = np.array([0.0, 0.0, 1.0, 0.0])
         cert = kg.detect_period(mapping_torus.manifold, mapping_torus.killing, pole, 10.0)
@@ -426,6 +496,34 @@ class TestStreamedScan:
         assert cert is not None and cert.period == pytest.approx(4 * math.pi, abs=1e-6)
         assert len(refined) == 2 and np.linalg.norm(refined[0] - dip) <= 1e-3
 
+    def test_dip_waits_for_its_window(self, flat_torus, monkeypatch):
+        # K = (1, 0.0098) passes about 0.0098 from p0 at s ≈ 1: a dip
+        # below DIP_THRESHOLD on grid times 0.998..1.001 only, smallest at
+        # 1.000 and closed at 1.002.  Knots up to 1.004 scan past the close
+        # but do not cover the refinement window up to 1.005, so the dip
+        # waits; the next knots cover it and it is refined (and rejected) once
+        M = flat_torus.manifold
+        v = np.array([1.0, 0.0098])
+        p0 = np.array([0.2, 0.35])
+        ts = list(np.linspace(0.0, 1.004, 9))
+        refined = []
+
+        def reduce_point(M, p, q, **kwargs):
+            refined.append(float(p[0]))
+            return kg.reduce_point(M, p, q, **kwargs)
+
+        monkeypatch.setattr(flows, "reduce_point", reduce_point)
+        scan = flows._ReturnScan(M, lambda p: v, p0, v)
+
+        def advance():
+            return scan.advance(ts, [p0 + t * v for t in ts], [v for _ in ts])
+
+        assert not advance()
+        assert scan.step == 1e-3 and scan.pending == [1000] and refined == []
+        ts += list(np.linspace(1.1, 2.0, 8))
+        assert not advance()
+        assert scan.pending == [] and refined == [pytest.approx(1.2)]
+
     def test_stops_at_first_return(self, s3):
         calls = [0]
 
@@ -440,6 +538,36 @@ class TestStreamedScan:
         cert = kg.detect_period(s3.manifold, counted, p0, 50.0)
         assert cert is not None and cert.period == pytest.approx(2 * math.pi, abs=1e-6)
         assert calls[0] < whole / 4
+
+
+class TestRefineReturn:
+    """Each return is refined by safeguarded Newton on the section
+    crossing: a handful of scalar evaluations of the curve, ending on the
+    adjacent floats where the crossing changes sign."""
+
+    CASES = {
+        "klein-generic": ("klein", np.array([0.3, 0.0]), 1.0, 2.0, False),
+        "klein-generic-1e3": ("klein", np.array([0.3, 0.0]), 1e3, 2.0, False),
+        "s3-circle": ("s3", np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 2 * math.pi, False),
+        "s3-circle-1e3": ("s3", np.array([1.0, 0.0, 0.0, 0.0]), 1e3, 2 * math.pi, False),
+        "s3-circle-closed-form": ("s3", np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 2 * math.pi, True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_few_evaluations_and_no_cap(self, request, case, monkeypatch):
+        name, p0, C, period, closed_form = self.CASES[case]
+        entry = request.getfixturevalue(name)
+        K = entry.killing if closed_form else (lambda p: C * entry.killing(p))
+        refinements = spy_refinements(monkeypatch)
+        cert = kg.detect_period(entry.manifold, K, p0, 4.0 * period / C)
+        assert cert is not None and cert.period == pytest.approx(period / C, abs=1e-6 / C)
+        assert refinements
+        for times in refinements:
+            # the deck-word lookup, the Newton steps, the certificate point
+            assert len(times) <= 12
+            # the loop ended on a closed bracket, not at BISECTION_STEPS
+            assert abs(times[-1] - times[-2]) <= math.ulp(times[-1])
+        assert refinements[-1][-1] == cert.period
 
 
 @pytest.mark.parametrize("C", [30.0, 1e3, 2e6, 1e7], ids=["30", "1e3", "2e6", "1e7"])
