@@ -5,9 +5,13 @@ periodic geodesics through the identity grad f = -2 ∇_K K.  The search
 runs every (start, sign) pair in lockstep as one stack of points:
 projected descent on f and on -f, then Newton refinement on the Hessian
 transverse to the flow direction, both on the analytic ambient gradient
-of f.  Descent on ±f ends at minima and maxima, so the search returns
-the extrema of f on the orbit space, not its index-1 critical sets
-(saddles), which ``classify_critical`` still labels when given one.
+of f.  A descent round evaluates the direction of every row still
+moving, then backtracks in at most two stacked trial evaluations: the
+rows at their steps, then the rows that fail there at all their
+halvings at once.  Descent on ±f ends at minima and maxima, so the
+search returns the extrema of f on the orbit space, not its index-1
+critical sets (saddles), which ``classify_critical`` still labels when
+given one.
 Deduplication, period detection, residual certification and
 classification follow, one record at a time, on one record path.
 Where f is constant every point is critical: there is no search, and
@@ -42,6 +46,7 @@ CLASSIFY_EIG_TOL = 1e-6
 PROBE_SAMPLES = 256  # seeded samples: the f-variance test and the pool of starts
 DESCENT_MAX_ITER = 300  # lockstep rounds of _descend
 DESCENT_GRAD_STOP = 1e-9  # descent direction norm at which a row stops
+ARMIJO_TRIALS = 40  # Armijo steps per round of _descend: step·2⁻ʲ, j < 40
 NEWTON_MAX_ITER = 20
 NEWTON_TRUST = 0.3  # longest Newton step
 TANGENT_FD_STEP = 1e-5  # step of _tangent_df's own stencil
@@ -211,12 +216,18 @@ def _descent_direction(core: _Energy, M: ManifoldModel, P: Array):
 def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
     """Projected gradient descent on sign*f with Armijo backtracking.
 
-    Every row keeps its own step and stops on its own; the rows still
-    moving advance together, one stacked evaluation per round.
+    Every row keeps its own step and stops on its own.  A round
+    evaluates the descent direction of the rows still moving, then at
+    most two stacked trial evaluations: every row at its step, and the
+    rows that fail there at all their halvings step·2⁻ʲ (0 < j <
+    ARMIJO_TRIALS) at once.  A row moves to its first trial that passes
+    Armijo's test and stops when none does.  The halvings are exact, so
+    this lands where halving one trial at a time does.
     """
     P = M.project_point(P)
     step = np.full(len(P), 0.1)
     live = np.arange(len(P))
+    scales = 0.5 ** np.arange(ARMIJO_TRIALS)  # powers of two: exact halvings
     for _ in range(DESCENT_MAX_ITER):
         if not len(live):
             break
@@ -226,20 +237,23 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
         moving = nd > DESCENT_GRAD_STOP
         live, fp, d, nd = live[moving], sign[live][moving] * f[moving], d[moving], nd[moving]
         accepted = np.zeros(len(live), dtype=bool)
-        trial = step[live]
         pending = np.arange(len(live))
-        for _ in range(40):
+        for block in (scales[:1], scales[1:]):
             if not len(pending):
                 break
             rows = live[pending]
-            Q = M.project_point(P[rows] - trial[pending, None] * d[pending])
-            t = trial[pending]
-            ok = sign[rows] * core.values(Q) < fp[pending] - 1e-4 * t * nd[pending] * nd[pending]
-            P[rows[ok]] = Q[ok]
-            step[rows[ok]] = np.minimum(t[ok] * 1.5, 10.0)
-            accepted[pending[ok]] = True
-            pending = pending[~ok]
-            trial[pending] *= 0.5
+            t = step[rows, None] * block
+            X = P[rows, None] - t[..., None] * d[pending, None]
+            Q = M.project_point(X.reshape(-1, X.shape[-1]))
+            bound = fp[pending, None] - 1e-4 * t * nd[pending, None] * nd[pending, None]
+            ok = sign[rows, None] * core.values(Q).reshape(t.shape) < bound
+            Q = Q.reshape(X.shape)
+            hit = ok.any(axis=1)
+            first = ok[hit].argmax(axis=1)
+            P[rows[hit]] = Q[hit, first]
+            step[rows[hit]] = np.minimum(t[hit, first] * 1.5, 10.0)
+            accepted[pending[hit]] = True
+            pending = pending[~hit]
         live = live[accepted]
     return P
 

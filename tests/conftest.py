@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
+from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,6 +33,18 @@ def klein():
 @pytest.fixture(scope="session")
 def s3():
     return kg.make_stationary_sphere(SQRT2)
+
+
+@pytest.fixture(scope="session")
+def timelike_somewhere(s3):
+    """The paper's weaker hypothesis: (g, K) with K = rot-z - √2 rot-w
+    timelike only near two circles of g = riemann_to_lorentz(round S³,
+    rot-z + rot-w)."""
+    rot_z, rot_w = s3.family.members
+    round_g = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0), jacobian=lambda p: np.zeros((4, 4, 4)))
+    g = kg.riemann_to_lorentz(round_g, kg.combine_family(s3.family, (1.0, 1.0)))
+    K = kg.certify_killing_field(g, linear_field(rot_z.linear - SQRT2 * rot_w.linear, basis=(rot_z, rot_w)))
+    return g, K
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ row: the gallery's by construction, so they are called unwrapped, and any
 other callable through ``geometry.as_evaluator``, which probes it once.
 The analytic gradient of f agrees with the finite-difference
 certificate, and a row of the lockstep search does not depend on the
-other rows in its batch.
+other rows in its batch.  Descent backtracks in at most two stacked
+trial evaluations per round and lands where halving one trial at a time
+lands.
 """
 
 import dataclasses
@@ -186,3 +188,75 @@ class TestLockstepSearch:
         kg.find_critical_orbits(s3.metric, s3.killing, budget=64, seed=42)
         assert len(norms) == 128
         assert max(norms) <= 1e-9
+
+
+def _descend_one_halving_at_a_time(core, M, P, sign):
+    """The reference Armijo loop: one stacked evaluation per halving."""
+    P = M.project_point(P)
+    step = np.full(len(P), 0.1)
+    live = np.arange(len(P))
+    for _ in range(critical.DESCENT_MAX_ITER):
+        if not len(live):
+            break
+        f, d = critical._descent_direction(core, M, P[live])
+        d = sign[live, None] * d
+        nd = np.linalg.norm(d, axis=1)
+        moving = nd > critical.DESCENT_GRAD_STOP
+        live, fp, d, nd = live[moving], sign[live][moving] * f[moving], d[moving], nd[moving]
+        accepted = np.zeros(len(live), dtype=bool)
+        trial = step[live]
+        pending = np.arange(len(live))
+        for _ in range(40):
+            if not len(pending):
+                break
+            rows = live[pending]
+            Q = M.project_point(P[rows] - trial[pending, None] * d[pending])
+            t = trial[pending]
+            ok = sign[rows] * core.values(Q) < fp[pending] - 1e-4 * t * nd[pending] * nd[pending]
+            P[rows[ok]] = Q[ok]
+            step[rows[ok]] = np.minimum(t[ok] * 1.5, 10.0)
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            trial[pending] *= 0.5
+        live = live[accepted]
+    return P
+
+
+class TestStackedBacktracking:
+    def test_matches_one_halving_at_a_time(self, s3, timelike_somewhere):
+        sign = np.tile([1.0, -1.0], 64)
+        for g, K in ((s3.metric, s3.killing), timelike_somewhere):
+            core = critical._Energy(g, K)
+            P = np.repeat(g.manifold.sample_points(np.random.default_rng(42), 64), 2, axis=0)
+            stacked = critical._descend(core, g.manifold, P.copy(), sign)
+            assert np.array_equal(stacked, _descend_one_halving_at_a_time(core, g.manifold, P.copy(), sign))
+
+    def test_two_trial_evaluations_per_round(self, s3, monkeypatch):
+        # calls in order: the direction of n rows, then the trials of the
+        # m rows still moving; a row that is not in the next direction
+        # failed all its trials and dropped out
+        calls = []
+        direction, values = critical._descent_direction, critical._Energy.values
+
+        def recording_direction(core, M, P):
+            calls.append(("direction", len(P)))
+            return direction(core, M, P)
+
+        def recording_values(self, P):
+            calls.append(("values", len(P)))
+            return values(self, P)
+
+        monkeypatch.setattr(critical, "_descent_direction", recording_direction)
+        monkeypatch.setattr(critical._Energy, "values", recording_values)
+        M = s3.manifold
+        starts = M.sample_points(np.random.default_rng(42), 64)
+        critical._search_rows(critical._Energy(s3.metric, s3.killing), M, starts)
+        rounds = [i for i, (kind, _) in enumerate(calls) if kind == "direction"] + [len(calls)]
+        assert len(rounds) > 2
+        dropped = 0
+        for i, j in zip(rounds, rounds[1:]):
+            trials = calls[i + 1 : j]
+            assert all(kind == "values" for kind, _ in trials) and len(trials) <= 2
+            if trials and j < len(calls):
+                dropped += trials[0][1] - calls[j][1]
+        assert dropped >= 1

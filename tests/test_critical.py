@@ -8,7 +8,6 @@ from killing_geodesics import critical
 from killing_geodesics.critical import _bordered_solve, classify_critical, grad_f
 from killing_geodesics.errors import DegenerateCriticalPointError
 from killing_geodesics.geometry import covariant_derivative
-from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,20 +170,28 @@ class TestSearch:
         for o in orbits:
             assert o.f_value == kg.energy(s3.metric, s3.killing, o.representative)
 
-    def test_orbit_without_period(self, s3, monkeypatch):
+    def test_orbit_without_period(self, timelike_somewhere, monkeypatch):
         # the paper's weaker hypothesis: K = rot-z - √2 rot-w is timelike
         # only near the two circles for the metric built from rot-z + rot-w.
         # In s = |z|², f = 2 - s - 2((1 + √2) s - √2)², whose maximum is a
         # torus of lines of irrational slope: no line closes, so that
         # record has no period and its curve is flowed instead
-        rot_z, rot_w = s3.family.members
-        round_g = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0), jacobian=lambda p: np.zeros((4, 4, 4)))
-        g = kg.riemann_to_lorentz(round_g, kg.combine_family(s3.family, (1.0, 1.0)))
-        K = kg.certify_killing_field(g, linear_field(rot_z.linear - SQRT2 * rot_w.linear, basis=(rot_z, rot_w)))
-        assert K.certified
-        flows = []
+        g, K = timelike_somewhere
+        assert K.certified and g.role == "lorentzian"
+        flows, energies = [], []
         monkeypatch.setattr(critical, "flow", lambda *args: flows.append(args) or kg.flow(*args))
+        direction = critical._descent_direction
+
+        def recording(*args):
+            f, d = direction(*args)
+            energies.append(f)
+            return f, d
+
+        monkeypatch.setattr(critical, "_descent_direction", recording)
         out = kg.find_critical_orbits(g, K, budget=64, seed=42)
+        # the first descent round runs both branches of the direction:
+        # the g_R solve where K is timelike, the Euclidean one elsewhere
+        assert np.any(energies[0] < -1e-10) and np.any(energies[0] >= -1e-10)
         s_max = (SQRT2 - 0.25 / (1.0 + SQRT2)) / (1.0 + SQRT2)
         f_max = 2.0 - s_max - 0.125 / (1.0 + SQRT2) ** 2
         assert [o.f_value for o in out] == pytest.approx([-2.0, -1.0, f_max], abs=1e-9)

@@ -320,3 +320,29 @@ class TestManifoldInvariants:
         v = rng.normal(size=4)
         expected = np.array([v @ gamma[k] @ v for k in range(4)])
         assert np.allclose(apply_christoffel(gamma, v, v), expected)
+
+    def test_sample_point_projects_the_box(self):
+        # no sampler: a uniform point of the box, projected onto c = 0
+        M = kg.ManifoldModel(
+            ambient_dim=3,
+            constraint=lambda p: np.sum(p * p, axis=-1) - 1.0,
+            fundamental_box=np.array([[0.5, 1.0]] * 3),
+        )
+        rng = np.random.default_rng(6)
+        for p in M.sample_points(rng, 10):
+            assert M.constraint_residual(p) <= geometry.CONSTRAINT_TOL
+
+    def test_sample_point_gives_up_on_an_empty_level_set(self):
+        # c = 1 never vanishes; its gradient e₀ keeps each projection finite
+        M = kg.ManifoldModel(
+            ambient_dim=3,
+            constraint=lambda p: 1.0 + 0.0 * p[..., 0],
+            constraint_grad=lambda p: np.broadcast_to(np.eye(3)[0], np.shape(p)),
+            fundamental_box=np.array([[0.0, 1.0]] * 3),
+        )
+        rng, tries = np.random.default_rng(6), np.random.default_rng(6)
+        with pytest.raises(RuntimeError, match="sampling failed"):
+            M.sample_point(rng)
+        for _ in range(100):
+            tries.uniform(M.fundamental_box[:, 0], M.fundamental_box[:, 1])
+        assert rng.uniform() == tries.uniform()
