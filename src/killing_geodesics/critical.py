@@ -6,12 +6,12 @@ runs every (start, sign) pair in lockstep as one stack of points:
 projected descent on f and on -f, then Newton refinement on the Hessian
 transverse to the flow direction, both on the analytic ambient gradient
 of f.  A descent round evaluates the direction of every row still
-moving, then backtracks in at most two stacked trial evaluations: the
-rows at their steps, then the rows that fail there at all their
-halvings at once.  Descent on ±f ends at minima and maxima, so the
-search returns the extrema of f on the orbit space, not its index-1
-critical sets (saddles), which ``classify_critical`` still labels when
-given one.
+moving, then backtracks in at most three stacked trial evaluations:
+the rows at their steps, then the rows that fail there at their first
+three halvings, then the rows that fail those at all the rest.
+Descent on ±f ends at minima and maxima, so the search returns the
+extrema of f on the orbit space, not its index-1 critical sets
+(saddles), which ``classify_critical`` still labels when given one.
 Deduplication, period detection, residual certification and
 classification follow, one record at a time, on one record path.
 Where f is constant every point is critical: there is no search, and
@@ -73,11 +73,14 @@ class CriticalOrbit:
 def _tangent_df(f, p: Array, basis: Array) -> Array:
     """Directional derivatives of f along a tangent basis (central FD).
 
-    Kept apart from ``geometry.central_diff`` on purpose: it is the
-    independent certificate of the analytic gradient.
+    The 2·m stencil points p ± h·b of the m basis rows go to f in one
+    stacked call.  Kept apart from ``geometry.central_diff`` on purpose:
+    it is the independent certificate of the analytic gradient.
     """
     h = TANGENT_FD_STEP
-    return np.array([(f(p + h * b) - f(p - h * b)) / (2 * h) for b in basis])
+    m = len(basis)
+    v = f(p + h * np.concatenate([basis, -basis]))
+    return (v[:m] - v[m:]) / (2 * h)
 
 
 def grad_f(g: MetricField, K, p) -> Array:
@@ -133,8 +136,7 @@ def classify_critical(g: MetricField, K, p):
 
 @dataclass(frozen=True, eq=False)
 class _Energy:
-    """f = g(K, K) and its ambient gradient on (N, d) stacks of points;
-    ``values`` also takes one point, unchecked, for finite differences."""
+    """f = g(K, K) and its ambient gradient on (N, d) stacks of points."""
 
     g: MetricField
     K: KillingField
@@ -218,11 +220,14 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
 
     Every row keeps its own step and stops on its own.  A round
     evaluates the descent direction of the rows still moving, then at
-    most two stacked trial evaluations: every row at its step, and the
-    rows that fail there at all their halvings step·2⁻ʲ (0 < j <
-    ARMIJO_TRIALS) at once.  A row moves to its first trial that passes
-    Armijo's test and stops when none does.  The halvings are exact, so
-    this lands where halving one trial at a time does.
+    most three stacked trial evaluations of the halvings step·2⁻ʲ: every
+    row at j = 0, the rows that fail there at 0 < j < 4, and the rows
+    that fail those at 4 ≤ j < ARMIJO_TRIALS.  Most rows that fail their
+    step pass at j = 1, so the long block is left to the few rows whose
+    decrease is lost to rounding, which fail every trial.  A row moves
+    to its first trial that passes Armijo's test and stops when none
+    does.  The halvings are exact, so this lands where halving one trial
+    at a time does.
     """
     P = M.project_point(P)
     step = np.full(len(P), 0.1)
@@ -238,7 +243,7 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
         live, fp, d, nd = live[moving], sign[live][moving] * f[moving], d[moving], nd[moving]
         accepted = np.zeros(len(live), dtype=bool)
         pending = np.arange(len(live))
-        for block in (scales[:1], scales[1:]):
+        for block in (scales[:1], scales[1:4], scales[4:]):
             if not len(pending):
                 break
             rows = live[pending]

@@ -651,11 +651,13 @@ def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -
 
 
 def min_distance_to_point(M: ManifoldModel, c: CurveSample, q, radius: float) -> float:
-    """Minimal quotient distance from a curve image to a point, exact
-    up to ``radius``: a value above ``radius`` only says that the curve
-    stays beyond it.
+    """Quotient distance from a curve image to a point, decided against
+    ``radius``: a value ``<= radius`` says that the curve comes within
+    ``radius`` and bounds the minimal distance from above; a value above
+    ``radius`` says that it does not.
 
-    Scans the curve's cached ``dedup_samples``.  Every curve point lies
+    Scans the curve's cached ``dedup_samples`` and returns the first
+    sample or refined point within ``radius``.  Every curve point lies
     within ``max_speed * DEDUP_RESOLUTION`` of a sample (half of it
     between two samples, a whole step past the last one), and the
     quotient distance moves no faster than the point, so a coarse
@@ -672,7 +674,7 @@ def min_distance_to_point(M: ManifoldModel, c: CurveSample, q, radius: float) ->
     d = M.quotient_distance(positions, q)
     best = float(np.min(d))
     bound = c.max_speed * DEDUP_RESOLUTION
-    if best > radius + bound:
+    if best <= radius or best > radius + bound:
         return best
     margin = best + bound
     interior = (d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])
@@ -689,6 +691,8 @@ def min_distance_to_point(M: ManifoldModel, c: CurveSample, q, radius: float) ->
             dd = M.quotient_distance(c.position_at(grid), q)
             k = int(np.argmin(dd))
             best = min(best, float(dd[k]))
+            if best <= radius:
+                return best
             width = (hi - lo) / 59.0
             lo = max(lo, float(grid[k]) - width)
             hi = min(hi, float(grid[k]) + width)

@@ -111,6 +111,8 @@ def make_flat_lorentzian_torus(slope) -> GalleryEntry:
     every integral line is a geodesic; lines close exactly when the slope
     is rational (including the axis cases).
     """
+    if len(slope) != 2:
+        raise ValueError(f"slope needs 2 components, got {len(slope)}")
     a, b = (float(slope[0]), float(slope[1]))
     if a == 0.0 and b == 0.0:
         raise ValueError("slope must be nonzero")

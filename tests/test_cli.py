@@ -130,6 +130,11 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "start needs" in proc.stderr
 
+    @pytest.mark.parametrize("slope", ["1.5", "1,2,3"])
+    def test_slope_of_wrong_length(self, slope, capsys):
+        assert cli.main(["analyze", "flat-torus", "--slope", slope]) == 2
+        assert capsys.readouterr().err.startswith("error: slope needs 2 components")
+
     def test_rational_theta(self):
         assert run_cli("analyze", "mapping-torus", "--theta", "pi").returncode == 2
 

@@ -7,7 +7,8 @@ of run: the RK45 run of a field without a skew ``linear`` matrix (here
 the S³ field as a bare callable) and the closed-form run of the S³ field
 itself, which integrates nothing.  Deduplication returns the coarse
 distance unrefined when the cached coarse samples put the point out of
-reach, and that early exit never changes a decision.
+reach, and the first sample or refined point within reach otherwise;
+neither early exit changes a decision of the exact scan.
 """
 
 import functools
@@ -159,20 +160,51 @@ def _orbit_curves():
     return M, curves
 
 
+def _exact_min_distance(M, c, q):
+    """The reference scan: the coarse samples, then every local minimum
+    within the speed bound of the coarse minimum refined to the end."""
+    ss, positions = c.dedup_samples
+    d = M.quotient_distance(positions, q)
+    best = float(np.min(d))
+    margin = best + c.max_speed * DEDUP_RESOLUTION
+    interior = (d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])
+    candidates = [j + 1 for j in np.nonzero(interior & (d[1:-1] <= margin))[0]]
+    candidates += [0, len(ss) - 1]
+    edges = np.append(ss, c.t_end)
+    for j in candidates:
+        if d[j] > margin:
+            continue
+        lo = float(ss[max(0, j - 1)])
+        hi = float(edges[j + 1])
+        for _ in range(3):
+            grid = np.linspace(lo, hi, 60)
+            dd = M.quotient_distance(c.position_at(grid), q)
+            k = int(np.argmin(dd))
+            best = min(best, float(dd[k]))
+            width = (hi - lo) / 59.0
+            lo = max(lo, float(grid[k]) - width)
+            hi = min(hi, float(grid[k]) + width)
+    return best
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 4),
     st.floats(0.0, 1.0),
     st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: np.linalg.norm(v) > 0.1),
     st.floats(0.0, 2e-2),
+    st.just(DEDUP_DISTANCE) | st.floats(1e-6, 2e-2),
 )
-def test_skip_never_drops_a_duplicate(index, where, direction, distance):
+def test_skip_never_drops_a_duplicate(index, where, direction, distance, radius):
     M, curves = _orbit_curves()
     curve = curves[index]
     u = np.asarray(direction) / np.linalg.norm(direction)
     q = M.project_point(curve.position_at(where * curve.t_end) + distance * u)
-    within = min_distance_to_point(M, curve, q, DEDUP_DISTANCE) <= DEDUP_DISTANCE
-    assert within == (min_distance_to_point(M, curve, q, math.inf) <= DEDUP_DISTANCE)
+    value = min_distance_to_point(M, curve, q, radius)
+    exact = _exact_min_distance(M, curve, q)
+    assert (value <= radius) == (exact <= radius)
+    # every point the library measures, the reference measures too
+    assert value >= exact
 
 
 def test_dedup_samples_are_cached_and_exact():
@@ -211,7 +243,7 @@ def test_refinement_reaches_past_the_last_sample(s3):
     ss, _ = curve.dedup_samples
     q = curve.position_at(0.5 * (ss[-1] + curve.t_end))
     assert 0.5 * (curve.t_end - ss[-1]) > 1e-3
-    assert min_distance_to_point(M, curve, q, math.inf) <= 1e-7
+    assert min_distance_to_point(M, curve, q, 1e-7) <= 1e-7
 
 
 def test_margin_uses_the_fastest_knot():
@@ -227,4 +259,5 @@ def test_margin_uses_the_fastest_knot():
     _, positions = curve.dedup_samples
     assert float(np.min(M.quotient_distance(positions, q))) > 1e-2
     assert float(np.linalg.norm(curve.velocities[0])) < 1.01 < 12.0 < curve.max_speed
-    assert abs(min_distance_to_point(M, curve, q, math.inf) - truth) <= 1e-9
+    assert min_distance_to_point(M, curve, q, truth + 1e-9) <= truth + 1e-9
+    assert min_distance_to_point(M, curve, q, truth - 1e-9) > truth - 1e-9
