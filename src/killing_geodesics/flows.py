@@ -23,9 +23,13 @@ with g.c(s) = c(0) and dg.c'(s) = c'(0) within tolerance, refined by
 safeguarded Newton steps on a Poincare-section crossing along the run.
 Period detection runs with the run: it scans and refines on the stretch
 covered so far and ends the run at the first certified return, so a line
-that closes early is not followed to the horizon.  The certificate keeps
-that run, and ``certified_flow`` reads the flow line up to the period off
-it instead of computing it again.
+that closes early is not followed to the horizon.  The scan evaluates
+the quotient distance to the start on a coarse grid of cells first, and
+inside a cell only where the curve's travel bound (its ``speed_bound``
+times half the cell) lets the distance come down to ``DIP_THRESHOLD``;
+a time it skips reads as above the threshold, as it provably is.  The
+certificate keeps that run, and ``certified_flow`` reads the flow line
+up to the period off it instead of computing it again.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .geometry import (
     reduce_point,
     solve_metric,
 )
-from .integrate import DenseCurve, solve_dop853, solve_rk45
+from .integrate import SPEED_BOUND_MARGIN, DenseCurve, solve_dop853, solve_rk45
 from .killing import LINEAR_TOL, KillingFamily, KillingField, as_field, eigen_groups, energy_terms
 
 PERIOD_TOL = 1e-6
@@ -66,6 +70,7 @@ DEDUP_RESOLUTION = 5e-3  # scan step of min_distance_to_point
 HAUSDORFF_SAMPLES = 300  # times per curve of hausdorff_distance
 _SCAN_KNOTS = 8  # knots between two return scans of detect_period
 _SCAN_CHUNK = 4096  # grid times per return scan of a closed-form run
+_CELL = 16  # grid steps per coarse cell of a return scan
 _KNOTS_PER_TURN = 128  # knots of a closed-form run per turn of its fastest plane
 
 
@@ -208,6 +213,12 @@ class ExactCurve:
             angle = (w * s_arr)[:, None]
             y = y + (np.cos(angle) - 1.0) * x + np.sin(angle) * v
         return y[0] if np.ndim(s) == 0 else y
+
+    def speed_bound(self) -> float:
+        """An upper bound on |c'|: c'(t) = Σ_j ω_j (cos(ω_j t)·y_j - sin(ω_j t)·x_j),
+        so |c'| <= Σ_j ω_j (|x_j| + |y_j|), rounded up by ``SPEED_BOUND_MARGIN``."""
+        norms = np.linalg.norm(self.cos_part, axis=1) + np.linalg.norm(self.sin_part, axis=1)
+        return float(self.rates @ norms) * (1.0 + SPEED_BOUND_MARGIN)
 
     @functools.cached_property
     def ts(self) -> Array:
@@ -403,17 +414,23 @@ def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCer
     """Find the minimal period of the integral curve of K through p0.
 
     The run of the flow line (``_run``) and the return scan go together.
-    The quotient distance to p0 is evaluated at the grid times i * step
-    on the stretch the run covers so far.  Once the curve has left the
-    ``DIP_THRESHOLD`` ball around p0, each run of grid times inside it is
-    a candidate return.  As soon as the run closes and the curve covers
-    its refinement window, a deck word within 3 * ``DIP_THRESHOLD`` of the
-    run's minimum is looked up and the return is refined on the signed
-    crossing of the Poincare section through p0 normal to the initial
-    velocity, by at most ``BISECTION_STEPS`` safeguarded Newton steps
-    (``rtsafe``, Press et al., "Numerical Recipes", sec. 9.4) in a
-    bracket that starts one scan step in, so the trivial return at s = 0
-    is never refined, whatever the time scale.  A return is certified when
+    The quotient distance to p0 is taken at the grid times i * step on
+    the stretch the run covers so far, in two levels: at the ends of cells
+    of ``_CELL`` steps first, then inside the cells whose smaller end
+    value less the curve's travel over half the cell reaches
+    ``DIP_THRESHOLD``.  A time skipped that way is provably above the
+    threshold and reads as +inf; every value computed is the one a scan
+    of every grid time gives, so the two make the same decisions.  Once
+    the curve has left the ``DIP_THRESHOLD`` ball around p0, each run of
+    grid times inside it is a candidate return.  As soon as the run
+    closes and the curve covers its refinement window, a deck word within
+    3 * ``DIP_THRESHOLD`` of the run's minimum is looked up and the
+    return is refined on the signed crossing of the Poincare section
+    through p0 normal to the initial velocity, by at most
+    ``BISECTION_STEPS`` safeguarded Newton steps (``rtsafe``, Press et
+    al., "Numerical Recipes", sec. 9.4) in a bracket that starts one scan
+    step in, so the trivial return at s = 0 is never refined, whatever
+    the time scale.  A return is certified when
     the position gap is within ``PERIOD_TOL`` and the velocity gap within
     ``PERIOD_TOL`` * |K(p0)|, so that K -> cK divides the period by c and
     certifies the same return.  The run ends at the first certified
@@ -460,11 +477,15 @@ class _ReturnScan:
     """The return scan of ``detect_period``.
 
     It reads the curve through ``window(a, b)``, a callable that gives
-    the curve's positions on [a, b].  Both kinds of run feed it.  ``advance``
-    is the integrator's stop callback: every ``_SCAN_KNOTS`` knots it
-    scans the grid times strictly below the last knot and refines the
-    closed dip runs whose window the knots reach strictly past, each by
-    safeguarded Newton on its section crossing (``_refine_return``).
+    the curve on [a, b]: its positions there and a ``speed_bound``.  Both
+    kinds of run feed it.  ``_scan`` evaluates the quotient distance in
+    coarse cells first and inside a cell only where the travel bound lets
+    it reach ``DIP_THRESHOLD`` (``_distances``); a skipped time reads as
+    +inf, above the threshold.  ``advance`` is the integrator's stop
+    callback: every ``_SCAN_KNOTS`` knots it scans the grid times
+    strictly below the last knot and refines the closed dip runs whose
+    window the knots reach strictly past, each by safeguarded Newton on
+    its section crossing (``_refine_return``).
     ``finish`` scans the rest of the grid after a run to the horizon and
     refines every run left, including one still open there.  ``follow``
     does both on a closed-form curve, one chunk of the grid at a time.
@@ -535,7 +556,7 @@ class _ReturnScan:
             return
         self.scanned = count
         ss = np.arange(first, count) * self.step
-        d = self.M.quotient_distance(window(ss[0], ss[-1])(ss), self.p0)
+        d = self._distances(window(ss[0], ss[-1]), ss)
         thr = DIP_THRESHOLD
         # require the orbit to leave the start before accepting returns
         if not self.escaped:
@@ -556,6 +577,34 @@ class _ReturnScan:
             k = lo + int(np.argmin(d[lo:hi]))
             if self.run is None or d[k] < self.run[1]:
                 self.run = (first + k, float(d[k]))
+
+    def _distances(self, curve, ss: Array) -> Array:
+        """The quotient distance from ``curve`` at the times ``ss`` to p0,
+        or +inf at a time where it provably exceeds ``DIP_THRESHOLD``.
+
+        The times split into cells of ``_CELL`` steps; the distance is
+        evaluated at their ends first.  The quotient distance is
+        1-Lipschitz in the point (``ManifoldModel``) and the curve moves no
+        faster than its ``speed_bound`` V, so inside a cell of span w it
+        is at least the smaller end value less w·V/2.  Only the cells
+        where that can reach the threshold are evaluated inside.  Each
+        time is evaluated on its own, so every value computed is the one
+        a scan of all the times gives, bit for bit.
+        """
+        ends = np.append(np.arange(0, len(ss) - 1, _CELL), len(ss) - 1)
+        pts = curve(ss[ends])
+        d_ends = self.M.quotient_distance(pts, self.p0)
+        reach = 0.5 * np.diff(ss[ends]) * curve.speed_bound()
+        # the computed points and distances are exact to a few ulps of the coordinates
+        slack = 1e-12 * (1.0 + max(float(np.abs(pts).max()), float(np.abs(self.p0).max())))
+        near = np.minimum(d_ends[:-1], d_ends[1:]) - reach <= DIP_THRESHOLD + slack
+        inner = np.append(np.repeat(near, np.diff(ends)), False)
+        inner[ends] = False
+        d = np.full(len(ss), math.inf)
+        d[ends] = d_ends
+        if inner.any():
+            d[inner] = self.M.quotient_distance(curve(ss[inner]), self.p0)
+        return d
 
     def _refine(self, window, reach: float, end: float) -> None:
         """Refine pending runs in order while ``reach`` lies past their

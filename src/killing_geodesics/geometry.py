@@ -42,6 +42,7 @@ PROJECT_TOL = 1e-13  # constraint residual at which project_point stops
 PROJECT_MAX_ITER = 20
 REDUCE_MAX_ITER = 100000  # greedy moves of reduce_to_fundamental
 DECK_IDENTITY_TOL = 1e-9
+DECK_ORTHOGONAL_TOL = 1e-12  # largest entry of M Mᵀ - I of a deck generator's matrix M
 SIGNATURE_TOL = 1e-10  # eigenvalues of signature_of_gram counted as zero
 
 
@@ -272,7 +273,12 @@ class ManifoldModel:
     (N, d) stack, normalised by ``as_evaluator`` when the model is built
     (module docstring).
     deck_generators : tuple of DeckElement
-        Generators of the deck group, if any.
+        Generators of the deck group, if any.  Each must be a Euclidean
+        isometry: its matrix orthogonal to ``DECK_ORTHOGONAL_TOL``, or the
+        model raises ValueError.  Then the quotient distance is
+        1-Lipschitz in the point, which the return scan of
+        ``flows.detect_period`` takes as its premise: a curve that moves
+        no faster than V gets no nearer to a point than V per unit time.
     fundamental_box : array (ambient_dim, 2), optional
         Coordinate bounds of a fundamental region, used for sampling and
         for greedy reduction of faraway points.
@@ -280,10 +286,11 @@ class ManifoldModel:
         Draws one point on the manifold; default samples the box and
         projects onto the constraint set.
     quotient_distance_fn : callable(points, q) -> distances, optional
-        Vectorized exact quotient distance.  Without it, the generic path
-        reduces each point into the fundamental box and takes the minimum
-        over ``deck_ball``; it is much slower, and it is the reference
-        the tests check every closed form against.
+        Vectorized exact quotient distance, 1-Lipschitz in the point as
+        the exact one is.  Without it, the generic path reduces each point
+        into the fundamental box and takes the minimum over ``deck_ball``;
+        it is much slower, and it is the reference the tests check every
+        closed form against.
     """
 
     ambient_dim: int
@@ -298,6 +305,9 @@ class ManifoldModel:
     def __post_init__(self):
         if self.intrinsic_dim < 2:
             raise ValueError("manifolds here have dimension >= 2")
+        for gen in self.deck_generators:
+            if np.abs(gen.matrix @ gen.matrix.T - np.eye(self.ambient_dim)).max() > DECK_ORTHOGONAL_TOL:
+                raise ValueError(f"deck generator {word_str(gen.word)} is not a Euclidean isometry")
         object.__setattr__(self, "constraint", as_evaluator(self.constraint))
         object.__setattr__(self, "constraint_grad", _derivative(self.constraint_grad, self.constraint, FD_STEP_FIRST))
         object.__setattr__(

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import killing_geodesics as kg
 from killing_geodesics import flows
@@ -149,3 +151,22 @@ def test_scan_memory_is_bounded(s3, monkeypatch):
     field, frac = _approximants(s3)[4]
     kg.detect_period(s3.manifold, field, s3.probe_point, s3.angle_period * (frac.denominator + 1))
     assert max(sizes) <= flows._SCAN_CHUNK < sum(sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.floats(-3.0, 3.0), min_size=36, max_size=36),
+    st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    st.floats(1e-3, 30.0),
+)
+def test_closed_form_speed_bound_holds(n, entries, start, scale):
+    # the return scan skips grid times by this bound; the closed form's
+    # velocity is A·c(t), for any skew A and start
+    B = scale * np.reshape(entries, (6, 6))[:n, :n]
+    A = B - B.T
+    K = linear_field(A)
+    curve = ExactCurve.of(K, np.array(start[:n]), 10.0, None, K.evaluator)
+    assume(curve is not None)
+    ss = np.linspace(0.0, 10.0, 2001)
+    assert np.max(np.linalg.norm(curve(ss) @ A.T, axis=1)) <= curve.speed_bound()

@@ -13,6 +13,7 @@ from killing_geodesics import flows
 from killing_geodesics.errors import SingularMetricError, StiffnessError
 from killing_geodesics.geometry import apply_christoffel, christoffel, metric_orthogonal_project
 from killing_geodesics.integrate import solve_dop853, solve_rk45
+from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
 STEPPERS = (solve_rk45, solve_dop853)
@@ -538,6 +539,150 @@ class TestStreamedScan:
         cert = kg.detect_period(s3.manifold, counted, p0, 50.0)
         assert cert is not None and cert.period == pytest.approx(2 * math.pi, abs=1e-6)
         assert calls[0] < whole / 4
+
+
+def _full_distances(scan, curve, ss):
+    """The one-level scan: the quotient distance at every grid time."""
+    return scan.M.quotient_distance(curve(ss), scan.p0)
+
+
+def _scan_cases(entry):
+    """(field, start, horizon) of one gallery entry: exceptional, probe and
+    sampled starts; the field at scales 1 and 30, as a bare callable
+    (integrated) and, when it is linear, in closed form."""
+    starts = [*entry.exceptional_starts, entry.probe_point, *entry.manifold.sample_points(np.random.default_rng(9), 2)]
+    for c in (1.0, 30.0):
+        fields = [lambda p, c=c: c * entry.killing(p)]
+        if entry.killing.linear is not None:
+            fields.append(linear_field(c * entry.killing.linear))
+        for K in fields:
+            for p0 in starts:
+                yield K, p0, 8.0 / c
+
+
+def _scan_rows(monkeypatch):
+    """A one-item list counting the rows the return scan passes to
+    ``quotient_distance``."""
+    rows, scanning = [0], [False]
+    distance = kg.ManifoldModel.quotient_distance
+    scan = flows._ReturnScan._scan
+
+    def counted(self, points, q):
+        if scanning[0]:
+            rows[0] += len(np.atleast_2d(points))
+        return distance(self, points, q)
+
+    def flagged(self, window, count):
+        scanning[0] = True
+        try:
+            scan(self, window, count)
+        finally:
+            scanning[0] = False
+
+    monkeypatch.setattr(kg.ManifoldModel, "quotient_distance", counted)
+    monkeypatch.setattr(flows._ReturnScan, "_scan", flagged)
+    return rows
+
+
+def _compare_with_the_full_scan(M, cases, monkeypatch):
+    """Run ``detect_period`` on each (field, start, horizon) with the
+    two-level scan and with ``_full_distances``, and require the same
+    answer bit for bit.  Each two-level distance array must hold the
+    one-level values where it is finite, and one-level values above
+    DIP_THRESHOLD where it is +inf.  Counts (skipped times, grid times
+    in a dip, certified returns)."""
+    two_level = flows._ReturnScan._distances
+    counts = [0, 0, 0]
+
+    def checked(scan, curve, ss):
+        d = two_level(scan, curve, ss)
+        ref = _full_distances(scan, curve, ss)
+        kept = np.isfinite(d)
+        assert np.array_equal(d[kept], ref[kept])
+        assert np.all(ref[~kept] > flows.DIP_THRESHOLD)
+        counts[0] += int(np.count_nonzero(~kept))
+        counts[1] += int(np.count_nonzero(ref < flows.DIP_THRESHOLD))
+        return d
+
+    def answer(K, p0, horizon):
+        cert = kg.detect_period(M, K, p0, horizon)
+        if cert is None:
+            return None
+        word = cert.deck_word
+        return (cert.period, cert.position_gap, cert.velocity_gap, word.word,
+                word.matrix.tobytes(), word.offset.tobytes(), cert.curve.t_end)
+
+    for K, p0, horizon in cases:
+        monkeypatch.setattr(flows._ReturnScan, "_distances", checked)
+        got = answer(K, p0, horizon)
+        monkeypatch.setattr(flows._ReturnScan, "_distances", _full_distances)
+        assert got == answer(K, p0, horizon)
+        counts[2] += got is not None
+    return counts
+
+
+class TestTwoLevelScan:
+    """The scan evaluates the quotient distance at the ends of coarse
+    cells and inside a cell only where the curve's travel bound lets it
+    reach DIP_THRESHOLD; a skipped time reads as +inf.  Its answer is that
+    of the one-level scan, ``_full_distances``, bit for bit."""
+
+    @pytest.mark.parametrize("name", kg.ENTRY_NAMES)
+    def test_detect_period_matches_the_full_scan(self, name, monkeypatch):
+        entry = kg.build_entry(name)
+        skipped, _, certified = _compare_with_the_full_scan(entry.manifold, _scan_cases(entry), monkeypatch)
+        assert skipped > 0 and certified > 0
+
+    def test_grazing_lines_match_the_full_scan(self, flat_torus_irrational, monkeypatch):
+        # a line of irrational slope passes p0 at every distance: dips
+        # narrower than a cell, whose cell ends both lie outside the ball,
+        # are the ones a travel bound too small would skip
+        K = flat_torus_irrational.killing
+        starts = [np.zeros(2), *flat_torus_irrational.manifold.sample_points(np.random.default_rng(3), 2)]
+        cases = [(lambda p, c=c: c * K(p), p0, 50.0 / c) for c in (1.0, 30.0) for p0 in starts]
+        skipped, dipped, certified = _compare_with_the_full_scan(flat_torus_irrational.manifold, cases, monkeypatch)
+        assert skipped > 0 and dipped > 0 and certified == 0
+
+    def test_subsets_evaluate_bit_for_bit(self, s3, all_entries):
+        # a value the two-level scan computes equals the one-level value
+        # only because each time and each point is evaluated on its own
+        rng = np.random.default_rng(5)
+        n = 1001
+
+        def masks():
+            return [rng.random(n) < 0.5, rng.random(n) < 0.05, np.arange(n) % 16 == 0, np.arange(n) == 7]
+
+        ss = np.arange(n) * 9.7e-3
+        integrated = kg.flow(s3.manifold, s3.killing.evaluator, s3.probe_point, 10.0).dense
+        exact = kg.flow(s3.manifold, s3.killing, s3.probe_point, 10.0).dense
+        assert isinstance(exact, flows.ExactCurve) and not isinstance(integrated, flows.ExactCurve)
+        for curve in (integrated, exact):
+            whole = curve(ss)
+            for m in masks():
+                assert np.array_equal(curve(ss[m]), whole[m])
+        for entry in all_entries:
+            M = entry.manifold
+            pts = M.sample_points(rng, n) + 1e-3 * rng.normal(size=(n, M.ambient_dim))
+            whole = M.quotient_distance(pts, entry.probe_point)
+            for m in masks():
+                assert np.array_equal(M.quotient_distance(pts[m], entry.probe_point), whole[m])
+
+    # rows of the one-level scan at the parent: 25,133; 50,000; 262,263
+    def test_open_sphere_line_scans_few_points(self, s3, monkeypatch):
+        rows = _scan_rows(monkeypatch)
+        assert kg.detect_period(s3.manifold, lambda p: s3.killing(p), s3.probe_point, 8.0 * math.pi) is None
+        assert 0 < rows[0] <= 2_500
+
+    def test_open_equator_scans_few_points(self, mapping_torus, monkeypatch):
+        rows = _scan_rows(monkeypatch)
+        eq = np.array([1.0, 0.0, 0.0, 0.0])
+        assert kg.detect_period(mapping_torus.manifold, mapping_torus.killing, eq, 50.0) is None
+        assert 0 < rows[0] <= 5_000
+
+    def test_analyze_scans_few_points(self, mapping_torus, monkeypatch):
+        rows = _scan_rows(monkeypatch)
+        kg.analyze_entry(mapping_torus, seed=0)
+        assert 0 < rows[0] <= 25_000
 
 
 class TestRefineReturn:

@@ -287,6 +287,34 @@ class TestDeckGroup:
                     rhs = kg.metric_eval(g, p, v, w)
                     assert abs(lhs - rhs) <= 1e-9
 
+    def test_quotient_distance_is_one_lipschitz(self, all_entries, rng):
+        # the return scan skips the times a curve cannot reach the dip ball
+        # in, by the premise |d(p, q) - d(p', q)| <= |p - p'|; the curve is
+        # read in covering coordinates and off the level set by rounding,
+        # so the pairs are ambient points around deck images of samples
+        for entry in all_entries:
+            M = entry.manifold
+            moves = M.deck_moves
+            for _ in range(200):
+                p = M.sample_point(rng)
+                if moves:
+                    for k in rng.integers(len(moves), size=3):
+                        p = moves[k].apply(p)
+                p = p + 1e-3 * rng.normal(size=M.ambient_dim)
+                p2 = p + rng.choice([1e-6, 1e-3, 3e-2, 0.3]) * rng.normal(size=M.ambient_dim)
+                q = M.sample_point(rng)
+                gap = abs(M.quotient_distance(p, q) - M.quotient_distance(p2, q))
+                assert gap <= np.linalg.norm(p - p2) * (1.0 + 1e-12) + 1e-15, entry.name
+
+    @pytest.mark.parametrize("matrix", [[[1.0, 1e-6], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]], ids=["shear", "scale"])
+    def test_deck_generator_must_be_an_isometry(self, matrix):
+        # a deck element that is no Euclidean isometry would break the
+        # scan's premise that the quotient distance is 1-Lipschitz
+        with pytest.raises(ValueError, match="isometry"):
+            kg.ManifoldModel(ambient_dim=2, deck_generators=(kg.make_deck_generator(0, matrix, [1.0, 0.0]),))
+        near = np.array([[1.0, 1e-13], [0.0, 1.0]])
+        kg.ManifoldModel(ambient_dim=2, deck_generators=(kg.make_deck_generator(0, near, [1.0, 0.0]),))
+
     def test_word_simplification(self, klein):
         a = klein.manifold.deck_generators[0]
         prod = a.compose(a.inverse())

@@ -1,8 +1,12 @@
 """The Dormand-Prince 8(5,3) tableau, checked by its order conditions and
-by its observed order on y' = λy, so that a mistyped digit shows."""
+by its observed order on y' = λy, so that a mistyped digit shows; the
+Dormand-Prince 5(4) step against its unsliced reference; and the speed
+bound of the cubic Hermite output, on which the return scan relies."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from killing_geodesics import integrate
 from killing_geodesics.integrate import A8, B8, C8, D8, E3, E5
@@ -92,3 +96,86 @@ def test_first_step_takes_the_stepper_exponent(solve, exponent):
     tol = 1e-11
     run = solve(lambda _t, y: np.full(2, 1e-3), np.zeros(2), 1.0, tol=tol)
     assert run.ts[1] == 0.1 * tol ** exponent
+
+
+class _UnslicedRK45(integrate._RK45):
+    """The Dormand-Prince 5(4) step as it was before its per-stage numpy
+    work was trimmed: the reference the library step equals bit for bit."""
+
+    NODES = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+
+    def step(self, rhs, t, y, f, h, tol):
+        k = self.k
+        k[0] = f
+        for i in range(5):
+            yi = y + h * (k[: i + 1].T @ integrate._A[i])
+            k[i + 1] = rhs(t + self.NODES[i + 1] * h, yi)
+        y5 = y + h * (k[:6].T @ integrate._B5)
+        k[6] = rhs(t + h, y5)
+        y4 = y + h * (k[:7].T @ integrate._B4)
+        err = y5 - y4
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+        return y5, float(np.sqrt(np.mean((err / sc) ** 2)))
+
+
+def test_rk45_step_matches_the_unsliced_step(s3):
+    # the S³ field as a bare callable, projected onto the sphere, and a
+    # constant field: every knot, state and derivative bit for bit
+    M = s3.manifold
+    cases = [
+        (lambda _t, y: s3.killing(y), s3.probe_point, 20.0, M.project_point),
+        (lambda _t, y: np.array([1.0, 0.3]), np.array([0.2, 0.35]), 50.0, None),
+    ]
+    for rhs, y0, T, project in cases:
+        ref = integrate._drive(_UnslicedRK45, rhs, y0, T, 1e-10, project, None)
+        run = integrate.solve_rk45(rhs, y0, T, tol=1e-10, project=project)
+        assert len(run.ts) > 5
+        for a, b in [(run.ts, ref.ts), (run.ys, ref.ys), (run.fs, ref.fs)]:
+            assert np.array_equal(a, b)
+
+
+def _hermite_velocity(curve, i, theta):
+    """The derivative of the cubic Hermite piece on step i at the fractions theta."""
+    h = curve.ts[i + 1] - curve.ts[i]
+    th = theta[:, None]
+    return (
+        6.0 * th * (1.0 - th) * (curve.ys[i + 1] - curve.ys[i]) / h
+        + (3.0 * th * th - 4.0 * th + 1.0) * curve.fs[i]
+        + (3.0 * th * th - 2.0 * th) * curve.fs[i + 1]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hermite_speed_bound_holds(data):
+    # the return scan skips grid times by this bound: it must hold at
+    # every point of every step, for any knots, values and derivatives
+    m = data.draw(st.integers(2, 6), label="knots")
+    d = data.draw(st.integers(1, 4), label="width")
+    steps = data.draw(st.lists(st.floats(1e-4, 5.0), min_size=m - 1, max_size=m - 1), label="steps")
+    values = st.lists(st.floats(-10.0, 10.0), min_size=m * d, max_size=m * d)
+    ts = data.draw(st.floats(-10.0, 10.0), label="t0") + np.concatenate([[0.0], np.cumsum(steps)])
+    ys = np.reshape(data.draw(values, label="ys"), (m, d))
+    fs = np.reshape(data.draw(values, label="fs"), (m, d))
+    curve = integrate.DenseCurve(ts, ys, fs)
+    bound = curve.speed_bound()
+    theta = np.linspace(0.0, 1.0, 401)
+    for i in range(m - 1):
+        assert np.max(np.linalg.norm(_hermite_velocity(curve, i, theta), axis=1)) <= bound
+
+
+def test_hermite_velocity_is_the_curve_derivative(s3):
+    # the oracle above is the derivative of the interpolant the library evaluates
+    curve = integrate.solve_rk45(lambda _t, y: s3.killing(y), s3.probe_point, 3.0, tol=1e-10)
+    i, theta, eps = len(curve.ts) // 2, np.linspace(0.1, 0.9, 9), 1e-6
+    h = curve.ts[i + 1] - curve.ts[i]
+    s = curve.ts[i] + theta * h
+    central = (curve(s + eps * h) - curve(s - eps * h)) / (2.0 * eps * h)
+    assert np.max(np.abs(central - _hermite_velocity(curve, i, theta))) <= 1e-7
+
+
+def test_continuous_extension_has_no_speed_bound():
+    # the Hermite bound does not hold for the 7th-order extension
+    run = integrate.solve_dop853(lambda _t, y: -y, np.ones(2), 1.0, tol=1e-10)
+    with pytest.raises(NotImplementedError):
+        run.speed_bound()
