@@ -24,12 +24,14 @@ safeguarded Newton steps on a Poincare-section crossing along the run.
 Period detection runs with the run: it scans and refines on the stretch
 covered so far and ends the run at the first certified return, so a line
 that closes early is not followed to the horizon.  The scan evaluates
-the quotient distance to the start on a coarse grid of cells first, and
-inside a cell only where the curve's travel bound (its ``speed_bound``
-times half the cell) lets the distance come down to ``DIP_THRESHOLD``;
-a time it skips reads as above the threshold, as it provably is.  The
-certificate keeps that run, and ``certified_flow`` reads the flow line
-up to the period off it instead of computing it again.
+the quotient distance to the start at an integrated run's own knots
+first, then on a coarse grid of cells in the knot steps that can come
+near, and inside a cell only where the curve's travel bound (its speed
+bound times half the span) lets the distance come down to
+``DIP_THRESHOLD``; a time it skips reads as above the threshold, as it
+provably is.  The certificate keeps that run, and ``certified_flow``
+reads the flow line up to the period off it instead of computing it
+again.
 """
 
 from __future__ import annotations
@@ -415,14 +417,19 @@ def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCer
 
     The run of the flow line (``_run``) and the return scan go together.
     The quotient distance to p0 is taken at the grid times i * step on
-    the stretch the run covers so far, in two levels: at the ends of cells
-    of ``_CELL`` steps first, then inside the cells whose smaller end
-    value less the curve's travel over half the cell reaches
-    ``DIP_THRESHOLD``.  A time skipped that way is provably above the
-    threshold and reads as +inf; every value computed is the one a scan
-    of every grid time gives, so the two make the same decisions.  Once
-    the curve has left the ``DIP_THRESHOLD`` ball around p0, each run of
-    grid times inside it is a candidate return.  As soon as the run
+    the stretch the run covers so far, in up to three levels.  On an
+    integrated run it is taken at the run's own knots first, and only the
+    knot steps whose smaller end value less the curve's travel over half
+    the step reaches ``DIP_THRESHOLD`` go on; a window with none is
+    settled without evaluating the dense output.  The grid times left
+    are split into cells of ``_CELL`` steps, the distance is taken at
+    their ends, and then inside the cells whose smaller end value less
+    the travel over half the cell reaches the threshold.  A closed-form
+    run starts at the cells.  A time skipped that way is provably above
+    the threshold and reads as +inf; every value computed is the one a
+    scan of every grid time gives, so the scans make the same decisions.
+    Once the curve has left the ``DIP_THRESHOLD`` ball around p0, each
+    run of grid times inside it is a candidate return.  As soon as the run
     closes and the curve covers its refinement window, a deck word within
     3 * ``DIP_THRESHOLD`` of the run's minimum is looked up and the
     return is refined on the signed crossing of the Poincare section
@@ -477,11 +484,13 @@ class _ReturnScan:
     """The return scan of ``detect_period``.
 
     It reads the curve through ``window(a, b)``, a callable that gives
-    the curve on [a, b]: its positions there and a ``speed_bound``.  Both
-    kinds of run feed it.  ``_scan`` evaluates the quotient distance in
-    coarse cells first and inside a cell only where the travel bound lets
-    it reach ``DIP_THRESHOLD`` (``_distances``); a skipped time reads as
-    +inf, above the threshold.  ``advance`` is the integrator's stop
+    the curve on [a, b]: its positions there and a speed bound, and on
+    an integrated run its knots.  Both kinds of run feed it.  ``_scan``
+    gets its distances from ``_distances``: on an integrated run at the
+    window's knots first, then in coarse cells on the knot steps that
+    can come near, and inside a cell only where the travel bound lets it
+    reach ``DIP_THRESHOLD``; a skipped time reads as +inf, above the
+    threshold.  ``advance`` is the integrator's stop
     callback: every ``_SCAN_KNOTS`` knots it scans the grid times
     strictly below the last knot and refines the closed dip runs whose
     window the knots reach strictly past, each by safeguarded Newton on
@@ -498,6 +507,8 @@ class _ReturnScan:
         self.v0 = v0
         self.unit = v0 / float(np.linalg.norm(v0))
         self.seen = 0           # knots whose speed bounds the step
+        self.knots = None       # the run's knot times, when it has any
+        self.speeds = []        # |K| at each knot seen
         self.step = math.inf
         self.certificate: Optional[PeriodCertificate] = None
         self._restart()
@@ -511,12 +522,14 @@ class _ReturnScan:
     def advance(self, ts, ys, fs) -> bool:
         if len(ts) - self.seen >= _SCAN_KNOTS:
             window = functools.partial(_window, ts, ys, fs)
+            self.knots = ts
             self._scan(window, math.ceil(ts[-1] / self._update_step(fs)) - 1)
             self._refine(window, ts[-1], ts[-1])
         return self.certificate is not None
 
     def finish(self, ts, ys, fs) -> None:
         window = functools.partial(_window, ts, ys, fs)
+        self.knots = ts
         self._scan(window, math.ceil(ts[-1] / self._update_step(fs)))
         self._close(window, ts[-1])
 
@@ -541,7 +554,9 @@ class _ReturnScan:
     def _update_step(self, fs) -> float:
         # the dip window is DIP_THRESHOLD / speed wide: never step over it
         if len(fs) > self.seen:
-            top = float(np.max(np.linalg.norm(np.array(fs[self.seen:]), axis=1)))
+            speeds = np.linalg.norm(np.array(fs[self.seen:]), axis=1)
+            self.speeds.extend(speeds.tolist())
+            top = float(np.max(speeds))
             self.seen = len(fs)
             step = min(SCAN_RESOLUTION, DIP_THRESHOLD / (4.0 * top))
             if step < self.step:
@@ -582,22 +597,45 @@ class _ReturnScan:
         """The quotient distance from ``curve`` at the times ``ss`` to p0,
         or +inf at a time where it provably exceeds ``DIP_THRESHOLD``.
 
-        The times split into cells of ``_CELL`` steps; the distance is
-        evaluated at their ends first.  The quotient distance is
-        1-Lipschitz in the point (``ManifoldModel``) and the curve moves no
-        faster than its ``speed_bound`` V, so inside a cell of span w it
-        is at least the smaller end value less w·V/2.  Only the cells
-        where that can reach the threshold are evaluated inside.  Each
-        time is evaluated on its own, so every value computed is the one
-        a scan of all the times gives, bit for bit.
+        The quotient distance is 1-Lipschitz in the point
+        (``ManifoldModel``), so on a stretch of span w between two points
+        where it is known, along which the curve moves no faster than V,
+        it is at least the smaller known value less w·V/2.  Up to three
+        levels use this.  An integrated run is first settled at its own
+        knots, which the interpolant passes through exactly: each knot
+        step carries its own bound V (``DenseCurve.step_speed_bounds``),
+        and only the grid times in the steps where the bound can reach the
+        threshold go on; if there are none, no point on the curve is
+        evaluated at all.  The times left split into cells of ``_CELL``
+        steps (``_cells``).  A closed-form run starts at the cells.  Each
+        time is evaluated on its own, so every value computed is the one a
+        scan of all the times gives, bit for bit.
         """
+        if not isinstance(curve, DenseCurve):
+            return self._cells(curve, ss, curve.speed_bound())
+        ts, ys = curve.ts, curve.ys
+        first = bisect.bisect_left(self.knots, ts[0])
+        bounds = curve.step_speed_bounds(np.array(self.speeds[first:first + len(ts)]))
+        d_knots = self.M.quotient_distance(ys, self.p0)
+        near = np.minimum(d_knots[:-1], d_knots[1:]) - 0.5 * np.diff(ts) * bounds <= DIP_THRESHOLD + self._slack(ys)
+        if not near.any():
+            return np.full(len(ss), math.inf)
+        near = near[np.clip(np.searchsorted(ts, ss, side="right") - 1, 0, len(ts) - 2)]
+        d = np.full(len(ss), math.inf)
+        d[near] = self._cells(curve, ss[near], float(np.max(bounds)))
+        return d
+
+    def _cells(self, curve, ss: Array, speed: float) -> Array:
+        """``_distances`` at cell level, on a curve that moves no faster
+        than ``speed`` over ``ss``: the distance at the ends of cells of
+        ``_CELL`` times first, then inside the cells where the smaller end
+        value less half the cell's span times ``speed`` reaches
+        ``DIP_THRESHOLD``."""
         ends = np.append(np.arange(0, len(ss) - 1, _CELL), len(ss) - 1)
         pts = curve(ss[ends])
         d_ends = self.M.quotient_distance(pts, self.p0)
-        reach = 0.5 * np.diff(ss[ends]) * curve.speed_bound()
-        # the computed points and distances are exact to a few ulps of the coordinates
-        slack = 1e-12 * (1.0 + max(float(np.abs(pts).max()), float(np.abs(self.p0).max())))
-        near = np.minimum(d_ends[:-1], d_ends[1:]) - reach <= DIP_THRESHOLD + slack
+        reach = 0.5 * np.diff(ss[ends]) * speed
+        near = np.minimum(d_ends[:-1], d_ends[1:]) - reach <= DIP_THRESHOLD + self._slack(pts)
         inner = np.append(np.repeat(near, np.diff(ends)), False)
         inner[ends] = False
         d = np.full(len(ss), math.inf)
@@ -605,6 +643,10 @@ class _ReturnScan:
         if inner.any():
             d[inner] = self.M.quotient_distance(curve(ss[inner]), self.p0)
         return d
+
+    def _slack(self, pts: Array) -> float:
+        # the computed points and distances are exact to a few ulps of the coordinates
+        return 1e-12 * (1.0 + max(float(np.abs(pts).max()), float(np.abs(self.p0).max())))
 
     def _refine(self, window, reach: float, end: float) -> None:
         """Refine pending runs in order while ``reach`` lies past their

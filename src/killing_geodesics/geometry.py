@@ -576,7 +576,8 @@ def solve_metric(G: Array, b: Array) -> Array:
     Raises SingularMetricError when |det G| < 1e-12 at some point: the
     metric is numerically degenerate there and has no inverse.
     """
-    if np.any(np.abs(np.linalg.det(G)) < 1e-12):
+    det = np.linalg.det(G)
+    if (abs(float(det)) < 1e-12) if G.ndim == 2 else np.any(np.abs(det) < 1e-12):
         raise SingularMetricError("metric degenerate at evaluation point")
     return np.linalg.solve(G, b)
 

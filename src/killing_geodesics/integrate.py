@@ -280,21 +280,25 @@ class DenseCurve:
         return y[0] if np.isscalar(s) or np.ndim(s) == 0 else y
 
     def speed_bound(self) -> float:
-        """An upper bound on |c'| over the knots' span.
+        """An upper bound on |c'| over the knots' span: the largest of the
+        ``step_speed_bounds``."""
+        if len(self.ts) < 2:
+            return 0.0
+        return float(np.max(self.step_speed_bounds(np.linalg.norm(self.fs, axis=1))))
+
+    def step_speed_bounds(self, speeds: Array) -> Array:
+        """An upper bound on |c'| over each step, given the knot speeds
+        ``speeds`` = |f_i|.
 
         On step i, of length h, at the fraction θ of it, the derivative of
         the interpolant is 6θ(1 - θ)·(y_{i+1} - y_i)/h plus the weights
         3θ² - 4θ + 1 on f_i and 3θ² - 2θ on f_{i+1}.  On [0, 1] the first
         factor is at most 1.5 and each weight at most 1 in absolute value,
-        so |c'| <= 1.5·|Δy|/h + |f_i| + |f_{i+1}|.  The largest of these
-        over the steps is rounded up by ``SPEED_BOUND_MARGIN``.
+        so |c'| <= 1.5·|Δy|/h + |f_i| + |f_{i+1}|, rounded up by
+        ``SPEED_BOUND_MARGIN``.
         """
-        if len(self.ts) < 2:
-            return 0.0
         dy = np.linalg.norm(np.diff(self.ys, axis=0), axis=1)
-        fn = np.linalg.norm(self.fs, axis=1)
-        top = float(np.max(1.5 * dy / np.diff(self.ts) + fn[:-1] + fn[1:]))
-        return top * (1.0 + SPEED_BOUND_MARGIN)
+        return (1.5 * dy / np.diff(self.ts) + speeds[:-1] + speeds[1:]) * (1.0 + SPEED_BOUND_MARGIN)
 
     def _piece(self, i: Array, th: Array, h: Array) -> Array:
         """The interpolant on step i at the fractions th of its length h."""
@@ -327,7 +331,7 @@ class ContinuousCurve(DenseCurve):
             y = F[:, j] + (th if j % 2 else 1.0 - th) * y
         return self.ys[i] + th * y
 
-    def speed_bound(self) -> float:
+    def step_speed_bounds(self, speeds: Array) -> Array:
         """Not derived for the 7th-order extension, and the Hermite bound
         of ``DenseCurve`` does not hold for it."""
         raise NotImplementedError("no speed bound for a DOP853 continuous extension")

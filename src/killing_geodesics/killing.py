@@ -373,7 +373,9 @@ def reflect(G: Array, gk: Array, f: Array) -> Array:
 def _conversion_jacobian(g: MetricField, K: KillingField) -> Callable[[Array], Array]:
     """Jacobian of G - 2 (GK)(GK)^T / (K^T G K) by the quotient rule, on
     the jacobians ``g.jacobian`` and ``K.jacobian``.  Accepts one point or
-    an ``(N, d)`` stack.
+    an ``(N, d)`` stack.  One point takes matrix products, the fast path
+    for a geodesic right-hand side; a stack takes einsum, whose rows do
+    not depend on the other rows (see ``matvec``).
     """
 
     def jac(p, _g=g, _field=K.evaluator, _fj=K.jacobian):
@@ -383,6 +385,12 @@ def _conversion_jacobian(g: MetricField, K: KillingField) -> Callable[[Array], A
         k = _field(p)
         dk = _fj(p)
         gk, f = energy_terms(G, k)
+        if p.ndim == 1:
+            dgk = dG @ k + dk @ G.T
+            df = dk @ gk + dgk @ k
+            half = dgk[:, :, None] * gk
+            douter = half + half.transpose(0, 2, 1)
+            return dG - 2.0 * (douter * f - np.outer(gk, gk) * df[:, None, None]) / (f * f)
         f = f[..., None, None, None]
         dgk = np.einsum("...mij,...j->...mi", dG, k) + np.einsum("...ij,...mj->...mi", G, dk)
         df = np.einsum("...mi,...i->...m", dk, gk) + np.einsum("...i,...mi->...m", k, dgk)

@@ -137,6 +137,7 @@ def certify_uniform_convergence(
 
     Enforces the certificate invariants: strictly decreasing gaps, the
     best-approximation bound gap < 1/q^2, and non-increasing field gaps.
+    Raises ValueError naming the first invariant the approximants fail.
     """
     K = as_field(K)
     if K.generator is None:
@@ -158,10 +159,12 @@ def certify_uniform_convergence(
         signs.append(bool(np.min(energy_terms(metric, vals)[1]) < 0.0))
     for i in range(1, len(gaps)):
         if not gaps[i] < gaps[i - 1]:
-            raise AssertionError("convergent gaps must strictly decrease")
+            raise ValueError(f"convergent gaps must strictly decrease: {gaps[i - 1]:.3e} at {fractions[i - 1]}, "
+                             f"{gaps[i]:.3e} at {fractions[i]}")
         if sup_gaps[i] > sup_gaps[i - 1] + 1e-12:
-            raise AssertionError("sup field gaps must not increase")
+            raise ValueError(f"sup field gaps must not increase: {sup_gaps[i - 1]:.3e} at {fractions[i - 1]}, "
+                             f"{sup_gaps[i]:.3e} at {fractions[i]}")
     for gap, frac in zip(gaps, fractions):
         if gap >= 1.0 / frac.denominator**2:
-            raise AssertionError("best-approximation bound violated")
+            raise ValueError(f"best-approximation bound gap < 1/q^2 violated: gap {gap:.3e} at {frac}")
     return ApproximationCertificate(tuple(fractions), tuple(gaps), tuple(sup_gaps), tuple(signs))

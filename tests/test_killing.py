@@ -5,6 +5,7 @@ import pytest
 
 import killing_geodesics as kg
 from killing_geodesics.errors import NotTimelikeError, UnsupportedCapabilityError, VanishingFieldError
+from killing_geodesics.killing import energy_terms
 
 from conftest import random_tangent
 
@@ -111,6 +112,48 @@ class TestConversions:
             lor = kg.metric_eval(s3.metric, p, k, k)
             rie = kg.metric_eval(g_r, p, k, k)
             assert rie == pytest.approx(-lor, abs=1e-12)
+
+
+def _einsum_conversion_jacobian(G, dG, k, dk):
+    """The quotient-rule jacobian of the reflection of G in k, on the
+    einsum contractions that a stack takes, at one point."""
+    gk, f = energy_terms(G, k)
+    f = f[..., None, None, None]
+    dgk = np.einsum("...mij,...j->...mi", dG, k) + np.einsum("...ij,...mj->...mi", G, dk)
+    df = np.einsum("...mi,...i->...m", dk, gk) + np.einsum("...i,...mi->...m", k, dgk)
+    outer = gk[..., None, :, None] * gk[..., None, None, :]
+    douter = dgk[..., :, :, None] * gk[..., None, None, :] + gk[..., None, :, None] * dgk[..., :, None, :]
+    return dG - 2.0 * (douter * f - outer * df[..., None, None]) / (f * f)
+
+
+class TestConversionJacobian:
+    """One point takes matrix products and a stack takes einsum: the two
+    paths of the reflection's jacobian agree to rounding."""
+
+    def test_one_point_is_its_row_of_the_stack(self, s3, lorentzian_entries, timelike_somewhere, rng):
+        # the gallery's reflected metric, every reflection a Lorentzian
+        # entry gives, both ways, and the weaker-hypothesis metric; the
+        # round trip on stationary-s3 is constant, so its jacobian cancels
+        # to rounding of terms of size 1
+        cases = [(s3.metric, s3.manifold), (timelike_somewhere[0], s3.manifold)]
+        for entry in lorentzian_entries:
+            g_r = kg.lorentz_to_riemann(entry.metric, entry.killing)
+            cases += [(g_r, entry.manifold), (kg.riemann_to_lorentz(g_r, entry.killing), entry.manifold)]
+        for g, M in cases:
+            P = M.sample_points(rng, 40)
+            stack = g.jacobian(P)
+            for p, row in zip(P, stack):
+                one = g.jacobian(p)
+                assert one.shape == row.shape
+                assert np.abs(one - row).max() <= 1e-14 * (1.0 + np.abs(row).max())
+
+    def test_one_point_is_the_einsum_form_on_stationary_s3(self, s3, rng):
+        # the reflection of the round metric (G = I, dG = 0) in a field
+        # whose jacobian has one entry per row: every sum has one nonzero
+        # term, so both paths round alike
+        for p in s3.manifold.sample_points(rng, 40):
+            ref = _einsum_conversion_jacobian(np.eye(4), np.zeros((4, 4, 4)), s3.killing(p), s3.killing.jacobian(p))
+            assert np.array_equal(s3.metric.jacobian(p), ref)
 
 
 class TestLieBracket:

@@ -112,3 +112,37 @@ class TestCertificate:
             {"p": 17, "q": 12},
             {"p": 41, "q": 29},
         ]
+
+
+class TestCertificateInvariants:
+    """A hand-built approximant list that breaks one invariant raises a
+    ValueError naming it, which the CLI turns into exit code 2."""
+
+    @staticmethod
+    def _approximants(s3, pairs):
+        # (slope of the field, fraction it is labelled with)
+        return [(kg.combine_family(s3.family, (1.0, a.numerator / a.denominator)), b) for a, b in pairs]
+
+    def _certify(self, s3, pairs):
+        out = self._approximants(s3, pairs)
+        return kg.certify_uniform_convergence(s3.manifold, s3.metric, s3.killing, out, samples=50)
+
+    def test_gaps_that_do_not_decrease(self, s3):
+        with pytest.raises(ValueError, match="convergent gaps must strictly decrease"):
+            self._certify(s3, [(Fraction(3, 2),) * 2, (Fraction(1, 1),) * 2])
+        with pytest.raises(ValueError, match="convergent gaps must strictly decrease"):
+            self._certify(s3, [(Fraction(7, 5),) * 2, (Fraction(7, 5),) * 2])
+
+    def test_field_gaps_that_increase(self, s3):
+        # the labels' gaps decrease, but the fields move away from K
+        with pytest.raises(ValueError, match="sup field gaps must not increase"):
+            self._certify(s3, [(Fraction(7, 5), Fraction(3, 2)), (Fraction(1, 1), Fraction(7, 5))])
+
+    def test_gap_beyond_the_best_approximation_bound(self, s3):
+        # 13/9 is closer to sqrt 2 than 3/2, but not within 1/81 of it
+        with pytest.raises(ValueError, match="best-approximation bound"):
+            self._certify(s3, [(Fraction(3, 2),) * 2, (Fraction(13, 9),) * 2])
+
+    def test_convergents_pass(self, s3):
+        cert = self._certify(s3, [(Fraction(1, 1),) * 2, (Fraction(3, 2),) * 2, (Fraction(7, 5),) * 2])
+        assert cert.convergents == (Fraction(1, 1), Fraction(3, 2), Fraction(7, 5))
