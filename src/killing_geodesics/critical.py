@@ -330,19 +330,19 @@ def find_critical_orbits(
     of f on the orbit space, so its index-1 critical sets (saddles) are
     not returned.  The certified rows, in order of f,
     are deduplicated against the kept records at the same f (to
-    1e-6·(1 + |f|)).  First by flow reach: a row within
-    ``DEDUP_DISTANCE`` of a kept orbit's curve joins it.  Then modulo the
-    torus of the commuting family ``K.basis``: a row within
-    ``DEDUP_DISTANCE`` of a kept representative's torus orbit joins it
-    too, since f is invariant under every isometry that preserves K, so
-    the critical sets of a closed field are whole torus orbits (Bott,
-    "Nondegenerate critical manifolds", 1954).  The second rule holds
-    only where the manifold has no deck group, ``torus_orbit_distance``
-    gives the orbit distance in closed form and every member passes
-    ``certify_killing_field`` for g; the members are certified once per
-    call, on the first row the rule would merge.  So there is one record
-    per critical set of such a field, and one per flow line a row lands
-    on elsewhere.
+    1e-6·(1 + |f|)).  First modulo the torus of the commuting family
+    ``K.basis``, in closed form: a row within ``DEDUP_DISTANCE`` of a
+    kept representative's torus orbit joins it, since f is invariant
+    under every isometry that preserves K, so the critical sets of a
+    closed field are whole torus orbits (Bott, "Nondegenerate critical
+    manifolds", 1954).  This rule holds only where the manifold has no
+    deck group, ``torus_orbit_distance`` gives the orbit distance in
+    closed form and every member passes ``certify_killing_field`` for g;
+    the members are certified once per call, on the first row the rule
+    would merge.  Then by flow reach: a row within ``DEDUP_DISTANCE`` of
+    a kept orbit's curve joins it too; either rule merges, so their order
+    changes no record.  So there is one record per critical set of such
+    a field, and one per flow line a row lands on elsewhere.
 
     A row that starts a new record gets its period from
     ``detect_period``; the certificate's run gives the orbit's curve up
@@ -390,13 +390,13 @@ def find_critical_orbits(
     curves = []
     for p, fv, gn in candidates:
         level = [(o, line) for o, line in zip(out, curves) if abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))]
-        if any(min_distance_to_point(M, line, p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for _, line in level):
-            continue
         if torus is not None and any(torus(p, o.representative) <= DEDUP_DISTANCE for o, _ in level):
             if members_killing is None:
                 members_killing = all(certify_killing_field(g, m).certified for m in K.basis)
             if members_killing:
                 continue
+        if any(min_distance_to_point(M, line, p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for _, line in level):
+            continue
         cert = detect_period(M, K, p, horizon)
         speed = float(np.linalg.norm(K(p)))
         span = min(horizon, 4.0 * math.pi / max(speed, 0.1) + 1.0)

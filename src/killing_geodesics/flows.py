@@ -31,7 +31,8 @@ bound times half the span) lets the distance come down to
 ``DIP_THRESHOLD``; a time it skips reads as above the threshold, as it
 provably is.  The certificate keeps that run, and ``certified_flow``
 reads the flow line up to the period off it instead of computing it
-again.
+again.  Deduplication (``min_distance_to_point``) asks how near a kept
+curve comes to a point on the same travel bound.
 """
 
 from __future__ import annotations
@@ -64,11 +65,9 @@ PERIOD_TOL = 1e-6
 GEODESIC_TOL = 1e-5
 ODE_TOL = 1e-10  # local tolerance of integrated flow runs
 GEODESIC_ODE_TOL = 1e-11  # local tolerance of geodesic shooting
-SCAN_RESOLUTION = 1e-3
 DIP_THRESHOLD = 1e-2
 BISECTION_STEPS = 60  # cap on the safeguarded Newton steps of one return refinement
 RESIDUAL_MAX_SAMPLES = 2000  # interior samples geodesic_residual checks at most
-DEDUP_RESOLUTION = 5e-3  # scan step of min_distance_to_point
 HAUSDORFF_SAMPLES = 300  # times per curve of hausdorff_distance
 _SCAN_KNOTS = 8  # knots between two return scans of detect_period
 _SCAN_CHUNK = 4096  # grid times per return scan of a closed-form run
@@ -127,18 +126,6 @@ class CurveSample:
         state = self.dense(s)
         n = self.manifold.ambient_dim
         return state[..., :n]
-
-    @functools.cached_property
-    def dedup_samples(self):
-        """(times, positions) every ``DEDUP_RESOLUTION`` on [0, t_end): the
-        coarse scan of ``min_distance_to_point``, interpolated once."""
-        ss = np.arange(0.0, self.t_end, DEDUP_RESOLUTION)
-        return ss, self.position_at(ss)
-
-    @functools.cached_property
-    def max_speed(self) -> float:
-        """The largest Euclidean speed at a knot."""
-        return float(np.max(np.linalg.norm(self.velocities, axis=1)))
 
 
 def _energy_values(g: MetricField, points: Array, velocities: Array) -> Array:
@@ -446,14 +433,14 @@ def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCer
     Returns None when no certified return exists within the horizon
     (including the case of a stationary point of the field).
 
-    A skew linear field gives the closed-form run, which the scan reads
-    ``_SCAN_CHUNK`` grid times at a time.  Its speed is constant along the
-    line, so the scan step is ``SCAN_RESOLUTION``, shrunk to
-    ``DIP_THRESHOLD / (4 * |K(p0)|)`` so that a fast field cannot step
-    over a dip.  Any other field is integrated by ``solve_rk45`` at the
-    local tolerance ``ODE_TOL``; the scan follows the knots as the
-    stepper accepts them, its step is bounded by the fastest knot so far,
-    and it starts again from t = 0 whenever that bound shrinks.  Those
+    The scan step is ``DIP_THRESHOLD / (4 * |K|)`` at the fastest knot
+    seen, so no line steps over a dip, whatever its speed.  A skew
+    linear field gives the closed-form run, which the scan reads
+    ``_SCAN_CHUNK`` grid times at a time; its speed is constant along
+    the line, |K(p0)|.  Any other field is integrated by ``solve_rk45``
+    at the local tolerance ``ODE_TOL``; the scan follows the knots as the
+    stepper accepts them and starts again from t = 0 whenever a faster
+    knot shrinks the step.  Those
     knots are those of a whole-horizon run, so the answer does not depend
     on the horizon beyond the return, as long as no faster knot lies past
     it.
@@ -485,13 +472,14 @@ class _ReturnScan:
 
     It reads the curve through ``window(a, b)``, a callable that gives
     the curve on [a, b]: its positions there and a speed bound, and on
-    an integrated run its knots.  Both kinds of run feed it.  ``_scan``
-    gets its distances from ``_distances``: on an integrated run at the
-    window's knots first, then in coarse cells on the knot steps that
-    can come near, and inside a cell only where the travel bound lets it
-    reach ``DIP_THRESHOLD``; a skipped time reads as +inf, above the
-    threshold.  ``advance`` is the integrator's stop
-    callback: every ``_SCAN_KNOTS`` knots it scans the grid times
+    an integrated run its knots, off which each knot step's bound is
+    read: the scan keeps no copy of the run.  Both kinds of run feed it.
+    ``_scan`` gets its distances from ``_distances``: on an integrated
+    run at the window's knots first, then in coarse cells on the knot
+    steps that can come near, and inside a cell only where the travel
+    bound lets it reach ``DIP_THRESHOLD``; a skipped time reads as +inf,
+    above the threshold.  ``advance`` is the integrator's stop callback:
+    every ``_SCAN_KNOTS`` knots it scans the grid times
     strictly below the last knot and refines the closed dip runs whose
     window the knots reach strictly past, each by safeguarded Newton on
     its section crossing (``_refine_return``).
@@ -507,8 +495,6 @@ class _ReturnScan:
         self.v0 = v0
         self.unit = v0 / float(np.linalg.norm(v0))
         self.seen = 0           # knots whose speed bounds the step
-        self.knots = None       # the run's knot times, when it has any
-        self.speeds = []        # |K| at each knot seen
         self.step = math.inf
         self.certificate: Optional[PeriodCertificate] = None
         self._restart()
@@ -522,14 +508,12 @@ class _ReturnScan:
     def advance(self, ts, ys, fs) -> bool:
         if len(ts) - self.seen >= _SCAN_KNOTS:
             window = functools.partial(_window, ts, ys, fs)
-            self.knots = ts
             self._scan(window, math.ceil(ts[-1] / self._update_step(fs)) - 1)
             self._refine(window, ts[-1], ts[-1])
         return self.certificate is not None
 
     def finish(self, ts, ys, fs) -> None:
         window = functools.partial(_window, ts, ys, fs)
-        self.knots = ts
         self._scan(window, math.ceil(ts[-1] / self._update_step(fs)))
         self._close(window, ts[-1])
 
@@ -554,11 +538,9 @@ class _ReturnScan:
     def _update_step(self, fs) -> float:
         # the dip window is DIP_THRESHOLD / speed wide: never step over it
         if len(fs) > self.seen:
-            speeds = np.linalg.norm(np.array(fs[self.seen:]), axis=1)
-            self.speeds.extend(speeds.tolist())
-            top = float(np.max(speeds))
+            top = float(np.max(np.linalg.norm(np.array(fs[self.seen:]), axis=1)))
             self.seen = len(fs)
-            step = min(SCAN_RESOLUTION, DIP_THRESHOLD / (4.0 * top))
+            step = DIP_THRESHOLD / (4.0 * top)
             if step < self.step:
                 self.step = step
                 self._restart()
@@ -614,10 +596,9 @@ class _ReturnScan:
         if not isinstance(curve, DenseCurve):
             return self._cells(curve, ss, curve.speed_bound())
         ts, ys = curve.ts, curve.ys
-        first = bisect.bisect_left(self.knots, ts[0])
-        bounds = curve.step_speed_bounds(np.array(self.speeds[first:first + len(ts)]))
+        bounds = curve.step_speed_bounds()
         d_knots = self.M.quotient_distance(ys, self.p0)
-        near = np.minimum(d_knots[:-1], d_knots[1:]) - 0.5 * np.diff(ts) * bounds <= DIP_THRESHOLD + self._slack(ys)
+        near = np.minimum(d_knots[:-1], d_knots[1:]) - 0.5 * np.diff(ts) * bounds <= DIP_THRESHOLD + _slack(ys, self.p0)
         if not near.any():
             return np.full(len(ss), math.inf)
         near = near[np.clip(np.searchsorted(ts, ss, side="right") - 1, 0, len(ts) - 2)]
@@ -635,7 +616,7 @@ class _ReturnScan:
         pts = curve(ss[ends])
         d_ends = self.M.quotient_distance(pts, self.p0)
         reach = 0.5 * np.diff(ss[ends]) * speed
-        near = np.minimum(d_ends[:-1], d_ends[1:]) - reach <= DIP_THRESHOLD + self._slack(pts)
+        near = np.minimum(d_ends[:-1], d_ends[1:]) - reach <= DIP_THRESHOLD + _slack(pts, self.p0)
         inner = np.append(np.repeat(near, np.diff(ends)), False)
         inner[ends] = False
         d = np.full(len(ss), math.inf)
@@ -643,10 +624,6 @@ class _ReturnScan:
         if inner.any():
             d[inner] = self.M.quotient_distance(curve(ss[inner]), self.p0)
         return d
-
-    def _slack(self, pts: Array) -> float:
-        # the computed points and distances are exact to a few ulps of the coordinates
-        return 1e-12 * (1.0 + max(float(np.abs(pts).max()), float(np.abs(self.p0).max())))
 
     def _refine(self, window, reach: float, end: float) -> None:
         """Refine pending runs in order while ``reach`` lies past their
@@ -714,6 +691,11 @@ class _ReturnScan:
         return None
 
 
+def _slack(pts: Array, q: Array) -> float:
+    # the computed points and distances are exact to a few ulps of the coordinates
+    return 1e-12 * (1.0 + max(float(np.abs(pts).max()), float(np.abs(q).max())))
+
+
 def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -> CurveSample:
     """Apply the time-t flow of family member l pointwise to a curve.
 
@@ -742,51 +724,36 @@ def translate_geodesic(F: KillingFamily, l: int, gamma: CurveSample, t: float) -
 
 
 def min_distance_to_point(M: ManifoldModel, c: CurveSample, q, radius: float) -> float:
-    """Quotient distance from a curve image to a point, decided against
-    ``radius``: a value ``<= radius`` says that the curve comes within
-    ``radius`` and bounds the minimal distance from above; a value above
-    ``radius`` says that it does not.
+    """Quotient distance from a flow curve's image to a point, decided
+    against ``radius``: a value ``<= radius`` is the distance at a curve point, so
+    it bounds the minimum from above; a value above ``radius`` is the
+    smallest distance measured, and the curve provably stays beyond
+    ``radius``, up to rounding.
 
-    Scans the curve's cached ``dedup_samples`` and returns the first
-    sample or refined point within ``radius``.  Every curve point lies
-    within ``max_speed * DEDUP_RESOLUTION`` of a sample (half of it
-    between two samples, a whole step past the last one), and the
-    quotient distance moves no faster than the point, so a coarse
-    minimum beyond ``radius`` plus that bound is returned unrefined.
-    Otherwise every local minimum within the bound of the coarse minimum
-    is refined: refining only the global coarse minimum can lock onto
-    the wrong dip when true minima fall between samples.  The last
-    sample's refinement reaches ``t_end``: a curve of one period ends
-    less than a step after it, and the stretch in between would be
-    missed.
+    The proof is the return scan's: on a stretch of span w between two
+    measured points the distance is at least the smaller end value less
+    w·V/2, V = ``c.dense.speed_bound()``.  The curve is measured at its
+    knots, then every stretch whose bound reaches ``radius`` plus the
+    ``_slack`` splits into ``_CELL`` parts, until a point lies within
+    ``radius`` or no stretch can reach it.  A stretch whose travel w·V/2
+    is below the slack is settled by its ends.
     """
     q = np.asarray(q, dtype=float)
-    ss, positions = c.dedup_samples
-    d = M.quotient_distance(positions, q)
+    speed = c.dense.speed_bound()
+    slack = _slack(c.points, q)
+    d = M.quotient_distance(c.points, q)
     best = float(np.min(d))
-    bound = c.max_speed * DEDUP_RESOLUTION
-    if best <= radius or best > radius + bound:
-        return best
-    margin = best + bound
-    interior = (d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])
-    candidates = [j + 1 for j in np.nonzero(interior & (d[1:-1] <= margin))[0]]
-    candidates += [0, len(ss) - 1]
-    edges = np.append(ss, c.t_end)
-    for j in candidates:
-        if d[j] > margin:
-            continue
-        lo = float(ss[max(0, j - 1)])
-        hi = float(edges[j + 1])
-        for _ in range(3):
-            grid = np.linspace(lo, hi, 60)
-            dd = M.quotient_distance(c.position_at(grid), q)
-            k = int(np.argmin(dd))
-            best = min(best, float(dd[k]))
-            if best <= radius:
-                return best
-            width = (hi - lo) / 59.0
-            lo = max(lo, float(grid[k]) - width)
-            hi = min(hi, float(grid[k]) + width)
+    a, b, da, db = c.times[:-1], c.times[1:], d[:-1], d[1:]
+    while best > radius:
+        reach = 0.5 * (b - a) * speed
+        near = (np.minimum(da, db) - reach <= radius + slack) & (reach > slack)
+        if not near.any():
+            break
+        parts = np.linspace(a[near], b[near], _CELL + 1, axis=1)
+        inner = M.quotient_distance(c.position_at(parts[:, 1:-1].ravel()), q).reshape(len(parts), _CELL - 1)
+        best = min(best, float(np.min(inner)))
+        d = np.column_stack([da[near], inner, db[near]])
+        a, b, da, db = parts[:, :-1].ravel(), parts[:, 1:].ravel(), d[:, :-1].ravel(), d[:, 1:].ravel()
     return best
 
 

@@ -284,21 +284,20 @@ class DenseCurve:
         ``step_speed_bounds``."""
         if len(self.ts) < 2:
             return 0.0
-        return float(np.max(self.step_speed_bounds(np.linalg.norm(self.fs, axis=1))))
+        return float(np.max(self.step_speed_bounds()))
 
-    def step_speed_bounds(self, speeds: Array) -> Array:
-        """An upper bound on |c'| over each step, given the knot speeds
-        ``speeds`` = |f_i|.
+    def step_speed_bounds(self) -> Array:
+        """An upper bound on |c'| over each step, read off its knots.
 
-        On step i, of length h, at the fraction θ of it, the derivative of
-        the interpolant is 6θ(1 - θ)·(y_{i+1} - y_i)/h plus the weights
-        3θ² - 4θ + 1 on f_i and 3θ² - 2θ on f_{i+1}.  On [0, 1] the first
-        factor is at most 1.5 and each weight at most 1 in absolute value,
-        so |c'| <= 1.5·|Δy|/h + |f_i| + |f_{i+1}|, rounded up by
-        ``SPEED_BOUND_MARGIN``.
-        """
-        dy = np.linalg.norm(np.diff(self.ys, axis=0), axis=1)
-        return (1.5 * dy / np.diff(self.ts) + speeds[:-1] + speeds[1:]) * (1.0 + SPEED_BOUND_MARGIN)
+        With the chord slope s = (y_{i+1} - y_i)/h of step i, the
+        interpolant's derivative at the fraction θ of it is
+        s + (3θ² - 4θ + 1)·(f_i - s) + (3θ² - 2θ)·(f_{i+1} - s), and each
+        weight is at most 1 in absolute value on [0, 1].  So |c'| <=
+        |s| + |f_i - s| + |f_{i+1} - s|, exact on a straight line, rounded
+        up by ``SPEED_BOUND_MARGIN``."""
+        s = np.diff(self.ys, axis=0) / np.diff(self.ts)[:, None]
+        parts = (s, self.fs[:-1] - s, self.fs[1:] - s)
+        return sum(np.linalg.norm(v, axis=1) for v in parts) * (1.0 + SPEED_BOUND_MARGIN)
 
     def _piece(self, i: Array, th: Array, h: Array) -> Array:
         """The interpolant on step i at the fractions th of its length h."""
@@ -331,7 +330,7 @@ class ContinuousCurve(DenseCurve):
             y = F[:, j] + (th if j % 2 else 1.0 - th) * y
         return self.ys[i] + th * y
 
-    def step_speed_bounds(self, speeds: Array) -> Array:
+    def step_speed_bounds(self) -> Array:
         """Not derived for the 7th-order extension, and the Hermite bound
         of ``DenseCurve`` does not hold for it."""
         raise NotImplementedError("no speed bound for a DOP853 continuous extension")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import killing_geodesics as kg
-from killing_geodesics import cli, critical, geometry, rational
+from killing_geodesics import cli, critical, flows, geometry, rational
 from killing_geodesics.flows import GEODESIC_ODE_TOL, GEODESIC_TOL, ODE_TOL, PERIOD_TOL
 from killing_geodesics.integrate import DenseCurve
 from killing_geodesics.killing import COMMUTE_TOL, KILLING_RESIDUAL_TOL
@@ -163,6 +163,15 @@ def test_derived_facts_read_their_source(s3):
     assert not dataclasses.replace(s3.killing, max_residual=2 * KILLING_RESIDUAL_TOL).certified
     assert s3.family.commuting and s3.family.max_bracket <= COMMUTE_TOL
     assert not kg.KillingFamily(s3.family.members).commuting
+
+
+def test_one_travel_bound_answers_every_nearness_question():
+    # the return scan and dedup both read the run's knots and its travel
+    # bound: no resolution cap, no sampler and no cached samples
+    for name in ("SCAN_RESOLUTION", "DEDUP_RESOLUTION"):
+        assert not hasattr(flows, name), name
+    for name in ("dedup_samples", "max_speed"):
+        assert not hasattr(kg.CurveSample, name), name
 
 
 def test_curve_facts_read_off_the_run(s3):

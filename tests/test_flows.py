@@ -414,9 +414,10 @@ class TestDetectPeriod:
 
     def test_open_dip_at_horizon_has_no_bracket(self, flat_torus, monkeypatch):
         # K = ∂t closes at s = 1, and its dip opens at s = 0.99: a run to
-        # 0.995 ends inside the dip, whose crossing s - 1 keeps its sign
-        # on the refinement window [0.989, 0.995], so no grid value
-        # brackets a return; the same start certifies past s = 1
+        # 0.995 ends inside the dip.  At the step DIP_THRESHOLD / 4 =
+        # 2.5e-3 the dip's last grid time is 0.9925, and the crossing s - 1
+        # keeps its sign on the refinement window [0.98, 0.995], so no
+        # grid value brackets a return; the same start certifies past s = 1
         refinements = spy_refinements(monkeypatch)
         words = []
 
@@ -429,7 +430,7 @@ class TestDetectPeriod:
         assert kg.detect_period(flat_torus.manifold, flat_torus.killing, p0, 0.995) is None
         # the dip has a deck word, and no Newton step follows its lookup
         assert len(words) == 1 and words[0] is not None
-        assert refinements == [[pytest.approx(0.994)]]
+        assert refinements == [[pytest.approx(0.9925)]]
         cert = kg.detect_period(flat_torus.manifold, flat_torus.killing, p0, 1.005)
         assert cert is not None and cert.period == pytest.approx(1.0, abs=1e-6)
 
@@ -499,14 +500,17 @@ class TestStreamedScan:
 
     def test_dip_waits_for_its_window(self, flat_torus, monkeypatch):
         # K = (1, 0.0098) passes about 0.0098 from p0 at s ≈ 1: a dip
-        # below DIP_THRESHOLD on grid times 0.998..1.001 only, smallest at
-        # 1.000 and closed at 1.002.  Knots up to 1.004 scan past the close
-        # but do not cover the refinement window up to 1.005, so the dip
+        # below DIP_THRESHOLD on s within 2e-3 of 1 only.  The step
+        # DIP_THRESHOLD / (4|v|) = 1 / (400|v|) puts one grid time in it,
+        # index 400 at s = 1/|v|, and the dip closes at index 401, s ≈
+        # 1.0025.  Knots up to 1.01 scan past the close but do not cover
+        # the refinement window up to 1/|v| + 5 steps ≈ 1.0125, so the dip
         # waits; the next knots cover it and it is refined (and rejected) once
         M = flat_torus.manifold
         v = np.array([1.0, 0.0098])
         p0 = np.array([0.2, 0.35])
-        ts = list(np.linspace(0.0, 1.004, 9))
+        speed = float(np.linalg.norm(v))
+        ts = list(np.linspace(0.0, 1.01, 9))
         refined = []
 
         def reduce_point(M, p, q, **kwargs):
@@ -520,10 +524,10 @@ class TestStreamedScan:
             return scan.advance(ts, [p0 + t * v for t in ts], [v for _ in ts])
 
         assert not advance()
-        assert scan.step == 1e-3 and scan.pending == [1000] and refined == []
+        assert scan.step == flows.DIP_THRESHOLD / (4.0 * speed) and scan.pending == [400] and refined == []
         ts += list(np.linspace(1.1, 2.0, 8))
         assert not advance()
-        assert scan.pending == [] and refined == [pytest.approx(1.2)]
+        assert scan.pending == [] and refined == [pytest.approx(p0[0] + 1.0 / speed)]
 
     def test_stops_at_first_return(self, s3):
         calls = [0]
@@ -689,25 +693,27 @@ class TestTwoLevelScan:
             for m in masks():
                 assert np.array_equal(M.quotient_distance(pts[m], entry.probe_point), whole[m])
 
-    # rows of the one-level scan: 25,133; 50,000; 262,263.  Of the
-    # scan with cells and no knot level: 1,738; 3,323; 17,963.  Of this
-    # scan: 954; 3,334; 18,070 (the knot rows of the constant fields'
-    # few long steps settle nothing)
+    # rows of the one-level scan at step min(1e-3, DIP_THRESHOLD/(4|v|)):
+    # 25,133; 50,000; 262,263.  Of the scan with cells and no knot level
+    # at that step: 1,738; 3,323; 17,963.  Of the knot-level scan at that
+    # step: 954; 3,334; 18,070 (the knot rows of the constant fields' few
+    # long steps settle nothing).  Of this scan, at DIP_THRESHOLD/(4|v|)
+    # and on the chord bound: 920; 1,369; 7,245
     def test_open_sphere_line_scans_few_points(self, s3, monkeypatch):
         rows = _scan_rows(monkeypatch)
         assert kg.detect_period(s3.manifold, lambda p: s3.killing(p), s3.probe_point, 8.0 * math.pi) is None
-        assert 0 < rows[0] <= 1_200
+        assert 0 < rows[0] <= 1_000
 
     def test_open_equator_scans_few_points(self, mapping_torus, monkeypatch):
         rows = _scan_rows(monkeypatch)
         eq = np.array([1.0, 0.0, 0.0, 0.0])
         assert kg.detect_period(mapping_torus.manifold, mapping_torus.killing, eq, 50.0) is None
-        assert 0 < rows[0] <= 5_000
+        assert 0 < rows[0] <= 2_000
 
     def test_analyze_scans_few_points(self, mapping_torus, monkeypatch):
         rows = _scan_rows(monkeypatch)
         kg.analyze_entry(mapping_torus, seed=0)
-        assert 0 < rows[0] <= 25_000
+        assert 0 < rows[0] <= 10_000
 
 
 class TestRefineReturn:

@@ -158,11 +158,21 @@ def test_hermite_speed_bound_holds(data):
     ys = np.reshape(data.draw(values, label="ys"), (m, d))
     fs = np.reshape(data.draw(values, label="fs"), (m, d))
     curve = integrate.DenseCurve(ts, ys, fs)
-    bounds = curve.step_speed_bounds(np.linalg.norm(fs, axis=1))
+    bounds = curve.step_speed_bounds()
     assert curve.speed_bound() == np.max(bounds)
     theta = np.linspace(0.0, 1.0, 401)
     for i in range(m - 1):
         assert np.max(np.linalg.norm(_hermite_velocity(curve, i, theta), axis=1)) <= bounds[i]
+
+
+def test_speed_bound_is_exact_on_a_straight_line():
+    # a constant field's knots lie on a line with f_i = Δy/h = v: the chord
+    # bound is |v| up to the margin, where 1.5·|Δy|/h + |f_i| + |f_{i+1}| is 3.5·|v|
+    v = np.array([3.0, -4.0, 12.0])
+    run = integrate.solve_rk45(lambda _t, y: v, np.array([0.5, 0.0, -1.0]), 10.0, tol=1e-10)
+    assert len(run.ts) > 3
+    bounds = run.step_speed_bounds()
+    assert np.all(bounds >= 13.0) and np.all(bounds <= 13.0 * (1.0 + 2.0 * integrate.SPEED_BOUND_MARGIN))
 
 
 def test_hermite_velocity_is_the_curve_derivative(s3):

@@ -104,11 +104,29 @@ class TestOneRecordPerSet:
         # both members certified once, on the first merge the family rule makes
         assert [args[1].label for args in certifies] == ["rot-z", "rot-w"]
 
-    def test_analyze_s3_certifies_no_member(self, s3, monkeypatch):
+    def test_analyze_s3_merges_in_closed_form(self, s3, monkeypatch):
+        # the torus rule comes first: every merge on stationary-s3 is made
+        # in closed form, after one certification of each member
+        dedups = _counting(monkeypatch, "min_distance_to_point")
         certifies = _counting(monkeypatch, "certify_killing_field")
         report = kg.analyze_entry(s3, seed=42)
         assert len(report.critical_orbits) == 2
-        assert certifies == []
+        assert dedups == []
+        assert [args[1].label for args in certifies] == ["rot-z", "rot-w"]
+
+    def test_bare_field_merges_by_flow_line(self, s3, monkeypatch):
+        # a bare callable carries no torus basis: its candidates merge by
+        # flow line alone, into the records the torus rule gives
+        ref = kg.find_critical_orbits(s3.metric, s3.killing, budget=64, seed=42)
+        dedups = _counting(monkeypatch, "min_distance_to_point")
+        certifies = _counting(monkeypatch, "certify_killing_field")
+        bare = kg.find_critical_orbits(s3.metric, lambda p: s3.killing(p), budget=64, seed=42)
+        assert len(dedups) > 0 and certifies == []
+        assert len(bare) == len(ref) == 2
+        for o, r in zip(bare, ref):
+            assert o.f_value == pytest.approx(r.f_value, abs=1e-9)
+            assert o.classification == r.classification
+            assert o.period == pytest.approx(r.period, abs=1e-6)
 
 
 class TestTorusDistance:

@@ -5,10 +5,10 @@ below T are those of ``flow`` bit for bit, so deduplication and the
 geodesic residual need no second integration.  That holds for both kinds
 of run: the RK45 run of a field without a skew ``linear`` matrix (here
 the S³ field as a bare callable) and the closed-form run of the S³ field
-itself, which integrates nothing.  Deduplication returns the coarse
-distance unrefined when the cached coarse samples put the point out of
-reach, and the first sample or refined point within reach otherwise;
-neither early exit changes a decision of the exact scan.
+itself, which integrates nothing.  Deduplication measures the curve at
+its knots and splits only the stretches whose travel bound can reach
+the radius; it returns at the first point within reach, and its
+decision is that of a sampled scan refined around every near minimum.
 """
 
 import functools
@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 import killing_geodesics as kg
 from killing_geodesics import critical, flows
 from killing_geodesics.critical import DEDUP_DISTANCE
-from killing_geodesics.flows import DEDUP_RESOLUTION, CurveSample, min_distance_to_point
+from killing_geodesics.flows import CurveSample, min_distance_to_point
 from killing_geodesics.integrate import DenseCurve
 
 SQRT2 = math.sqrt(2.0)
+SAMPLE_STEP = 5e-3  # sample step of the reference scan, _exact_min_distance
 
 
 def _starts(s3, klein, flat_torus, mapping_torus):
@@ -160,13 +161,19 @@ def _orbit_curves():
     return M, curves
 
 
+def _knot_speed(c):
+    """The largest Euclidean speed at a knot."""
+    return float(np.max(np.linalg.norm(c.velocities, axis=1)))
+
+
 def _exact_min_distance(M, c, q):
-    """The reference scan: the coarse samples, then every local minimum
-    within the speed bound of the coarse minimum refined to the end."""
-    ss, positions = c.dedup_samples
-    d = M.quotient_distance(positions, q)
+    """The reference scan: samples every ``SAMPLE_STEP``, then every local
+    minimum within the fastest knot's travel of the smallest sample
+    refined, to the end of the curve."""
+    ss = np.arange(0.0, c.t_end, SAMPLE_STEP)
+    d = M.quotient_distance(c.position_at(ss), q)
     best = float(np.min(d))
-    margin = best + c.max_speed * DEDUP_RESOLUTION
+    margin = best + _knot_speed(c) * SAMPLE_STEP
     interior = (d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])
     candidates = [j + 1 for j in np.nonzero(interior & (d[1:-1] <= margin))[0]]
     candidates += [0, len(ss) - 1]
@@ -203,19 +210,14 @@ def test_skip_never_drops_a_duplicate(index, where, direction, distance, radius)
     value = min_distance_to_point(M, curve, q, radius)
     exact = _exact_min_distance(M, curve, q)
     assert (value <= radius) == (exact <= radius)
-    # every point the library measures, the reference measures too
-    assert value >= exact
+    # the library measures curve points: no value lies below the true
+    # minimum, which is at least a dense minimum less its travel bound
+    ss, step = np.linspace(0.0, curve.t_end, math.ceil(curve.t_end / 1e-4) + 1, retstep=True)
+    dense = M.quotient_distance(curve.position_at(ss), q)
+    assert value >= float(np.min(dense)) - 0.5 * step * curve.dense.speed_bound() - 1e-12
 
 
-def test_dedup_samples_are_cached_and_exact():
-    M, curves = _orbit_curves()
-    curve = curves[3]
-    _, positions = curve.dedup_samples
-    assert curve.dedup_samples[1] is positions
-    assert np.array_equal(positions, curve.position_at(np.arange(0.0, curve.t_end, DEDUP_RESOLUTION)))
-
-
-# -- the refinement margin of min_distance_to_point ------------------------
+# -- the travel bound of min_distance_to_point -----------------------------
 
 
 def _spiral(t_end=2.0, knot_step=1e-3, pitch=1e-2):
@@ -240,7 +242,7 @@ def test_refinement_reaches_past_the_last_sample(s3):
     M, K = s3.manifold, s3.killing
     cert = kg.detect_period(M, K, np.array([1.0, 0.0, 0.0, 0.0]), 50.0)
     curve = kg.certified_flow(M, K, cert, cert.period)
-    ss, _ = curve.dedup_samples
+    ss = np.arange(0.0, curve.t_end, SAMPLE_STEP)
     q = curve.position_at(0.5 * (ss[-1] + curve.t_end))
     assert 0.5 * (curve.t_end - ss[-1]) > 1e-3
     assert min_distance_to_point(M, curve, q, 1e-7) <= 1e-7
@@ -249,15 +251,15 @@ def test_refinement_reaches_past_the_last_sample(s3):
 def test_margin_uses_the_fastest_knot():
     M, curve = _spiral()
     # a time on the fast second turn, midway between two coarse samples
-    t_star = (round(1.7 / DEDUP_RESOLUTION) + 0.5) * DEDUP_RESOLUTION
+    t_star = (round(1.7 / SAMPLE_STEP) + 0.5) * SAMPLE_STEP
     p_star = curve.position_at(t_star)
     q = p_star * (1.0 + 2e-3 / np.linalg.norm(p_star))
     fine = np.linspace(t_star - 1e-3, t_star + 1e-3, 100_001)
     truth = float(np.min(M.quotient_distance(curve.position_at(fine), q)))
     assert truth == pytest.approx(2e-3, rel=1e-2)
     # the slow first turn holds the coarse minimum, 1e-2 away
-    _, positions = curve.dedup_samples
+    positions = curve.position_at(np.arange(0.0, curve.t_end, SAMPLE_STEP))
     assert float(np.min(M.quotient_distance(positions, q))) > 1e-2
-    assert float(np.linalg.norm(curve.velocities[0])) < 1.01 < 12.0 < curve.max_speed
+    assert float(np.linalg.norm(curve.velocities[0])) < 1.01 < 12.0 < _knot_speed(curve)
     assert min_distance_to_point(M, curve, q, truth + 1e-9) <= truth + 1e-9
     assert min_distance_to_point(M, curve, q, truth - 1e-9) > truth - 1e-9
