@@ -16,7 +16,7 @@ from .errors import (
     SearchFailureError,
     UnsupportedCapabilityError,
 )
-from .gallery import ENTRY_NAMES, build_entry
+from .gallery import ENTRIES, ENTRY_NAMES, build_entry
 from .report import analyze_entry, approximate_entry, trace_entry
 
 _CONSTANTS = {
@@ -46,7 +46,7 @@ def parse_vector(text: str):
     return tuple(parse_scalar(tok) for tok in text.split(","))
 
 
-_ENTRY_PARAMS = ("alpha", "slope", "theta")
+_ENTRY_PARAMS = tuple(param for _, param, _ in ENTRIES.values() if param is not None)
 
 
 def _add_command(sub, name: str, run, summary: str) -> argparse.ArgumentParser:
@@ -119,11 +119,8 @@ def main(argv=None) -> int:
     run, out = flags.pop("run"), flags.pop("out")
     try:
         entry = build_entry(flags.pop("entry"), **{k: flags.pop(k) for k in _ENTRY_PARAMS if k in flags})
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         result = run(entry, **flags)

@@ -245,44 +245,36 @@ def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, scan: Optional[
     return exact
 
 
-def flow(M: ManifoldModel, K, p0, T: float, metric: Optional[MetricField] = None) -> CurveSample:
+def flow(M: ManifoldModel, K, p0, T: float) -> CurveSample:
     """The field flow c' = K(c), c(0) = p0 on [0, T].
 
     The curve is exact for a skew linear field and integrated otherwise,
-    at the local tolerance ``ODE_TOL`` (see ``_run``).  When ``metric`` is
-    given, the drift of g(K, K) along the curve is recorded in
-    ``energy_drift`` (it should vanish for Killing fields).
+    at the local tolerance ``ODE_TOL`` (see ``_run``).  Its
+    ``energy_drift`` is NaN: no metric is involved.
     """
     K = as_field(K)
     run = _run(M, K, np.asarray(p0, dtype=float), float(T))
-    return _flow_curve(M, K.evaluator, run, metric)
-
-
-def _flow_curve(M: ManifoldModel, field, dense: DenseCurve, metric: Optional[MetricField] = None) -> CurveSample:
-    """The flow curve of ``field`` whose knots are those of ``dense``."""
-    drift = math.nan
-    if metric is not None:
-        vals = _energy_values(metric, dense.ys, dense.fs)
-        drift = float(np.max(np.abs(vals - vals[0])))
-    return CurveSample(M, drift, dense, field)
+    return CurveSample(M, math.nan, run, K.evaluator)
 
 
 def certified_flow(M: ManifoldModel, K, cert: PeriodCertificate, T: float) -> CurveSample:
     """The curve ``flow(M, K, p0, T)`` gives, read off the run that
     certified ``cert``, for 0 < T <= cert.period.
 
-    Below T its knots are the knots of ``flow`` bit for bit: both runs
-    take the same steps until ``flow`` clips its last one to land on T.
-    At T it holds the dense value, projected onto the manifold, in place
-    of that clipped step.  So the interior knots, and with them the
-    ``geodesic_residual`` of the curve, are those of ``flow``.  On a
-    closed-form run both place their knots at the same times, and the
-    knot at T is the same too.
+    A closed-form run is cut at T, so the curve is that of ``flow``
+    between the knots too.  On an integrated run the knots below T are
+    the knots of ``flow`` bit for bit: both runs take the same steps
+    until ``flow`` clips its last one to land on T.  At T the curve holds
+    the dense value, projected onto the manifold, in place of that
+    clipped step.  So the interior knots, and with them the
+    ``geodesic_residual`` of the curve, are those of ``flow``.
     """
     run = cert.curve
     if not 0.0 < T <= run.t_end:
         raise ValueError(f"T = {T} outside the certified run (0, {run.t_end}]")
     field, _, project = _flow_problem(M, K)
+    if isinstance(run, ExactCurve):
+        return CurveSample(M, math.nan, dataclasses.replace(run, t_end=float(T)), field)
     y = run(float(T))
     if project is not None:
         y = project(y)
@@ -292,7 +284,7 @@ def certified_flow(M: ManifoldModel, K, cert: PeriodCertificate, T: float) -> Cu
         np.vstack([run.ys[:n], y]),
         np.vstack([run.fs[:n], field(y)]),
     )
-    return _flow_curve(M, field, dense)
+    return CurveSample(M, math.nan, dense, field)
 
 
 def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:

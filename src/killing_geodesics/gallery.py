@@ -2,7 +2,9 @@
 
 Every constructor assembles a manifold, a metric, a certified Killing
 field (or family) and an ``expected`` record the tests and the batch
-front door check against.  The five entries:
+front door check against.  ``ENTRIES`` maps each name to its
+constructor, the one ``build_entry`` parameter it takes (or None) and
+that parameter's default.  The five entries:
 
 * ``flat-torus``      flat Lorentzian 2-torus with a constant field
 * ``klein-bottle``    Lorentzian Klein bottle, timelike unit field
@@ -101,7 +103,40 @@ def _lattice_distance(pts: Array, q: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# flat Lorentzian 2-torus
+# flat tori: the Lorentzian 2-torus
+
+
+def _flat_torus(name: str, diag, fields: dict, coeffs, expected: dict, probe) -> GalleryEntry:
+    """R^n/Z^n, n = len(diag), with the constant metric diag(``diag``).
+
+    The deck group is generated by the unit translations e_i.  The family
+    holds the constant coordinate fields ``fields`` (label -> axis), and K
+    is their combination ``coeffs``.
+    """
+    n = len(diag)
+    M = ManifoldModel(
+        ambient_dim=n,
+        deck_generators=tuple(make_deck_generator(i, np.eye(n), np.eye(n)[i]) for i in range(n)),
+        fundamental_box=np.array([[0.0, 1.0]] * n),
+        quotient_distance_fn=_lattice_distance,
+    )
+    g = _constant_metric(M, diag)
+    members = tuple(
+        _constant_field(g, np.eye(n)[axis], label, tuple(float(i == j) for i in range(len(fields))))
+        for j, (label, axis) in enumerate(fields.items())
+    )
+    family = make_killing_family(g, members)
+    K = certify_killing_field(g, combine_family(family, coeffs))
+    return GalleryEntry(
+        name=name,
+        manifold=M,
+        metric=g,
+        killing=K,
+        family=family,
+        expected=expected,
+        angle_period=1.0,
+        probe_point=np.array(probe),
+    )
 
 
 def make_flat_lorentzian_torus(slope) -> GalleryEntry:
@@ -116,36 +151,12 @@ def make_flat_lorentzian_torus(slope) -> GalleryEntry:
     a, b = (float(slope[0]), float(slope[1]))
     if a == 0.0 and b == 0.0:
         raise ValueError("slope must be nonzero")
-    M = ManifoldModel(
-        ambient_dim=2,
-        deck_generators=(
-            make_deck_generator(0, np.eye(2), [1.0, 0.0]),
-            make_deck_generator(1, np.eye(2), [0.0, 1.0]),
-        ),
-        fundamental_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        quotient_distance_fn=_lattice_distance,
-    )
-    g = _constant_metric(M, [1.0, -1.0])
-    dx = _constant_field(g, [1.0, 0.0], "dx", (1.0, 0.0))
-    dt = _constant_field(g, [0.0, 1.0], "dt", (0.0, 1.0))
-    family = make_killing_family(g, (dx, dt))
-    K = certify_killing_field(g, combine_family(family, (a, b)))
-    ratio_rational = (a == 0.0) or (b == 0.0) or (detect_rational(b / a) is not None)
     expected = {
         "f_constant": a * a - b * b,
         "degenerate_constant": True,
-        "periodic": ratio_rational,
+        "periodic": (a == 0.0) or (b == 0.0) or (detect_rational(b / a) is not None),
     }
-    return GalleryEntry(
-        name="flat-torus",
-        manifold=M,
-        metric=g,
-        killing=K,
-        family=family,
-        expected=expected,
-        angle_period=1.0,
-        probe_point=np.array([0.2, 0.35]),
-    )
+    return _flat_torus("flat-torus", [1.0, -1.0], {"dx": 0, "dt": 1}, (a, b), expected, [0.2, 0.35])
 
 
 # ---------------------------------------------------------------------------
@@ -386,41 +397,30 @@ def make_commuting_family_example() -> GalleryEntry:
     closed geodesic by the second field produces pairwise distinct closed
     geodesics, the sample-scale form of the infinite-family argument.
     """
-    M = ManifoldModel(
-        ambient_dim=4,
-        deck_generators=tuple(
-            make_deck_generator(i, np.eye(4), np.eye(4)[i]) for i in range(4)
-        ),
-        fundamental_box=np.array([[0.0, 1.0]] * 4),
-        quotient_distance_fn=_lattice_distance,
-    )
-    g = _constant_metric(M, [1.0, 1.0, -1.0, -1.0])
-    K1 = _constant_field(g, [0.0, 0.0, 1.0, 0.0], "dt1", (1.0, 0.0))
-    K2 = _constant_field(g, [0.0, 0.0, 0.0, 1.0], "dt2", (0.0, 1.0))
-    family = make_killing_family(g, (K1, K2))
-    K = certify_killing_field(g, combine_family(family, (1.0, 0.0)))
     expected = {
         "f_constant": -1.0,
         "degenerate_constant": True,
         "gram_diagonal": (-1.0, -1.0),
         "periodic": True,
     }
-    return GalleryEntry(
-        name="commuting-t4",
-        manifold=M,
-        metric=g,
-        killing=K,
-        family=family,
-        expected=expected,
-        angle_period=1.0,
-        probe_point=np.array([0.1, 0.2, 0.3, 0.4]),
+    return _flat_torus(
+        "commuting-t4", [1.0, 1.0, -1.0, -1.0], {"dt1": 2, "dt2": 3}, (1.0, 0.0), expected, [0.1, 0.2, 0.3, 0.4]
     )
 
 
 # ---------------------------------------------------------------------------
 # registry and validation
 
-ENTRY_NAMES = ("flat-torus", "klein-bottle", "stationary-s3", "mapping-torus", "commuting-t4")
+# name -> (constructor, the one build_entry parameter it takes or None,
+# that parameter's default)
+ENTRIES = {
+    "flat-torus": (make_flat_lorentzian_torus, "slope", (0.0, 1.0)),
+    "klein-bottle": (make_klein_bottle, None, None),
+    "stationary-s3": (make_stationary_sphere, "alpha", math.sqrt(2.0)),
+    "mapping-torus": (make_mapping_torus, "theta", 1.0),
+    "commuting-t4": (make_commuting_family_example, None, None),
+}
+ENTRY_NAMES = tuple(ENTRIES)
 
 
 def build_entry(
@@ -429,17 +429,19 @@ def build_entry(
     slope=None,
     theta: Optional[float] = None,
 ) -> GalleryEntry:
-    if name == "flat-torus":
-        return make_flat_lorentzian_torus(slope if slope is not None else (0.0, 1.0))
-    if name == "klein-bottle":
-        return make_klein_bottle()
-    if name == "stationary-s3":
-        return make_stationary_sphere(alpha if alpha is not None else math.sqrt(2.0))
-    if name == "mapping-torus":
-        return make_mapping_torus(theta if theta is not None else 1.0)
-    if name == "commuting-t4":
-        return make_commuting_family_example()
-    raise KeyError(f"unknown gallery entry {name!r}")
+    """The entry ``name`` of ``ENTRIES``, built with its parameter if given,
+    else with its default.  A parameter the entry does not take raises
+    ``ValueError``."""
+    if name not in ENTRIES:
+        raise KeyError(f"unknown gallery entry {name!r}")
+    make, param, default = ENTRIES[name]
+    given = {"alpha": alpha, "slope": slope, "theta": theta}
+    for k, v in given.items():
+        if v is not None and k != param:
+            raise ValueError(f"{name} takes no {k}")
+    if param is None:
+        return make()
+    return make(default if given[param] is None else given[param])
 
 
 def validate_entry(entry: GalleryEntry, n_samples: int = 100) -> dict:

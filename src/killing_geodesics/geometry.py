@@ -322,11 +322,14 @@ class ManifoldModel:
     # -- constraint handling -------------------------------------------------
 
     def constraint_residual(self, p: Array) -> float:
+        """|c(p)| at one point, or the largest over an (N, d) stack."""
         if self.constraint is None:
             return 0.0
-        return abs(float(self.constraint(np.asarray(p, dtype=float))))
+        return float(np.max(np.abs(self.constraint(np.asarray(p, dtype=float)))))
 
     def check_on_manifold(self, p: Array) -> None:
+        """Raise ``OffManifoldError`` where p, or some row of an (N, d)
+        stack, is off the manifold by more than ``CONSTRAINT_TOL``."""
         r = self.constraint_residual(p)
         if r > CONSTRAINT_TOL:
             raise OffManifoldError(f"constraint residual {r:.3e} exceeds {CONSTRAINT_TOL:.1e}")

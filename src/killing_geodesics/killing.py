@@ -191,15 +191,13 @@ def killing_residual(g: MetricField, K, p) -> float:
     """
     p = np.asarray(p, dtype=float)
     M = g.manifold
-    rows = p.reshape(-1, p.shape[-1])
-    for q in rows:
-        M.check_on_manifold(q)
+    M.check_on_manifold(p)
     K = as_field(K)
     G = g.matrix(p)
     J = K.jacobian(p)
     flow = np.einsum("...m,...mij->...ij", K(p), g.jacobian(p))
     L = flow + J @ G + G @ np.swapaxes(J, -1, -2)
-    B = np.array([M.tangent_basis(q) for q in rows])
+    B = np.array([M.tangent_basis(q) for q in p.reshape(-1, p.shape[-1])])
     return float(np.abs(B @ L @ np.swapaxes(B, -1, -2)).max())
 
 

@@ -225,5 +225,5 @@ def trace_entry(entry: GalleryEntry, start, T: float, geodesic: bool = False, ve
             velocity = entry.killing(start)
         curve = shoot_geodesic(entry.metric, start, velocity, T)
     else:
-        curve = flow(M, entry.killing, start, T, metric=entry.metric)
+        curve = flow(M, entry.killing, start, T)
     return curve_to_csv(entry.metric, curve)

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import subprocess
@@ -7,7 +9,7 @@ import pytest
 
 from killing_geodesics import cli
 from killing_geodesics.errors import SearchFailureError
-from killing_geodesics.gallery import build_entry
+from killing_geodesics.gallery import ENTRIES, build_entry
 from killing_geodesics.report import analyze_entry, dumps
 
 SQRT2 = math.sqrt(2.0)
@@ -138,6 +140,20 @@ class TestExitCodes:
     def test_rational_theta(self):
         assert run_cli("analyze", "mapping-torus", "--theta", "pi").returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "klein-bottle", "--alpha", "2"],
+            ["analyze", "stationary-s3", "--slope", "1,2"],
+            ["approximate", "commuting-t4", "--theta", "1"],
+        ],
+        ids=["klein-alpha", "s3-slope", "t4-theta"],
+    )
+    def test_parameter_the_entry_does_not_take(self, argv, capsys):
+        # a dropped parameter would print the default entry's report
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {argv[1]} takes no {argv[2][2:]}\n"
+
     def test_unsupported_approximation(self):
         assert run_cli("approximate", "klein-bottle", "--n", "2").returncode == 4
 
@@ -147,6 +163,22 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "analyze_entry", boom)
         assert cli.main(["analyze", "klein-bottle"]) == 3
+
+
+def test_entry_parameters_are_stated_once():
+    # the CLI's entry flags, build_entry's keywords and the parameters of
+    # gallery.ENTRIES are one set; an entry flag is a flag that is neither
+    # --out nor forwarded to the run
+    table = {param for _, param, _ in ENTRIES.values() if param is not None}
+    keywords = set(inspect.signature(build_entry).parameters) - {"name"}
+    parser = cli._make_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name in ("analyze", "approximate", "trace"):
+        sub = commands[name]
+        forwarded = set(inspect.signature(sub.get_default("run")).parameters)
+        flags = {a.dest for a in sub._actions if a.option_strings} - forwarded - {"help", "out"}
+        assert flags == keywords == table, name
+    assert set(cli._ENTRY_PARAMS) == table
 
 
 class TestForwarding:

@@ -68,7 +68,7 @@ class TestFlow:
     def test_klein_unit_time(self, klein):
         M = klein.manifold
         p0 = np.array([0.3, 0.0])
-        curve = kg.flow(M, klein.killing, p0, 1.0, metric=klein.metric)
+        curve = kg.flow(M, klein.killing, p0, 1.0)
         end = curve.points[-1]
         assert np.allclose(end, [0.3, 1.0], atol=1e-9)
         # after deck reduction the endpoint is the glide image (0.7, 0)
@@ -77,7 +77,7 @@ class TestFlow:
 
     def test_sphere_flow_matches_closed_form(self, s3):
         p0 = np.array([0.6, 0.0, 0.8, 0.0])
-        curve = kg.flow(s3.manifold, s3.killing, p0, 2 * math.pi, metric=s3.metric)
+        curve = kg.flow(s3.manifold, s3.killing, p0, 2 * math.pi)
         # dense output is Hermite-interpolated between accepted steps, so
         # mid-step queries carry a few 1e-8 of interpolation error
         for s in (0.5, 1.7, 4.4, 2 * math.pi):
@@ -97,8 +97,11 @@ class TestFlow:
         assert np.abs(curve.points - np.array([0.2, 0.2])).max() == 0.0
 
     def test_energy_drift_recorded(self, s3):
-        curve = kg.flow(s3.manifold, s3.killing, s3.probe_point, 5.0, metric=s3.metric)
-        assert curve.energy_drift <= 1e-7 * (1 + 5.0)
+        # a flow records no drift; g(K, K) at its knots stays constant
+        curve = kg.flow(s3.manifold, s3.killing, s3.probe_point, 5.0)
+        assert math.isnan(curve.energy_drift)
+        f = np.array([kg.energy(s3.metric, s3.killing, p) for p in curve.points])
+        assert np.abs(f - f[0]).max() <= 1e-7 * (1 + 5.0)
 
     def test_constraint_drift(self, s3):
         curve = kg.flow(s3.manifold, s3.killing, s3.probe_point, 20.0)
@@ -806,7 +809,7 @@ class TestTranslateGeodesic:
 
 class TestCsv:
     def test_header_and_constant_energy(self, klein):
-        curve = kg.flow(klein.manifold, klein.killing, np.array([0.0, 0.0]), 2.0, metric=klein.metric)
+        curve = kg.flow(klein.manifold, klein.killing, np.array([0.0, 0.0]), 2.0)
         text = kg.curve_to_csv(klein.metric, curve)
         lines = text.strip().split("\n")
         assert lines[0] == "s,x1,x2,v1,v2,f"

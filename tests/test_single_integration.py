@@ -106,6 +106,9 @@ class TestCertifiedFlow:
             for name in ("times", "points", "velocities", "accelerations"):
                 assert np.array_equal(getattr(curve, name), getattr(ref, name)), name
             assert curve.t_end == ref.t_end == T
+            # and between the knots: both are the closed form
+            grid = np.linspace(0.0, T, 1001)
+            assert np.array_equal(curve.position_at(grid), ref.position_at(grid))
             assert kg.geodesic_residual(s3.metric, curve) == kg.geodesic_residual(s3.metric, ref)
         assert runs[0] == 0
 
