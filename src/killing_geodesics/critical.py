@@ -360,8 +360,14 @@ def find_critical_orbits(
 
     Every run of a flow line is one of ``flows``: closed-form for a field
     whose ``linear`` matrix is skew, integrated at ``flows.ODE_TOL``
-    otherwise, with periods certified to ``flows.PERIOD_TOL``.
+    otherwise, with periods certified to ``flows.PERIOD_TOL``.  A budget
+    below 1, or a horizon that is not finite and positive, raises
+    ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     M = g.manifold
     K = as_field(K)
     rng = np.random.default_rng(seed)
@@ -392,7 +398,7 @@ def find_critical_orbits(
         level = [(o, line) for o, line in zip(out, curves) if abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))]
         if torus is not None and any(torus(p, o.representative) <= DEDUP_DISTANCE for o, _ in level):
             if members_killing is None:
-                members_killing = all(certify_killing_field(g, m).certified for m in K.basis)
+                members_killing = all(certify_killing_field(g, m).certified for m in K.basis.members)
             if members_killing:
                 continue
         if any(min_distance_to_point(M, line, p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for _, line in level):

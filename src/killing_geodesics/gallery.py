@@ -1,10 +1,11 @@
 """Ready-to-analyze example manifolds with known ground truth.
 
 Every constructor assembles a manifold, a metric, a certified Killing
-field (or family) and an ``expected`` record the tests and the batch
-front door check against.  ``ENTRIES`` maps each name to its
-constructor, the one ``build_entry`` parameter it takes (or None) and
-that parameter's default.  The five entries:
+field (whose ``basis`` is its certified family, where it has one) and
+an ``expected`` record the tests and the batch front door check
+against.  ``ENTRIES`` maps each name to its constructor, the one
+``build_entry`` parameter it takes (or None) and that parameter's
+default.  The five entries:
 
 * ``flat-torus``      flat Lorentzian 2-torus with a constant field
 * ``klein-bottle``    Lorentzian Klein bottle, timelike unit field
@@ -56,12 +57,16 @@ class GalleryEntry:
     manifold: ManifoldModel
     metric: MetricField
     killing: KillingField
-    family: Optional[KillingFamily]
     expected: dict
     angle_period: float
     probe_point: Array
     exceptional_starts: tuple = ()
     orbit_coordinate: Optional[Callable[[Array], float]] = None
+
+    @property
+    def family(self) -> Optional[KillingFamily]:
+        """The certified torus family K lies in: ``killing.basis``."""
+        return self.killing.basis
 
 
 def _constant_metric(M: ManifoldModel, diag, signature=None) -> MetricField:
@@ -81,7 +86,7 @@ def _constant_metric(M: ManifoldModel, diag, signature=None) -> MetricField:
     return MetricField(M, constant(G), tuple(signature), jacobian=constant(zero))
 
 
-def _constant_field(g: MetricField, components, label, generator) -> KillingField:
+def _constant_field(g: MetricField, components, label) -> KillingField:
     v = np.asarray(components, dtype=float)
     n = len(v)
     zero = np.zeros((n, n))
@@ -90,7 +95,6 @@ def _constant_field(g: MetricField, components, label, generator) -> KillingFiel
         KillingField(
             stackwise(lambda p, _v=constant(v): _v(p).copy()),
             label=label,
-            generator=generator,
             jacobian=constant(zero),
         ),
     )
@@ -121,18 +125,13 @@ def _flat_torus(name: str, diag, fields: dict, coeffs, expected: dict, probe) ->
         quotient_distance_fn=_lattice_distance,
     )
     g = _constant_metric(M, diag)
-    members = tuple(
-        _constant_field(g, np.eye(n)[axis], label, tuple(float(i == j) for i in range(len(fields))))
-        for j, (label, axis) in enumerate(fields.items())
-    )
-    family = make_killing_family(g, members)
+    family = make_killing_family(g, [_constant_field(g, np.eye(n)[axis], label) for label, axis in fields.items()])
     K = certify_killing_field(g, combine_family(family, coeffs))
     return GalleryEntry(
         name=name,
         manifold=M,
         metric=g,
         killing=K,
-        family=family,
         expected=expected,
         angle_period=1.0,
         probe_point=np.array(probe),
@@ -195,7 +194,7 @@ def make_klein_bottle() -> GalleryEntry:
         quotient_distance_fn=_klein_distance,
     )
     g = _constant_metric(M, [1.0, -1.0])
-    K = _constant_field(g, [0.0, 1.0], "dt", None)
+    K = _constant_field(g, [0.0, 1.0], "dt")
 
     def orbit_coordinate(p) -> float:
         x = float(p[0]) % 1.0
@@ -214,7 +213,6 @@ def make_klein_bottle() -> GalleryEntry:
         manifold=M,
         metric=g,
         killing=K,
-        family=None,
         expected=expected,
         angle_period=1.0,
         probe_point=np.array([0.3, 0.0]),
@@ -259,8 +257,8 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
     A2 = np.zeros((4, 4))
     A2[2, 3] = -1.0
     A2[3, 2] = 1.0
-    K1 = certify_killing_field(round_metric, linear_field(A1, label="rot-z", generator=(1.0, 0.0)))
-    K2 = certify_killing_field(round_metric, linear_field(A2, label="rot-w", generator=(0.0, 1.0)))
+    K1 = certify_killing_field(round_metric, linear_field(A1, label="rot-z"))
+    K2 = certify_killing_field(round_metric, linear_field(A2, label="rot-w"))
     family = make_killing_family(round_metric, (K1, K2))
     K = combine_family(family, (1.0, alpha))
     g = riemann_to_lorentz(round_metric, K)
@@ -282,7 +280,6 @@ def make_stationary_sphere(alpha: float) -> GalleryEntry:
         manifold=M,
         metric=g,
         killing=K,
-        family=family,
         expected=expected,
         angle_period=TWO_PI,
         probe_point=probe,
@@ -365,7 +362,7 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
         quotient_distance_fn=_mapping_torus_distance(theta),
     )
     g = _constant_metric(M, [1.0, 1.0, 1.0, -1.0], signature=(2, 1))
-    K = _constant_field(g, [0.0, 0.0, 0.0, 1.0], "dt", None)
+    K = _constant_field(g, [0.0, 0.0, 0.0, 1.0], "dt")
     expected = {
         "f_constant": -1.0,
         "degenerate_constant": True,
@@ -377,7 +374,6 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
         manifold=M,
         metric=g,
         killing=K,
-        family=None,
         expected=expected,
         angle_period=1.0,
         probe_point=np.array([1.0, 0.0, 0.0, 0.0]),
@@ -430,8 +426,8 @@ def build_entry(
     theta: Optional[float] = None,
 ) -> GalleryEntry:
     """The entry ``name`` of ``ENTRIES``, built with its parameter if given,
-    else with its default.  A parameter the entry does not take raises
-    ``ValueError``."""
+    else with its default.  A parameter the entry does not take, or one
+    with a component that is not finite, raises ``ValueError``."""
     if name not in ENTRIES:
         raise KeyError(f"unknown gallery entry {name!r}")
     make, param, default = ENTRIES[name]
@@ -441,7 +437,10 @@ def build_entry(
             raise ValueError(f"{name} takes no {k}")
     if param is None:
         return make()
-    return make(default if given[param] is None else given[param])
+    value = default if given[param] is None else given[param]
+    if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        raise ValueError(f"{param} must be finite")
+    return make(value)
 
 
 def validate_entry(entry: GalleryEntry, n_samples: int = 100) -> dict:

@@ -50,9 +50,10 @@ FAMILY_SEED = 0
 class KillingField:
     """A vector field with optional torus-generator coordinates.
 
-    ``generator`` holds the coordinates of the field in an explicit torus
-    action whose fundamental fields are ``basis`` (set only for gallery
-    entries built from such actions).  ``max_residual`` is the Killing
+    ``basis`` is the ``KillingFamily`` of the torus the field lies in,
+    its members and their bracket certificate, and ``generator`` holds
+    K's coefficients in it (both set by ``combine_family``, so only for
+    fields combined from such a family).  ``max_residual`` is the Killing
     residual ``certify_killing_field`` measured on its samples (inf until
     measured), and ``certified`` says whether it stayed within
     ``KILLING_RESIDUAL_TOL``; perturbed non-Killing fields are legitimate
@@ -70,8 +71,8 @@ class KillingField:
 
     evaluator: Callable[[Array], Array]
     label: str = "K"
-    generator: Optional[tuple] = None
-    basis: Optional[tuple] = None  # fundamental fields of the torus action
+    generator: Optional[tuple] = None  # K's coefficients in ``basis``
+    basis: Optional[KillingFamily] = None
     max_residual: float = math.inf
     jacobian: Optional[Callable[[Array], Array]] = None  # row m = ∂field/∂x_m
     linear: Optional[Array] = None  # A with K(p) = A p
@@ -88,7 +89,9 @@ class KillingField:
         return self.evaluator(np.asarray(p, dtype=float))
 
 
-def linear_field(A, label: str = "K", generator: Optional[tuple] = None, basis: Optional[tuple] = None) -> KillingField:
+def linear_field(
+    A, label: str = "K", generator: Optional[tuple] = None, basis: Optional[KillingFamily] = None
+) -> KillingField:
     """The field K(p) = A p with its constant jacobian A^T, for one point
     or an (N, d) stack."""
     A = np.asarray(A, dtype=float)
@@ -112,8 +115,8 @@ def eigen_groups(S: Array, tol: float):
 
 
 def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], float]]:
-    """dist(p, orbit of r) under the torus exp(Σ θ_i A_i) of ``K.basis``,
-    in closed form, or None where the members do not give it.
+    """dist(p, orbit of r) under the torus exp(Σ θ_i A_i) of the members
+    of ``K.basis``, in closed form, or None where they do not give it.
 
     Needs K and every member linear, the members A_i skew and commuting
     with each other and with K's matrix.  The eigen-groups of the fixed
@@ -127,7 +130,7 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
 
     Whether the members are Killing for some metric is not checked here.
     """
-    members = K.basis or ()
+    members = K.basis.members if K.basis is not None else ()
     if K.linear is None or not members or any(m.linear is None for m in members):
         return None
     A = [np.asarray(m.linear, dtype=float) for m in members]
@@ -211,16 +214,8 @@ def certify_killing_field(g: MetricField, K, n_samples: int = 50) -> KillingFiel
     return dataclasses.replace(K, max_residual=worst)
 
 
-def make_killing_field(
-    g: MetricField,
-    evaluator: Callable[[Array], Array],
-    label: str = "K",
-    generator: Optional[tuple] = None,
-    basis: Optional[tuple] = None,
-    jacobian: Optional[Callable[[Array], Array]] = None,
-) -> KillingField:
-    K = KillingField(evaluator, label=label, generator=generator, basis=basis, jacobian=jacobian)
-    return certify_killing_field(g, K)
+def make_killing_field(g: MetricField, evaluator: Callable[[Array], Array], label: str = "K") -> KillingField:
+    return certify_killing_field(g, KillingField(evaluator, label=label))
 
 
 def lie_bracket(X, Y, p) -> Array:
@@ -265,11 +260,10 @@ def gram_matrix(g: MetricField, F: KillingFamily, q) -> Array:
 def combine_family(F: KillingFamily, x) -> KillingField:
     """Pointwise linear combination sum_i x_i K^i of a commuting family.
 
-    The generator coordinates of the result are the combination of the
-    members' coordinates (which is x itself when the members are the
-    fundamental torus directions).  When every member is linear, so is
-    the result, with A = sum_i x_i A_i: one matrix product per point in
-    place of a loop over the members.
+    The result lies in the torus of ``F``: its ``basis`` is ``F`` and its
+    ``generator`` is x.  When every member is linear, so is the result,
+    with A = sum_i x_i A_i: one matrix product per point in place of a
+    loop over the members.
     """
     x = np.asarray(x, dtype=float)
     if not np.any(x):
@@ -284,13 +278,10 @@ def combine_family(F: KillingFamily, x) -> KillingField:
             out = out + c * v
         return out
 
-    generator = None
-    if all(K.generator is not None for K in members):
-        gen = sum(c * np.asarray(K.generator, dtype=float) for c, K in zip(x, members))
-        generator = tuple(float(v) for v in gen)
+    generator = tuple(float(c) for c in x)
     label = "+".join(f"{c:g}*{K.label}" for c, K in zip(x, members))
     if all(K.linear is not None for K in members):
-        return linear_field(combine([K.linear for K in members]), label, generator, members)
+        return linear_field(combine([K.linear for K in members]), label, generator, F)
 
     @stackwise
     def evaluator(p):
@@ -300,7 +291,7 @@ def combine_family(F: KillingFamily, x) -> KillingField:
     def jacobian(p):
         return combine([K.jacobian(p) for K in members])
 
-    return KillingField(evaluator, label=label, generator=generator, basis=members, jacobian=jacobian)
+    return KillingField(evaluator, label=label, generator=generator, basis=F, jacobian=jacobian)
 
 
 def lorentz_to_riemann(g: MetricField, K) -> MetricField:

@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnsupportedCapabilityError
-from .geometry import ManifoldModel, MetricField
-from .killing import KillingFamily, as_field, combine_family, certify_killing_field, energy_terms
+from .geometry import MetricField
+from .killing import as_field, combine_family, certify_killing_field, energy_terms
 
 # Convergent denominators beyond this exceed what a double can resolve.
 MAX_DENOMINATOR = 10_000_000
@@ -76,34 +76,32 @@ def detect_rational(alpha: float) -> Optional[Fraction]:
     return None
 
 
-def approximate_closed(K, n: int, metric: Optional[MetricField] = None) -> list:
+def approximate_closed(K, n: int, metric: MetricField) -> list:
     """Closed Killing fields from the convergents of the generator slope.
 
     Returns a list of ``(field, fraction)`` pairs where the k-th field has
-    generator (1, p_k/q_k).  On an angle-normalized torus action every
-    integral line of such a field is periodic with period dividing
-    ``angle_period * q_k``.  A rational input slope yields the single
-    exact field, already closed.  With ``metric``, each field is certified
-    Killing on ``CERTIFY_SAMPLES`` points.
+    generator (1, p_k/q_k) in K's torus ``K.basis``.  On an
+    angle-normalized torus action every integral line of such a field is
+    periodic with period dividing ``angle_period * q_k``.  A rational
+    input slope yields the single exact field, already closed.  Each
+    field is certified Killing for ``metric`` on ``CERTIFY_SAMPLES``
+    points.
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     K = as_field(K)
     if K.generator is None or K.basis is None:
-        raise UnsupportedCapabilityError(
-            "field carries no torus-generator coordinates (evaluator-only field)"
-        )
+        raise UnsupportedCapabilityError(f"field {K.label!r} carries no torus-generator coordinates")
     gen = np.asarray(K.generator, dtype=float)
     if len(gen) != 2 or gen[0] == 0.0:
         raise UnsupportedCapabilityError("generator must be of the form (a, b) with a != 0")
     alpha = float(gen[1] / gen[0])
-    family = KillingFamily(tuple(K.basis))
     exact = detect_rational(alpha)
     fractions = [exact] if exact is not None else continued_fraction_convergents(alpha, n)
     out = []
     for frac in fractions:
-        field = combine_family(family, (gen[0], gen[0] * frac.numerator / frac.denominator))
-        if metric is not None:
-            field = certify_killing_field(metric, field, n_samples=CERTIFY_SAMPLES)
-        out.append((field, frac))
+        field = combine_family(K.basis, (gen[0], gen[0] * frac.numerator / frac.denominator))
+        out.append((certify_killing_field(metric, field, n_samples=CERTIFY_SAMPLES), frac))
     return out
 
 
@@ -126,25 +124,23 @@ class ApproximationCertificate:
 
 
 def certify_uniform_convergence(
-    M: ManifoldModel,
-    g: MetricField,
-    K,
-    approximants: list,
-    samples: int = 500,
-    seed: int = 7,
+    g: MetricField, K, approximants: list, samples: int, seed: int
 ) -> ApproximationCertificate:
-    """Sample sup-norm gaps and timelike persistence for the approximants.
+    """Sample sup-norm gaps and timelike persistence for the approximants
+    on ``samples`` points of ``g.manifold`` seeded by ``seed``.
 
     Enforces the certificate invariants: strictly decreasing gaps, the
     best-approximation bound gap < 1/q^2, and non-increasing field gaps.
     Raises ValueError naming the first invariant the approximants fail.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     K = as_field(K)
     if K.generator is None:
-        raise UnsupportedCapabilityError("field carries no torus-generator coordinates")
+        raise UnsupportedCapabilityError(f"field {K.label!r} carries no torus-generator coordinates")
     alpha = float(K.generator[1] / K.generator[0])
     rng = np.random.default_rng(seed)
-    pts = M.sample_points(rng, samples)
+    pts = g.manifold.sample_points(rng, samples)
     base_vals = K(pts)
     metric = g.matrix(pts)
     gaps = []

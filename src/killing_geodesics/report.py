@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .critical import find_critical_orbits
-from .errors import OffManifoldError, UnsupportedCapabilityError
+from .errors import OffManifoldError
 from .flows import GEODESIC_TOL, ODE_TOL, PERIOD_TOL, curve_to_csv, detect_period, flow, shoot_geodesic
 from .gallery import GalleryEntry
 from .killing import KILLING_RESIDUAL_TOL, killing_residual
-from .rational import ApproximationCertificate, approximate_closed, certify_uniform_convergence
+from .rational import approximate_closed, certify_uniform_convergence
 
 RESIDUAL_SAMPLES = 50  # sampled points of killing_residual_max
 
@@ -162,17 +162,8 @@ def approximate_entry(
     t0 = time.perf_counter()
     M = entry.manifold
     g = entry.metric
-    K = entry.killing
-    if K.generator is None or K.basis is None:
-        raise UnsupportedCapabilityError(
-            f"entry {entry.name!r} carries no torus-generator coordinates"
-        )
-    approximants = approximate_closed(K, n, metric=g)
-    if approximants:
-        cert = certify_uniform_convergence(M, g, K, approximants, samples=samples, seed=seed)
-        cert_dict = cert.as_dict()
-    else:
-        cert_dict = ApproximationCertificate((), (), (), ()).as_dict()
+    approximants = approximate_closed(entry.killing, n, metric=g)
+    cert_dict = certify_uniform_convergence(g, entry.killing, approximants, samples, seed).as_dict()
     per = []
     for field, frac in approximants:
         horizon = entry.angle_period * (frac.denominator + 1)

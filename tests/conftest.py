@@ -43,7 +43,7 @@ def timelike_somewhere(s3):
     rot_z, rot_w = s3.family.members
     round_g = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0), jacobian=lambda p: np.zeros((4, 4, 4)))
     g = kg.riemann_to_lorentz(round_g, kg.combine_family(s3.family, (1.0, 1.0)))
-    K = kg.certify_killing_field(g, linear_field(rot_z.linear - SQRT2 * rot_w.linear, basis=(rot_z, rot_w)))
+    K = kg.certify_killing_field(g, linear_field(rot_z.linear - SQRT2 * rot_w.linear, basis=s3.family))
     return g, K
 
 

@@ -154,6 +154,37 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {argv[1]} takes no {argv[2][2:]}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "flat-torus", "--slope", "nan,1"],
+            ["analyze", "mapping-torus", "--theta", "nan"],
+            ["analyze", "stationary-s3", "--alpha", "inf"],
+        ],
+        ids=["slope-nan", "theta-nan", "alpha-inf"],
+    )
+    def test_non_finite_parameter(self, argv):
+        # refused before the constructor runs: no warning precedes the error
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {argv[2][2:]} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["approximate", "stationary-s3", "--n", "-1"], "n must be non-negative"),
+            (["approximate", "stationary-s3", "--samples", "0"], "samples must be at least 1"),
+            (["analyze", "stationary-s3", "--budget", "0"], "budget must be at least 1"),
+            (["analyze", "stationary-s3", "--horizon", "-1"], "horizon must be finite and positive"),
+        ],
+        ids=["n", "samples", "budget", "horizon"],
+    )
+    def test_count_out_of_range(self, argv, message, capsys):
+        # an empty certificate, a numpy message or a search that never ran
+        # would read as a result
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_unsupported_approximation(self):
         assert run_cli("approximate", "klein-bottle", "--n", "2").returncode == 4
 

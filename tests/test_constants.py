@@ -89,6 +89,24 @@ def _library_defaults(function) -> set:
     return {p.name for p in params if p.default is not inspect.Parameter.empty}
 
 
+# The approximation layer's parameters and which of them default: no
+# knob that no caller sets, no parameter another one gives (the manifold
+# is g.manifold), and no default that restates approximate_entry's.
+APPROXIMATION_SIGNATURES = (
+    (kg.make_killing_field, ("g", "evaluator", "label"), {"label"}),
+    (kg.approximate_closed, ("K", "n", "metric"), set()),
+    (kg.certify_uniform_convergence, ("g", "K", "approximants", "samples", "seed"), set()),
+)
+
+
+@pytest.mark.parametrize(
+    "function, names, defaults", APPROXIMATION_SIGNATURES, ids=[f.__name__ for f, _, _ in APPROXIMATION_SIGNATURES]
+)
+def test_approximation_signature(function, names, defaults):
+    assert tuple(inspect.signature(function).parameters) == names
+    assert _library_defaults(function) == defaults
+
+
 @pytest.mark.parametrize(
     "builder, name",
     [(kg.make_flat_lorentzian_torus, "slope"), (kg.make_stationary_sphere, "alpha"), (kg.make_mapping_torus, "theta")],
@@ -143,6 +161,10 @@ RECORD_FIELDS = {
     kg.KillingField: ("evaluator", "label", "generator", "basis", "max_residual", "jacobian", "linear"),
     kg.KillingFamily: ("members", "max_bracket"),
     kg.CurveSample: ("manifold", "energy_drift", "dense", "field"),
+    kg.GalleryEntry: (
+        "name", "manifold", "metric", "killing", "expected",
+        "angle_period", "probe_point", "exceptional_starts", "orbit_coordinate",
+    ),
 }
 
 
@@ -163,6 +185,16 @@ def test_derived_facts_read_their_source(s3):
     assert not dataclasses.replace(s3.killing, max_residual=2 * KILLING_RESIDUAL_TOL).certified
     assert s3.family.commuting and s3.family.max_bracket <= COMMUTE_TOL
     assert not kg.KillingFamily(s3.family.members).commuting
+
+
+def test_one_torus_record(all_entries, s3):
+    # an entry's family is its field's basis, and every approximant keeps
+    # that certified family: the torus is stated once
+    for entry in all_entries:
+        assert entry.family is entry.killing.basis, entry.name
+    assert isinstance(s3.killing.basis, kg.KillingFamily) and s3.killing.basis.commuting
+    for field, _ in kg.approximate_closed(s3.killing, 5, s3.metric):
+        assert field.basis is s3.killing.basis
 
 
 def test_one_travel_bound_answers_every_nearness_question():

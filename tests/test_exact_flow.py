@@ -35,7 +35,7 @@ def _closed_form(p0, t, beta):
 
 
 def _approximants(s3):
-    return kg.approximate_closed(s3.killing, 5)
+    return kg.approximate_closed(s3.killing, 5, s3.metric)
 
 
 def _generic(p0) -> bool:

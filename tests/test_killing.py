@@ -239,7 +239,7 @@ class TestFamilies:
         # one matrix product per point must round like the loop it
         # replaced, sum_i x_i (A_i p), on points and on (N, 4) stacks
         K1, K2 = s3.family.members
-        coeffs = [(1.0, SQRT2)] + [K.generator for K, _ in kg.approximate_closed(s3.killing, 5)]
+        coeffs = [(1.0, SQRT2)] + [K.generator for K, _ in kg.approximate_closed(s3.killing, 5, s3.metric)]
         assert len(coeffs) == 6
         P = s3.manifold.sample_points(rng, 16)
         for x in coeffs:
@@ -272,12 +272,12 @@ def _combined(entry, f):
 
 def _not_closable(entry, f):
     with pytest.raises(UnsupportedCapabilityError):
-        kg.approximate_closed(f, 3)
+        kg.approximate_closed(f, 3, entry.metric)
 
 
 def _no_convergence_certificate(entry, f):
     with pytest.raises(UnsupportedCapabilityError):
-        kg.certify_uniform_convergence(entry.manifold, entry.metric, f, [])
+        kg.certify_uniform_convergence(entry.metric, f, [], samples=500, seed=7)
 
 
 @pytest.mark.parametrize("use", [_certified, _combined, _not_closable, _no_convergence_certificate])

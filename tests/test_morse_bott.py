@@ -132,7 +132,7 @@ class TestOneRecordPerSet:
 class TestTorusDistance:
     def test_matches_brute_force_on_the_gallery_family(self, s3, hopf):
         distance = torus_orbit_distance(hopf)
-        A1, A2 = (m.linear for m in hopf.basis)
+        A1, A2 = (m.linear for m in hopf.basis.members)
         rng = np.random.default_rng(7)
         for _ in range(3):
             p, r = s3.manifold.sample_points(rng, 2)
@@ -145,7 +145,7 @@ class TestTorusDistance:
         A1 = Q @ (_rotation(5, 0, 1) + _rotation(5, 2, 3, 2.0)) @ Q.T
         A2 = Q @ (_rotation(5, 0, 1, 3.0) + _rotation(5, 2, 3, -1.0)) @ Q.T
         members = (linear_field(A1), linear_field(A2))
-        distance = torus_orbit_distance(linear_field(A1 + 0.5 * A2, basis=members))
+        distance = torus_orbit_distance(linear_field(A1 + 0.5 * A2, basis=kg.KillingFamily(members)))
         rng = np.random.default_rng(8)
         for _ in range(3):
             p, r = rng.normal(size=(2, 5))
@@ -164,7 +164,7 @@ class TestTorusDistance:
             "K not commuting": (_rotation(4, 1, 2), [_rotation(4, 0, 1), _rotation(4, 2, 3)]),
         }
         for name, (K, members) in cases.items():
-            field = linear_field(K, basis=tuple(linear_field(A) for A in members))
+            field = linear_field(K, basis=kg.KillingFamily(tuple(linear_field(A) for A in members)))
             assert torus_orbit_distance(field) is None, name
         # constant members have no matrix
         for entry in (flat_torus, t4):
@@ -186,14 +186,14 @@ class TestFallbacks:
         return _records(_search(s3, dataclasses.replace(K, basis=None), self.BUDGET))
 
     def test_hopf_alone(self, s3, hopf):
-        K = dataclasses.replace(hopf, basis=(hopf,))
+        K = dataclasses.replace(hopf, basis=kg.KillingFamily((hopf,)))
         orbits = _search(s3, K, self.BUDGET)
         assert len(orbits) > 3
         assert _records(orbits) == self._flow_line_records(s3, hopf)
 
     def test_non_commuting_member(self, s3, hopf):
         twist = linear_field(_rotation(4, 1, 2), label="twist")
-        K = dataclasses.replace(hopf, basis=(hopf.basis[0], twist))
+        K = dataclasses.replace(hopf, basis=kg.KillingFamily((hopf.basis.members[0], twist)))
         assert _records(_search(s3, K, self.BUDGET)) == self._flow_line_records(s3, hopf)
 
     def test_non_killing_members(self, s3, hopf, monkeypatch):
@@ -204,9 +204,10 @@ class TestFallbacks:
         D1 = Q.T @ _rotation(4, 0, 1) @ Q
         D2 = Q.T @ _rotation(4, 2, 3) @ Q
         assert np.allclose(D1 + D2, hopf.linear, atol=1e-15)
-        K = dataclasses.replace(hopf, basis=(linear_field(D1, label="d1"), linear_field(D2, label="d2")))
+        members = (linear_field(D1, label="d1"), linear_field(D2, label="d2"))
+        K = dataclasses.replace(hopf, basis=kg.KillingFamily(members))
         assert torus_orbit_distance(K) is not None
-        assert not kg.certify_killing_field(s3.metric, K.basis[0]).certified
+        assert not kg.certify_killing_field(s3.metric, K.basis.members[0]).certified
         certifies = _counting(monkeypatch, "certify_killing_field")
         orbits = _search(s3, K, self.BUDGET)
         assert certifies  # the family rule was reached, and its certificate refused it

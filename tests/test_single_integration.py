@@ -47,7 +47,7 @@ def _exact_starts(s3):
     """(field, start) of closed-form runs on S³: both circles of the S³
     field, and a q = 1 torus line and a generic line of its first and
     last approximants."""
-    closed = [field for field, _ in kg.approximate_closed(s3.killing, 5)]
+    closed = [field for field, _ in kg.approximate_closed(s3.killing, 5, s3.metric)]
     return [
         (s3.killing, np.array([1.0, 0.0, 0.0, 0.0])),
         (s3.killing, np.array([0.0, 0.0, 1.0, 0.0])),
@@ -147,7 +147,7 @@ def _orbit_curves():
     lines of the first approximant of stationary-s3 and its two circles."""
     s3 = kg.build_entry("stationary-s3")
     M = s3.manifold
-    closed, fraction = kg.approximate_closed(s3.killing, 1)[0]
+    closed, fraction = kg.approximate_closed(s3.killing, 1, s3.metric)[0]
     assert (fraction.numerator, fraction.denominator) == (1, 1)
     r = math.sqrt(2.0 - SQRT2)
     s = math.sqrt(SQRT2 - 1.0)
