@@ -12,8 +12,11 @@ three halvings, then the rows that fail those at all the rest.
 Descent on ±f ends at minima and maxima, so the search returns the
 extrema of f on the orbit space, not its index-1 critical sets
 (saddles), which ``classify_critical`` still labels when given one.
-Deduplication, period detection, residual certification and
-classification follow, one record at a time, on one record path.
+The independent finite-difference certificate ``grad_f`` then checks
+all rows in one stacked call: one stack of tangent bases, one f call on
+every stencil point and one batched Gram solve.  Deduplication, period
+detection, residual certification and classification follow, one record
+at a time, on one record path.
 Where f is constant every point is critical: there is no search, and
 one sampled point is the single candidate of that path, labelled
 "degenerate_constant".  Deduplication merges candidates on one flow
@@ -73,31 +76,37 @@ class CriticalOrbit:
 def _tangent_df(f, p: Array, basis: Array) -> Array:
     """Directional derivatives of f along a tangent basis (central FD).
 
-    The 2·m stencil points p ± h·b of the m basis rows go to f in one
-    stacked call.  Kept apart from ``geometry.central_diff`` on purpose:
-    it is the independent certificate of the analytic gradient.
+    ``p`` is one point with an (m, d) basis or an (N, d) stack with an
+    (N, m, d) stack of bases.  All 2·m·N stencil points p ± h·b go to f
+    in one stacked call.  Kept apart from ``geometry.central_diff`` on
+    purpose: it is the independent certificate of the analytic gradient.
     """
     h = TANGENT_FD_STEP
-    m = len(basis)
-    v = f(p + h * np.concatenate([basis, -basis]))
-    return (v[:m] - v[m:]) / (2 * h)
+    m = basis.shape[-2]
+    X = p[..., None, :] + h * np.concatenate([basis, -basis], axis=-2)
+    v = f(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
+    return (v[..., :m] - v[..., m:]) / (2 * h)
 
 
 def grad_f(g: MetricField, K, p) -> Array:
-    """The g-gradient of f at p, via finite differences and g-duality.
+    """The g-gradient of f at p, or at each row of an (N, d) stack, via
+    finite differences and g-duality.
 
     Solves g(grad f, e_i) = df(e_i) in a Euclidean-orthonormal tangent
     basis.  Independent of the connection and of the analytic gradient
     the search descends on; tests cross-check it against the identity
-    grad f = -2 ∇_K K.
+    grad f = -2 ∇_K K.  A stack is certified in one pass: one
+    ``check_on_manifold``, one stack of tangent bases, one ``_tangent_df``
+    call on all its stencil points and one batched Gram solve; a row
+    does not depend on the other rows.
     """
     M = g.manifold
     p = np.asarray(p, dtype=float)
     M.check_on_manifold(p)
     basis = M.tangent_basis(p)
     df = _tangent_df(_Energy(g, as_field(K)).values, p, basis)
-    gram = basis @ g.matrix(p) @ basis.T
-    return np.linalg.solve(gram, df) @ basis
+    gram = basis @ g.matrix(p) @ np.swapaxes(basis, -1, -2)
+    return np.einsum("...m,...md->...d", np.linalg.solve(gram, df[..., None])[..., 0], basis)
 
 
 def classify_critical(g: MetricField, K, p):
@@ -326,9 +335,11 @@ def find_critical_orbits(
     Multi-start descent on f and -f from ``budget`` of ``PROBE_SAMPLES``
     seeded samples (always including the sampled argmin and argmax) and
     Newton refinement, all rows in lockstep, then the finite-difference
-    gradient certificate on every row.  Descent on ±f ends at the extrema
-    of f on the orbit space, so its index-1 critical sets (saddles) are
-    not returned.  The certified rows, in order of f,
+    gradient certificate ``grad_f`` on all 2·budget rows in one call; a
+    row is a candidate where its certified norm is within ``GRAD_TOL``,
+    and SearchFailureError, stating the smallest norm, is raised where
+    none is.  Descent on ±f ends at the extrema of f on the orbit space,
+    so its index-1 critical sets (saddles) are not returned.  The certified rows, in order of f,
     are deduplicated against the kept records at the same f (to
     1e-6·(1 + |f|)).  First modulo the torus of the commuting family
     ``K.basis``, in closed form: a row within ``DEDUP_DISTANCE`` of a
@@ -361,13 +372,15 @@ def find_critical_orbits(
     Every run of a flow line is one of ``flows``: closed-form for a field
     whose ``linear`` matrix is skew, integrated at ``flows.ODE_TOL``
     otherwise, with periods certified to ``flows.PERIOD_TOL``.  A budget
-    below 1, or a horizon that is not finite and positive, raises
-    ValueError.
+    below 1, a horizon that is not finite and positive, or a negative
+    seed raises ValueError.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     M = g.manifold
     K = as_field(K)
     rng = np.random.default_rng(seed)
@@ -381,13 +394,13 @@ def find_critical_orbits(
         order = [int(np.argmin(fvals)), int(np.argmax(fvals))]
         order += [i for i in range(len(samples)) if i not in order]
         rows = _search_rows(core, M, samples[order[:budget]])
-        candidates = []
-        for p in rows:
-            gn = float(np.linalg.norm(grad_f(g, K, p)))
-            if gn <= GRAD_TOL:
-                candidates.append((p, energy(g, K, p), gn))
+        norms = np.linalg.norm(grad_f(g, K, rows), axis=1)
+        candidates = [(p, energy(g, K, p), float(gn)) for p, gn in zip(rows, norms) if gn <= GRAD_TOL]
         if not candidates:
-            raise SearchFailureError("no start converged to a critical point")
+            raise SearchFailureError(
+                f"no start converged to a critical point: 0 of {len(rows)} rows certified, smallest "
+                f"gradient norm {np.fmin.reduce(norms):.3e} against GRAD_TOL = {GRAD_TOL:.1e}"
+            )
 
     candidates.sort(key=lambda c: (c[1], tuple(np.round(c[0], 9))))
     torus = None if M.deck_generators else torus_orbit_distance(K)

@@ -377,7 +377,12 @@ class ManifoldModel:
 
         Built by Gram-Schmidt from ambient coordinate directions projected
         onto the tangent space; deterministic in the coordinate order.
+        An (N, d) stack gets an (N, m, d) stack of bases from
+        ``_tangent_bases``: the same Gram-Schmidt on every row at once,
+        equal to one row at a time up to rounding.
         """
+        if np.ndim(p) == 2:
+            return self._tangent_bases(np.asarray(p, dtype=float))
         basis = []
         for k in range(self.ambient_dim):
             e = np.zeros(self.ambient_dim)
@@ -393,6 +398,32 @@ class ManifoldModel:
         if len(basis) != self.intrinsic_dim:
             raise RuntimeError("failed to build a tangent basis")
         return np.array(basis)
+
+    def _tangent_bases(self, P: Array) -> Array:
+        """``tangent_basis`` of each row of P, in one pass over the ambient
+        directions.  Slot j of a row is zero until the row fills it, so
+        subtracting it leaves v as it is."""
+        n, d = P.shape
+        m = self.intrinsic_dim
+        B = np.zeros((n, m, d))
+        filled = np.zeros(n, dtype=int)
+        if self.constraint is not None:
+            grad = self.constraint_grad(P)
+            gg = inner(grad, grad)
+        for k in range(d):
+            v = np.zeros((n, d))
+            v[:, k] = 1.0
+            if self.constraint is not None:
+                v = v - (grad[:, k] / gg)[:, None] * grad
+            for j in range(m):
+                v = v - inner(B[:, j], v)[:, None] * B[:, j]
+            nrm = np.linalg.norm(v, axis=1)
+            take = np.flatnonzero((nrm > 1e-8) & (filled < m))
+            B[take, filled[take]] = v[take] / nrm[take, None]
+            filled[take] += 1
+            if (filled == m).all():
+                return B
+        raise RuntimeError("failed to build a tangent basis")
 
     # -- sampling -------------------------------------------------------------
 

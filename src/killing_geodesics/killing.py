@@ -200,6 +200,8 @@ def killing_residual(g: MetricField, K, p) -> float:
     J = K.jacobian(p)
     flow = np.einsum("...m,...mij->...ij", K(p), g.jacobian(p))
     L = flow + J @ G + G @ np.swapaxes(J, -1, -2)
+    # one row at a time: a stacked basis rounds differently in its last
+    # ulps, and the residual's maximum is reported to the last bit
     B = np.array([M.tangent_basis(q) for q in p.reshape(-1, p.shape[-1])])
     return float(np.abs(B @ L @ np.swapaxes(B, -1, -2)).max())
 

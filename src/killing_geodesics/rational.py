@@ -131,10 +131,13 @@ def certify_uniform_convergence(
 
     Enforces the certificate invariants: strictly decreasing gaps, the
     best-approximation bound gap < 1/q^2, and non-increasing field gaps.
-    Raises ValueError naming the first invariant the approximants fail.
+    Raises ValueError naming the first invariant the approximants fail,
+    and for a sample count below 1 or a negative seed.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     K = as_field(K)
     if K.generator is None:
         raise UnsupportedCapabilityError(f"field {K.label!r} carries no torus-generator coordinates")

@@ -110,8 +110,9 @@ def analyze_entry(entry: GalleryEntry, seed: int = 42, budget: int = 64, horizon
     t0 = time.perf_counter()
     M = entry.manifold
     g = entry.metric
-    res_max = _residual_max(entry, seed)
+    # the search refuses a negative seed before seed + 1 seeds the residual sample
     orbits = find_critical_orbits(g, entry.killing, budget=budget, seed=seed, horizon=horizon)
+    res_max = _residual_max(entry, seed)
     degenerate = any(o.classification == "degenerate_constant" for o in orbits)
     fiber_scan = None
     if degenerate:
@@ -201,6 +202,8 @@ def trace_entry(entry: GalleryEntry, start, T: float, geodesic: bool = False, ve
     """Trace the Killing flow (or a geodesic) and return the CSV text.
 
     ``start`` holds all ``ambient_dim`` coordinates of the start point.
+    A non-finite coordinate of ``start`` or ``velocity``, or a
+    non-finite ``T``, raises ValueError naming the value.
     The flow runs at ``flows.ODE_TOL``; a geodesic is shot at
     ``flows.GEODESIC_ODE_TOL``, as ``shoot_geodesic`` does everywhere.
     """
@@ -208,6 +211,9 @@ def trace_entry(entry: GalleryEntry, start, T: float, geodesic: bool = False, ve
     start = np.asarray(start, dtype=float)
     if len(start) != M.ambient_dim:
         raise ValueError(f"start needs {M.ambient_dim} coordinates")
+    for name, value in (("start", start), ("T", T), ("velocity", velocity)):
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {np.asarray(value, dtype=float).tolist()}")
     if M.constraint_residual(start) > 1e-6:
         raise OffManifoldError("start point too far from the manifold")
     start = M.project_point(start)

@@ -5,7 +5,9 @@ row: the gallery's by construction, so they are called unwrapped, and any
 other callable through ``geometry.as_evaluator``, which probes it once.
 The analytic gradient of f agrees with the finite-difference
 certificate, whose stencil is one stacked call of f and agrees with one
-call per direction.  A row of the lockstep search does not depend on
+call per direction.  The certificate and the tangent basis take a stack
+of points, agree with one row at a time and do not depend on the
+batch; the search certifies all its rows in one call.  A row of the lockstep search does not depend on
 the other rows in its batch.  Descent backtracks in at most three
 stacked trial evaluations per round and lands where halving one trial
 at a time lands.
@@ -168,6 +170,95 @@ class TestAnalyticGradient:
                     assert abs(cert @ G @ e - grad @ e) <= 1e-6
 
 
+def _tangent_basis_one_direction_at_a_time(M, p):
+    """The one-point Gram-Schmidt as it was before stacks: one
+    ``tangent_project`` per ambient direction."""
+    basis = []
+    for k in range(M.ambient_dim):
+        v = M.tangent_project(p, np.eye(M.ambient_dim)[k])
+        for b in basis:
+            v = v - (b @ v) * b
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-8:
+            basis.append(v / nrm)
+        if len(basis) == M.intrinsic_dim:
+            break
+    return np.array(basis)
+
+
+class TestStackedCertificate:
+    def test_matches_one_row_at_a_time(self, all_entries):
+        for entry in all_entries:
+            M, g, K = entry.manifold, entry.metric, entry.killing
+            P = _stack_points(entry, n=40)
+            stacked = critical.grad_f(g, K, P)
+            rows = np.array([critical.grad_f(g, K, p) for p in P])
+            assert stacked.shape == P.shape
+            # a zero gradient (constant f) must come out exactly zero
+            np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12 * np.abs(rows).max())
+
+    def test_rows_do_not_depend_on_the_batch(self, all_entries):
+        for entry in all_entries:
+            g, K = entry.metric, entry.killing
+            P = _stack_points(entry, n=40)
+            whole = critical.grad_f(g, K, P)
+            assert np.array_equal(critical.grad_f(g, K, P[5:8]), whole[5:8])
+            assert np.array_equal(critical.grad_f(g, K, P[[17, 3]]), whole[[17, 3]])
+
+    def test_one_stencil_call_for_the_stack(self, s3, monkeypatch):
+        sizes = []
+        values = critical._Energy.values
+
+        def recording(self, P):
+            sizes.append(len(P))
+            return values(self, P)
+
+        monkeypatch.setattr(critical._Energy, "values", recording)
+        critical.grad_f(s3.metric, s3.killing, _stack_points(s3, n=11))
+        assert sizes == [2 * 3 * 11]
+
+    def test_off_manifold_row_is_rejected(self, s3):
+        P = _stack_points(s3, n=5)
+        P[3] *= 1.1
+        with pytest.raises(kg.OffManifoldError):
+            critical.grad_f(s3.metric, s3.killing, P)
+
+
+class TestStackedTangentBasis:
+    def test_rows_are_orthonormal_and_tangent(self, all_entries):
+        for entry in all_entries:
+            M = entry.manifold
+            P = _stack_points(entry, n=50)
+            B = M.tangent_basis(P)
+            assert B.shape == (len(P), M.intrinsic_dim, M.ambient_dim)
+            gram = B @ np.swapaxes(B, 1, 2)
+            np.testing.assert_allclose(gram, np.broadcast_to(np.eye(M.intrinsic_dim), gram.shape), atol=1e-13)
+            if M.constraint is not None:
+                assert np.abs(np.einsum("nmd,nd->nm", B, M.constraint_grad(P))).max() <= 1e-13
+
+    def test_matches_one_row_at_a_time(self, all_entries):
+        for entry in all_entries:
+            M = entry.manifold
+            P = _stack_points(entry, n=50)
+            rows = np.array([M.tangent_basis(p) for p in P])
+            np.testing.assert_allclose(M.tangent_basis(P), rows, rtol=0, atol=1e-13)
+
+    def test_pole_row_drops_its_normal_direction(self, s3):
+        # at e_0 the first ambient direction is normal: the row's basis is
+        # built from the other three, while its neighbours use the first
+        P = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0], [0.5, 0.5, 0.5, 0.5]])
+        B = s3.manifold.tangent_basis(P)
+        assert np.array_equal(B[0], np.eye(4)[1:])
+        for q, b in zip(P, B):
+            np.testing.assert_allclose(b, s3.manifold.tangent_basis(q), atol=1e-15)
+
+    def test_one_point_is_unchanged(self, all_entries):
+        for entry in all_entries:
+            M = entry.manifold
+            for p in _stack_points(entry, n=20):
+                assert np.array_equal(M.tangent_basis(p), _tangent_basis_one_direction_at_a_time(M, p))
+
+
 class TestLockstepSearch:
     def test_rows_do_not_depend_on_the_batch(self, s3):
         M, g, K = s3.manifold, s3.metric, s3.killing
@@ -203,12 +294,12 @@ class TestLockstepSearch:
         assert [o.f_value for o in orbits] == pytest.approx([-2.0, -1.0], abs=1e-9)
 
     def test_every_row_meets_the_certificate(self, s3, monkeypatch):
-        norms, calls = [], [0]
+        stacks, calls = [], [0]
         certificate, values = critical.grad_f, critical._Energy.values
 
         def recording(g, K, p):
             grad = certificate(g, K, p)
-            norms.append(float(np.linalg.norm(grad)))
+            stacks.append(np.linalg.norm(grad, axis=-1))
             return grad
 
         def counting(self, P):
@@ -218,11 +309,12 @@ class TestLockstepSearch:
         monkeypatch.setattr(critical, "grad_f", recording)
         monkeypatch.setattr(critical._Energy, "values", counting)
         kg.find_critical_orbits(s3.metric, s3.killing, budget=64, seed=42)
-        assert len(norms) == 128
-        assert max(norms) <= 1e-9
-        # a work guard: the probe, one stencil call per certificate and the
-        # trial calls of descent; a call per stencil point makes about 830
-        assert calls[0] <= 210
+        # one certificate call on all 2·budget rows
+        assert [np.shape(norms) for norms in stacks] == [(128,)]
+        assert max(stacks[0]) <= 1e-9
+        # a work guard: the probe, one stencil call for all rows and the
+        # trial calls of descent; a stencil call per row makes about 204
+        assert calls[0] <= 80
 
 
 def _descend_one_halving_at_a_time(core, M, P, sign):

@@ -176,14 +176,36 @@ class TestExitCodes:
             (["approximate", "stationary-s3", "--samples", "0"], "samples must be at least 1"),
             (["analyze", "stationary-s3", "--budget", "0"], "budget must be at least 1"),
             (["analyze", "stationary-s3", "--horizon", "-1"], "horizon must be finite and positive"),
+            (["analyze", "stationary-s3", "--seed", "-1"], "seed must be non-negative, got -1"),
+            (["analyze", "stationary-s3", "--seed", "-2"], "seed must be non-negative, got -2"),
+            (["approximate", "stationary-s3", "--n", "1", "--seed", "-1"], "seed must be non-negative, got -1"),
         ],
-        ids=["n", "samples", "budget", "horizon"],
+        ids=["n", "samples", "budget", "horizon", "seed", "seed-below-residual-seed", "approximate-seed"],
     )
     def test_count_out_of_range(self, argv, message, capsys):
         # an empty certificate, a numpy message or a search that never ran
         # would read as a result
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["flat-torus", "--start", "nan,0.2", "--T", "1"], "start must be finite, got [nan, 0.2]"),
+            (["stationary-s3", "--start", "nan,0,0,0", "--T", "1"], "start must be finite, got [nan, 0.0, 0.0, 0.0]"),
+            (["stationary-s3", "--start", "1,0,0,0", "--T", "nan"], "T must be finite, got nan"),
+            (
+                ["flat-torus", "--start", "0.1,0.2", "--T", "1", "--geodesic", "--velocity", "inf,1"],
+                "velocity must be finite, got [inf, 1.0]",
+            ),
+        ],
+        ids=["flat-start", "s3-start", "T", "velocity"],
+    )
+    def test_non_finite_trace_value(self, argv, message, capsys):
+        # a NaN start ran the flat torus until killed, and printed NaN
+        # rows with exit 0 on the sphere
+        assert cli.main(["trace", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unsupported_approximation(self):
         assert run_cli("approximate", "klein-bottle", "--n", "2").returncode == 4
