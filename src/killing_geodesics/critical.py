@@ -201,13 +201,6 @@ def _normals(M: ManifoldModel, P: Array) -> list:
     return [] if M.constraint is None else [M.constraint_grad(P)]
 
 
-def _tangent(v: Array, normals: list) -> Array:
-    """Euclidean projection of each row of v onto the tangent space."""
-    for c in normals:
-        v = v - (inner(v, c) / inner(c, c))[:, None] * c
-    return v
-
-
 def _descent_direction(core: _Energy, M: ManifoldModel, P: Array):
     """f and the gradient of f for a definite inner product, per row.
 
@@ -298,7 +291,7 @@ def _newton_refine(core: _Energy, M: ManifoldModel, P: Array):
         Q = P[live]
         _, grad, _, k = core.parts(Q)
         normals = _normals(M, Q)
-        moving = np.linalg.norm(_tangent(grad, normals), axis=1) > 1e-12
+        moving = np.linalg.norm(M.tangent_project(Q, grad), axis=1) > 1e-12
         live, Q, grad, k = live[moving], Q[moving], grad[moving], k[moving]
         if not len(live):
             break
@@ -306,7 +299,7 @@ def _newton_refine(core: _Energy, M: ManifoldModel, P: Array):
         H = _hessian(core, M, Q, grad, normals)
         # a (near-)stationary field has no flow direction to border out:
         # its zero border makes the row singular, solved by least squares
-        kt = _tangent(k, normals)
+        kt = M.tangent_project(Q, k)
         kt[np.linalg.norm(kt, axis=1) <= 1e-10] = 0.0
         delta = _bordered_solve(H, [kt] + normals, -grad)
         nd = np.linalg.norm(delta, axis=1)

@@ -31,6 +31,7 @@ from .geometry import (
     constant,
     inner,
     make_deck_generator,
+    matvec,
     signature_of_gram,
     stackwise,
     tangent_gram,
@@ -455,27 +456,25 @@ def validate_entry(entry: GalleryEntry, n_samples: int = 100) -> dict:
     M = entry.manifold
     g = entry.metric
     pts = M.sample_points(np.random.default_rng(VALIDATE_SEED), n_samples)
-    sym = 0.0
-    signature_ok = True
-    for p in pts:
-        G = g.matrix(p)
-        sym = max(sym, float(np.abs(G - G.T).max()))
-        if signature_of_gram(tangent_gram(g, p)) != tuple(g.signature):
-            signature_ok = False
+    G = g.matrix(pts)
+    sym = float(np.abs(G - np.swapaxes(G, -1, -2)).max())
+    grams = tangent_gram(g, pts)
+    signature_ok = all(signature_of_gram(gram) == tuple(g.signature) for gram in grams)
+    first = pts[:50]
+    basis = M.tangent_basis(first)
     deck_isometry = 0.0
     deck_constraint = 0.0
     for gen in M.deck_generators:
-        for p in pts[:50]:
-            q = gen.apply(p)
-            if M.constraint is not None:
-                deck_constraint = max(deck_constraint, M.constraint_residual(q))
-            pushed = M.tangent_basis(p) @ gen.matrix.T
-            moved = pushed @ g.matrix(M.project_point(q)) @ pushed.T
-            deck_isometry = max(deck_isometry, float(np.abs(moved - tangent_gram(g, p)).max()))
+        Q = matvec(gen.matrix, first) + gen.offset
+        if M.constraint is not None:
+            deck_constraint = max(deck_constraint, M.constraint_residual(Q))
+        pushed = basis @ gen.matrix.T
+        moved = pushed @ g.matrix(M.project_point(Q)) @ np.swapaxes(pushed, -1, -2)
+        deck_isometry = max(deck_isometry, float(np.abs(moved - grams[:50]).max()))
     return {
         "metric_symmetry": sym,
         "signature_ok": signature_ok,
         "deck_isometry": deck_isometry,
         "deck_constraint": deck_constraint,
-        "killing_residual_max": killing_residual(g, entry.killing, pts[:50]),
+        "killing_residual_max": killing_residual(g, entry.killing, first),
     }

@@ -187,10 +187,11 @@ def killing_residual(g: MetricField, K, p) -> float:
     L_K g = Σ_m K_m ∂_m G + J G + G Jᵀ with J[m, i] = ∂_m K_i (module
     docstring); the rows of B are ``tangent_basis``, Euclidean-orthonormal
     in the ambient chart (not g-orthonormal), which avoids normalizing
-    against null directions of an indefinite metric.  ∂G and J are the
-    jacobians the metric and the field carry: analytic where they were
-    built with them, else the central differences filled when they were
-    built.  Raises OffManifoldError at a point off the manifold.
+    against null directions of an indefinite metric; a stack gets one
+    stack of bases, and a row does not depend on the other rows.  ∂G and
+    J are the jacobians the metric and the field carry: analytic where
+    they were built with them, else the central differences filled when
+    they were built.  Raises OffManifoldError at a point off the manifold.
     """
     p = np.asarray(p, dtype=float)
     M = g.manifold
@@ -200,9 +201,7 @@ def killing_residual(g: MetricField, K, p) -> float:
     J = K.jacobian(p)
     flow = np.einsum("...m,...mij->...ij", K(p), g.jacobian(p))
     L = flow + J @ G + G @ np.swapaxes(J, -1, -2)
-    # one row at a time: a stacked basis rounds differently in its last
-    # ulps, and the residual's maximum is reported to the last bit
-    B = np.array([M.tangent_basis(q) for q in p.reshape(-1, p.shape[-1])])
+    B = M.tangent_basis(p)
     return float(np.abs(B @ L @ np.swapaxes(B, -1, -2)).max())
 
 

@@ -76,6 +76,17 @@ def detect_rational(alpha: float) -> Optional[Fraction]:
     return None
 
 
+def _slope(K):
+    """K's generator (a, b) in its torus and the slope b/a; raises
+    UnsupportedCapabilityError for any other generator, or none."""
+    if K.generator is None or K.basis is None:
+        raise UnsupportedCapabilityError(f"field {K.label!r} carries no torus-generator coordinates")
+    gen = np.asarray(K.generator, dtype=float)
+    if len(gen) != 2 or gen[0] == 0.0:
+        raise UnsupportedCapabilityError("generator must be of the form (a, b) with a != 0")
+    return gen, float(gen[1] / gen[0])
+
+
 def approximate_closed(K, n: int, metric: MetricField) -> list:
     """Closed Killing fields from the convergents of the generator slope.
 
@@ -90,12 +101,7 @@ def approximate_closed(K, n: int, metric: MetricField) -> list:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     K = as_field(K)
-    if K.generator is None or K.basis is None:
-        raise UnsupportedCapabilityError(f"field {K.label!r} carries no torus-generator coordinates")
-    gen = np.asarray(K.generator, dtype=float)
-    if len(gen) != 2 or gen[0] == 0.0:
-        raise UnsupportedCapabilityError("generator must be of the form (a, b) with a != 0")
-    alpha = float(gen[1] / gen[0])
+    gen, alpha = _slope(K)
     exact = detect_rational(alpha)
     fractions = [exact] if exact is not None else continued_fraction_convergents(alpha, n)
     out = []
@@ -139,9 +145,7 @@ def certify_uniform_convergence(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     K = as_field(K)
-    if K.generator is None:
-        raise UnsupportedCapabilityError(f"field {K.label!r} carries no torus-generator coordinates")
-    alpha = float(K.generator[1] / K.generator[0])
+    _, alpha = _slope(K)
     rng = np.random.default_rng(seed)
     pts = g.manifold.sample_points(rng, samples)
     base_vals = K(pts)

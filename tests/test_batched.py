@@ -5,12 +5,13 @@ row: the gallery's by construction, so they are called unwrapped, and any
 other callable through ``geometry.as_evaluator``, which probes it once.
 The analytic gradient of f agrees with the finite-difference
 certificate, whose stencil is one stacked call of f and agrees with one
-call per direction.  The certificate and the tangent basis take a stack
-of points, agree with one row at a time and do not depend on the
-batch; the search certifies all its rows in one call.  A row of the lockstep search does not depend on
-the other rows in its batch.  Descent backtracks in at most three
-stacked trial evaluations per round and lands where halving one trial
-at a time lands.
+call per direction.  The certificate, the tangent basis and the Killing
+residual take a stack of points, agree with one row at a time and do
+not depend on the batch, and one point is a stack of one row; the
+search certifies all its rows in one call.  A row of the lockstep
+search does not depend on the other rows in its batch.  Descent
+backtracks in at most three stacked trial evaluations per round and
+lands where halving one trial at a time lands.
 """
 
 import dataclasses
@@ -240,7 +241,7 @@ class TestStackedTangentBasis:
         for entry in all_entries:
             M = entry.manifold
             P = _stack_points(entry, n=50)
-            rows = np.array([M.tangent_basis(p) for p in P])
+            rows = np.array([_tangent_basis_one_direction_at_a_time(M, p) for p in P])
             np.testing.assert_allclose(M.tangent_basis(P), rows, rtol=0, atol=1e-13)
 
     def test_pole_row_drops_its_normal_direction(self, s3):
@@ -252,11 +253,55 @@ class TestStackedTangentBasis:
         for q, b in zip(P, B):
             np.testing.assert_allclose(b, s3.manifold.tangent_basis(q), atol=1e-15)
 
-    def test_one_point_is_unchanged(self, all_entries):
+    def test_one_point_is_its_stack_of_one_row(self, all_entries):
         for entry in all_entries:
             M = entry.manifold
-            for p in _stack_points(entry, n=20):
-                assert np.array_equal(M.tangent_basis(p), _tangent_basis_one_direction_at_a_time(M, p))
+            P = _stack_points(entry, n=20)
+            whole = M.tangent_basis(P)
+            for p, b in zip(P, whole):
+                assert np.array_equal(M.tangent_basis(p), M.tangent_basis(p[None])[0])
+                assert np.array_equal(M.tangent_basis(p), b)
+
+
+def _killing_residual_in_one_point_frame(g, K, p):
+    """The Killing residual at one point, in the frame of
+    ``_tangent_basis_one_direction_at_a_time``, on the L that
+    ``killing_residual`` forms there."""
+    K = kg.as_field(K)
+    G, J = g.matrix(p), K.jacobian(p)
+    L = np.einsum("...m,...mij->...ij", K(p), g.jacobian(p)) + J @ G + G @ np.swapaxes(J, -1, -2)
+    B = _tangent_basis_one_direction_at_a_time(g.manifold, p)
+    return float(np.abs(B @ L @ B.T).max())
+
+
+def _fields(entry):
+    """The entry's field, and on stationary-s3 also the bare callable 30·K
+    whose jacobian is filled by central differences."""
+    if entry.name != "stationary-s3":
+        return [entry.killing]
+    evaluator = entry.killing.evaluator
+    return [entry.killing, lambda p: 30.0 * np.asarray(evaluator(p), dtype=float)]
+
+
+class TestStackedKillingResidual:
+    def test_stack_is_the_largest_row(self, all_entries):
+        for entry in all_entries:
+            g = entry.metric
+            P = _stack_points(entry, n=50)
+            for K in _fields(entry):
+                # each row as a stack of one: a lone point takes BLAS
+                # products in the evaluators, which round differently
+                rows = [kg.killing_residual(g, K, P[i : i + 1]) for i in range(len(P))]
+                assert kg.killing_residual(g, K, P) == max(rows)
+
+    def test_rows_match_one_point_frames(self, all_entries):
+        for entry in all_entries:
+            g = entry.metric
+            P = _stack_points(entry, n=50)
+            for K in _fields(entry):
+                rows = [kg.killing_residual(g, K, p) for p in P]
+                before = [_killing_residual_in_one_point_frame(g, K, p) for p in P]
+                np.testing.assert_allclose(rows, before, rtol=1e-14, atol=0)
 
 
 class TestLockstepSearch:

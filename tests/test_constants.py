@@ -206,6 +206,13 @@ def test_one_travel_bound_answers_every_nearness_question():
         assert not hasattr(kg.CurveSample, name), name
 
 
+def test_one_body_per_tangent_operation():
+    # a point is a stack of one row: the one-point Gram-Schmidt and the
+    # search's own tangent projection are gone
+    assert not hasattr(kg.ManifoldModel, "_tangent_bases")
+    assert not hasattr(critical, "_tangent")
+
+
 def test_curve_facts_read_off_the_run(s3):
     M, K, p = s3.manifold, s3.killing, s3.probe_point
     line = kg.flow(M, K, p, 1.0)

@@ -76,6 +76,32 @@ class TestApproximateClosed:
             kg.approximate_closed(klein.killing, 3, klein.metric)
 
 
+def _three_member_field(s3):
+    """sqrt 2 on the first two members, and a third: no slope b/a."""
+    rot_z, rot_w = s3.family.members
+    family = kg.make_killing_family(s3.metric, (rot_z, rot_w, rot_z))
+    return kg.combine_family(family, (1.0, SQRT2, 1.0))
+
+
+class TestSlopeIsReadOnce:
+    """Both the approximants and their certificate read the slope b/a of
+    a generator (a, b) with a != 0, and refuse any other generator."""
+
+    def test_zero_first_coordinate(self, flat_torus):
+        assert flat_torus.killing.generator == (0.0, 1.0)
+        with pytest.raises(UnsupportedCapabilityError, match="a != 0"):
+            kg.approximate_closed(flat_torus.killing, 3, flat_torus.metric)
+        with pytest.raises(UnsupportedCapabilityError, match="a != 0"):
+            kg.certify_uniform_convergence(flat_torus.metric, flat_torus.killing, [], samples=5, seed=7)
+
+    def test_three_members(self, s3):
+        K = _three_member_field(s3)
+        with pytest.raises(UnsupportedCapabilityError, match="a != 0"):
+            kg.approximate_closed(K, 3, s3.metric)
+        with pytest.raises(UnsupportedCapabilityError, match="a != 0"):
+            kg.certify_uniform_convergence(s3.metric, K, [], samples=5, seed=7)
+
+
 class TestCertificate:
     def test_sphere_certificate(self, s3):
         out = kg.approximate_closed(s3.killing, 4, metric=s3.metric)
