@@ -23,12 +23,14 @@ The operations built on them (``tangent_basis``, ``tangent_project``,
 have one body each, for one point or an (N, d) stack: a point is a
 stack of one row.  A one-point branch stays only where the integrator's
 inner step pays for it once per step: ``matvec``, ``inner``,
-``project_point``, ``solve_metric``'s degeneracy test and
-``killing._conversion_jacobian``.  On stationary-s3 (timeit medians,
-2-vCPU Xeon host) one point takes 10 µs against 37 µs as a stack of one
-in ``project_point``, called 7,266 times per period-scan pass, and 28 µs
-against 42 µs in the conversion jacobian.  ``directional_diff`` keeps
-its per-row norm, pinned bit for bit.
+``project_point`` (10 µs against 37 µs for a stack of one on
+stationary-s3, 2-vCPU Xeon host), ``solve_metric``'s degeneracy test and
+``killing._conversion_jacobian`` (28 µs against 42 µs).
+``directional_diff`` keeps its per-row norm, pinned bit for bit.
+
+The deck group is searched in BFS levels of word length, each built once
+per model when first needed: ``reduce_point`` stops at the first level
+with a hit; only the generic ``quotient_distance`` takes every level.
 """
 
 from __future__ import annotations
@@ -325,6 +327,7 @@ class ManifoldModel:
         object.__setattr__(
             self, "constraint_hess", _derivative(self.constraint_hess, self.constraint_grad, FD_STEP_SECOND, symmetric=True)
         )
+        object.__setattr__(self, "_deck_levels", ([], _bfs_levels(self.deck_moves, self.ambient_dim)))
 
     @property
     def intrinsic_dim(self) -> int:
@@ -449,8 +452,22 @@ class ManifoldModel:
     @cached_property
     def deck_ball(self) -> "DeckBall":
         """All distinct deck elements of word length <= ``MAX_WORD_LEN``,
-        in BFS order; built on first use, once per model."""
-        return _bfs_ball(self.deck_moves, self.ambient_dim)
+        in BFS order: all of ``deck_levels``, one after the other."""
+        levels = list(self.deck_levels())
+        matrices, offsets = np.concatenate([b.matrices for b in levels]), np.concatenate([b.offsets for b in levels])
+        return DeckBall(matrices, offsets, sum((b.words for b in levels), ()))
+
+    def deck_levels(self):
+        """The levels of ``deck_ball`` in BFS order, level n the elements
+        first reached at word length n, each built on first use, once per
+        model: a search that stops at a level builds none after it."""
+        built, source = self._deck_levels  # set when built: the levels so far and their source
+        for n in range(MAX_WORD_LEN + 1):
+            if n == len(built):
+                built.append(next(source, None))
+            if built[n] is None:
+                return
+            yield built[n]
 
     def reduce_to_fundamental(self, p: Array):
         """Greedily move ``p`` into the fundamental box.
@@ -514,17 +531,16 @@ class DeckBall(NamedTuple):
         return matvec(self.matrices, p) + self.offsets
 
 
-def _bfs_ball(moves: tuple, dim: int) -> DeckBall:
-    """The deck elements of word length <= ``MAX_WORD_LEN``, level by level:
-    each element of the last level composed with every move in turn, and
-    kept the first time its ``key`` shows up."""
+def _bfs_levels(moves: tuple, dim: int):
+    """The deck elements level by level, word length 0, 1, ...: each
+    element of the last level composed with every move in turn, and kept
+    the first time its ``key`` shows up.  Ends at an empty level."""
     ident = identity_element(dim)
     found = {ident.key(): ident}
     level = [ident]
-    for _ in range(MAX_WORD_LEN):
+    while level:
+        yield DeckBall(np.array([e.matrix for e in level]), np.array([e.offset for e in level]), tuple(e.word for e in level))
         level = [c for c in (m.compose(el) for el in level for m in moves) if found.setdefault(c.key(), c) is c]
-    ball = found.values()
-    return DeckBall(np.array([e.matrix for e in ball]), np.array([e.offset for e in ball]), tuple(e.word for e in ball))
 
 
 def reduce_point(M: ManifoldModel, p: Array, q: Array, tol: float = IDENTIFY_TOL) -> Optional[DeckElement]:
@@ -532,7 +548,7 @@ def reduce_point(M: ManifoldModel, p: Array, q: Array, tol: float = IDENTIFY_TOL
 
     Returns an element ``g`` with ``|g.apply(p) - q| <= tol``, or ``None``.
     One search: both points are reduced into the fundamental box, by
-    ``wp`` and ``wq``; every element of ``M.deck_ball`` is tested at once
+    ``wp`` and ``wq``; each of ``M.deck_levels`` in turn is tested at once
     on the reduced points, and the first ``s`` in BFS order within ``tol``
     gives ``g = wq⁻¹ ∘ s ∘ wp``.  So ``MAX_WORD_LEN`` counts the word
     length after reduction: ``g`` is longer when the points are far
@@ -540,12 +556,11 @@ def reduce_point(M: ManifoldModel, p: Array, q: Array, tol: float = IDENTIFY_TOL
     """
     p_red, wp = M.reduce_to_fundamental(p)
     q_red, wq = M.reduce_to_fundamental(q)
-    ball = M.deck_ball
-    hits = np.flatnonzero(np.linalg.norm(ball.images(p_red) - q_red, axis=1) <= tol)
-    if not len(hits):
-        return None
-    k = hits[0]
-    return wq.inverse().compose(DeckElement(ball.matrices[k], ball.offsets[k], ball.words[k])).compose(wp)
+    for ball in M.deck_levels():
+        hits = np.flatnonzero(np.linalg.norm(ball.images(p_red) - q_red, axis=1) <= tol)
+        if len(hits):  # the DeckElement of the first hit: its matrix, offset and word
+            return wq.inverse().compose(DeckElement(*(x[hits[0]] for x in ball))).compose(wp)
+    return None
 
 
 @dataclass(frozen=True, eq=False)

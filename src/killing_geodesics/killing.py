@@ -12,6 +12,10 @@ K is tangent to the manifold, so its flow preserves the manifold and
 L_K g restricted to tangent vectors is the Lie derivative of the induced
 metric.  The residual is the largest entry of that restriction, so it
 vanishes (up to the rounding of the jacobians) exactly on Killing fields.
+
+Both metric conversions reflect a base B in a field κ, G = B - 2uuᵀ/φ
+with u = Bκ and φ = κᵀBκ.  Their ∂G keeps B and κ, from which the energy
+gradient takes kᵀ(∂_m G)k (``jacobian_form``); every other layer reads ∂G.
 """
 
 from __future__ import annotations
@@ -342,6 +346,26 @@ def _reflected(g: MetricField, K, check, signature: tuple) -> MetricField:
     return MetricField(g.manifold, stackwise(evaluator), signature, jacobian=_conversion_jacobian(g, K))
 
 
+def jacobian_form(g: MetricField, P: Array, k: Array) -> Array:
+    """kᵀ(∂_m G)k at each row of (N, d) stacks ``P`` and ``k``: the einsum
+    over ``g.jacobian``, or for a reflection (module docstring) its closed
+    form, with no ∂G built and φ not checked (``g.matrix`` checks it):
+
+        kᵀ(∂_m G)k = kᵀ(∂_m B)k - 4c ∂_m w + 2c² ∂_m φ,  c = w/φ,  w = u·k,
+        ∂_m w = κᵀ(∂_m B)k + (∂_m κ)·(Bk),  ∂_m φ = 2 (∂_m κ)·u + κᵀ(∂_m B)κ."""
+    reflection = getattr(g.jacobian, "reflection", None)
+    if reflection is None:
+        return np.einsum("ni,nmij,nj->nm", k, g.jacobian(P), k)
+    base, field = reflection
+    B, dB, kappa, dkappa = base.matrix(P), base.jacobian(P), field(P), field.jacobian(P)
+    u, phi = energy_terms(B, kappa)
+    c = (inner(u, k) / phi)[:, None]
+    dBk = np.einsum("nmij,nj->nmi", dB, k)
+    dw = np.einsum("nmi,ni->nm", dBk, kappa) + np.einsum("nmi,ni->nm", dkappa, matvec(B, k))
+    dphi = 2.0 * np.einsum("nmi,ni->nm", dkappa, u) + np.einsum("ni,nmij,nj->nm", kappa, dB, kappa)
+    return np.einsum("nmi,ni->nm", dBk, k) - 4.0 * c * dw + 2.0 * c * c * dphi
+
+
 def energy_terms(G: Array, k: Array):
     """The lowered field Gk and the energy k^T G k.
 
@@ -388,6 +412,7 @@ def _conversion_jacobian(g: MetricField, K: KillingField) -> Callable[[Array], A
         douter = dgk[..., :, :, None] * gk[..., None, None, :] + gk[..., None, :, None] * dgk[..., :, None, :]
         return dG - 2.0 * (douter * f - outer * df[..., None, None]) / (f * f)
 
+    jac.reflection = (g, K)  # for jacobian_form; a record rebuilt without this jacobian drops it
     return stackwise(jac)
 
 

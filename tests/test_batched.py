@@ -339,8 +339,9 @@ class TestLockstepSearch:
         assert [o.f_value for o in orbits] == pytest.approx([-2.0, -1.0], abs=1e-9)
 
     def test_every_row_meets_the_certificate(self, s3, monkeypatch):
-        stacks, calls = [], [0]
-        certificate, values = critical.grad_f, critical._Energy.values
+        stacks, calls, descending, projections = [], [], [False], [0]
+        certificate, values, descend = critical.grad_f, critical._Energy.values, critical._descend
+        project = kg.ManifoldModel.project_point
 
         def recording(g, K, p):
             grad = certificate(g, K, p)
@@ -348,18 +349,35 @@ class TestLockstepSearch:
             return grad
 
         def counting(self, P):
-            calls[0] += 1
+            calls.append((descending[0], len(P)))
             return values(self, P)
+
+        def marking(*args):
+            descending[0] = True
+            try:
+                return descend(*args)
+            finally:
+                descending[0] = False
+
+        def projecting(self, p):
+            projections[0] += descending[0]
+            return project(self, p)
 
         monkeypatch.setattr(critical, "grad_f", recording)
         monkeypatch.setattr(critical._Energy, "values", counting)
+        monkeypatch.setattr(critical, "_descend", marking)
+        monkeypatch.setattr(kg.ManifoldModel, "project_point", projecting)
         kg.find_critical_orbits(s3.metric, s3.killing, budget=64, seed=42)
         # one certificate call on all 2·budget rows
         assert [np.shape(norms) for norms in stacks] == [(128,)]
         assert max(stacks[0]) <= 1e-9
-        # a work guard: the probe, one stencil call for all rows and the
-        # trial calls of descent; a stencil call per row makes about 204
-        assert calls[0] <= 80
+        # a work guard, exact on every rounding path: the f evaluations are
+        # the probe, one stencil call for all rows (2 points per tangent
+        # direction) and one per Armijo block of descent, which projects
+        # its starts and then each block's trial points; a stencil call
+        # per row makes about 204
+        assert [n for within, n in calls if not within] == [critical.PROBE_SAMPLES, 128 * 2 * 3]
+        assert sum(within for within, _ in calls) == projections[0] - 1
 
 
 def _descend_one_halving_at_a_time(core, M, P, sign):

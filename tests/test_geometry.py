@@ -249,14 +249,50 @@ class TestDeckGroup:
         assert np.linalg.norm(word.apply(p) - q) <= 0.03
 
     def test_deck_ball_built_once(self, monkeypatch):
+        # each BFS level is built at most once per model, and reduce_point
+        # builds none past the first level with a hit
         built = []
-        bfs = geometry._bfs_ball
-        monkeypatch.setattr(geometry, "_bfs_ball", lambda *args: built.append(args) or bfs(*args))
+        bfs = geometry._bfs_levels
+
+        def recording(*args):
+            for n, level in enumerate(bfs(*args)):
+                built.append(n)
+                yield level
+
+        monkeypatch.setattr(geometry, "_bfs_levels", recording)
         entry = kg.build_entry("klein-bottle")
         for p0 in ([0.3, 0.2], [0.0, 0.5], [0.3, 0.7]):
             assert kg.detect_period(entry.manifold, entry.killing, np.array(p0), 5.0) is not None
-        assert len(built) == 1
+        assert 0 < len(built) < geometry.MAX_WORD_LEN + 1
+        assert built == list(range(len(built)))
         assert len(entry.manifold.deck_ball.words) == 85  # word length <= MAX_WORD_LEN
+        assert built == list(range(geometry.MAX_WORD_LEN + 1))
+
+    @pytest.mark.parametrize("name", ["klein-bottle", "mapping-torus", "commuting-t4"])
+    def test_reduce_point_matches_the_whole_ball(self, name):
+        # the level-by-level search returns the element the search of the
+        # whole ball in BFS order returns: the same word, matrix and offset
+        M = kg.build_entry(name).manifold
+        rng = np.random.default_rng(29)
+        ball = M.deck_ball
+        for _ in range(40):
+            p = M.sample_point(rng)
+            for k in rng.integers(len(M.deck_moves), size=rng.integers(0, 6)):
+                p = M.deck_moves[k].apply(p)
+            q = M.sample_point(rng) if rng.random() < 0.25 else p
+            for k in rng.integers(len(M.deck_moves), size=rng.integers(0, 6)):
+                q = M.deck_moves[k].apply(q)
+            p_red, wp = M.reduce_to_fundamental(p)
+            q_red, wq = M.reduce_to_fundamental(q)
+            hits = np.flatnonzero(np.linalg.norm(ball.images(p_red) - q_red, axis=1) <= 0.03)
+            found = kg.reduce_point(dataclasses.replace(M), p, q, tol=0.03)
+            if not len(hits):
+                assert found is None
+                continue
+            k = hits[0]
+            whole = wq.inverse().compose(kg.DeckElement(ball.matrices[k], ball.offsets[k], ball.words[k])).compose(wp)
+            assert found.word == whole.word
+            assert np.array_equal(found.matrix, whole.matrix) and np.array_equal(found.offset, whole.offset)
 
     @pytest.mark.parametrize("name", ["flat_torus", "klein", "mapping_torus", "t4"])
     def test_quotient_distance_matches_word_search(self, name, request, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import killing_geodesics as kg
 from killing_geodesics.errors import NotTimelikeError, UnsupportedCapabilityError, VanishingFieldError
-from killing_geodesics.killing import energy_terms
+from killing_geodesics import critical
+from killing_geodesics.killing import energy_terms, jacobian_form
 
 from conftest import random_tangent
 
@@ -155,6 +157,91 @@ class TestConversionJacobian:
         for p in s3.manifold.sample_points(rng, 40):
             ref = _einsum_conversion_jacobian(np.eye(4), np.zeros((4, 4, 4)), s3.killing(p), s3.killing.jacobian(p))
             assert np.array_equal(s3.metric.jacobian(p), ref)
+
+
+def _size_of_terms(g, P, k):
+    """Per row, |k|² times a bound on the terms the reflection's jacobian
+    ∂B - 2 (∂(uuᵀ) φ - uuᵀ ∂φ) / φ² sums (u = Bκ, φ = κᵀBκ), in row norms."""
+    base, field = g.jacobian.reflection
+    norm = lambda x: np.linalg.norm(x.reshape(len(P), -1), axis=1)
+    B, dB, kappa, dkappa = base.matrix(P), base.jacobian(P), field(P), field.jacobian(P)
+    u = np.einsum("nij,nj->ni", B, kappa)
+    phi = np.abs(np.einsum("ni,ni->n", kappa, u))
+    du = norm(dB) * norm(kappa) + norm(B) * norm(dkappa)
+    dphi = 2.0 * norm(dkappa) * norm(u) + norm(dB) * norm(kappa) ** 2
+    return norm(k) ** 2 * (norm(dB) + 4.0 * norm(u) * du / phi + 2.0 * norm(u) ** 2 * dphi / phi**2)
+
+
+def _assert_form_is_the_einsum(g, P, k):
+    # relative to the size of the terms: for k = κ on a constant base the
+    # form is 0, and the einsum over ∂G is rounding of that size
+    ref = np.einsum("ni,nmij,nj->nm", k, g.jacobian(P), k)
+    assert np.all(np.abs(jacobian_form(g, P, k) - ref) <= 1e-13 * _size_of_terms(g, P, k)[:, None])
+
+
+class TestJacobianForm:
+    """The energy gradient's metric term kᵀ(∂_m G)k: in closed form for a
+    reflected metric, the einsum over the whole ∂G otherwise."""
+
+    @pytest.mark.parametrize("alpha", [SQRT2, 1.5])
+    def test_stationary_sphere(self, alpha, rng):
+        entry = kg.make_stationary_sphere(alpha)
+        P = entry.manifold.sample_points(rng, 48)
+        assert hasattr(entry.metric.jacobian, "reflection")
+        _assert_form_is_the_einsum(entry.metric, P, entry.killing(P))
+
+    def test_approximants(self, s3, rng):
+        # the reflection is in K, and each approximant's k differs from it
+        P = s3.manifold.sample_points(rng, 48)
+        approximants = kg.approximate_closed(s3.killing, 5, metric=s3.metric)
+        assert len(approximants) == 5
+        for field, _ in approximants:
+            assert np.abs(field(P) - s3.killing(P)).max() > 1e-4
+            _assert_form_is_the_einsum(s3.metric, P, field(P))
+
+    def test_timelike_somewhere(self, timelike_somewhere, rng):
+        g, K = timelike_somewhere
+        P = g.manifold.sample_points(rng, 48)
+        _assert_form_is_the_einsum(g, P, K(P))
+
+    def test_lorentz_to_riemann(self, s3, rng):
+        g_r = kg.lorentz_to_riemann(s3.metric, s3.killing)
+        P = s3.manifold.sample_points(rng, 48)
+        for k in (s3.killing(P), rng.normal(size=P.shape)):
+            _assert_form_is_the_einsum(g_r, P, k)
+
+    def test_base_that_is_not_constant(self, s3, rng):
+        # every gallery base has ∂g_R = 0; this one has the ∂_m B terms
+        base = kg.MetricField(s3.manifold, lambda p: np.diag(1.0 + p * p), (3, 0))
+        g = kg.riemann_to_lorentz(base, s3.killing)
+        P = s3.manifold.sample_points(rng, 48)
+        assert np.abs(base.jacobian(P)).max() > 0.5
+        for k in (s3.killing(P), rng.normal(size=P.shape)):
+            _assert_form_is_the_einsum(g, P, k)
+
+    def test_replaced_jacobian_takes_the_einsum(self, s3, rng):
+        stencil = dataclasses.replace(s3.metric, jacobian=None)
+        assert not hasattr(stencil.jacobian, "reflection")
+        P = s3.manifold.sample_points(rng, 16)
+        k = s3.killing(P)
+        ref = np.einsum("ni,nmij,nj->nm", k, stencil.jacobian(P), k)
+        assert np.array_equal(jacobian_form(stencil, P, k), ref)
+
+    def test_gradient_raises_where_the_reflection_does(self, s3, timelike_somewhere):
+        # lorentz_to_riemann in a field timelike only near two circles, and
+        # riemann_to_lorentz in rot-z, which vanishes on the circle z = 0
+        g, K = timelike_somewhere
+        round_g = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0))
+        cases = [
+            (kg.lorentz_to_riemann(g, K), NotTimelikeError),
+            (kg.riemann_to_lorentz(round_g, s3.family.members[0]), VanishingFieldError),
+        ]
+        P = np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 0.6, 0.8], [0.0, 0.0, 0.0, 1.0]])
+        for reflected, error in cases:
+            with pytest.raises(error):
+                reflected.matrix(P)
+            with pytest.raises(error):
+                critical._Energy(reflected, K).parts(P)
 
 
 class TestLieBracket:
