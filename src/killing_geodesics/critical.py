@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point
 from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner
-from .killing import KillingField, as_field, certify_killing_field, energy, energy_terms, jacobian_form, reflect
+from .killing import KillingField, as_field, certify_killing_field, energy, energy_terms, metric_and_form, reflect
 from .killing import torus_orbit_distance
 
 GRAD_TOL = 1e-7
@@ -157,13 +157,13 @@ class _Energy:
     def parts(self, P: Array):
         """f, its ambient gradient, G and K at each row.
 
-        ∇f_m = 2 (∂_m K)·(G K) + K^T (∂_m G) K, the second term by ``jacobian_form``.
+        ∇f_m = 2 (∂_m K)·(G K) + K^T (∂_m G) K, G and the second term by ``metric_and_form``.
         """
         k = self.K(P)
-        G = self.g.matrix(P)
+        G, form = metric_and_form(self.g, P, k)
         gk, f = energy_terms(G, k)
         grad = 2.0 * np.einsum("nmi,ni->nm", self.K.jacobian(P), gk)
-        return f, grad + jacobian_form(self.g, P, k), G, k
+        return f, grad + form, G, k
 
     def gradient(self, P: Array) -> Array:
         return self.parts(P)[1]

@@ -7,10 +7,10 @@ other field is integrated in ambient coordinates with the adaptive
 RK 5(4) stepper at ``ODE_TOL``, whose cubic Hermite output the period
 detector refines returns on.  Every geodesic is integrated with the adaptive
 Dormand-Prince 8(5,3) stepper at the tighter ``GEODESIC_ODE_TOL`` and
-interpolated by its 7th-order continuous extension.  A geodesic is
-integrated on the Euler-Lagrange form of the energy ½ g(v, v)
-(``geodesic_rhs``): one evaluation of the metric and its jacobian and
-one solve per right-hand side, with no Christoffel tensor.
+interpolated by its 7th-order continuous extension, made when first read.
+A geodesic is integrated on the Euler-Lagrange form of the energy ½ g(v, v)
+(``geodesic_rhs``): per right-hand side, one evaluation of the metric with
+its jacobian (``metric_and_jacobian``), one solve and no Christoffel tensor.
 ``geodesic_residual`` certifies a curve on the other form, through
 ``christoffel``, so the certificate does not share the integrator's
 algebra.  Each tolerance is a module constant, read where its
@@ -54,6 +54,7 @@ from .geometry import (
     apply_christoffel,
     christoffel,
     directional_diff,
+    metric_and_jacobian,
     metric_orthogonal_project,
     reduce_point,
     solve_metric,
@@ -296,8 +297,8 @@ def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:
         G a = ½ (vᵀ ∂_l G v)_l − (∂_v G) v + λ ∇c,   ∂_v G = Σ_k v_k ∂_k G,
 
     which is G times −Γ(v, v) + λ G⁻¹∇c, with no Christoffel tensor
-    built.  One evaluation of G and of ∂G and one solve, against the
-    force and the constraint normal ∇c as two columns, make each call.
+    built.  One evaluation of G with ∂G (``metric_and_jacobian``) and one
+    solve, against the force and the constraint normal ∇c as two columns.
     On a constrained manifold the multiplier λ, from
     ∇c·a + vᵀ (Hess c) v = 0, keeps the curve on the level set; this
     reproduces the Levi-Civita geodesics of the induced metric.
@@ -308,13 +309,14 @@ def geodesic_rhs(g: MetricField) -> Callable[[float, Array], Array]:
     def rhs(_t, y):
         x = y[:n]
         v = y[n:]
-        dv = g.jacobian(x) @ v  # dv[k, i] = (∂_k G v)_i
+        G, dG = metric_and_jacobian(g, x)
+        dv = dG @ v  # dv[k, i] = (∂_k G v)_i
         force = 0.5 * (dv @ v) - v @ dv
         if M.constraint is None:
-            a = solve_metric(g.matrix(x), force)
+            a = solve_metric(G, force)
         else:
             grad = M.constraint_grad(x)
-            a, ginv_grad = solve_metric(g.matrix(x), np.stack([force, grad], axis=1)).T
+            a, ginv_grad = solve_metric(G, np.stack([force, grad], axis=1)).T
             lam = -(float(grad @ a) + float(v @ (M.constraint_hess(x) @ v))) / float(grad @ ginv_grad)
             a = a + lam * ginv_grad
         return np.concatenate([v, a])

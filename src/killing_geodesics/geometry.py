@@ -25,7 +25,7 @@ stack of one row.  A one-point branch stays only where the integrator's
 inner step pays for it once per step: ``matvec``, ``inner``,
 ``project_point`` (10 µs against 37 µs for a stack of one on
 stationary-s3, 2-vCPU Xeon host), ``solve_metric``'s degeneracy test and
-``killing._conversion_jacobian`` (28 µs against 42 µs).
+``killing._conversion_jacobian``'s G with ∂G (23 µs against 45 µs).
 ``directional_diff`` keeps its per-row norm, pinned bit for bit.
 
 The deck group is searched in BFS levels of word length, each built once
@@ -624,6 +624,14 @@ def solve_metric(G: Array, b: Array) -> Array:
     return np.linalg.solve(G, b)
 
 
+def metric_and_jacobian(g: MetricField, p) -> tuple:
+    """(G, ∂G) at p or at each row of an (N, d) stack: from one evaluation
+    where the jacobian has ``with_matrix`` (a reflection, ``killing``)."""
+    p = np.asarray(p, dtype=float)
+    both = getattr(g.jacobian, "with_matrix", None)
+    return both(p) if both is not None else (g.matrix(p), g.jacobian(p))
+
+
 def christoffel(g: MetricField, p) -> Array:
     """Connection coefficients Gamma[..., k, i, j] of the ambient metric at
     p, or at each row of an (N, d) stack.
@@ -632,10 +640,8 @@ def christoffel(g: MetricField, p) -> Array:
     SingularMetricError when the ambient matrix is numerically degenerate
     at some point (``solve_metric``).
     """
-    p = np.asarray(p, dtype=float)
-    G = g.matrix(p)
+    G, d = metric_and_jacobian(g, p)
     n = G.shape[-1]
-    d = g.jacobian(p)
     # lowered coefficients: 0.5 * (d_i g_lj + d_j g_li - d_l g_ij)
     low = 0.5 * (
         np.einsum("...ilj->...lij", d) + np.einsum("...jli->...lij", d) - d

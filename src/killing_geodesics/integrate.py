@@ -17,7 +17,8 @@ set), with the derivative evaluated again at the projected state.
   embedded Runge-Kutta formulae" (J. Comput. Appl. Math. 7, 1981).  Its
   error norm combines the 5th- and 3rd-order estimates, and its dense
   output is the 7th-order continuous extension, three more stages per
-  accepted step.  Geodesic shooting runs on it.
+  accepted step, made on first read (``ContinuousCurve``).  Geodesic
+  shooting runs on it.
 
 Both control the error against a mixed absolute/relative tolerance.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -251,6 +253,7 @@ D8[3, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
     -0.14972683625798562581422125276e+3,
 ]
 
+_KEPT = [0, 5, 6, 7, 8, 9, 10, 11]  # the stages the extension reads, with stage 12
 MIN_STEP = 1e-12
 MAX_STEPS = 2_000_000
 SPEED_BOUND_MARGIN = 1e-9  # relative round-up of a curve's speed bound, far above its rounding
@@ -319,9 +322,27 @@ class ContinuousCurve(DenseCurve):
     θ the fraction of the step and θ' = 1 - θ,
 
         y = y_i + θ (F0 + θ' (F1 + θ (F2 + θ' (F3 + θ (F4 + θ' (F5 + θ F6)))))).
+
+    ``coeffs`` makes them on first read, with the step's own arithmetic,
+    from the run's right-hand side, step lengths and stages 0 and 5-11.
     """
 
-    coeffs: Array  # shape (m - 1, 7, d)
+    rhs: Callable[[float, Array], Array]
+    hs: Array      # step lengths, shape (m - 1,)
+    stages: Array  # shape (m - 1, 8, d)
+
+    @cached_property
+    def coeffs(self) -> Array:  # shape (m - 1, 7, d)
+        k = np.zeros((16, self.ys.shape[1]))
+        coeffs = np.empty((len(self.hs), 7, self.ys.shape[1]))
+        for t, h, kept, y_old, y, f, F in zip(self.ts, self.hs, self.stages, self.ys, self.ys[1:], self.fs[1:], coeffs):
+            k[_KEPT], k[12] = kept, f
+            for j in range(13, 16):
+                k[j] = self.rhs(t + C8[j] * h, y_old + h * (k[:j].T @ A8[j, :j]))
+            dy = y - y_old
+            F[0], F[1], F[2] = dy, h * k[0] - dy, 2.0 * dy - h * (f + k[0])
+            F[3:] = h * (D8 @ k)
+        return coeffs
 
     def _piece(self, i: Array, th: Array, h: Array) -> Array:
         F = self.coeffs[i]
@@ -359,18 +380,19 @@ class _RK45:
     def accept(self, rhs, t: float, h: float, y_old: Array, y: Array, f: Array) -> None:
         """Record the accepted step from (t, y_old) to (t + h, y), f = rhs(t + h, y)."""
 
-    def curve(self, ts, ys, fs) -> DenseCurve:
+    def curve(self, rhs, ts, ys, fs) -> DenseCurve:
         return DenseCurve(np.array(ts), np.array(ys), np.array(fs))
 
 
 class _DOP853:
-    """Dormand-Prince 8(5,3) steps of one run, with their continuous extension."""
+    """Dormand-Prince 8(5,3) steps of one run, and what their continuous extension reads."""
 
     exponent = 1 / 8
 
     def __init__(self, size: int):
         self.k = np.empty((16, size))
-        self.coeffs = []
+        self.hs = []
+        self.stages = []
 
     def step(self, rhs, t: float, y: Array, f: Array, h: float, tol: float):
         """(y at t + h, error norm) of a trial step from (t, y), f = rhs(t, y).
@@ -392,22 +414,13 @@ class _DOP853:
 
     def accept(self, rhs, t: float, h: float, y_old: Array, y: Array, f: Array) -> None:
         """Record the accepted step from (t, y_old) to (t + h, y), f = rhs(t + h, y):
-        three more stages and the coefficients of its continuous extension."""
-        k = self.k
-        k[12] = f
-        for i in range(13, 16):
-            k[i] = rhs(t + C8[i] * h, y_old + h * (k[:i].T @ A8[i, :i]))
-        dy = y - y_old
-        F = np.empty((7, y.size))
-        F[0] = dy
-        F[1] = h * k[0] - dy
-        F[2] = 2.0 * dy - h * (f + k[0])
-        F[3:] = h * (D8 @ k)
-        self.coeffs.append(F)
+        its length and the stages its continuous extension reads."""
+        self.hs.append(h)
+        self.stages.append(self.k[_KEPT])
 
-    def curve(self, ts, ys, fs) -> ContinuousCurve:
-        coeffs = np.reshape(self.coeffs, (len(ts) - 1, 7, len(ys[0])))
-        return ContinuousCurve(np.array(ts), np.array(ys), np.array(fs), coeffs)
+    def curve(self, rhs, ts, ys, fs) -> ContinuousCurve:
+        stages = np.reshape(self.stages, (len(ts) - 1, len(_KEPT), len(ys[0])))
+        return ContinuousCurve(np.array(ts), np.array(ys), np.array(fs), rhs, np.array(self.hs), stages)
 
 
 def _drive(
@@ -429,7 +442,7 @@ def _drive(
     fs = [f.copy()]
     steps = stepper(y.size)
     if t_end == 0.0:
-        return steps.curve(ts, ys, fs)
+        return steps.curve(rhs, ts, ys, fs)
 
     scale0 = tol + tol * float(np.max(np.abs(y)))
     fn = float(np.linalg.norm(f))
@@ -461,7 +474,7 @@ def _drive(
         h *= min(5.0, max(0.2, factor))
     else:
         raise StiffnessError("maximum step count exceeded")
-    return steps.curve(ts, ys, fs)
+    return steps.curve(rhs, ts, ys, fs)
 
 
 def solve_rk45(
@@ -497,9 +510,10 @@ def solve_dop853(
     8(5,3), interpolated by its 7th-order continuous extension.
 
     ``tol`` and ``project`` act as in ``solve_rk45``.  Each accepted step
-    costs 15 right-hand sides (11 stages, the derivative at the new knot,
-    3 stages of the extension), a rejected one 11.  The extension's stages start from the step's own stages and
-    end at the stored, projected knot, so the curve passes through every
-    knot with the stored derivative.
+    costs 12 right-hand sides (11 stages, the derivative at the new knot),
+    a rejected one 11; the first read between knots adds 3 per accepted
+    step, the stages of the extension, and later reads none.  Those start
+    from the step's own stages and end at the stored, projected knot, so
+    the curve passes through every knot with the stored derivative.
     """
     return _drive(_DOP853, rhs, y0, t_end, tol, project, None)

@@ -15,7 +15,8 @@ vanishes (up to the rounding of the jacobians) exactly on Killing fields.
 
 Both metric conversions reflect a base B in a field κ, G = B - 2uuᵀ/φ
 with u = Bκ and φ = κᵀBκ.  Their ∂G keeps B and κ, from which the energy
-gradient takes kᵀ(∂_m G)k (``jacobian_form``); every other layer reads ∂G.
+gradient takes kᵀ(∂_m G)k (``metric_and_form``); every other layer reads
+G and ∂G, from one evaluation of B, ∂B, κ and Dκ (``metric_and_jacobian``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .geometry import (
     constant,
     inner,
     matvec,
+    metric_and_jacobian,
     metric_eval,
     stackwise,
 )
@@ -343,27 +345,26 @@ def _reflected(g: MetricField, K, check, signature: tuple) -> MetricField:
         check(f)
         return reflect(G, gk, f)
 
-    return MetricField(g.manifold, stackwise(evaluator), signature, jacobian=_conversion_jacobian(g, K))
+    return MetricField(g.manifold, stackwise(evaluator), signature, jacobian=_conversion_jacobian(g, K, check))
 
 
-def jacobian_form(g: MetricField, P: Array, k: Array) -> Array:
-    """kᵀ(∂_m G)k at each row of (N, d) stacks ``P`` and ``k``: the einsum
-    over ``g.jacobian``, or for a reflection (module docstring) its closed
-    form, with no ∂G built and φ not checked (``g.matrix`` checks it):
+def metric_and_form(g: MetricField, P: Array, k: Array):
+    """G and kᵀ(∂_m G)k at each row of (N, d) stacks ``P`` and ``k``: the
+    einsum over ∂G, or for a reflection (module docstring) its closed form
+    on the one evaluation that gives G, with no ∂G built:
 
         kᵀ(∂_m G)k = kᵀ(∂_m B)k - 4c ∂_m w + 2c² ∂_m φ,  c = w/φ,  w = u·k,
         ∂_m w = κᵀ(∂_m B)k + (∂_m κ)·(Bk),  ∂_m φ = 2 (∂_m κ)·u + κᵀ(∂_m B)κ."""
     reflection = getattr(g.jacobian, "reflection", None)
     if reflection is None:
-        return np.einsum("ni,nmij,nj->nm", k, g.jacobian(P), k)
-    base, field = reflection
-    B, dB, kappa, dkappa = base.matrix(P), base.jacobian(P), field(P), field.jacobian(P)
-    u, phi = energy_terms(B, kappa)
+        G, dG = metric_and_jacobian(g, P)
+        return G, np.einsum("ni,nmij,nj->nm", k, dG, k)
+    B, dB, kappa, dkappa, u, phi = reflection(P)
     c = (inner(u, k) / phi)[:, None]
     dBk = np.einsum("nmij,nj->nmi", dB, k)
     dw = np.einsum("nmi,ni->nm", dBk, kappa) + np.einsum("nmi,ni->nm", dkappa, matvec(B, k))
     dphi = 2.0 * np.einsum("nmi,ni->nm", dkappa, u) + np.einsum("ni,nmij,nj->nm", kappa, dB, kappa)
-    return np.einsum("nmi,ni->nm", dBk, k) - 4.0 * c * dw + 2.0 * c * c * dphi
+    return reflect(B, u, phi), np.einsum("nmi,ni->nm", dBk, k) - 4.0 * c * dw + 2.0 * c * c * dphi
 
 
 def energy_terms(G: Array, k: Array):
@@ -384,36 +385,42 @@ def reflect(G: Array, gk: Array, f: Array) -> Array:
     return G - 2.0 * gk[..., :, None] * gk[..., None, :] / f[..., None, None]
 
 
-def _conversion_jacobian(g: MetricField, K: KillingField) -> Callable[[Array], Array]:
+def _conversion_jacobian(g: MetricField, K: KillingField, check) -> Callable[[Array], Array]:
     """Jacobian of G - 2 (GK)(GK)^T / (K^T G K) by the quotient rule, on
     the jacobians ``g.jacobian`` and ``K.jacobian``.  Accepts one point or
     an ``(N, d)`` stack.  One point takes matrix products, the fast path
     for a geodesic right-hand side; a stack takes einsum, whose rows do
-    not depend on the other rows (see ``matvec``).
+    not depend on the other rows (see ``matvec``).  ``reflection`` gives
+    B = G, ∂B, κ = K, Dκ, u = Bκ and φ = κᵀBκ, one evaluation each, after
+    ``check(φ)``, and ``with_matrix`` the reflected matrix with the jacobian.
     """
 
-    def jac(p, _g=g, _field=K.evaluator, _fj=K.jacobian):
+    def reflection(p):
+        B, dB = metric_and_jacobian(g, p)
+        kappa, dkappa = K(p), K.jacobian(p)
+        u, phi = energy_terms(B, kappa)
+        check(phi)
+        return B, dB, kappa, dkappa, u, phi
+
+    def with_matrix(p):
         p = np.asarray(p, dtype=float)
-        G = _g.matrix(p)
-        dG = _g.jacobian(p)
-        k = _field(p)
-        dk = _fj(p)
-        gk, f = energy_terms(G, k)
+        G, dG, k, dk, gk, f = reflection(p)
         if p.ndim == 1:
             dgk = dG @ k + dk @ G.T
             df = dk @ gk + dgk @ k
             half = dgk[:, :, None] * gk
             douter = half + half.transpose(0, 2, 1)
-            return dG - 2.0 * (douter * f - np.outer(gk, gk) * df[:, None, None]) / (f * f)
-        f = f[..., None, None, None]
+            return reflect(G, gk, f), dG - 2.0 * (douter * f - np.outer(gk, gk) * df[:, None, None]) / (f * f)
+        f4 = f[..., None, None, None]
         dgk = np.einsum("...mij,...j->...mi", dG, k) + np.einsum("...ij,...mj->...mi", G, dk)
         df = np.einsum("...mi,...i->...m", dk, gk) + np.einsum("...i,...mi->...m", k, dgk)
         outer = gk[..., None, :, None] * gk[..., None, None, :]
         douter = dgk[..., :, :, None] * gk[..., None, None, :] + gk[..., None, :, None] * dgk[..., :, None, :]
-        return dG - 2.0 * (douter * f - outer * df[..., None, None]) / (f * f)
+        return reflect(G, gk, f), dG - 2.0 * (douter * f4 - outer * df[..., None, None]) / (f4 * f4)
 
-    jac.reflection = (g, K)  # for jacobian_form; a record rebuilt without this jacobian drops it
-    return stackwise(jac)
+    jac = stackwise(lambda p: with_matrix(p)[1])
+    jac.reflection, jac.with_matrix = reflection, with_matrix  # a record rebuilt without this jacobian drops both
+    return jac
 
 
 def energy(g: MetricField, K, p) -> float:

@@ -266,6 +266,26 @@ class TestGeodesicRhs:
             rhs(0.0, np.concatenate([x, s3.killing(x)]))
             assert calls == {"metric": n, "jacobian": n}
 
+    def test_one_reflection_evaluation_per_call(self, s3, rng):
+        # a reflected metric's G and ∂G come from one evaluation of its
+        # base, the base's jacobian, the field and the field's jacobian
+        calls = []
+
+        def counting(name, fn):
+            def evaluate(p):
+                calls.append(name)
+                return fn(p)
+            return evaluate
+
+        eye, zero = np.eye(4), np.zeros((4, 4, 4))
+        base = kg.MetricField(s3.manifold, counting("B", lambda p: eye), (3, 0), jacobian=counting("dB", lambda p: zero))
+        K = kg.KillingField(counting("K", s3.killing.evaluator), jacobian=counting("dK", s3.killing.jacobian))
+        rhs = flows.geodesic_rhs(kg.riemann_to_lorentz(base, K))
+        x = s3.manifold.sample_point(rng)
+        for n in range(1, 4):
+            rhs(0.0, np.concatenate([x, s3.killing(x)]))
+            assert sorted(calls) == sorted(n * ["B", "dB", "K", "dK"])
+
     def test_degenerate_metric_raises(self):
         M = kg.ManifoldModel(ambient_dim=2)
         g = kg.MetricField(M, lambda p: np.diag([1.0, 0.0]), (1, 0))

@@ -1,13 +1,16 @@
 """The Dormand-Prince 8(5,3) tableau, checked by its order conditions and
-by its observed order on y' = λy, so that a mistyped digit shows; the
-Dormand-Prince 5(4) step against its unsliced reference; and the speed
-bound of the cubic Hermite output, on which the return scan relies."""
+by its observed order on y' = λy, so that a mistyped digit shows; its
+continuous extension, computed on first read, against the eager
+reference, and its right-hand side counts; the Dormand-Prince 5(4) step
+against its unsliced reference; and the speed bound of the cubic
+Hermite output, on which the return scan relies."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import killing_geodesics as kg
 from killing_geodesics import integrate
 from killing_geodesics.integrate import A8, B8, C8, D8, E3, E5
 
@@ -63,7 +66,7 @@ def _one_step(lam: float, h: float):
     y1, _ = steps.step(rhs, 0.0, y0, f0, h, 1.0)
     f1 = rhs(h, y1)
     steps.accept(rhs, 0.0, h, y0, y1, f1)
-    return steps.curve([0.0, h], [y0, y1], [f0, f1])
+    return steps.curve(rhs, [0.0, h], [y0, y1], [f0, f1])
 
 
 @pytest.mark.parametrize("lam", [-1.0, 1.0])
@@ -86,6 +89,87 @@ def test_continuous_extension_order_eight(lam):
     for h in (0.5, 0.25):
         assert error(h) <= 1e-5 * h ** 8
     assert 2 ** 7.5 <= error(0.5) / error(0.25) <= 2 ** 8.5
+
+
+class _EagerDOP853(integrate._DOP853):
+    """The DOP853 stepper as it was before its continuous extension was
+    left to the first read: three more stages and the coefficients F of
+    every accepted step, made when it is accepted.  The reference the
+    lazy ``coeffs`` equal bit for bit."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.eager = []
+
+    def accept(self, rhs, t, h, y_old, y, f):
+        super().accept(rhs, t, h, y_old, y, f)
+        k = self.k
+        k[12] = f
+        for i in range(13, 16):
+            k[i] = rhs(t + C8[i] * h, y_old + h * (k[:i].T @ A8[i, :i]))
+        dy = y - y_old
+        F = np.empty((7, y.size))
+        F[0] = dy
+        F[1] = h * k[0] - dy
+        F[2] = 2.0 * dy - h * (f + k[0])
+        F[3:] = h * (D8 @ k)
+        self.eager.append(F)
+
+    def curve(self, rhs, ts, ys, fs):
+        run = super().curve(rhs, ts, ys, fs)
+        vars(run)["coeffs"] = np.reshape(self.eager, (len(ts) - 1, 7, len(ys[0])))
+        return run
+
+
+def test_lazy_extension_matches_the_eager_one(s3, mapping_torus, monkeypatch):
+    # geodesic shots on the reflected metric and on S² x R, both on level
+    # sets (projected knots), off the field's direction: knots,
+    # coefficients and values inside the steps, bit for bit
+    rng = np.random.default_rng(7)
+    shots = []
+    for entry, T in ((s3, 7.0), (mapping_torus, 6.0)):
+        p0 = entry.manifold.sample_point(rng)
+        shots.append((entry.metric, p0, entry.killing(p0) + rng.normal(size=4), T))
+    lazy = [kg.shoot_geodesic(*shot).dense for shot in shots]
+    monkeypatch.setattr(integrate, "_DOP853", _EagerDOP853)
+    eager = [kg.shoot_geodesic(*shot).dense for shot in shots]
+    for run, ref in zip(lazy, eager):
+        assert len(run.ts) > 10
+        for a, b in [(run.ts, ref.ts), (run.ys, ref.ys), (run.fs, ref.fs)]:
+            assert np.array_equal(a, b)
+        assert "coeffs" not in vars(run)  # not read yet
+        s = run.ts[:-1] + rng.uniform(0.0, 1.0, (7, 1)) * np.diff(run.ts)
+        assert np.array_equal(run(s.ravel()), ref(s.ravel()))
+        assert np.array_equal(run.coeffs, ref.coeffs)
+
+
+def test_dop853_rhs_counts(monkeypatch):
+    # a step costs 12 right-hand sides when accepted and 11 when rejected;
+    # the first read inside the steps adds the extension's 3 per accepted
+    # step, and a later read none
+    calls = []
+    trials = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.array([y[1], -np.sin(y[0]) * (1.0 + 10.0 * np.cos(t) ** 2)])
+
+    class Counted(integrate._DOP853):
+        def step(self, *args):
+            trials.append(args[1])
+            return super().step(*args)
+
+    monkeypatch.setattr(integrate, "_DOP853", Counted)
+    run = integrate.solve_dop853(rhs, np.array([1.0, 0.0]), 10.0, tol=1e-10)
+    accepted = len(run.ts) - 1
+    rejected = len(trials) - accepted
+    assert accepted > 50 and rejected > 5
+    assert len(calls) == 1 + 12 * accepted + 11 * rejected
+    mid = 0.5 * (run.ts[:-1] + run.ts[1:])
+    for added in (3 * accepted, 0):
+        before = len(calls)
+        run(mid)
+        assert len(calls) - before == added
 
 
 @pytest.mark.parametrize("solve, exponent", [(integrate.solve_rk45, 0.2), (integrate.solve_dop853, 1 / 8)])

@@ -7,7 +7,8 @@ import pytest
 import killing_geodesics as kg
 from killing_geodesics.errors import NotTimelikeError, UnsupportedCapabilityError, VanishingFieldError
 from killing_geodesics import critical
-from killing_geodesics.killing import energy_terms, jacobian_form
+from killing_geodesics.geometry import metric_and_jacobian
+from killing_geodesics.killing import energy_terms, metric_and_form
 
 from conftest import random_tangent
 
@@ -159,14 +160,66 @@ class TestConversionJacobian:
             assert np.array_equal(s3.metric.jacobian(p), ref)
 
 
+def _raising_reflections(s3, timelike_somewhere):
+    """lorentz_to_riemann in a field timelike only near two circles, and
+    riemann_to_lorentz in rot-z, which vanishes on the circle z = 0, with
+    the error each raises, and points on both sides of that."""
+    g, K = timelike_somewhere
+    round_g = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0))
+    cases = [
+        (kg.lorentz_to_riemann(g, K), NotTimelikeError),
+        (kg.riemann_to_lorentz(round_g, s3.family.members[0]), VanishingFieldError),
+    ]
+    return cases, np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 0.6, 0.8], [0.0, 0.0, 0.0, 1.0]])
+
+
+class TestMetricAndJacobian:
+    """(G, ∂G) of a reflection from one evaluation of its base and field:
+    bit for bit ``g.matrix`` and ``g.jacobian``, raising where the
+    evaluator raises."""
+
+    def test_bit_for_bit(self, s3, timelike_somewhere, rng):
+        # stationary-s3, the weaker-hypothesis metric of item 4, and a
+        # reflection of a reflection (each level one evaluation)
+        P = s3.manifold.sample_points(rng, 24)
+        for g in (s3.metric, timelike_somewhere[0], kg.lorentz_to_riemann(s3.metric, s3.killing)):
+            assert hasattr(g.jacobian, "with_matrix")
+            for p in (P[0], P[:1], P):
+                G, dG = metric_and_jacobian(g, p)
+                assert np.array_equal(G, g.matrix(p))
+                assert np.array_equal(dG, g.jacobian(p))
+
+    def test_raises_where_the_evaluator_does(self, s3, timelike_somewhere):
+        cases, P = _raising_reflections(s3, timelike_somewhere)
+        for reflected, error in cases:
+            raised = 0
+            for p in (*P, P):
+                try:
+                    G = reflected.matrix(p)
+                except error:
+                    raised += 1
+                    with pytest.raises(error):
+                        metric_and_jacobian(reflected, p)
+                else:
+                    assert np.array_equal(metric_and_jacobian(reflected, p)[0], G)
+            assert 2 <= raised <= len(P)
+
+    def test_replaced_jacobian_takes_two_calls(self, s3, rng):
+        stencil = dataclasses.replace(s3.metric, jacobian=None)
+        assert not hasattr(stencil.jacobian, "with_matrix")
+        P = s3.manifold.sample_points(rng, 8)
+        G, dG = metric_and_jacobian(stencil, P)
+        assert np.array_equal(G, stencil.matrix(P))
+        assert np.array_equal(dG, stencil.jacobian(P))
+        assert not np.array_equal(dG, s3.metric.jacobian(P))
+
+
 def _size_of_terms(g, P, k):
     """Per row, |k|² times a bound on the terms the reflection's jacobian
     ∂B - 2 (∂(uuᵀ) φ - uuᵀ ∂φ) / φ² sums (u = Bκ, φ = κᵀBκ), in row norms."""
-    base, field = g.jacobian.reflection
     norm = lambda x: np.linalg.norm(x.reshape(len(P), -1), axis=1)
-    B, dB, kappa, dkappa = base.matrix(P), base.jacobian(P), field(P), field.jacobian(P)
-    u = np.einsum("nij,nj->ni", B, kappa)
-    phi = np.abs(np.einsum("ni,ni->n", kappa, u))
+    B, dB, kappa, dkappa, u, phi = g.jacobian.reflection(P)
+    phi = np.abs(phi)
     du = norm(dB) * norm(kappa) + norm(B) * norm(dkappa)
     dphi = 2.0 * norm(dkappa) * norm(u) + norm(dB) * norm(kappa) ** 2
     return norm(k) ** 2 * (norm(dB) + 4.0 * norm(u) * du / phi + 2.0 * norm(u) ** 2 * dphi / phi**2)
@@ -176,12 +229,15 @@ def _assert_form_is_the_einsum(g, P, k):
     # relative to the size of the terms: for k = κ on a constant base the
     # form is 0, and the einsum over ∂G is rounding of that size
     ref = np.einsum("ni,nmij,nj->nm", k, g.jacobian(P), k)
-    assert np.all(np.abs(jacobian_form(g, P, k) - ref) <= 1e-13 * _size_of_terms(g, P, k)[:, None])
+    G, form = metric_and_form(g, P, k)
+    assert np.array_equal(G, g.matrix(P))
+    assert np.all(np.abs(form - ref) <= 1e-13 * _size_of_terms(g, P, k)[:, None])
 
 
 class TestJacobianForm:
     """The energy gradient's metric term kᵀ(∂_m G)k: in closed form for a
-    reflected metric, the einsum over the whole ∂G otherwise."""
+    reflected metric, the einsum over the whole ∂G otherwise, with G bit
+    for bit ``g.matrix``."""
 
     @pytest.mark.parametrize("alpha", [SQRT2, 1.5])
     def test_stationary_sphere(self, alpha, rng):
@@ -225,18 +281,13 @@ class TestJacobianForm:
         P = s3.manifold.sample_points(rng, 16)
         k = s3.killing(P)
         ref = np.einsum("ni,nmij,nj->nm", k, stencil.jacobian(P), k)
-        assert np.array_equal(jacobian_form(stencil, P, k), ref)
+        G, form = metric_and_form(stencil, P, k)
+        assert np.array_equal(G, stencil.matrix(P))
+        assert np.array_equal(form, ref)
 
     def test_gradient_raises_where_the_reflection_does(self, s3, timelike_somewhere):
-        # lorentz_to_riemann in a field timelike only near two circles, and
-        # riemann_to_lorentz in rot-z, which vanishes on the circle z = 0
-        g, K = timelike_somewhere
-        round_g = kg.MetricField(s3.manifold, lambda p: np.eye(4), (3, 0))
-        cases = [
-            (kg.lorentz_to_riemann(g, K), NotTimelikeError),
-            (kg.riemann_to_lorentz(round_g, s3.family.members[0]), VanishingFieldError),
-        ]
-        P = np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 0.6, 0.8], [0.0, 0.0, 0.0, 1.0]])
+        cases, P = _raising_reflections(s3, timelike_somewhere)
+        K = timelike_somewhere[1]
         for reflected, error in cases:
             with pytest.raises(error):
                 reflected.matrix(P)
