@@ -14,9 +14,9 @@ extrema of f on the orbit space, not its index-1 critical sets
 (saddles), which ``classify_critical`` still labels when given one.
 The independent finite-difference certificate ``grad_f`` then checks
 all rows in one stacked call: one stack of tangent bases, one f call on
-every stencil point and one batched Gram solve.  Deduplication, period
-detection, residual certification and classification follow, one record
-at a time, on one record path.
+every stencil point and one batched Gram solve; f of the certified rows
+is one more.  Deduplication, period detection, residual certification
+and classification follow, one record at a time, on one record path.
 Where f is constant every point is critical: there is no search, and
 one sampled point is the single candidate of that path, labelled
 "degenerate_constant".  Deduplication merges candidates on one flow
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point
 from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner
-from .killing import KillingField, as_field, certify_killing_field, energy, energy_terms, metric_and_form, reflect
+from .killing import KillingField, as_field, certify_killing_field, energy_terms, metric_and_form, reflect
 from .killing import torus_orbit_distance
 
 GRAD_TOL = 1e-7
@@ -332,11 +332,16 @@ def find_critical_orbits(
     row is a candidate where its certified norm is within ``GRAD_TOL``,
     and SearchFailureError, stating the smallest norm, is raised where
     none is.  Descent on ±f ends at the extrema of f on the orbit space,
-    so its index-1 critical sets (saddles) are not returned.  The certified rows, in order of f,
-    are deduplicated against the kept records at the same f (to
-    1e-6·(1 + |f|)).  First modulo the torus of the commuting family
-    ``K.basis``, in closed form: a row within ``DEDUP_DISTANCE`` of a
-    kept representative's torus orbit joins it, since f is invariant
+    so its index-1 critical sets (saddles) are not returned.  The record
+    stage takes f of all candidates in one stacked call, one
+    ``check_on_manifold`` and one ``energy_terms`` of ``g.matrix`` and K
+    on the stack, whose rows round as ``energy`` at each point.  The
+    candidates, in order of f, are deduplicated against the kept records
+    at the same f (to 1e-6·(1 + |f|)).  First modulo the torus of the
+    commuting family ``K.basis``, in closed form: each new record
+    measures ``torus_orbit_distance`` to every candidate in one stacked
+    call, and a candidate within ``DEDUP_DISTANCE`` of a kept
+    representative's torus orbit joins it, since f is invariant
     under every isometry that preserves K, so the critical sets of a
     closed field are whole torus orbits (Bott, "Nondegenerate critical
     manifolds", 1954).  This rule holds only where the manifold has no
@@ -388,26 +393,31 @@ def find_critical_orbits(
         order += [i for i in range(len(samples)) if i not in order]
         rows = _search_rows(core, M, samples[order[:budget]])
         norms = np.linalg.norm(grad_f(g, K, rows), axis=1)
-        candidates = [(p, energy(g, K, p), float(gn)) for p, gn in zip(rows, norms) if gn <= GRAD_TOL]
-        if not candidates:
+        certified = norms <= GRAD_TOL
+        if not certified.any():
             raise SearchFailureError(
                 f"no start converged to a critical point: 0 of {len(rows)} rows certified, smallest "
                 f"gradient norm {np.fmin.reduce(norms):.3e} against GRAD_TOL = {GRAD_TOL:.1e}"
             )
+        rows, norms = rows[certified], norms[certified]
+        M.check_on_manifold(rows)
+        candidates = list(zip(rows, energy_terms(g.matrix(rows), K(rows))[1].tolist(), norms.tolist()))
 
     candidates.sort(key=lambda c: (c[1], tuple(np.round(c[0], 9))))
+    points = np.array([p for p, _, _ in candidates])
     torus = None if M.deck_generators else torus_orbit_distance(K)
     members_killing = None  # certified on the first merge that needs it
     out = []
     curves = []
-    for p, fv, gn in candidates:
-        level = [(o, line) for o, line in zip(out, curves) if abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))]
-        if torus is not None and any(torus(p, o.representative) <= DEDUP_DISTANCE for o, _ in level):
+    near = []  # per record: which candidates lie within DEDUP_DISTANCE of its torus orbit
+    for i, (p, fv, gn) in enumerate(candidates):
+        level = [r for r, o in enumerate(out) if abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))]
+        if torus is not None and any(near[r][i] for r in level):
             if members_killing is None:
                 members_killing = all(certify_killing_field(g, m).certified for m in K.basis.members)
             if members_killing:
                 continue
-        if any(min_distance_to_point(M, line, p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for _, line in level):
+        if any(min_distance_to_point(M, curves[r], p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for r in level):
             continue
         cert = detect_period(M, K, p, horizon)
         speed = float(np.linalg.norm(K(p)))
@@ -424,6 +434,7 @@ def find_critical_orbits(
             except DegenerateCriticalPointError:
                 label = "degenerate"
         curves.append(line)
+        near.append(None if torus is None else torus(points, p) <= DEDUP_DISTANCE)
         out.append(
             CriticalOrbit(
                 representative=p,

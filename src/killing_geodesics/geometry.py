@@ -21,12 +21,13 @@ calls them directly.
 The operations built on them (``tangent_basis``, ``tangent_project``,
 ``tangent_gram``, ``metric_orthogonal_project``, ``apply_christoffel``)
 have one body each, for one point or an (N, d) stack: a point is a
-stack of one row.  A one-point branch stays only where the integrator's
-inner step pays for it once per step: ``matvec``, ``inner``,
-``project_point`` (10 µs against 37 µs for a stack of one on
-stationary-s3, 2-vCPU Xeon host), ``solve_metric``'s degeneracy test and
-``killing._conversion_jacobian``'s G with ∂G (23 µs against 45 µs).
-``directional_diff`` keeps its per-row norm, pinned bit for bit.
+stack of one row, bit for bit: the products ``matvec`` and ``inner`` are
+numpy's gufuncs, which round every row of a stack as the one point.  A
+one-point branch stays only where the integrator's inner step pays for
+it once per step: ``project_point`` (10 µs against 37 µs for a stack of
+one on stationary-s3, 2-vCPU Xeon host), ``solve_metric``'s degeneracy
+test and ``killing._conversion_jacobian``'s G with ∂G (23 µs against
+45 µs).
 
 The deck group is searched in BFS levels of word length, each built once
 per model when first needed: ``reduce_point`` stops at the first level
@@ -63,14 +64,10 @@ SIGNATURE_TOL = 1e-10  # eigenvalues of signature_of_gram counted as zero
 def matvec(A: Array, x: Array) -> Array:
     """A x for one vector, or row by row for stacks of matrices and vectors.
 
-    One vector takes the BLAS product, as fast as it gets for a single
-    point.  A stack takes einsum, whose rows do not depend on the other
-    rows: a (1, d) BLAS product rounds differently from the same row
-    inside a larger one.  The two agree to a few ulps.
+    numpy's ``matvec`` gufunc: every row of a stack rounds as the one
+    point does, bit for bit, so a point is a stack of one.
     """
-    if np.ndim(x) == 1:
-        return A @ x
-    return np.einsum("...ij,...j->...i", A, x)
+    return np.matvec(A, x)
 
 
 def stackwise(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
@@ -129,10 +126,9 @@ def constant(value: Array) -> Callable[[Array], Array]:
 
 
 def inner(x: Array, y: Array) -> Array:
-    """x · y for two vectors, or row by row for stacks (see ``matvec``)."""
-    if np.ndim(x) == 1:
-        return x @ y
-    return np.einsum("...i,...i->...", x, y)
+    """x · y for two vectors, or row by row for stacks: numpy's ``vecdot``,
+    which rounds every row as the one point (see ``matvec``)."""
+    return np.vecdot(x, y)
 
 
 def central_diff(fn: Callable[[Array], Array], p: Array, dirs: Array, h: float) -> Array:
@@ -182,8 +178,7 @@ def directional_diff(fn: Callable[[Array], Array], p: Array, v: Array) -> Array:
     ``p`` or its rows: ``central_diff`` along v/|v| at ``FD_STEP_FIRST``,
     times |v|."""
     v = np.asarray(v, dtype=float)
-    # one norm per row: norm(axis=1) rounds differently
-    nv = np.array([np.linalg.norm(row) for row in v])
+    nv = np.sqrt(inner(v, v))  # each row's norm as np.linalg.norm rounds it
     nv[nv == 0.0] = 1.0  # a zero row stays zero: both its displaced points are p
     return central_diff(fn, p, v[:, None, :] / nv[:, None, None], FD_STEP_FIRST)[:, 0] * nv[:, None]
 
@@ -337,10 +332,11 @@ class ManifoldModel:
     # -- constraint handling -------------------------------------------------
 
     def constraint_residual(self, p: Array) -> float:
-        """|c(p)| at one point, or the largest over an (N, d) stack."""
+        """|c(p)| at one point, or the largest over an (N, d) stack: 0.0
+        for an empty one."""
         if self.constraint is None:
             return 0.0
-        return float(np.max(np.abs(self.constraint(np.asarray(p, dtype=float)))))
+        return float(np.max(np.abs(self.constraint(np.asarray(p, dtype=float))), initial=0.0))
 
     def check_on_manifold(self, p: Array) -> None:
         """Raise ``OffManifoldError`` where p, or some row of an (N, d)

@@ -134,7 +134,9 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
 
         dist(p, orbit(r))² = Σ_j (|Π_j p| - |Π_j r|)² + |Π_0 (p - r)|².
 
-    Whether the members are Killing for some metric is not checked here.
+    ``distance(p, r)`` takes one point p or an (N, d) stack of them, each
+    row rounded as the one point.  Whether the members are Killing for
+    some metric is not checked here.
     """
     members = K.basis.members if K.basis is not None else ()
     if K.linear is None or not members or any(m.linear is None for m in members):
@@ -155,10 +157,14 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
     if np.linalg.matrix_rank(rates, tol) < len(planes):
         return None
 
+    def norm(E, x):  # |E x| per row, as np.linalg.norm rounds it
+        y = matvec(E, x)
+        return np.sqrt(inner(y, y))
+
     def distance(p, r):
-        radial = [np.linalg.norm(E @ p) - np.linalg.norm(E @ r) for E in planes]
-        drift = fixed @ (np.asarray(p, dtype=float) - r)
-        return math.sqrt(sum(x * x for x in radial) + float(drift @ drift))
+        p = np.asarray(p, dtype=float)
+        drift = matvec(fixed, p - r)
+        return np.sqrt(sum((norm(E, p) - norm(E, r)) ** 2 for E in planes) + inner(drift, drift))
 
     return distance
 
@@ -390,9 +396,10 @@ def _conversion_jacobian(g: MetricField, K: KillingField, check) -> Callable[[Ar
     the jacobians ``g.jacobian`` and ``K.jacobian``.  Accepts one point or
     an ``(N, d)`` stack.  One point takes matrix products, the fast path
     for a geodesic right-hand side; a stack takes einsum, whose rows do
-    not depend on the other rows (see ``matvec``).  ``reflection`` gives
-    B = G, ∂B, κ = K, Dκ, u = Bκ and φ = κᵀBκ, one evaluation each, after
-    ``check(φ)``, and ``with_matrix`` the reflected matrix with the jacobian.
+    not depend on the other rows but need not round as the one point's
+    products.  ``reflection`` gives B = G, ∂B, κ = K, Dκ, u = Bκ and
+    φ = κᵀBκ, one evaluation each, after ``check(φ)``, and
+    ``with_matrix`` the reflected matrix with the jacobian.
     """
 
     def reflection(p):

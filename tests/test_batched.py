@@ -3,6 +3,8 @@
 Every evaluator the search calls maps an (N, d) stack of points row by
 row: the gallery's by construction, so they are called unwrapped, and any
 other callable through ``geometry.as_evaluator``, which probes it once.
+A stack rounds each row as the one point: the products ``matvec`` and
+``inner``, the gallery's evaluators and f itself, bit for bit.
 The analytic gradient of f agrees with the finite-difference
 certificate, whose stencil is one stacked call of f and agrees with one
 call per direction.  The certificate, the tangent basis and the Killing
@@ -22,6 +24,7 @@ import pytest
 
 import killing_geodesics as kg
 from killing_geodesics import critical, geometry
+from killing_geodesics.killing import energy_terms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -35,8 +38,8 @@ def _assert_rowwise(fn, P):
     stacked = np.asarray(fn(P), dtype=float)
     rows = np.array([np.asarray(fn(p), dtype=float) for p in P])
     assert stacked.shape == rows.shape
-    # a single point takes BLAS products, a stack einsum: a few ulps apart
-    np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-14)
+    # a stack rounds each row as the one point (geometry.matvec)
+    assert np.array_equal(stacked, rows)
 
 
 def _assert_unwrapped(fn):
@@ -69,7 +72,7 @@ class TestStackedEvaluators:
                 _assert_unwrapped(fn)
             projected = M.project_point(P)
             rows = np.array([M.project_point(p) for p in P])
-            np.testing.assert_allclose(projected, rows, rtol=1e-14, atol=1e-14)
+            assert np.array_equal(projected, rows)
             assert max(M.constraint_residual(q) for q in projected) <= 1e-13
 
     def test_projection_keeps_scalar_constraints(self):
@@ -289,9 +292,9 @@ class TestStackedKillingResidual:
             g = entry.metric
             P = _stack_points(entry, n=50)
             for K in _fields(entry):
-                # each row as a stack of one: a lone point takes BLAS
-                # products in the evaluators, which round differently
-                rows = [kg.killing_residual(g, K, P[i : i + 1]) for i in range(len(P))]
+                # each row as one point and as a stack of one
+                rows = [kg.killing_residual(g, K, p) for p in P]
+                assert rows == [kg.killing_residual(g, K, P[i : i + 1]) for i in range(len(P))]
                 assert kg.killing_residual(g, K, P) == max(rows)
 
     def test_rows_match_one_point_frames(self, all_entries):
@@ -453,3 +456,27 @@ class TestStackedBacktracking:
         # a work guard: all 39 halvings of a failing row in one block make
         # about 43,000 points
         assert sum(n for kind, n in calls if kind == "values") <= 11_000
+
+
+class TestProductsRoundAsThePoint:
+    """``geometry.matvec`` and ``geometry.inner`` round every row of a
+    stack as the one point, so the stacked record stage and the stacked
+    norms give the one-point values bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_rows_are_the_one_point_products(self, d):
+        rng = np.random.default_rng(d)
+        A, x, y = rng.normal(size=(400, d, d)), rng.normal(size=(400, d)), rng.normal(size=(400, d))
+        assert np.array_equal(geometry.matvec(A, x), np.array([a @ v for a, v in zip(A, x)]))
+        assert np.array_equal(geometry.matvec(A[0], x), np.array([A[0] @ v for v in x]))
+        assert np.array_equal(geometry.inner(x, y), np.array([v @ w for v, w in zip(x, y)]))
+        assert np.array_equal(np.sqrt(geometry.inner(x, x)), np.array([np.linalg.norm(v) for v in x]))
+        assert np.array_equal(geometry.matvec(A[0], x[0]), A[0] @ x[0])
+        assert geometry.inner(x[0], y[0]) == x[0] @ y[0]
+
+    def test_stacked_energy_is_the_pointwise_energy(self, all_entries, timelike_somewhere):
+        cases = [(e.metric, e.killing) for e in all_entries] + [timelike_somewhere]
+        for g, K in cases:
+            P = g.manifold.sample_points(np.random.default_rng(6), 100)
+            f = energy_terms(g.matrix(P), K(P))[1]
+            assert np.array_equal(f, [kg.energy(g, K, p) for p in P])

@@ -165,10 +165,42 @@ class TestSearch:
         assert orbits[0].classification == "degenerate_constant"
         assert orbits[0].period == pytest.approx(1.0, abs=1e-6)
 
-    def test_f_value_matches_representative(self, s3):
-        orbits = kg.find_critical_orbits(s3.metric, s3.killing, budget=8, seed=0)
-        for o in orbits:
-            assert o.f_value == kg.energy(s3.metric, s3.killing, o.representative)
+    def test_f_value_matches_representative(self, all_entries, timelike_somewhere):
+        # the record stage takes f of all candidates in one stacked call,
+        # which rounds every row as the one point: f is energy() bit for bit
+        cases = [(e.metric, e.killing) for e in all_entries] + [timelike_somewhere]
+        for g, K in cases:
+            for o in kg.find_critical_orbits(g, K, budget=8, seed=0):
+                assert o.f_value == kg.energy(g, K, o.representative)
+
+    def test_record_stage_evaluates_the_metric_once(self, s3, monkeypatch):
+        # between the certificate and the first period detection the search
+        # evaluates g once, on the stack of every certified row
+        g = s3.metric
+        stage, shapes, certified = [False], [], []
+        matrix, certificate, detect = kg.MetricField.matrix, critical.grad_f, critical.detect_period
+
+        def counted_matrix(self, p):
+            if self is g and stage[0]:
+                shapes.append(np.shape(p))
+            return matrix(self, p)
+
+        def counted_certificate(*args):
+            grad = certificate(*args)
+            certified.append(int(np.sum(np.linalg.norm(grad, axis=1) <= critical.GRAD_TOL)))
+            stage[0] = True
+            return grad
+
+        def first_detect(*args):
+            stage[0] = False
+            return detect(*args)
+
+        monkeypatch.setattr(kg.MetricField, "matrix", counted_matrix)
+        monkeypatch.setattr(critical, "grad_f", counted_certificate)
+        monkeypatch.setattr(critical, "detect_period", first_detect)
+        orbits = kg.find_critical_orbits(g, s3.killing, budget=32, seed=42)
+        assert len(orbits) == 2 and certified[0] > len(orbits)
+        assert shapes == [(certified[0], 4)]
 
     def test_orbit_without_period(self, timelike_somewhere, monkeypatch):
         # the paper's weaker hypothesis: K = rot-z - √2 rot-w is timelike

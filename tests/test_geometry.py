@@ -410,3 +410,14 @@ class TestManifoldInvariants:
         for _ in range(100):
             tries.uniform(M.fundamental_box[:, 0], M.fundamental_box[:, 1])
         assert rng.uniform() == tries.uniform()
+
+    def test_an_empty_stack_is_on_the_manifold(self, all_entries):
+        for entry in all_entries:
+            M = entry.manifold
+            empty = np.zeros((0, M.ambient_dim))
+            assert M.constraint_residual(empty) == 0.0
+            M.check_on_manifold(empty)
+        # a stack with a row off the manifold still raises
+        s3 = all_entries[2].manifold
+        with pytest.raises(OffManifoldError):
+            s3.check_on_manifold(np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]))

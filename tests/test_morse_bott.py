@@ -104,6 +104,27 @@ class TestOneRecordPerSet:
         # both members certified once, on the first merge the family rule makes
         assert [args[1].label for args in certifies] == ["rot-z", "rot-w"]
 
+    def test_torus_distance_once_per_record(self, s3, hopf, monkeypatch):
+        # each kept record measures every candidate at once, and no
+        # candidate is measured on its own
+        calls = []
+        closed_form = critical.torus_orbit_distance
+
+        def counted(K):
+            distance = closed_form(K)
+
+            def measured(p, r):
+                calls.append(np.shape(p))
+                return distance(p, r)
+
+            return measured
+
+        monkeypatch.setattr(critical, "torus_orbit_distance", counted)
+        orbits = _search(s3, hopf, 24)
+        assert len(orbits) == 3 and len(calls) == 3
+        # one stack of every candidate per record, and more candidates than records
+        assert calls[0][0] > 3 and calls == [calls[0]] * 3 and calls[0][1:] == (4,)
+
     def test_analyze_s3_merges_in_closed_form(self, s3, monkeypatch):
         # the torus rule comes first: every merge on stationary-s3 is made
         # in closed form, after one certification of each member
@@ -151,6 +172,16 @@ class TestTorusDistance:
             p, r = rng.normal(size=(2, 5))
             assert distance(p, r) == pytest.approx(_brute_distance(A1, A2, p, r), abs=1e-6)
         assert distance(r, r) == 0.0
+
+    def test_stack_is_its_points(self, s3, hopf):
+        # a stack of points rounds each row as the one point
+        distance = torus_orbit_distance(hopf)
+        P = s3.manifold.sample_points(np.random.default_rng(9), 200)
+        r = P[0]
+        rows = np.array([distance(p, r) for p in P])
+        assert np.array_equal(distance(P, r), rows)
+        assert np.array_equal(distance(P[:1], r), rows[:1])
+        assert rows[0] == 0.0
 
     def test_no_closed_form_without_a_product_of_circles(self, flat_torus, t4):
         hopf_matrix = _rotation(4, 0, 1) + _rotation(4, 2, 3)

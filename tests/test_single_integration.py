@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import killing_geodesics as kg
@@ -172,7 +172,9 @@ def _knot_speed(c):
 def _exact_min_distance(M, c, q):
     """The reference scan: samples every ``SAMPLE_STEP``, then every local
     minimum within the fastest knot's travel of the smallest sample
-    refined, to the end of the curve."""
+    refined on 60-point grids, each bracketing the last grid's minimum,
+    until the bracket stops shrinking: until it is below the rounding of
+    the time, so the reference reaches the minimum itself."""
     ss = np.arange(0.0, c.t_end, SAMPLE_STEP)
     d = M.quotient_distance(c.position_at(ss), q)
     best = float(np.min(d))
@@ -186,7 +188,9 @@ def _exact_min_distance(M, c, q):
             continue
         lo = float(ss[max(0, j - 1)])
         hi = float(edges[j + 1])
-        for _ in range(3):
+        bracket = None
+        while bracket != (lo, hi):
+            bracket = (lo, hi)
             grid = np.linspace(lo, hi, 60)
             dd = M.quotient_distance(c.position_at(grid), q)
             k = int(np.argmin(dd))
@@ -205,6 +209,9 @@ def _exact_min_distance(M, c, q):
     st.floats(0.0, 2e-2),
     st.just(DEDUP_DISTANCE) | st.floats(1e-6, 2e-2),
 )
+# a point at the radius: the library's 9.9999999625e-05 is a curve point
+# the reference must reach too
+@example(4, 0.5, [0.0, 1.0, 0.0, 0.0], 1e-4, 1e-4)
 def test_skip_never_drops_a_duplicate(index, where, direction, distance, radius):
     M, curves = _orbit_curves()
     curve = curves[index]

@@ -307,3 +307,17 @@ def test_reflection_round_trip(v, kind):
     back = kg.lorentz_to_riemann(kg.riemann_to_lorentz(_G_R, K), K)
     np.testing.assert_allclose(back.matrix(p), _G_R.matrix(p), rtol=0, atol=1e-12)
     np.testing.assert_allclose(back.jacobian(p), _G_R.jacobian(p), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_directional_norms_are_the_one_row_norms(d):
+    # directional_diff scales each row by its norm as np.linalg.norm rounds
+    # it; norm(axis=1) rounds these rows differently
+    rng = np.random.default_rng(40 + d)
+    A = rng.normal(size=(d, d))
+    field = geometry.stackwise(lambda p: geometry.matvec(A, p))
+    p, V = rng.normal(size=d), rng.normal(size=(300, d))
+    V[7] = 0.0
+    assert not np.array_equal(np.linalg.norm(V, axis=1), [np.linalg.norm(v) for v in V])
+    rows = np.array([_reference_directional(field, v, p) for v in V])
+    assert np.array_equal(geometry.directional_diff(field, p, V), rows)
