@@ -227,9 +227,9 @@ def make_klein_bottle() -> GalleryEntry:
 
 
 def _sphere_sampler(dim: int):
-    def sampler(rng):
-        v = rng.normal(size=dim)
-        return v / np.linalg.norm(v)
+    def sampler(rng, n):
+        v = rng.normal(size=(n, dim))
+        return v / np.sqrt(inner(v, v))[:, None]
 
     return sampler
 
@@ -344,10 +344,9 @@ def make_mapping_torus(theta: float) -> GalleryEntry:
     def sphere_grad(p, _s=scale):
         return _s * p
 
-    def sampler(rng):
-        v = rng.normal(size=3)
-        v = v / np.linalg.norm(v)
-        return np.array([v[0], v[1], v[2], rng.uniform(0.0, 1.0)])
+    def sampler(rng, n):
+        # row by row: the stream holds each point's normal triple, then its uniform t
+        return [[*_sphere_sampler(3)(rng, 1)[0], rng.uniform(0.0, 1.0)] for _ in range(n)]
 
     M = ManifoldModel(
         ambient_dim=4,
@@ -453,6 +452,8 @@ def validate_entry(entry: GalleryEntry, n_samples: int = 100) -> dict:
     generator's linear part against the one at the start, on the first
     50 points), deck constraint defect and Killing residual.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     M = entry.manifold
     g = entry.metric
     pts = M.sample_points(np.random.default_rng(VALIDATE_SEED), n_samples)

@@ -291,9 +291,9 @@ class ManifoldModel:
     fundamental_box : array (ambient_dim, 2), optional
         Coordinate bounds of a fundamental region, used for sampling and
         for greedy reduction of faraway points.
-    sampler : callable(rng) -> point, optional
-        Draws one point on the manifold; default samples the box and
-        projects onto the constraint set.
+    sampler : callable(rng, n) -> (n, ambient_dim) stack, optional
+        Draws n points on the manifold from the stream of n one-point
+        draws; default samples the box and projects onto the constraint set.
     quotient_distance_fn : callable(points, q) -> distances, optional
         Vectorized exact quotient distance, 1-Lipschitz in the point as
         the exact one is.  Without it, the generic path reduces each point
@@ -420,23 +420,29 @@ class ManifoldModel:
     # -- sampling -------------------------------------------------------------
 
     def sample_point(self, rng: np.random.Generator) -> Array:
-        if self.sampler is not None:
-            return np.asarray(self.sampler(rng), dtype=float)
-        if self.fundamental_box is None:
-            raise ValueError("manifold has neither sampler nor fundamental box")
-        lo = self.fundamental_box[:, 0]
-        hi = self.fundamental_box[:, 1]
-        for _ in range(100):
-            p = rng.uniform(lo, hi)
-            if self.constraint is None:
-                return p
-            q = self.project_point(p)
-            if self.constraint_residual(q) <= CONSTRAINT_TOL:
-                return q
-        raise RuntimeError("sampling failed to project onto the constraint set")
+        """One seeded point: the one row of ``sample_points(rng, 1)``."""
+        return self.sample_points(rng, 1)[0]
 
     def sample_points(self, rng: np.random.Generator, n: int) -> Array:
-        return np.array([self.sample_point(rng) for _ in range(n)])
+        """An (n, d) stack of seeded points: one sampler call, or else uniform box rows projected
+        as one stack, the rows off by more than ``CONSTRAINT_TOL`` redrawn (100 draws at most)."""
+        if n < 0:
+            raise ValueError(f"sample count must be non-negative, got {n}")
+        if self.sampler is not None:
+            return np.asarray(self.sampler(rng, n), dtype=float).reshape(n, self.ambient_dim)
+        if self.fundamental_box is None:
+            raise ValueError("manifold has neither sampler nor fundamental box")
+        lo, hi = self.fundamental_box.T
+        P, todo = np.empty((n, self.ambient_dim)), np.arange(n)
+        for _ in range(100):
+            P[todo] = rng.uniform(lo, hi, size=(todo.size, self.ambient_dim))
+            if self.constraint is None:
+                return P
+            P[todo] = self.project_point(P[todo])
+            todo = todo[np.abs(self.constraint(P[todo])) > CONSTRAINT_TOL]
+            if not todo.size:
+                return P
+        raise RuntimeError("sampling failed to project onto the constraint set")
 
     # -- deck group -----------------------------------------------------------
 

@@ -221,6 +221,8 @@ def certify_killing_field(g: MetricField, K, n_samples: int = 50) -> KillingFiel
     """Return a copy of K with its residual filled in, the largest on
     ``n_samples`` points seeded by ``CERTIFY_SEED``: certified when it
     stays within ``KILLING_RESIDUAL_TOL``."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     K = as_field(K)
     pts = g.manifold.sample_points(np.random.default_rng(CERTIFY_SEED), n_samples)
     worst = killing_residual(g, K, pts)

@@ -117,7 +117,7 @@ def analyze_entry(entry: GalleryEntry, seed: int = 42, budget: int = 64, horizon
     fiber_scan = None
     if degenerate:
         rng = np.random.default_rng(seed + 2)
-        starts = list(entry.exceptional_starts) + [M.sample_point(rng) for _ in range(8)]
+        starts = [*entry.exceptional_starts, *M.sample_points(rng, 8)]
         fiber_scan = []
         for p0 in starts:
             cert = detect_period(M, entry.killing, p0, min(horizon, 25.0))

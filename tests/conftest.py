@@ -67,6 +67,17 @@ def all_entries(lorentzian_entries, t4):
     return lorentzian_entries + [t4]
 
 
+def assert_draws_of_one(M, n=17, seed=3):
+    """``sample_points(rng, n)`` is n ``sample_point`` draws bit for bit,
+    and leaves its generator where they leave theirs."""
+    stack_rng, point_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = M.sample_points(stack_rng, n)
+    points = np.array([M.sample_point(point_rng) for _ in range(n)])
+    assert stack.shape == points.shape == (n, M.ambient_dim)
+    assert stack.tobytes() == points.tobytes()
+    assert stack_rng.uniform() == point_rng.uniform()
+
+
 def random_tangent(M, p, rng):
     return M.tangent_project(p, rng.normal(size=M.ambient_dim))
 

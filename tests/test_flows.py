@@ -161,7 +161,7 @@ class TestShootGeodesic:
             constraint=lambda p: float(p @ p) - 1.0,
             constraint_grad=lambda p: 2.0 * p,
             constraint_hess=lambda p: 2.0 * np.eye(4),
-            sampler=lambda rng: (lambda u: u / np.linalg.norm(u))(rng.normal(size=4)),
+            sampler=lambda rng, n: (lambda v: v / np.sqrt(np.vecdot(v, v))[:, None])(rng.normal(size=(n, 4))),
         )
         zero_jac = np.zeros((4, 4, 4))
         g = kg.MetricField(M, lambda p: np.eye(4), (3, 0), jacobian=lambda p: zero_jac)

@@ -19,6 +19,11 @@ class TestEntryInvariants:
             assert report["deck_constraint"] <= 1e-9, entry.name
             assert report["killing_residual_max"] <= 1e-8, entry.name
 
+    def test_validation_needs_a_point(self, flat_torus):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n}"):
+                kg.validate_entry(flat_torus, n_samples=n)
+
     def test_all_killing_fields_certified(self, all_entries):
         for entry in all_entries:
             assert entry.killing.certified, entry.name

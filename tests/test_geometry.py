@@ -13,7 +13,7 @@ from killing_geodesics.geometry import (
     metric_orthogonal_project,
 )
 
-from conftest import random_tangent
+from conftest import assert_draws_of_one, random_tangent
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,7 +184,7 @@ class TestCovariantDerivative:
             constraint=lambda p: float(p @ p) - 1.0,
             constraint_grad=lambda p: 2.0 * p,
             constraint_hess=lambda p: 2.0 * np.eye(4),
-            sampler=lambda rng: (lambda v: v / np.linalg.norm(v))(rng.normal(size=4)),
+            sampler=lambda rng, n: (lambda v: v / np.sqrt(np.vecdot(v, v))[:, None])(rng.normal(size=(n, 4))),
         )
         g = kg.MetricField(M, lambda p: np.eye(4), (3, 0))
         A = np.zeros((4, 4))
@@ -358,6 +358,111 @@ class TestDeckGroup:
         assert prod.is_identity()
 
 
+def _unit_sphere_in_a_box():
+    # every row of the box [1/2, 1]³ projects onto |p| = 1 at its first draw
+    return kg.ManifoldModel(
+        ambient_dim=3,
+        constraint=lambda p: np.sum(p * p, axis=-1) - 1.0,
+        fundamental_box=np.array([[0.5, 1.0]] * 3),
+    )
+
+
+def _unit_box(constraint):
+    # the gradient e₀ keeps each projection finite, whether it lands or not
+    return kg.ManifoldModel(
+        ambient_dim=3,
+        constraint=constraint,
+        constraint_grad=lambda p: np.broadcast_to(np.eye(3)[0], np.shape(p)),
+        fundamental_box=np.array([[0.0, 1.0]] * 3),
+    )
+
+
+def _half_reachable(p):
+    # x₀ - 3/4 where x₀ > 1/2, which one Newton step solves; 1 where x₀ <= 1/2,
+    # and there each step moves x₀ further from the level set
+    return np.where(p[..., 0] > 0.5, p[..., 0] - 0.75, 1.0)
+
+
+class _CountingRng:
+    """A generator that keeps every uniform draw it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def uniform(self, low, high, size=None):
+        self.draws.append(self.rng.uniform(low, high, size=size))
+        return self.draws[-1]
+
+
+class TestSampling:
+    def test_a_stack_is_its_points_drawn_in_turn(self, all_entries):
+        for entry in all_entries:
+            assert_draws_of_one(entry.manifold)
+        assert_draws_of_one(_unit_sphere_in_a_box())
+
+    def test_sphere_rows_are_the_one_point_quotient(self, s3, mapping_torus):
+        # the reference: one normal draw per point, divided by np.linalg.norm
+        def unit(rng, dim):
+            v = rng.normal(size=dim)
+            return v / np.linalg.norm(v)
+
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        P = s3.manifold.sample_points(rng, 500)
+        assert P.tobytes() == np.array([unit(ref, 4) for _ in range(500)]).tobytes()
+        P = mapping_torus.manifold.sample_points(rng, 500)
+        assert P.tobytes() == np.array([[*unit(ref, 3), ref.uniform(0.0, 1.0)] for _ in range(500)]).tobytes()
+
+    def test_one_sampler_call_per_stack(self, all_entries):
+        for M in (e.manifold for e in all_entries if e.manifold.sampler is not None):
+            calls = []
+
+            def counting(rng, n, _sampler=M.sampler):
+                calls.append(n)
+                return _sampler(rng, n)
+
+            dataclasses.replace(M, sampler=counting).sample_points(np.random.default_rng(1), 64)
+            assert calls == [64]
+
+    def test_one_uniform_call_on_the_open_box(self, all_entries):
+        boxes = [e.manifold for e in all_entries if e.manifold.sampler is None]
+        assert boxes
+        for M in boxes:
+            rng = _CountingRng(1)
+            P = M.sample_points(rng, 64)
+            assert len(rng.draws) == 1 and np.array_equal(P, rng.draws[0])
+
+    def test_only_the_rows_off_the_level_set_are_redrawn(self):
+        M = _unit_box(_half_reachable)
+        rng = _CountingRng(8)
+        P = M.sample_points(rng, 40)
+        assert np.abs(M.constraint(P)).max() <= geometry.CONSTRAINT_TOL
+        first, *redraws = rng.draws
+        assert first.shape == (40, 3) and redraws
+        expect, todo = first.copy(), np.flatnonzero(first[:, 0] <= 0.5)
+        assert 0 < todo.size < 40
+        for draw in redraws:
+            assert draw.shape == (todo.size, 3)
+            expect[todo] = draw
+            todo = todo[draw[:, 0] <= 0.5]
+        assert todo.size == 0
+        # the projection moves x₀ alone
+        assert np.array_equal(P[:, 1:], expect[:, 1:])
+        np.testing.assert_allclose(P[:, 0], 0.75, atol=1e-15)
+
+    def test_a_stack_that_never_projects_fails(self):
+        M = _unit_box(lambda p: 1.0 + 0.0 * p[..., 0])
+        rng = _CountingRng(6)
+        with pytest.raises(RuntimeError, match="sampling failed"):
+            M.sample_points(rng, 5)
+        assert [d.shape for d in rng.draws] == [(5, 3)] * 100
+
+    def test_sample_counts(self, all_entries):
+        for M in [e.manifold for e in all_entries] + [_unit_sphere_in_a_box()]:
+            with pytest.raises(ValueError, match="sample count must be non-negative, got -3"):
+                M.sample_points(np.random.default_rng(0), -3)
+            assert M.sample_points(np.random.default_rng(0), 0).shape == (0, M.ambient_dim)
+
+
 class TestManifoldInvariants:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
@@ -387,11 +492,7 @@ class TestManifoldInvariants:
 
     def test_sample_point_projects_the_box(self):
         # no sampler: a uniform point of the box, projected onto c = 0
-        M = kg.ManifoldModel(
-            ambient_dim=3,
-            constraint=lambda p: np.sum(p * p, axis=-1) - 1.0,
-            fundamental_box=np.array([[0.5, 1.0]] * 3),
-        )
+        M = _unit_sphere_in_a_box()
         rng = np.random.default_rng(6)
         for p in M.sample_points(rng, 10):
             assert M.constraint_residual(p) <= geometry.CONSTRAINT_TOL

@@ -42,6 +42,12 @@ class TestKillingResidual:
         assert not K.certified
         assert K.max_residual >= 0.1
 
+    def test_a_certificate_needs_a_point(self, flat_torus):
+        # a certificate over no points certifies nothing
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n}"):
+                kg.certify_killing_field(flat_torus.metric, flat_torus.killing, n_samples=n)
+
     def test_energy_constant_along_flow(self, all_entries):
         for entry in all_entries:
             p0 = entry.probe_point

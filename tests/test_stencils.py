@@ -30,6 +30,8 @@ from killing_geodesics.geometry import (
 )
 from killing_geodesics.killing import linear_field
 
+from conftest import assert_draws_of_one
+
 SQRT2 = math.sqrt(2.0)
 H = 1e-5
 
@@ -46,7 +48,7 @@ def _sphere(**derivatives):
     return kg.ManifoldModel(
         ambient_dim=4,
         constraint=lambda p: float(p @ p) - 1.0,
-        sampler=lambda rng: (lambda v: v / np.linalg.norm(v))(rng.normal(size=4)),
+        sampler=lambda rng, n: (lambda v: v / np.sqrt(np.vecdot(v, v))[:, None])(rng.normal(size=(n, 4))),
         **derivatives,
     )
 
@@ -227,6 +229,9 @@ class TestFallbacksOnStacks:
         P = s3.manifold.sample_points(np.random.default_rng(36), 6)
         fd = dataclasses.replace(s3.metric, jacobian=None).jacobian(P)
         np.testing.assert_allclose(fd, s3.metric.jacobian(P), atol=1e-6)
+
+    def test_sphere_draws_a_stack_as_its_points(self):
+        assert_draws_of_one(_sphere())
 
     def test_as_field_jacobian(self):
         A = _rotation(SQRT2)
