@@ -12,6 +12,8 @@ three halvings, then the rows that fail those at all the rest.
 Descent on ±f ends at minima and maxima, so the search returns the
 extrema of f on the orbit space, not its index-1 critical sets
 (saddles), which ``classify_critical`` still labels when given one.
+The search sees f of K/σ, σ a power of two read off the sampled f, so
+no constant of it depends on the scale of K.
 The independent finite-difference certificate ``grad_f`` then checks
 all rows in one stacked call: one stack of tangent bases, one f call on
 every stencil point and one batched Gram solve; f of the certified rows
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point
-from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner
+from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner, stackwise
 from .killing import KillingField, as_field, certify_killing_field, energy_terms, metric_and_form, reflect
 from .killing import torus_orbit_distance
 
@@ -316,6 +318,28 @@ def _search_rows(core: _Energy, M: ManifoldModel, starts: Array) -> Array:
     return _newton_refine(core, M, _descend(core, M, P, sign))
 
 
+def _scale(fmax: float) -> float:
+    """σ = 2^k with k = ⌊log₄ fmax + ¼⌋, so that f/σ² has its largest
+    |value| in [2^-½, 2^1½); 1 where fmax is 0 or not finite.  k is read
+    off ``math.frexp``: fmax·4^j gives k + j exactly."""
+    if not 0.0 < fmax < math.inf:
+        return 1.0
+    mantissa, e = math.frexp(fmax)  # fmax = mantissa·2^(e % 2)·4^(e // 2)
+    return math.ldexp(1.0, e // 2 + math.floor((e % 2 + math.log2(mantissa) + 0.5) / 2))
+
+
+def _divided(K: KillingField, sigma: float) -> KillingField:
+    """K/σ in K's torus, with its jacobian and its matrix, if linear:
+    exact for a power of two σ."""
+    return KillingField(
+        stackwise(lambda p: K.evaluator(p) / sigma),
+        K.label,
+        basis=K.basis,
+        jacobian=stackwise(lambda p: K.jacobian(p) / sigma),
+        linear=None if K.linear is None else K.linear / sigma,
+    )
+
+
 def find_critical_orbits(
     g: MetricField,
     K,
@@ -325,19 +349,28 @@ def find_critical_orbits(
 ) -> list:
     """Locate the critical orbits of f = g(K, K) on ``g.manifold``.
 
+    The search runs on K/σ, σ = 2^k the power of two that ``_scale``
+    reads off max |f| on the seeded samples (1 where f is 0 there): the
+    f-variance test, descent, Newton, ``grad_f`` and ``classify_critical``
+    see f/σ², whose largest value is of size 1, so K → cK multiplies f by
+    c², divides periods by c and changes nothing else, bit for bit where
+    c is a power of two.  A record holds f, |grad f|, the period and the
+    geodesic residual of K itself.
+
     Multi-start descent on f and -f from ``budget`` of ``PROBE_SAMPLES``
     seeded samples (always including the sampled argmin and argmax) and
     Newton refinement, all rows in lockstep, then the finite-difference
     gradient certificate ``grad_f`` on all 2·budget rows in one call; a
-    row is a candidate where its certified norm is within ``GRAD_TOL``,
-    and SearchFailureError, stating the smallest norm, is raised where
-    none is.  Descent on ±f ends at the extrema of f on the orbit space,
-    so its index-1 critical sets (saddles) are not returned.  The record
-    stage takes f of all candidates in one stacked call, one
-    ``check_on_manifold`` and one ``energy_terms`` of ``g.matrix`` and K
-    on the stack, whose rows round as ``energy`` at each point.  The
+    row is a candidate where its certified norm for K/σ is within
+    ``GRAD_TOL``, and SearchFailureError, stating the smallest such norm,
+    is raised where none is.  Descent on ±f ends at the extrema of f on
+    the orbit space, so its index-1 critical sets (saddles) are not
+    returned.  The record stage takes f of all candidates in one stacked
+    call, one ``check_on_manifold`` and one ``energy_terms`` of
+    ``g.matrix`` and K on the stack, whose rows round as ``energy`` at
+    each point.  The
     candidates, in order of f, are deduplicated against the kept records
-    at the same f (to 1e-6·(1 + |f|)).  First modulo the torus of the
+    at the same f (to 1e-6·(σ² + |f|)).  First modulo the torus of the
     commuting family ``K.basis``, in closed form: each new record
     measures ``torus_orbit_distance`` to every candidate in one stacked
     call, and a candidate within ``DEDUP_DISTANCE`` of a kept
@@ -355,10 +388,10 @@ def find_critical_orbits(
 
     A row that starts a new record gets its period from
     ``detect_period``; the certificate's run gives the orbit's curve up
-    to min(period, span), span = min(horizon, 4π/speed + 1), through
-    ``certified_flow``, so the orbit gets one run, and only an orbit
-    without a certificate is flowed for span instead.  That curve serves
-    the later deduplication and the geodesic residual;
+    to min(period, span) through ``certified_flow``, span = min(horizon,
+    (4π/max(|K/σ|, 0.1) + 1)/σ), so the orbit gets one run, and only an
+    orbit without a certificate is flowed for span instead.  That curve
+    serves the later deduplication and the geodesic residual;
     ``classify_critical`` labels the record "degenerate" where the
     transverse Hessian has a null direction, as on a Morse-Bott set of
     positive dimension transverse to the flow.  Where the sampled
@@ -383,16 +416,18 @@ def find_critical_orbits(
     K = as_field(K)
     rng = np.random.default_rng(seed)
     samples = M.sample_points(rng, PROBE_SAMPLES)
-    core = _Energy(g, K)
-    fvals = core.values(samples)
-    constant = float(np.var(fvals)) < DEGENERATE_VARIANCE
+    fvals = _Energy(g, K).values(samples)
+    sigma = _scale(float(np.max(np.abs(fvals))))
+    Ks = _divided(K, sigma)
+    core = _Energy(g, Ks)
+    constant = float(np.var(fvals / sigma**2)) < DEGENERATE_VARIANCE
     if constant:
-        candidates = [(samples[0], float(fvals[0]), float(np.linalg.norm(grad_f(g, K, samples[0]))))]
+        candidates = [(samples[0], float(fvals[0]), sigma**2 * float(np.linalg.norm(grad_f(g, Ks, samples[0]))))]
     else:
         order = [int(np.argmin(fvals)), int(np.argmax(fvals))]
         order += [i for i in range(len(samples)) if i not in order]
         rows = _search_rows(core, M, samples[order[:budget]])
-        norms = np.linalg.norm(grad_f(g, K, rows), axis=1)
+        norms = np.linalg.norm(grad_f(g, Ks, rows), axis=1)
         certified = norms <= GRAD_TOL
         if not certified.any():
             raise SearchFailureError(
@@ -401,17 +436,17 @@ def find_critical_orbits(
             )
         rows, norms = rows[certified], norms[certified]
         M.check_on_manifold(rows)
-        candidates = list(zip(rows, energy_terms(g.matrix(rows), K(rows))[1].tolist(), norms.tolist()))
+        candidates = list(zip(rows, energy_terms(g.matrix(rows), K(rows))[1].tolist(), (sigma**2 * norms).tolist()))
 
     candidates.sort(key=lambda c: (c[1], tuple(np.round(c[0], 9))))
     points = np.array([p for p, _, _ in candidates])
-    torus = None if M.deck_generators else torus_orbit_distance(K)
+    torus = None if M.deck_generators else torus_orbit_distance(Ks)
     members_killing = None  # certified on the first merge that needs it
     out = []
     curves = []
     near = []  # per record: which candidates lie within DEDUP_DISTANCE of its torus orbit
     for i, (p, fv, gn) in enumerate(candidates):
-        level = [r for r, o in enumerate(out) if abs(fv - o.f_value) <= 1e-6 * (1.0 + abs(o.f_value))]
+        level = [r for r, o in enumerate(out) if abs(fv - o.f_value) <= 1e-6 * (sigma**2 + abs(o.f_value))]
         if torus is not None and any(near[r][i] for r in level):
             if members_killing is None:
                 members_killing = all(certify_killing_field(g, m).certified for m in K.basis.members)
@@ -420,8 +455,8 @@ def find_critical_orbits(
         if any(min_distance_to_point(M, curves[r], p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for r in level):
             continue
         cert = detect_period(M, K, p, horizon)
-        speed = float(np.linalg.norm(K(p)))
-        span = min(horizon, 4.0 * math.pi / max(speed, 0.1) + 1.0)
+        speed = float(np.linalg.norm(Ks(p)))
+        span = min(horizon, (4.0 * math.pi / max(speed, 0.1) + 1.0) / sigma)
         if cert is None:
             line = flow(M, K, p, span)
         else:
@@ -430,7 +465,7 @@ def find_critical_orbits(
             label = "degenerate_constant"
         else:
             try:
-                label, _ = classify_critical(g, K, p)
+                label, _ = classify_critical(g, Ks, p)
             except DegenerateCriticalPointError:
                 label = "degenerate"
         curves.append(line)

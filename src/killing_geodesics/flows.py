@@ -232,8 +232,11 @@ def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, scan: Optional[
     A field whose ``linear`` matrix is skew gets its ``ExactCurve``; every
     other field is integrated by ``solve_rk45`` at the local tolerance
     ``ODE_TOL``.  With ``scan``, the run feeds the return scan and ends at
-    its first certified return.
+    its first certified return.  A negative T raises ValueError on both
+    kinds of run.
     """
+    if T < 0:
+        raise ValueError(f"integration horizon must be nonnegative, got {T}")
     field, rhs, project = _flow_problem(M, K)
     exact = ExactCurve.of(K, p0, T, project, field)
     if exact is None:

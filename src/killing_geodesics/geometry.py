@@ -22,12 +22,11 @@ The operations built on them (``tangent_basis``, ``tangent_project``,
 ``tangent_gram``, ``metric_orthogonal_project``, ``apply_christoffel``)
 have one body each, for one point or an (N, d) stack: a point is a
 stack of one row, bit for bit: the products ``matvec`` and ``inner`` are
-numpy's gufuncs, which round every row of a stack as the one point.  A
-one-point branch stays only where the integrator's inner step pays for
-it once per step: ``project_point`` (10 µs against 37 µs for a stack of
-one on stationary-s3, 2-vCPU Xeon host), ``solve_metric``'s degeneracy
-test and ``killing._conversion_jacobian``'s G with ∂G (23 µs against
-45 µs).
+numpy's gufuncs, which round every row of a stack as the one point.  So
+are ``solve_metric`` and ``killing._conversion_jacobian``'s G with ∂G.
+One one-point branch stays, where the integrator's inner step pays for
+it once per step: ``project_point`` (11 µs against 27 µs for a stack of
+one on stationary-s3, 2-vCPU Xeon host).
 
 The deck group is searched in BFS levels of word length, each built once
 per model when first needed: ``reduce_point`` stops at the first level
@@ -615,13 +614,13 @@ def metric_eval(g: MetricField, p, v, w) -> float:
 
 
 def solve_metric(G: Array, b: Array) -> Array:
-    """G⁻¹ b for the ambient metric matrix G (or a stack of them).
+    """G⁻¹ b for the ambient metric matrix G, or row by row for a stack.
 
     Raises SingularMetricError when |det G| < 1e-12 at some point: the
     metric is numerically degenerate there and has no inverse.
     """
     det = np.linalg.det(G)
-    if (abs(float(det)) < 1e-12) if G.ndim == 2 else np.any(np.abs(det) < 1e-12):
+    if (abs(det) < 1e-12).any():
         raise SingularMetricError("metric degenerate at evaluation point")
     return np.linalg.solve(G, b)
 

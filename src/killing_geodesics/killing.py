@@ -200,18 +200,20 @@ def killing_residual(g: MetricField, K, p) -> float:
     docstring); the rows of B are ``tangent_basis``, Euclidean-orthonormal
     in the ambient chart (not g-orthonormal), which avoids normalizing
     against null directions of an indefinite metric; a stack gets one
-    stack of bases, and a row does not depend on the other rows.  ∂G and
-    J are the jacobians the metric and the field carry: analytic where
-    they were built with them, else the central differences filled when
-    they were built.  Raises OffManifoldError at a point off the manifold.
+    stack of bases, and a row does not depend on the other rows.  G and
+    ∂G come from ``metric_and_jacobian``, so a reflection is evaluated
+    once.  ∂G and J are the jacobians the metric and the field carry:
+    analytic where they were built with them, else the central
+    differences filled when they were built.  Raises OffManifoldError at
+    a point off the manifold.
     """
     p = np.asarray(p, dtype=float)
     M = g.manifold
     M.check_on_manifold(p)
     K = as_field(K)
-    G = g.matrix(p)
+    G, dG = metric_and_jacobian(g, p)
     J = K.jacobian(p)
-    flow = np.einsum("...m,...mij->...ij", K(p), g.jacobian(p))
+    flow = np.einsum("...m,...mij->...ij", K(p), dG)
     L = flow + J @ G + G @ np.swapaxes(J, -1, -2)
     B = M.tangent_basis(p)
     return float(np.abs(B @ L @ np.swapaxes(B, -1, -2)).max())
@@ -396,11 +398,10 @@ def reflect(G: Array, gk: Array, f: Array) -> Array:
 def _conversion_jacobian(g: MetricField, K: KillingField, check) -> Callable[[Array], Array]:
     """Jacobian of G - 2 (GK)(GK)^T / (K^T G K) by the quotient rule, on
     the jacobians ``g.jacobian`` and ``K.jacobian``.  Accepts one point or
-    an ``(N, d)`` stack.  One point takes matrix products, the fast path
-    for a geodesic right-hand side; a stack takes einsum, whose rows do
-    not depend on the other rows but need not round as the one point's
-    products.  ``reflection`` gives B = G, ∂B, κ = K, Dκ, u = Bκ and
-    φ = κᵀBκ, one evaluation each, after ``check(φ)``, and
+    an ``(N, d)`` stack, in one body: its products are the ``matvec``
+    gufunc over broadcast axes, so every row of a stack is its one-point
+    value bit for bit.  ``reflection`` gives B = G, ∂B, κ = K, Dκ,
+    u = Bκ and φ = κᵀBκ, one evaluation each, after ``check(φ)``, and
     ``with_matrix`` the reflected matrix with the jacobian.
     """
 
@@ -412,19 +413,13 @@ def _conversion_jacobian(g: MetricField, K: KillingField, check) -> Callable[[Ar
         return B, dB, kappa, dkappa, u, phi
 
     def with_matrix(p):
-        p = np.asarray(p, dtype=float)
-        G, dG, k, dk, gk, f = reflection(p)
-        if p.ndim == 1:
-            dgk = dG @ k + dk @ G.T
-            df = dk @ gk + dgk @ k
-            half = dgk[:, :, None] * gk
-            douter = half + half.transpose(0, 2, 1)
-            return reflect(G, gk, f), dG - 2.0 * (douter * f - np.outer(gk, gk) * df[:, None, None]) / (f * f)
+        G, dG, k, dk, gk, f = reflection(np.asarray(p, dtype=float))
         f4 = f[..., None, None, None]
-        dgk = np.einsum("...mij,...j->...mi", dG, k) + np.einsum("...ij,...mj->...mi", G, dk)
-        df = np.einsum("...mi,...i->...m", dk, gk) + np.einsum("...i,...mi->...m", k, dgk)
+        dgk = matvec(dG, k[..., None, :]) + matvec(G[..., None, :, :], dk)
+        df = matvec(dk, gk) + matvec(dgk, k)
+        half = dgk[..., :, :, None] * gk[..., None, None, :]
+        douter = half + np.swapaxes(half, -1, -2)
         outer = gk[..., None, :, None] * gk[..., None, None, :]
-        douter = dgk[..., :, :, None] * gk[..., None, None, :] + gk[..., None, :, None] * dgk[..., :, None, :]
         return reflect(G, gk, f), dG - 2.0 * (douter * f4 - outer * df[..., None, None]) / (f4 * f4)
 
     jac = stackwise(lambda p: with_matrix(p)[1])

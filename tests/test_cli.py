@@ -207,6 +207,12 @@ class TestExitCodes:
         assert cli.main(["trace", *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("entry, start", [("stationary-s3", "1,0,0,0"), ("flat-torus", "0.1,0.2")])
+    def test_negative_trace_time(self, entry, start, capsys):
+        # the closed-form run on the sphere printed one row at s = -1
+        assert cli.main(["trace", entry, "--start", start, "--T", "-1"]) == 2
+        assert capsys.readouterr().err == "error: integration horizon must be nonnegative, got -1.0\n"
+
     def test_unsupported_approximation(self):
         assert run_cli("approximate", "klein-bottle", "--n", "2").returncode == 4
 

@@ -8,6 +8,7 @@ from killing_geodesics import critical
 from killing_geodesics.critical import _bordered_solve, classify_critical, grad_f
 from killing_geodesics.errors import DegenerateCriticalPointError, SearchFailureError
 from killing_geodesics.geometry import covariant_derivative
+from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
 
@@ -233,6 +234,35 @@ class TestSearch:
         assert out[2].period is None
         assert len(flows) == 1
         assert max(o.geodesic_residual for o in out) <= 1e-9
+
+    def test_scale_sweep(self, timelike_somewhere):
+        # K -> cK multiplies f by c², divides periods by c and changes
+        # nothing else: the search runs on K/σ, σ a power of two near √max|f|,
+        # so for c = 2^j the records are the c = 1 records, scaled exactly
+        g, K = timelike_somewhere
+
+        def search(c):
+            cK = kg.certify_killing_field(g, linear_field(c * K.linear, basis=K.basis))
+            return kg.find_critical_orbits(g, cK, horizon=50.0 / c)
+
+        unit = search(1.0)
+        s_max = (SQRT2 - 0.25 / (1.0 + SQRT2)) / (1.0 + SQRT2)
+        f_max = 2.0 - s_max - 0.125 / (1.0 + SQRT2) ** 2
+        for c in (1e-3, 0.01, 0.1, 3.0, 7.3, 10.0, 100.0, 1000.0):
+            out = search(c)
+            assert [o.classification for o in out] == ["min", "min", "degenerate"], c
+            assert [o.f_value / c**2 for o in out] == pytest.approx([-2.0, -1.0, f_max], abs=1e-9)
+            assert out[0].period * c == pytest.approx(2 * math.pi / SQRT2, abs=1e-6)
+            assert out[1].period * c == pytest.approx(2 * math.pi, abs=1e-6)
+            assert out[2].period is None
+        for j in (-10, -6, 3, 20):
+            out = search(2.0**j)
+            assert len(out) == len(unit)
+            for o, u in zip(out, unit):
+                assert o.classification == u.classification
+                assert o.f_value == u.f_value * 4.0**j
+                assert o.period == (None if u.period is None else u.period / 2.0**j)
+                assert np.array_equal(o.representative, u.representative)
 
     def test_failure_states_the_smallest_norm(self, s3, monkeypatch):
         # with a tolerance no norm can meet, no row passes; the error says

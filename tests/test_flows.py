@@ -121,6 +121,14 @@ class TestFlow:
         assert float(match[2]) == pytest.approx(math.pi / 4, abs=1e-3)
         assert not oracle.raised(info.value).known_defect
 
+    def test_negative_horizon_raises_on_both_kinds_of_run(self, s3, flat_torus):
+        # stationary-s3's skew field runs in closed form, the flat torus's
+        # is integrated; a closed-form run gave one point at s = -1
+        for entry, p0 in ((s3, np.array([1.0, 0.0, 0.0, 0.0])), (flat_torus, np.array([0.1, 0.2]))):
+            for run in (kg.flow, kg.detect_period):
+                with pytest.raises(ValueError, match="integration horizon must be nonnegative, got -1.0"):
+                    run(entry.manifold, entry.killing, p0, -1.0)
+
     def test_flow_passes_step_collapse_up(self, flat_torus):
         blowup = lambda p: np.array([(1.0 + p[0] ** 2) ** 2, 0.0])
         with pytest.raises(StiffnessError):

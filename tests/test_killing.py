@@ -137,8 +137,8 @@ def _einsum_conversion_jacobian(G, dG, k, dk):
 
 
 class TestConversionJacobian:
-    """One point takes matrix products and a stack takes einsum: the two
-    paths of the reflection's jacobian agree to rounding."""
+    """The reflection's jacobian has one body for a point and a stack:
+    each row of a stack is its one-point value bit for bit."""
 
     def test_one_point_is_its_row_of_the_stack(self, s3, lorentzian_entries, timelike_somewhere, rng):
         # the gallery's reflected metric, every reflection a Lorentzian
@@ -153,9 +153,7 @@ class TestConversionJacobian:
             P = M.sample_points(rng, 40)
             stack = g.jacobian(P)
             for p, row in zip(P, stack):
-                one = g.jacobian(p)
-                assert one.shape == row.shape
-                assert np.abs(one - row).max() <= 1e-14 * (1.0 + np.abs(row).max())
+                assert np.array_equal(g.jacobian(p), row)
 
     def test_one_point_is_the_einsum_form_on_stationary_s3(self, s3, rng):
         # the reflection of the round metric (G = I, dG = 0) in a field
@@ -185,15 +183,29 @@ class TestMetricAndJacobian:
     evaluator raises."""
 
     def test_bit_for_bit(self, s3, timelike_somewhere, rng):
-        # stationary-s3, the weaker-hypothesis metric of item 4, and a
-        # reflection of a reflection (each level one evaluation)
+        # stationary-s3, the weaker-hypothesis metric of item 4, a
+        # reflection of a reflection (each level one evaluation) and a
+        # reflection of a base that is not constant; each row of a stack
+        # is the one-point pair
         P = s3.manifold.sample_points(rng, 24)
-        for g in (s3.metric, timelike_somewhere[0], kg.lorentz_to_riemann(s3.metric, s3.killing)):
+        base = kg.MetricField(s3.manifold, lambda p: np.diag(1.0 + p * p), (3, 0))
+        metrics = (
+            s3.metric,
+            timelike_somewhere[0],
+            kg.lorentz_to_riemann(s3.metric, s3.killing),
+            kg.riemann_to_lorentz(base, s3.killing),
+        )
+        for g in metrics:
             assert hasattr(g.jacobian, "with_matrix")
             for p in (P[0], P[:1], P):
                 G, dG = metric_and_jacobian(g, p)
                 assert np.array_equal(G, g.matrix(p))
                 assert np.array_equal(dG, g.jacobian(p))
+            G, dG = metric_and_jacobian(g, P)
+            for p, G_row, dG_row in zip(P, G, dG):
+                G_one, dG_one = metric_and_jacobian(g, p)
+                assert np.array_equal(G_one, G_row)
+                assert np.array_equal(dG_one, dG_row)
 
     def test_raises_where_the_evaluator_does(self, s3, timelike_somewhere):
         cases, P = _raising_reflections(s3, timelike_somewhere)
