@@ -58,6 +58,7 @@ from .critical import (
     CriticalOrbit,
     classify_critical,
     find_critical_orbits,
+    find_critical_orbits_many,
     grad_f,
 )
 from .rational import (

@@ -2,23 +2,27 @@
 
 The central mechanism: critical points of f(p) = g(K_p, K_p) generate
 periodic geodesics through the identity grad f = -2 ∇_K K.  The search
-runs every (start, sign) pair in lockstep as one stack of points:
-projected descent on f and on -f, then Newton refinement on the Hessian
-transverse to the flow direction, both on the analytic ambient gradient
-of f.  A descent round evaluates the direction of every row still
+runs every (start, sign) pair of every field it is given in lockstep as
+one stack of points (``find_critical_orbits_many``; one field is a stack
+of one, ``find_critical_orbits``): projected descent on f and on -f,
+then Newton refinement on the Hessian transverse to the flow direction,
+both on the analytic ambient gradient of f, each row on its own field's
+f.  A descent round evaluates the direction of every row still
 moving, then backtracks in at most three stacked trial evaluations:
 the rows at their steps, then the rows that fail there at their first
 three halvings, then the rows that fail those at all the rest.
 Descent on ±f ends at minima and maxima, so the search returns the
 extrema of f on the orbit space, not its index-1 critical sets
 (saddles), which ``classify_critical`` still labels when given one.
-The search sees f of K/σ, σ a power of two read off the sampled f, so
-no constant of it depends on the scale of K.
+Each field's search sees f of K/σ, σ a power of two read off the
+sampled f, so no constant of it depends on the scale of K, and a row's
+arithmetic does not depend on the other rows or fields in its stack.
 The independent finite-difference certificate ``grad_f`` then checks
-all rows in one stacked call: one stack of tangent bases, one f call on
-every stencil point and one batched Gram solve; f of the certified rows
-is one more.  Deduplication, period detection, residual certification
-and classification follow, one record at a time, on one record path.
+all rows of a field in one stacked call: one stack of tangent bases,
+one f call on every stencil point and one batched Gram solve; f of the
+certified rows is one more.  Deduplication, period detection, residual
+certification and classification follow, field by field and one record
+at a time, on one record path.
 Where f is constant every point is critical: there is no search, and
 one sampled point is the single candidate of that path, labelled
 "degenerate_constant".  Deduplication merges candidates on one flow
@@ -148,23 +152,60 @@ def classify_critical(g: MetricField, K, p):
 
 @dataclass(frozen=True, eq=False)
 class _Energy:
-    """f = g(K, K) and its ambient gradient on (N, d) stacks of points."""
+    """f = g(K, K) and its ambient gradient on (N, d) stacks of points.
+
+    ``K`` is one field, or with ``which`` a tuple of fields: row n is
+    then a point of field ``K[which[n]]``, and each field is evaluated on
+    its own rows in one call.  G is one call on the whole stack, whose
+    rows round as the one point, so a row's values do not depend on the
+    other fields in the stack.  ``at``, ``repeated`` and ``stencil``
+    give the energy of a stack made from this one's rows; for one field
+    that is the energy itself.
+    """
 
     g: MetricField
-    K: KillingField
+    K: KillingField | tuple
+    which: Optional[Array] = None
+
+    def at(self, index: Array) -> _Energy:
+        """The energy of the stack whose row n is row ``index[n]`` of this one's."""
+        return self if self.which is None else _Energy(self.g, self.K, self.which[index])
+
+    def repeated(self, m: int) -> _Energy:
+        """The energy of the stack that holds each row m times in a row."""
+        return self if self.which is None else _Energy(self.g, self.K, np.repeat(self.which, m))
+
+    def stencil(self, d: int) -> _Energy:
+        """The energy of ``central_diff``'s stencil along d directions,
+        laid out (sign, row, direction)."""
+        return self if self.which is None else _Energy(self.g, self.K, np.tile(np.repeat(self.which, d), 2))
+
+    def _each(self, P: Array, attr: str) -> Array:
+        """Each field's ``attr`` evaluator on its rows of a non-empty stack."""
+        if self.which is None:
+            return getattr(self.K, attr)(P)
+        out = None
+        for j, K in enumerate(self.K):
+            rows = self.which == j
+            if rows.any():
+                v = getattr(K, attr)(P[rows])
+                if out is None:
+                    out = np.empty(P.shape[:1] + v.shape[1:])
+                out[rows] = v
+        return out
 
     def values(self, P: Array) -> Array:
-        return energy_terms(self.g.matrix(P), self.K(P))[1]
+        return energy_terms(self.g.matrix(P), self._each(P, "evaluator"))[1]
 
     def parts(self, P: Array):
         """f, its ambient gradient, G and K at each row.
 
         ∇f_m = 2 (∂_m K)·(G K) + K^T (∂_m G) K, G and the second term by ``metric_and_form``.
         """
-        k = self.K(P)
+        k = self._each(P, "evaluator")
         G, form = metric_and_form(self.g, P, k)
         gk, f = energy_terms(G, k)
-        grad = 2.0 * np.einsum("nmi,ni->nm", self.K.jacobian(P), gk)
+        grad = 2.0 * np.einsum("nmi,ni->nm", self._each(P, "jacobian"), gk)
         return f, grad + form, G, k
 
     def gradient(self, P: Array) -> Array:
@@ -231,7 +272,8 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
     decrease is lost to rounding, which fail every trial.  A row moves
     to its first trial that passes Armijo's test and stops when none
     does.  The halvings are exact, so this lands where halving one trial
-    at a time does.
+    at a time does.  ``core`` is the energy of P's rows, and every subset
+    or repetition of the rows takes its energy from it.
     """
     P = M.project_point(P)
     step = np.full(len(P), 0.1)
@@ -240,7 +282,7 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
     for _ in range(DESCENT_MAX_ITER):
         if not len(live):
             break
-        f, d = _descent_direction(core, M, P[live])
+        f, d = _descent_direction(core.at(live), M, P[live])
         d = sign[live, None] * d
         nd = np.linalg.norm(d, axis=1)
         moving = nd > DESCENT_GRAD_STOP
@@ -255,7 +297,7 @@ def _descend(core: _Energy, M: ManifoldModel, P: Array, sign: Array):
             X = P[rows, None] - t[..., None] * d[pending, None]
             Q = M.project_point(X.reshape(-1, X.shape[-1]))
             bound = fp[pending, None] - 1e-4 * t * nd[pending, None] * nd[pending, None]
-            ok = sign[rows, None] * core.values(Q).reshape(t.shape) < bound
+            ok = sign[rows, None] * core.at(rows).repeated(len(block)).values(Q).reshape(t.shape) < bound
             Q = Q.reshape(X.shape)
             hit = ok.any(axis=1)
             first = ok[hit].argmax(axis=1)
@@ -272,7 +314,8 @@ def _hessian(core: _Energy, M: ManifoldModel, P: Array, grad: Array, normals: li
     λ·Hess c with λ = ∇f·∇c / |∇c|²: on the constraint set the straight-
     line ambient Hessian misses this curvature term, which can even flip
     signs."""
-    H = central_diff(core.gradient, P, np.eye(P.shape[1]), FD_STEP_FIRST)
+    d = P.shape[1]
+    H = central_diff(core.stencil(d).gradient, P, np.eye(d), FD_STEP_FIRST)
     H = 0.5 * (H + H.transpose(0, 2, 1))
     for c in normals:
         lam = inner(grad, c) / inner(c, c)
@@ -283,7 +326,8 @@ def _hessian(core: _Energy, M: ManifoldModel, P: Array, grad: Array, normals: li
 def _newton_refine(core: _Energy, M: ManifoldModel, P: Array):
     """Newton steps on the KKT system that borders out the flow direction.
 
-    The Hessian is ``_hessian``.  Rows stop on their own.
+    The Hessian is ``_hessian``.  Rows stop on their own; ``core`` is
+    the energy of P's rows, as in ``_descend``.
     """
     P = P.copy()
     live = np.arange(len(P))
@@ -291,14 +335,14 @@ def _newton_refine(core: _Energy, M: ManifoldModel, P: Array):
         if not len(live):
             break
         Q = P[live]
-        _, grad, _, k = core.parts(Q)
+        _, grad, _, k = core.at(live).parts(Q)
         normals = _normals(M, Q)
         moving = np.linalg.norm(M.tangent_project(Q, grad), axis=1) > 1e-12
         live, Q, grad, k = live[moving], Q[moving], grad[moving], k[moving]
         if not len(live):
             break
         normals = [c[moving] for c in normals]
-        H = _hessian(core, M, Q, grad, normals)
+        H = _hessian(core.at(live), M, Q, grad, normals)
         # a (near-)stationary field has no flow direction to border out:
         # its zero border makes the row singular, solved by least squares
         kt = M.tangent_project(Q, k)
@@ -312,7 +356,8 @@ def _newton_refine(core: _Energy, M: ManifoldModel, P: Array):
 
 
 def _search_rows(core: _Energy, M: ManifoldModel, starts: Array) -> Array:
-    """Descent plus Newton from each start on f (even rows) and -f (odd rows)."""
+    """Descent plus Newton from each start on f (even rows) and -f (odd
+    rows); ``core`` is the energy of those rows, start i's at 2i and 2i + 1."""
     P = np.repeat(np.asarray(starts, dtype=float), 2, axis=0)
     sign = np.tile([1.0, -1.0], len(starts))
     return _newton_refine(core, M, _descend(core, M, P, sign))
@@ -357,20 +402,22 @@ def find_critical_orbits(
     c is a power of two.  A record holds f, |grad f|, the period and the
     geodesic residual of K itself.
 
+    It is the search of a stack of one field: ``find_critical_orbits_many``
+    of [K] at [horizon], whose records are each field's own.
     Multi-start descent on f and -f from ``budget`` of ``PROBE_SAMPLES``
     seeded samples (always including the sampled argmin and argmax) and
     Newton refinement, all rows in lockstep, then the finite-difference
     gradient certificate ``grad_f`` on all 2·budget rows in one call; a
     row is a candidate where its certified norm for K/σ is within
-    ``GRAD_TOL``, and SearchFailureError, stating the smallest such norm,
-    is raised where none is.  Descent on ±f ends at the extrema of f on
-    the orbit space, so its index-1 critical sets (saddles) are not
-    returned.  The record stage takes f of all candidates in one stacked
-    call, one ``check_on_manifold`` and one ``energy_terms`` of
-    ``g.matrix`` and K on the stack, whose rows round as ``energy`` at
-    each point.  The
-    candidates, in order of f, are deduplicated against the kept records
-    at the same f (to 1e-6·(σ² + |f|)).  First modulo the torus of the
+    ``GRAD_TOL``, and SearchFailureError, naming K's label and stating
+    the smallest such norm, is raised where none is.  Descent on ±f ends
+    at the extrema of f on the orbit space, so its index-1 critical sets
+    (saddles) are not returned.  The record stage takes f of all
+    candidates in one stacked call, one ``check_on_manifold`` and one
+    ``energy_terms`` of ``g.matrix`` and K on the stack, whose rows round
+    as ``energy`` at each point.  The candidates, in order of f, are
+    deduplicated against the kept records at the same f (to
+    1e-6·(σ² + |f|)).  First modulo the torus of the
     commuting family ``K.basis``, in closed form: each new record
     measures ``torus_orbit_distance`` to every candidate in one stacked
     call, and a candidate within ``DEDUP_DISTANCE`` of a kept
@@ -380,11 +427,12 @@ def find_critical_orbits(
     manifolds", 1954).  This rule holds only where the manifold has no
     deck group, ``torus_orbit_distance`` gives the orbit distance in
     closed form and every member passes ``certify_killing_field`` for g;
-    the members are certified once per call, on the first row the rule
-    would merge.  Then by flow reach: a row within ``DEDUP_DISTANCE`` of
-    a kept orbit's curve joins it too; either rule merges, so their order
-    changes no record.  So there is one record per critical set of such
-    a field, and one per flow line a row lands on elsewhere.
+    the members are certified once per call and family, on the first row
+    the rule would merge.  Then by flow reach: a row within
+    ``DEDUP_DISTANCE`` of a kept orbit's curve joins it too; either rule
+    merges, so their order changes no record.  So there is one record
+    per critical set of such a field, and one per flow line a row lands
+    on elsewhere.
 
     A row that starts a new record gets its period from
     ``detect_period``; the certificate's run gives the orbit's curve up
@@ -406,51 +454,121 @@ def find_critical_orbits(
     below 1, a horizon that is not finite and positive, or a negative
     seed raises ValueError.
     """
+    return find_critical_orbits_many(g, [K], budget, seed, [horizon])[0]
+
+
+def find_critical_orbits_many(g: MetricField, fields, budget: int, seed: int, horizons) -> list:
+    """``find_critical_orbits`` of each field of ``fields`` on ``g`` at
+    its horizon in ``horizons``: one record list per field, in input
+    order, each bit for bit that of the field's own call.
+
+    The seeded probe is drawn once and shared.  Each field gets its own
+    σ, its own K/σ and its own f-variance test; the descent and Newton
+    rows of every field with a non-constant f run as one lockstep stack,
+    whose energy evaluates each field on its own rows (``_Energy``), so a
+    round costs about what it costs for one field.  The certificate runs
+    once per field on that field's rows, and SearchFailureError is raised
+    for the first field, in input order, with no certified row.  Records
+    are then made field by field; the members of a torus family that
+    several fields share are certified once.  A length of ``horizons``
+    other than that of ``fields`` raises ValueError, as the arguments
+    that ``find_critical_orbits`` refuses do.
+    """
+    horizons = list(horizons)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    for horizon in horizons:
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    M = g.manifold
-    K = as_field(K)
-    rng = np.random.default_rng(seed)
-    samples = M.sample_points(rng, PROBE_SAMPLES)
-    fvals = _Energy(g, K).values(samples)
-    sigma = _scale(float(np.max(np.abs(fvals))))
-    Ks = _divided(K, sigma)
-    core = _Energy(g, Ks)
-    constant = float(np.var(fvals / sigma**2)) < DEGENERATE_VARIANCE
-    if constant:
-        candidates = [(samples[0], float(fvals[0]), sigma**2 * float(np.linalg.norm(grad_f(g, Ks, samples[0]))))]
-    else:
-        order = [int(np.argmin(fvals)), int(np.argmax(fvals))]
-        order += [i for i in range(len(samples)) if i not in order]
-        rows = _search_rows(core, M, samples[order[:budget]])
-        norms = np.linalg.norm(grad_f(g, Ks, rows), axis=1)
-        certified = norms <= GRAD_TOL
-        if not certified.any():
-            raise SearchFailureError(
-                f"no start converged to a critical point: 0 of {len(rows)} rows certified, smallest "
-                f"gradient norm {np.fmin.reduce(norms):.3e} against GRAD_TOL = {GRAD_TOL:.1e}"
-            )
-        rows, norms = rows[certified], norms[certified]
-        M.check_on_manifold(rows)
-        candidates = list(zip(rows, energy_terms(g.matrix(rows), K(rows))[1].tolist(), (sigma**2 * norms).tolist()))
+    fields = [as_field(K) for K in fields]
+    if len(horizons) != len(fields):
+        raise ValueError(f"{len(fields)} fields need as many horizons, got {len(horizons)}")
+    samples = g.manifold.sample_points(np.random.default_rng(seed), PROBE_SAMPLES)
+    probes = [_Probe.of(g, K, samples) for K in fields]
+    rows = iter(_lockstep_rows(g, [p for p in probes if not p.constant], samples, budget))
+    candidates = [_constant_candidate(g, p, samples[0]) if p.constant else _certified(g, p, next(rows)) for p in probes]
+    verdicts = {}  # per torus family: whether every member is Killing for g
+    return [_records(g, p, found, horizon, verdicts) for p, found, horizon in zip(probes, candidates, horizons)]
 
+
+@dataclass(frozen=True, eq=False)
+class _Probe:
+    """A field K with f on the seeded samples, its σ, K/σ and whether f
+    is constant there."""
+
+    K: KillingField
+    fvals: Array
+    sigma: float
+    Ks: KillingField
+    constant: bool
+
+    @classmethod
+    def of(cls, g: MetricField, K: KillingField, samples: Array) -> _Probe:
+        fvals = _Energy(g, K).values(samples)
+        sigma = _scale(float(np.max(np.abs(fvals))))
+        return cls(K, fvals, sigma, _divided(K, sigma), float(np.var(fvals / sigma**2)) < DEGENERATE_VARIANCE)
+
+
+def _lockstep_rows(g: MetricField, probes: list, samples: Array, budget: int) -> list:
+    """The searched rows of each probed field, from one ``_search_rows``
+    stack: per field, descent from ``budget`` samples on ±f, the sampled
+    argmin and argmax first."""
+    if not probes:
+        return []
+    starts = []
+    for p in probes:
+        order = [int(np.argmin(p.fvals)), int(np.argmax(p.fvals))]
+        order += [i for i in range(len(samples)) if i not in order]
+        starts.append(samples[order[:budget]])
+    if len(probes) == 1:
+        core = _Energy(g, probes[0].Ks)
+    else:
+        core = _Energy(g, tuple(p.Ks for p in probes), np.repeat(np.arange(len(probes)), 2 * len(starts[0])))
+    return np.split(_search_rows(core, g.manifold, np.concatenate(starts)), len(probes))
+
+
+def _constant_candidate(g: MetricField, probe: _Probe, p: Array) -> list:
+    """The one candidate of a constant f: the sample p, f and |grad f| of K."""
+    return [(p, float(probe.fvals[0]), probe.sigma**2 * float(np.linalg.norm(grad_f(g, probe.Ks, p))))]
+
+
+def _certified(g: MetricField, probe: _Probe, rows: Array) -> list:
+    """(point, f, |grad f|) of each row that ``grad_f`` certifies for
+    K/σ, f and |grad f| of K itself; SearchFailureError where none is."""
+    norms = np.linalg.norm(grad_f(g, probe.Ks, rows), axis=1)
+    certified = norms <= GRAD_TOL
+    if not certified.any():
+        raise SearchFailureError(
+            f"no start converged to a critical point of {probe.K.label!r}: 0 of {len(rows)} rows certified, "
+            f"smallest gradient norm {np.fmin.reduce(norms):.3e} against GRAD_TOL = {GRAD_TOL:.1e}"
+        )
+    rows, norms = rows[certified], norms[certified]
+    g.manifold.check_on_manifold(rows)
+    f = energy_terms(g.matrix(rows), probe.K(rows))[1]
+    return list(zip(rows, f.tolist(), (probe.sigma**2 * norms).tolist()))
+
+
+def _records(g: MetricField, probe: _Probe, candidates: list, horizon: float, verdicts: dict) -> list:
+    """The records of one field's candidates, deduplicated, in order of f
+    (``find_critical_orbits``).  ``verdicts`` holds, per torus family,
+    whether its members are Killing for g, certified on the first merge
+    that needs it."""
+    K, Ks, sigma = probe.K, probe.Ks, probe.sigma
+    M = g.manifold
     candidates.sort(key=lambda c: (c[1], tuple(np.round(c[0], 9))))
     points = np.array([p for p, _, _ in candidates])
     torus = None if M.deck_generators else torus_orbit_distance(Ks)
-    members_killing = None  # certified on the first merge that needs it
     out = []
     curves = []
     near = []  # per record: which candidates lie within DEDUP_DISTANCE of its torus orbit
     for i, (p, fv, gn) in enumerate(candidates):
         level = [r for r, o in enumerate(out) if abs(fv - o.f_value) <= 1e-6 * (sigma**2 + abs(o.f_value))]
         if torus is not None and any(near[r][i] for r in level):
-            if members_killing is None:
-                members_killing = all(certify_killing_field(g, m).certified for m in K.basis.members)
-            if members_killing:
+            if K.basis not in verdicts:
+                verdicts[K.basis] = all(certify_killing_field(g, m).certified for m in K.basis.members)
+            if verdicts[K.basis]:
                 continue
         if any(min_distance_to_point(M, curves[r], p, DEDUP_DISTANCE) <= DEDUP_DISTANCE for r in level):
             continue
@@ -461,7 +579,7 @@ def find_critical_orbits(
             line = flow(M, K, p, span)
         else:
             line = certified_flow(M, K, cert, min(cert.period, span))
-        if constant:
+        if probe.constant:
             label = "degenerate_constant"
         else:
             try:

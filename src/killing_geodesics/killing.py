@@ -125,7 +125,10 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
     of ``K.basis``, in closed form, or None where they do not give it.
 
     Needs K and every member linear, the members A_i skew and commuting
-    with each other and with K's matrix.  The eigen-groups of the fixed
+    with each other and with K's matrix: skewness, brackets and
+    eigen-gaps are judged to ``LINEAR_TOL`` relative to the members'
+    scale s = max |A_i|, as s², and the bracket with K relative to
+    s·|K|, so K → cK changes nothing.  The eigen-groups of the fixed
     generic Σ c_i (-A_i²) (c_i = π^-i) are then invariant under every
     A_i; each nonzero group must be a plane E_j, on which A_i rotates at
     rate ω_ij, and the rates must have full column rank, so that the
@@ -142,13 +145,16 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
     if K.linear is None or not members or any(m.linear is None for m in members):
         return None
     A = [np.asarray(m.linear, dtype=float) for m in members]
-    scale = max(1.0, *(float(np.abs(a).max()) for a in A + [K.linear]))
+    scale = max(float(np.abs(a).max()) for a in A)
     tol = LINEAR_TOL * scale * scale
     if any(np.abs(a + a.T).max() > tol for a in A):
         return None
     for i, a in enumerate(A):
-        if any(np.abs(a @ b - b @ a).max() > tol for b in A[i + 1 :] + [K.linear]):
+        if any(np.abs(a @ b - b @ a).max() > tol for b in A[i + 1 :]):
             return None
+    k_tol = LINEAR_TOL * scale * float(np.abs(K.linear).max())
+    if any(np.abs(a @ K.linear - K.linear @ a).max() > k_tol for a in A):
+        return None
     fixed, groups = eigen_groups(sum(math.pi**-i * -(a @ a) for i, a in enumerate(A)), tol)
     if not groups or any(len(E) != 2 for E, _ in groups):
         return None

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .critical import find_critical_orbits
+from .critical import find_critical_orbits, find_critical_orbits_many
 from .errors import OffManifoldError
 from .flows import GEODESIC_TOL, ODE_TOL, PERIOD_TOL, curve_to_csv, detect_period, flow, shoot_geodesic
 from .gallery import GalleryEntry
@@ -153,6 +153,10 @@ def approximate_entry(
 ) -> AnalysisReport:
     """Closed-approximation certificate plus per-approximant search.
 
+    The approximants are searched together, in one
+    ``find_critical_orbits_many`` call at horizon angle_period·(q + 1)
+    each, whose lockstep stack holds the rows of every approximant; each
+    approximant's records are those of its own ``find_critical_orbits``.
     ``orbit_count`` is the number of critical records the search returns
     for an approximant: one per critical set found, since an approximant
     keeps the entry's torus basis and the search merges modulo that torus
@@ -165,10 +169,10 @@ def approximate_entry(
     g = entry.metric
     approximants = approximate_closed(entry.killing, n, metric=g)
     cert_dict = certify_uniform_convergence(g, entry.killing, approximants, samples, seed).as_dict()
+    horizons = [entry.angle_period * (frac.denominator + 1) for _, frac in approximants]
+    searches = find_critical_orbits_many(g, [field for field, _ in approximants], budget, seed, horizons)
     per = []
-    for field, frac in approximants:
-        horizon = entry.angle_period * (frac.denominator + 1)
-        orbits = find_critical_orbits(g, field, budget=budget, seed=seed, horizon=horizon)
+    for (field, frac), horizon, orbits in zip(approximants, horizons, searches):
         closure = detect_period(M, field, entry.probe_point, horizon)
         per.append(
             {

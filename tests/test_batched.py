@@ -24,7 +24,8 @@ import pytest
 
 import killing_geodesics as kg
 from killing_geodesics import critical, geometry
-from killing_geodesics.killing import energy_terms
+from killing_geodesics.killing import energy_terms, linear_field
+from killing_geodesics.rational import approximate_closed
 
 SQRT2 = math.sqrt(2.0)
 
@@ -316,6 +317,40 @@ class TestLockstepSearch:
         batch = critical._search_rows(core, M, starts)
         assert alone.shape == (6, 4)
         assert np.array_equal(alone, batch[:6])
+
+    def test_mixed_stack_rows_are_their_fields_stacks_of_one(self, s3, timelike_somewhere):
+        # rows of three fields, interleaved: f, the gradient, G, K and the
+        # Hessian, whose stencil is laid out (sign, row, direction), give
+        # each row its own field's stack-of-one value, bit for bit
+        g, K = timelike_somewhere
+        M = g.manifold
+        three_halves = approximate_closed(s3.killing, 2, metric=s3.metric)[1][0]
+        fields = (three_halves, K, critical._divided(linear_field(3.0 * K.linear, basis=K.basis), 4.0))
+        P = M.sample_points(np.random.default_rng(5), 24)
+        which = np.random.default_rng(6).permutation(np.arange(24) % 3)
+        mixed = critical._Energy(g, fields, which)
+        parts = mixed.parts(P)
+        values = mixed.values(P)
+        H = critical._hessian(mixed, M, P, parts[1], critical._normals(M, P))
+        for n, (p, j) in enumerate(zip(P, which)):
+            one, Q = critical._Energy(g, fields[j]), p[None]
+            own = one.parts(Q)
+            assert all(np.array_equal(a[n], b[0]) for a, b in zip(parts, own))
+            assert values[n] == one.values(Q)[0]
+            assert np.array_equal(H[n], critical._hessian(one, M, Q, own[1], critical._normals(M, Q))[0])
+        assert np.array_equal(mixed.at(which == 1).values(P[which == 1]), values[which == 1])
+
+    def test_mixed_stack_rows_are_their_fields_search_rows(self, s3):
+        # descent and Newton on a stack of several fields land every row
+        # where the field's own stack lands it
+        M, g = s3.manifold, s3.metric
+        fields = tuple(field for field, _ in approximate_closed(s3.killing, 3, metric=g))
+        starts = M.sample_points(np.random.default_rng(42), 24)
+        which = np.repeat(np.arange(3), 16)
+        mixed = critical._search_rows(critical._Energy(g, fields, which), M, starts)
+        for j, field in enumerate(fields):
+            own = critical._search_rows(critical._Energy(g, field), M, starts[8 * j : 8 * (j + 1)])
+            assert np.array_equal(mixed[which == j], own)
 
     def test_single_point_field_is_wrapped(self, s3):
         A = np.zeros((4, 4))

@@ -29,6 +29,7 @@ NO_KNOBS = (
     kg.approximate_entry,
     kg.trace_entry,
     kg.find_critical_orbits,
+    kg.find_critical_orbits_many,
     kg.detect_period,
     kg.flow,
     kg.translate_geodesic,
@@ -75,6 +76,7 @@ FIXED_PARAMETERS = (
     (geometry.signature_of_gram, ("tol",)),
     (rational.detect_rational, ("max_q",)),
     (kg.find_critical_orbits, ("M",)),
+    (kg.find_critical_orbits_many, ("M",)),
     (kg.make_commuting_family_example, ("m",)),
 )
 
@@ -96,6 +98,7 @@ APPROXIMATION_SIGNATURES = (
     (kg.make_killing_field, ("g", "evaluator", "label"), {"label"}),
     (kg.approximate_closed, ("K", "n", "metric"), set()),
     (kg.certify_uniform_convergence, ("g", "K", "approximants", "samples", "seed"), set()),
+    (kg.find_critical_orbits_many, ("g", "fields", "budget", "seed", "horizons"), set()),
 )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from killing_geodesics.critical import _bordered_solve, classify_critical, grad_
 from killing_geodesics.errors import DegenerateCriticalPointError, SearchFailureError
 from killing_geodesics.geometry import covariant_derivative
 from killing_geodesics.killing import linear_field
+from killing_geodesics.rational import approximate_closed
 
 SQRT2 = math.sqrt(2.0)
 
@@ -275,7 +277,7 @@ class TestSearch:
         with pytest.raises(SearchFailureError) as info:
             kg.find_critical_orbits(s3.metric, s3.killing, budget=1, seed=42)
         assert str(info.value) == (
-            "no start converged to a critical point: 0 of 2 rows certified, "
+            f"no start converged to a critical point of {s3.killing.label!r}: 0 of 2 rows certified, "
             f"smallest gradient norm {smallest:.3e} against GRAD_TOL = -1.0e+00"
         )
 
@@ -291,6 +293,91 @@ class TestSearch:
             assert oa.f_value == ob.f_value
             assert np.array_equal(oa.representative, ob.representative)
             assert oa.period == ob.period
+
+
+def _assert_same_records(got, want):
+    # every field of every record, exactly
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(critical.CriticalOrbit):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+
+
+def _counting_stacks(monkeypatch):
+    stacks = []
+    search_rows = critical._search_rows
+
+    def counted(core, M, starts):
+        stacks.append(len(starts))
+        return search_rows(core, M, starts)
+
+    monkeypatch.setattr(critical, "_search_rows", counted)
+    return stacks
+
+
+class TestManyFields:
+    """``find_critical_orbits_many`` searches every field in one lockstep
+    stack, and each field's records are those of its own search."""
+
+    @pytest.mark.parametrize("seed", [42, 9101])
+    def test_approximants_are_their_own_searches(self, s3, seed, monkeypatch):
+        approximants = approximate_closed(s3.killing, 5, metric=s3.metric)
+        fields = [field for field, _ in approximants]
+        horizons = [s3.angle_period * (frac.denominator + 1) for _, frac in approximants]
+        stacks = _counting_stacks(monkeypatch)
+        many = kg.find_critical_orbits_many(s3.metric, fields, 24, seed, horizons)
+        assert stacks == [5 * 24]
+        assert len(many) == 5
+        for field, horizon, records in zip(fields, horizons, many):
+            one = kg.find_critical_orbits(s3.metric, field, budget=24, seed=seed, horizon=horizon)
+            _assert_same_records(records, one)
+
+    def test_mixed_fields_are_their_own_searches(self, s3, timelike_somewhere, monkeypatch):
+        # a closed approximant, the reflecting field (f constant, so no
+        # rows) and the weaker hypothesis's K at three scales, whose σ differ
+        g, K = timelike_somewhere
+        scaled = [kg.certify_killing_field(g, linear_field(c * K.linear, basis=K.basis)) for c in (1.0, 3.0, 32.0)]
+        fields = [approximate_closed(s3.killing, 2, metric=s3.metric)[1][0], kg.combine_family(s3.family, (1.0, 1.0))]
+        fields += scaled
+        horizons = [3.0 * s3.angle_period, 2.0 * s3.angle_period, 50.0, 50.0 / 3.0, 50.0 / 32.0]
+        samples = g.manifold.sample_points(np.random.default_rng(42), critical.PROBE_SAMPLES)
+        sigmas = [critical._scale(float(np.max(np.abs(critical._Energy(g, F).values(samples))))) for F in scaled]
+        assert len(set(sigmas)) == 3
+        stacks = _counting_stacks(monkeypatch)
+        many = kg.find_critical_orbits_many(g, fields, 16, 42, horizons)
+        assert stacks == [4 * 16]
+        assert [o.classification for o in many[1]] == ["degenerate_constant"]
+        assert [o.classification for o in many[2]] == ["min", "min", "degenerate"]
+        for field, horizon, records in zip(fields, horizons, many):
+            _assert_same_records(records, kg.find_critical_orbits(g, field, budget=16, seed=42, horizon=horizon))
+
+    def test_failure_names_the_first_failing_field(self, s3, monkeypatch):
+        # the second and third fields certify no row: the error is the second's
+        fields = [field for field, _ in approximate_closed(s3.killing, 3, metric=s3.metric)]
+        failing = {fields[1].label, fields[2].label}
+        certificate = critical.grad_f
+
+        def spoiled(g, K, p):
+            grad = certificate(g, K, p)
+            return grad + 1.0 if K.label in failing else grad
+
+        monkeypatch.setattr(critical, "grad_f", spoiled)
+        with pytest.raises(SearchFailureError) as info:
+            kg.find_critical_orbits_many(s3.metric, fields, 4, 42, [10.0] * 3)
+        assert str(info.value).startswith(f"no start converged to a critical point of {fields[1].label!r}: 0 of 8 rows")
+
+    def test_refuses_what_one_field_refuses(self, s3):
+        fields = [s3.killing, s3.killing]
+        with pytest.raises(ValueError, match="budget must be at least 1, got 0"):
+            kg.find_critical_orbits_many(s3.metric, fields, 0, 42, [10.0, 10.0])
+        with pytest.raises(ValueError, match="horizon must be finite and positive, got inf"):
+            kg.find_critical_orbits_many(s3.metric, fields, 4, 42, [10.0, math.inf])
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            kg.find_critical_orbits_many(s3.metric, fields, 4, -1, [10.0, 10.0])
+        with pytest.raises(ValueError, match="2 fields need as many horizons, got 1"):
+            kg.find_critical_orbits_many(s3.metric, fields, 4, 42, [10.0])
+        assert kg.find_critical_orbits_many(s3.metric, [], 4, 42, []) == []
 
 
 def test_bordered_solve_singular_row():

@@ -104,6 +104,14 @@ class TestOneRecordPerSet:
         # both members certified once, on the first merge the family rule makes
         assert [args[1].label for args in certifies] == ["rot-z", "rot-w"]
 
+    def test_approximants_certify_the_members_once(self, s3, monkeypatch):
+        # the five approximants share one torus family: one search of all
+        # of them certifies its members once
+        certifies = _counting(monkeypatch, "certify_killing_field")
+        report = kg.approximate_entry(s3, 5, seed=42)
+        assert [row["orbit_count"] for row in report.approximation["per_approximant"]] == [3, 2, 2, 2, 2]
+        assert [args[1].label for args in certifies] == ["rot-z", "rot-w"]
+
     def test_torus_distance_once_per_record(self, s3, hopf, monkeypatch):
         # each kept record measures every candidate at once, and no
         # candidate is measured on its own
@@ -182,6 +190,17 @@ class TestTorusDistance:
         assert np.array_equal(distance(P, r), rows)
         assert np.array_equal(distance(P[:1], r), rows[:1])
         assert rows[0] == 0.0
+
+    def test_scale_free_in_the_field(self, timelike_somewhere):
+        # K -> cK changes no distance: the members' tolerances are relative
+        # to the members, and the bracket with K to |A_i|·|K|
+        g, K = timelike_somewhere
+        P = g.manifold.sample_points(np.random.default_rng(10), 50)
+        unit = [torus_orbit_distance(K)(P, r) for r in P[:3]]
+        for c in (2.0**-20, 1.0, 3.0, 2.0**20):
+            distance = torus_orbit_distance(linear_field(c * K.linear, basis=K.basis))
+            assert distance is not None, c
+            assert all(np.array_equal(distance(P, r), u) for r, u in zip(P[:3], unit)), c
 
     def test_no_closed_form_without_a_product_of_circles(self, flat_torus, t4):
         hopf_matrix = _rotation(4, 0, 1) + _rotation(4, 2, 3)
