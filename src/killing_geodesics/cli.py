@@ -15,6 +15,7 @@ from .errors import (
     OffManifoldError,
     SearchFailureError,
     UnsupportedCapabilityError,
+    VanishingFieldError,
 )
 from .gallery import ENTRIES, ENTRY_NAMES, build_entry
 from .report import analyze_entry, approximate_entry, trace_entry
@@ -119,13 +120,13 @@ def main(argv=None) -> int:
     run, out = flags.pop("run"), flags.pop("out")
     try:
         entry = build_entry(flags.pop("entry"), **{k: flags.pop(k) for k in _ENTRY_PARAMS if k in flags})
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, VanishingFieldError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
         result = run(entry, **flags)
         _emit(result if isinstance(result, str) else result.to_json(), out)
-    except (OffManifoldError, ValueError) as exc:
+    except (OffManifoldError, VanishingFieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchFailureError as exc:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateCriticalPointError, SearchFailureError
 from .flows import certified_flow, detect_period, flow, geodesic_residual, min_distance_to_point
-from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, inner, stackwise
+from .geometry import FD_STEP_FIRST, Array, ManifoldModel, MetricField, central_diff, complement, inner, stackwise
 from .killing import KillingField, as_field, certify_killing_field, energy_terms, metric_and_form, reflect
 from .killing import torus_orbit_distance
 
@@ -138,8 +138,8 @@ def classify_critical(g: MetricField, K, p):
         raise ValueError("point is not critical (gradient precondition)")
     k = basis @ k[0]
     if float(np.linalg.norm(k)) > 1e-10:
-        # orthonormal complement of the flow direction inside the tangent space
-        basis = np.linalg.svd(k[None])[2][1:] @ basis
+        # the tangent directions Euclidean-orthogonal to the flow, K in tangent coordinates
+        basis = complement(k) @ basis
     eig = np.linalg.eigvalsh(basis @ _hessian(core, M, P, grad, _normals(M, P))[0] @ basis.T)
     if np.any(np.abs(eig) <= CLASSIFY_EIG_TOL):
         raise DegenerateCriticalPointError(f"transverse eigenvalues {eig} too close to zero")

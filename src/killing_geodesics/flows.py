@@ -177,18 +177,17 @@ class ExactCurve:
 
     @classmethod
     def of(cls, K: KillingField, p0: Array, t_end: float, project, field) -> Optional[ExactCurve]:
-        """The curve of K from p0, or None unless ``K.linear`` is skew to
-        ``LINEAR_TOL`` (relative) and turns some plane.  The curve is that
-        of the skew part (A - A^T) / 2."""
+        """The curve of K from p0, or None unless A = ``K.linear`` is skew to
+        ``LINEAR_TOL``·s, s = max |A| > 0, and turns some plane, eigen-gaps
+        judged to ``LINEAR_TOL``·s².  The curve is that of (A - A^T) / 2."""
         if K.linear is None:
             return None
         A = np.asarray(K.linear, dtype=float)
-        scale = max(1.0, float(np.abs(A).max()))
-        tol = LINEAR_TOL * scale * scale
-        if np.abs(A + A.T).max() > tol:
+        scale = float(np.abs(A).max())
+        if scale == 0.0 or np.abs(A + A.T).max() > LINEAR_TOL * scale:
             return None
         A = 0.5 * (A - A.T)
-        _, groups = eigen_groups(-(A @ A), tol)
+        _, groups = eigen_groups(-(A @ A), LINEAR_TOL * scale * scale)
         if not groups:
             return None
         rates = np.array([math.sqrt(w) for _, w in groups])

@@ -125,10 +125,10 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
     of ``K.basis``, in closed form, or None where they do not give it.
 
     Needs K and every member linear, the members A_i skew and commuting
-    with each other and with K's matrix: skewness, brackets and
-    eigen-gaps are judged to ``LINEAR_TOL`` relative to the members'
-    scale s = max |A_i|, as s², and the bracket with K relative to
-    s·|K|, so K → cK changes nothing.  The eigen-groups of the fixed
+    with each other and with K's matrix: skewness is judged to
+    ``LINEAR_TOL``·s, s = max |A_i|, brackets and eigen-gaps to
+    ``LINEAR_TOL``·s² and the bracket with K to ``LINEAR_TOL``·s·|K|,
+    so K → cK changes nothing.  The eigen-groups of the fixed
     generic Σ c_i (-A_i²) (c_i = π^-i) are then invariant under every
     A_i; each nonzero group must be a plane E_j, on which A_i rotates at
     rate ω_ij, and the rates must have full column rank, so that the
@@ -147,7 +147,7 @@ def torus_orbit_distance(K: KillingField) -> Optional[Callable[[Array, Array], f
     A = [np.asarray(m.linear, dtype=float) for m in members]
     scale = max(float(np.abs(a).max()) for a in A)
     tol = LINEAR_TOL * scale * scale
-    if any(np.abs(a + a.T).max() > tol for a in A):
+    if any(np.abs(a + a.T).max() > LINEAR_TOL * scale for a in A):
         return None
     for i, a in enumerate(A):
         if any(np.abs(a @ b - b @ a).max() > tol for b in A[i + 1 :]):
@@ -203,13 +203,14 @@ def killing_residual(g: MetricField, K, p) -> float:
     """max |B (L_K g) Bᵀ| at p, or over the rows of an (N, d) stack.
 
     L_K g = Σ_m K_m ∂_m G + J G + G Jᵀ with J[m, i] = ∂_m K_i (module
-    docstring); the rows of B are ``tangent_basis``, Euclidean-orthonormal
-    in the ambient chart (not g-orthonormal), which avoids normalizing
-    against null directions of an indefinite metric; a stack gets one
-    stack of bases, and a row does not depend on the other rows.  G and
-    ∂G come from ``metric_and_jacobian``, so a reflection is evaluated
-    once.  ∂G and J are the jacobians the metric and the field carry:
-    analytic where they were built with them, else the central
+    docstring); the rows of B are ``tangent_basis``, the complement of
+    ∇c, Euclidean-orthonormal in the ambient chart (not g-orthonormal),
+    which avoids normalizing against null directions of an indefinite
+    metric; the maximum depends on that frame only by rounding.  A stack
+    gets one stack of bases, and a row does not depend on the other rows.
+    G and ∂G come from ``metric_and_jacobian``, so a reflection is
+    evaluated once.  ∂G and J are the jacobians the metric and the field
+    carry: analytic where they were built with them, else the central
     differences filled when they were built.  Raises OffManifoldError at
     a point off the manifold.
     """

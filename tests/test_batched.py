@@ -176,8 +176,8 @@ class TestAnalyticGradient:
 
 
 def _tangent_basis_one_direction_at_a_time(M, p):
-    """The one-point Gram-Schmidt as it was before stacks: one
-    ``tangent_project`` per ambient direction."""
+    """An independent one-point reference for the tangent space:
+    Gram-Schmidt on one ``tangent_project`` per ambient direction."""
     basis = []
     for k in range(M.ambient_dim):
         v = M.tangent_project(p, np.eye(M.ambient_dim)[k])
@@ -245,12 +245,15 @@ class TestStackedTangentBasis:
         for entry in all_entries:
             M = entry.manifold
             P = _stack_points(entry, n=50)
-            rows = np.array([_tangent_basis_one_direction_at_a_time(M, p) for p in P])
-            np.testing.assert_allclose(M.tangent_basis(P), rows, rtol=0, atol=1e-13)
+            # the same tangent space: the frames differ, their projectors BᵀB do not
+            R = np.array([_tangent_basis_one_direction_at_a_time(M, p) for p in P])
+            B = M.tangent_basis(P)
+            np.testing.assert_allclose(np.swapaxes(B, 1, 2) @ B, np.swapaxes(R, 1, 2) @ R, rtol=0, atol=1e-13)
 
     def test_pole_row_drops_its_normal_direction(self, s3):
-        # at e_0 the first ambient direction is normal: the row's basis is
-        # built from the other three, while its neighbours use the first
+        # at e_0 the normal is the first ambient direction: its reflection
+        # only flips e_0, so the row's basis is exactly the other three
+        # directions, whichever directions its neighbours reflect onto
         P = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0], [0.5, 0.5, 0.5, 0.5]])
         B = s3.manifold.tangent_basis(P)
         assert np.array_equal(B[0], np.eye(4)[1:])
@@ -268,13 +271,12 @@ class TestStackedTangentBasis:
 
 
 def _killing_residual_in_one_point_frame(g, K, p):
-    """The Killing residual at one point, in the frame of
-    ``_tangent_basis_one_direction_at_a_time``, on the L that
-    ``killing_residual`` forms there."""
+    """The Killing residual at one point, in the one-point frame of
+    ``tangent_basis``, on the L that ``killing_residual`` forms there."""
     K = kg.as_field(K)
     G, J = g.matrix(p), K.jacobian(p)
     L = np.einsum("...m,...mij->...ij", K(p), g.jacobian(p)) + J @ G + G @ np.swapaxes(J, -1, -2)
-    B = _tangent_basis_one_direction_at_a_time(g.manifold, p)
+    B = g.manifold.tangent_basis(p)
     return float(np.abs(B @ L @ B.T).max())
 
 

@@ -169,6 +169,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {argv[2][2:]} must be finite\n"
 
+    @pytest.mark.parametrize("alpha", ["0", "1e-9", "1e-6"])
+    @pytest.mark.parametrize("command", ["analyze", "approximate"])
+    def test_vanishing_field(self, command, alpha, capsys):
+        # K = rot-z + α rot-w vanishes on the w-circle at α = 0, and nearly
+        # so at small α: its reflected metric fails when the entry is built
+        # (0, 1e-9) or at a stencil point of the search (1e-6)
+        assert cli.main([command, "stationary-s3", "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == "error: field vanishes (or metric not positive) here\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

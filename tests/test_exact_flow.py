@@ -138,6 +138,20 @@ def test_zero_field_has_no_closed_form(s3):
     assert kg.detect_period(M, zero, p0, 10.0) is None
 
 
+def test_skewness_is_judged_in_the_units_of_the_matrix(s3):
+    # a tolerance that grows as the square of the scale would take a large
+    # field 1e-7 off skew for its skew part, and miss the rotation of a
+    # slow skew field, whose -A² falls below a fixed eigen-gap
+    M, R, p0 = s3.manifold, s3.killing.linear, np.array([1.0, 0.0, 0.0, 0.0])
+    off = linear_field(1e4 * (R + 1e-7 * np.diag([1.0, -1.0, 0.5, -0.5])))
+    assert ExactCurve.of(off, p0, 1.0, M.project_point, off.evaluator) is None
+    for c in [2.0**-30, 1e-6, 1.0, 1e4, 2.0**30]:
+        K = linear_field(c * R)
+        assert ExactCurve.of(K, p0, 1.0, M.project_point, K.evaluator) is not None
+    cert = kg.detect_period(M, linear_field(1e-6 * R), p0, 5e7)
+    assert abs(cert.period * 1e-6 - TWO_PI) <= 1e-12 * TWO_PI
+
+
 def test_scan_memory_is_bounded(s3, monkeypatch):
     # the scan of a closed-form run evaluates at most one chunk at a time
     sizes = []

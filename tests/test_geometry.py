@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import killing_geodesics as kg
 from killing_geodesics import geometry
@@ -10,6 +12,7 @@ from killing_geodesics.errors import OffManifoldError, SingularMetricError
 from killing_geodesics.geometry import (
     apply_christoffel,
     christoffel,
+    complement,
     metric_orthogonal_project,
 )
 
@@ -167,6 +170,67 @@ class TestStacks:
         g = kg.MetricField(chart_2d(), lambda p: np.diag([1.0, p[0]]), (2, 0))
         with pytest.raises(SingularMetricError):
             christoffel(g, np.array([[1.0, 0.0], [0.5, 0.3], [0.0, 0.2]]))
+
+
+EPS = np.finfo(float).eps
+# entries far from under- and overflow, so that scaling by 2^±40 is exact
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
+
+
+@st.composite
+def _nonzero_stacks(draw):
+    """An (N, d) stack of nonzero vectors, d in 2..8, whose rows are
+    either generic or ±c e_k."""
+    d = draw(st.integers(2, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            n = np.zeros(d)
+            n[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-6, 1e6))
+        else:
+            n = np.array(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+        assume(np.any(n != 0.0))
+        rows.append(n)
+    return np.array(rows)
+
+
+class TestComplement:
+    """``complement(n)``: the rows of one Householder reflection, less the
+    row of n's largest entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_nonzero_stacks())
+    def test_rows_are_orthonormal_and_orthogonal_to_n(self, N):
+        d = N.shape[1]
+        for n in N:
+            B = complement(n)
+            assert B.shape == (d - 1, d)
+            assert np.abs(B @ B.T - np.eye(d - 1)).max() <= 8 * EPS
+            assert np.abs(B @ (n / np.linalg.norm(n))).max() <= 8 * EPS
+
+    @settings(max_examples=60, deadline=None)
+    @given(_nonzero_stacks())
+    def test_a_row_of_a_stack_is_its_one_point_call(self, N):
+        whole = complement(N)
+        for n, b in zip(N, whole):
+            assert np.array_equal(b, complement(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_nonzero_stacks())
+    def test_scaling_by_a_power_of_two_changes_nothing(self, N):
+        B = complement(N)
+        for j in [-40, -3, 5, 40]:
+            for sign in [1.0, -1.0]:
+                assert np.array_equal(complement(sign * 2.0**j * N), B)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_a_coordinate_direction_gives_the_identity_rows(self, d, data):
+        k = data.draw(st.integers(0, d - 1))
+        c = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(1e-6, 1e6))
+        n = np.zeros(d)
+        n[k] = c
+        assert np.array_equal(complement(n), np.delete(np.eye(d), k, axis=0))
 
 
 class TestCovariantDerivative:
