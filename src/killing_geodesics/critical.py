@@ -23,12 +23,13 @@ one f call on every stencil point and one batched Gram solve; f of the
 certified rows is one more.  Deduplication, period detection, residual
 certification and classification follow, field by field and one record
 at a time, on one record path.
-Where f is constant every point is critical: there is no search, and
-one sampled point is the single candidate of that path, labelled
-"degenerate_constant".  Deduplication merges candidates on one flow
-line and, where K comes with a certified commuting family of linear
-isometries, on one orbit of the family's torus, so a Morse-Bott
-critical set gives one record.  Each kept record gets one run of its
+Where f is constant (a sampled variance below ``DEGENERATE_VARIANCE``,
+confirmed by ``grad_f`` on the samples) every point is critical: there
+is no search, and one sampled point is the single candidate of that
+path, labelled "degenerate_constant".  Deduplication merges candidates
+on one flow line and, where K comes with a certified commuting family
+of linear isometries, on one orbit of the family's torus, so a
+Morse-Bott critical set gives one record.  Each kept record gets one run of its
 flow line (closed-form for a skew linear field): the run that certifies
 its period also gives the curve that later candidates are deduplicated
 against and that the geodesic residual is measured on.  Classification
@@ -443,10 +444,10 @@ def find_critical_orbits(
     ``classify_critical`` labels the record "degenerate" where the
     transverse Hessian has a null direction, as on a Morse-Bott set of
     positive dimension transverse to the flow.  Where the sampled
-    f-variance is below ``DEGENERATE_VARIANCE`` every point is critical:
-    there is no search, and the first sample is the one candidate of
-    the same record path, labelled "degenerate_constant" in place of a
-    classification.
+    f-variance is below ``DEGENERATE_VARIANCE`` and ``grad_f`` is within
+    ``GRAD_TOL`` on every sample, every point is critical: there is no
+    search, and the first sample is the one candidate of the same record
+    path, labelled "degenerate_constant" in place of a classification.
 
     Every run of a flow line is one of ``flows``: closed-form for a field
     whose ``linear`` matrix is skew, integrated at ``flows.ODE_TOL``
@@ -496,7 +497,11 @@ def find_critical_orbits_many(g: MetricField, fields, budget: int, seed: int, ho
 @dataclass(frozen=True, eq=False)
 class _Probe:
     """A field K with f on the seeded samples, its σ, K/σ and whether f
-    is constant there."""
+    is constant there: its variance var(f/σ²) on the samples is below
+    ``DEGENERATE_VARIANCE``, and then the certificate ``grad_f`` of K/σ is
+    within ``GRAD_TOL`` on every sample.  Only a field that passes the
+    variance test pays for the gradient; a near-constant f whose gradient
+    the certificate sees is searched."""
 
     K: KillingField
     fvals: Array
@@ -508,7 +513,10 @@ class _Probe:
     def of(cls, g: MetricField, K: KillingField, samples: Array) -> _Probe:
         fvals = _Energy(g, K).values(samples)
         sigma = _scale(float(np.max(np.abs(fvals))))
-        return cls(K, fvals, sigma, _divided(K, sigma), float(np.var(fvals / sigma**2)) < DEGENERATE_VARIANCE)
+        Ks = _divided(K, sigma)
+        constant = float(np.var(fvals / sigma**2)) < DEGENERATE_VARIANCE
+        constant = constant and bool(np.all(np.linalg.norm(grad_f(g, Ks, samples), axis=1) <= GRAD_TOL))
+        return cls(K, fvals, sigma, Ks, constant)
 
 
 def _lockstep_rows(g: MetricField, probes: list, samples: Array, budget: int) -> list:

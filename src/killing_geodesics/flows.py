@@ -19,7 +19,13 @@ and a residual below ``GEODESIC_TOL`` certifies a geodesic.  On a level
 set both runs are projected onto the constraint at every knot, and a
 ``CurveSample`` reads its knot values off its run.  Periodicity is
 detected modulo the deck group: a return is a time s and a deck word g
-with g.c(s) = c(0) and dg.c'(s) = c'(0) within tolerance, refined by
+with g.c(s) = c(0) and dg.c'(s) = c'(0) within tolerance.  A closed-form
+run on a manifold with no deck generators is decided by its rates: it
+closes at the minimal T with ω_j·T ∈ 2πℤ on every plane it moves in,
+when every ratio of its rates is rational (``ExactCurve.period``), and at
+no time otherwise, however near it comes back (Kronecker's theorem;
+Hardy and Wright, ch. XXIII); the gaps at T certify it.  Every other run,
+integrated or on a quotient, is scanned for returns, each refined by
 safeguarded Newton steps on a Poincare-section crossing along the run.
 Period detection runs with the run: it scans and refines on the stretch
 covered so far and ends the run at the first certified return, so a line
@@ -54,6 +60,7 @@ from .geometry import (
     apply_christoffel,
     christoffel,
     directional_diff,
+    identity_element,
     metric_and_jacobian,
     metric_orthogonal_project,
     reduce_point,
@@ -61,6 +68,7 @@ from .geometry import (
 )
 from .integrate import SPEED_BOUND_MARGIN, DenseCurve, solve_dop853, solve_rk45
 from .killing import LINEAR_TOL, KillingFamily, KillingField, as_field, eigen_groups, energy_terms
+from .rational import fraction_within
 
 PERIOD_TOL = 1e-6
 GEODESIC_TOL = 1e-5
@@ -203,6 +211,31 @@ class ExactCurve:
             y = y + (np.cos(angle) - 1.0) * x + np.sin(angle) * v
         return y[0] if np.ndim(s) == 0 else y
 
+    def period(self) -> Optional[float]:
+        """The minimal T > 0 with ω_j·T ∈ 2πℤ on every plane the curve
+        moves in, or None where there is none.
+
+        The curve moves in E_j when |x_j| > ``PERIOD_TOL``/4; a plane it
+        moves in less moves it by at most 2|x_j|, within the gap a return
+        allows.  With ω_1 the slowest rate that moves, each ratio
+        r_j = ω_j/ω_1 must be a fraction p_j/q_j, and then
+        T = 2π·lcm(q_j)/ω_1.  A ratio that is not is no period at any T
+        (Kronecker's theorem), however near the curve comes back.  The
+        eigen-groups of -A² read each rate to about n·eps·(ω_max/ω_j)²
+        relative, in dimension n, so r_j must lie within
+        2n·eps·(ω_max/ω_1)²·r_j of p_j/q_j (``fraction_within``): a
+        rational rotation in a rotated frame is still closed, and a ratio
+        1e-9 off a fraction is not.
+        """
+        rates = self.rates[np.linalg.norm(self.cos_part, axis=1) > PERIOD_TOL / 4]
+        if not len(rates):
+            return None
+        slack = 2.0 * len(self.p0) * np.finfo(float).eps * (float(np.max(self.rates)) / float(rates[0])) ** 2
+        ratios = [fraction_within(r, slack * r) for r in (rates[1:] / rates[0]).tolist()]
+        if None in ratios:
+            return None
+        return 2.0 * math.pi * math.lcm(*(r.denominator for r in ratios)) / float(rates[0])
+
     def speed_bound(self) -> float:
         """An upper bound on |c'|: c'(t) = Σ_j ω_j (cos(ω_j t)·y_j - sin(ω_j t)·x_j),
         so |c'| <= Σ_j ω_j (|x_j| + |y_j|), rounded up by ``SPEED_BOUND_MARGIN``."""
@@ -230,9 +263,13 @@ def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, scan: Optional[
 
     A field whose ``linear`` matrix is skew gets its ``ExactCurve``; every
     other field is integrated by ``solve_rk45`` at the local tolerance
-    ``ODE_TOL``.  With ``scan``, the run feeds the return scan and ends at
-    its first certified return.  A negative T raises ValueError on both
-    kinds of run.
+    ``ODE_TOL``.  With ``scan``, the run ends at its first certified
+    return.  An integrated run feeds the return scan, and so does a
+    closed-form run on a manifold with deck generators
+    (``_ReturnScan.follow``).  Without them a closed-form run is not
+    scanned: its rates decide its minimal period (``ExactCurve.period``)
+    and ``_ReturnScan.verdict`` certifies it.  A negative T raises
+    ValueError on both kinds of run.
     """
     if T < 0:
         raise ValueError(f"integration horizon must be nonnegative, got {T}")
@@ -244,7 +281,7 @@ def _run(M: ManifoldModel, K: KillingField, p0: Array, T: float, scan: Optional[
             scan.finish(dense.ts, dense.ys, dense.fs)
         return dense
     if scan is not None:
-        exact = dataclasses.replace(exact, t_end=scan.follow(exact, T))
+        exact = dataclasses.replace(exact, t_end=(scan.follow if M.deck_generators else scan.verdict)(exact, T))
     return exact
 
 
@@ -384,8 +421,10 @@ class PeriodCertificate:
     and its differential carries c'(period) to c'(0) within velocity_gap
     <= PERIOD_TOL * |K(p0)|, relative to the speed.  ``curve`` is
     the run that found the return (a ``DenseCurve`` or an
-    ``ExactCurve``), from the start to where it stopped, past ``period``;
-    ``certified_flow`` reads the flow line off it without a second run.
+    ``ExactCurve``), from the start to where it stopped: past ``period``
+    after a scan, and at ``period`` where the rates of a closed-form run
+    decided it; ``certified_flow`` reads the flow line off it without a
+    second run.
     """
 
     period: float
@@ -398,12 +437,13 @@ class PeriodCertificate:
 def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCertificate]:
     """Find the minimal period of the integral curve of K through p0.
 
-    The run of the flow line (``_run``) and the return scan go together.
-    The quotient distance to p0 is taken at the grid times i * step on
-    the stretch the run covers so far, in up to three levels.  On an
-    integrated run it is taken at the run's own knots first, and only the
-    knot steps whose smaller end value less the curve's travel over half
-    the step reaches ``DIP_THRESHOLD`` go on; a window with none is
+    The run of the flow line (``_run``) and the return scan go together,
+    except on a closed-form run with no deck generators, whose rates
+    decide (last paragraph).  The quotient distance to p0 is taken at the
+    grid times i * step on the stretch the run covers so far, in up to
+    three levels.  On an integrated run it is taken at the run's own
+    knots first, and only the knot steps whose smaller end value less the
+    curve's travel over half the step reaches ``DIP_THRESHOLD`` go on; a window with none is
     settled without evaluating the dense output.  The grid times left
     are split into cells of ``_CELL`` steps, the distance is taken at
     their ends, and then inside the cells whose smaller end value less
@@ -431,15 +471,17 @@ def detect_period(M: ManifoldModel, K, p0, horizon: float) -> Optional[PeriodCer
 
     The scan step is ``DIP_THRESHOLD / (4 * |K|)`` at the fastest knot
     seen, so no line steps over a dip, whatever its speed.  A skew
-    linear field gives the closed-form run, which the scan reads
-    ``_SCAN_CHUNK`` grid times at a time; its speed is constant along
-    the line, |K(p0)|.  Any other field is integrated by ``solve_rk45``
-    at the local tolerance ``ODE_TOL``; the scan follows the knots as the
-    stepper accepts them and starts again from t = 0 whenever a faster
-    knot shrinks the step.  Those
-    knots are those of a whole-horizon run, so the answer does not depend
-    on the horizon beyond the return, as long as no faster knot lies past
-    it.
+    linear field gives the closed-form run.  On a manifold with no deck
+    generators it is not scanned: its rates give its minimal period or
+    none (``ExactCurve.period``), and the gaps at that period are
+    certified against the identity, with the rule a refined return meets.
+    On a quotient the scan reads it ``_SCAN_CHUNK`` grid times at a time;
+    its speed is constant along the line, |K(p0)|.  Any other field is
+    integrated by ``solve_rk45`` at the local tolerance ``ODE_TOL``; the
+    scan follows the knots as the stepper accepts them and starts again
+    from t = 0 whenever a faster knot shrinks the step.  Those knots are
+    those of a whole-horizon run, so the answer does not depend on the
+    horizon beyond the return, as long as no faster knot lies past it.
     """
     p0 = np.asarray(p0, dtype=float)
     K = as_field(K)
@@ -481,7 +523,10 @@ class _ReturnScan:
     its section crossing (``_refine_return``).
     ``finish`` scans the rest of the grid after a run to the horizon and
     refines every run left, including one still open there.  ``follow``
-    does both on a closed-form curve, one chunk of the grid at a time.
+    does both on a closed-form curve, one chunk of the grid at a time, on
+    a quotient; ``verdict`` certifies a closed-form curve's period from its
+    rates where there are no deck generators.  Both paths certify through
+    ``_certificate``.
     """
 
     def __init__(self, M, field, p0, v0):
@@ -512,6 +557,16 @@ class _ReturnScan:
         window = functools.partial(_window, ts, ys, fs)
         self._scan(window, math.ceil(ts[-1] / self._update_step(fs)))
         self._close(window, ts[-1])
+
+    def verdict(self, curve: ExactCurve, horizon: float) -> float:
+        """Certify a closed-form curve's period from its rates, on a
+        manifold with no deck generators: the identity carries c(T) back
+        to p0 at the minimal period T <= ``horizon``, if there is one and
+        its gaps pass.  The time the run ends: T, or ``horizon``."""
+        T = curve.period()
+        if T is not None and T <= horizon:
+            self.certificate = self._certificate(T, curve(T), identity_element(len(self.p0)))
+        return horizon if self.certificate is None else T
 
     def follow(self, curve, horizon: float) -> float:
         """Scan a closed-form curve on [0, horizon) until its first
@@ -678,12 +733,16 @@ class _ReturnScan:
             if not a < s_new < b:  # no float lies strictly inside [a, b]
                 break
         s_star = 0.5 * (a + b)
-        p_star = dense(s_star)
-        pos_gap = float(np.linalg.norm(word.apply(p_star) - p0))
-        v_star = self.field(p_star)
-        vel_gap = float(np.linalg.norm(word.apply_vector(v_star) - self.v0))
+        return self._certificate(s_star, dense(s_star), word)
+
+    def _certificate(self, s: float, p: Array, word: DeckElement) -> Optional[PeriodCertificate]:
+        """The return at time s to the point p, carried back by ``word``,
+        if it is certified: the position gap within ``PERIOD_TOL`` and
+        the velocity gap within ``PERIOD_TOL`` * |K(p0)|."""
+        pos_gap = float(np.linalg.norm(word.apply(p) - self.p0))
+        vel_gap = float(np.linalg.norm(word.apply_vector(self.field(p)) - self.v0))
         if pos_gap <= PERIOD_TOL and vel_gap <= PERIOD_TOL * float(np.linalg.norm(self.v0)):
-            return PeriodCertificate(s_star, word, pos_gap, vel_gap)
+            return PeriodCertificate(s, word, pos_gap, vel_gap)
         return None
 
 

@@ -68,12 +68,14 @@ def detect_rational(alpha: float) -> Optional[Fraction]:
     genuine irrationals, whose convergents with q <= 1e6 already come
     within ~1/q^2 = 1e-12.
     """
-    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(alpha))
+    return fraction_within(alpha, 4.0 * np.finfo(float).eps * max(1.0, abs(alpha)))
+
+
+def fraction_within(alpha: float, tol: float) -> Optional[Fraction]:
+    """The first convergent p/q of alpha with q <= ``RATIONAL_DETECT_DENOMINATOR``
+    that lies within tol of alpha, or None."""
     convergents = continued_fraction_convergents(alpha, 64, max_q=RATIONAL_DETECT_DENOMINATOR)
-    for frac in convergents:
-        if abs(alpha - frac.numerator / frac.denominator) <= tol:
-            return frac
-    return None
+    return next((f for f in convergents if abs(alpha - f.numerator / f.denominator) <= tol), None)
 
 
 def _slope(K):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import killing_geodesics as kg
+from killing_geodesics.geometry import make_deck_generator
 from killing_geodesics.killing import linear_field
 
 SQRT2 = math.sqrt(2.0)
@@ -33,6 +35,15 @@ def klein():
 @pytest.fixture(scope="session")
 def s3():
     return kg.make_stationary_sphere(SQRT2)
+
+
+@pytest.fixture(scope="session")
+def rp3(s3):
+    """The manifold of the S³ entry modulo p -> -p, RP³.  A closed-form run
+    is scanned only where there are deck generators, so this is where the
+    scan of a skew linear field is tested: the circle (1, 0, 0, 0) closes
+    at π, half its period on S³."""
+    return dataclasses.replace(s3.manifold, deck_generators=(make_deck_generator(0, -np.eye(4), np.zeros(4)),))
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,13 @@
 
 A field whose ``linear`` matrix A is skew flows by plane rotations,
 exp(tA)·p, and its runs are that closed form.  The same field as a bare
-callable has no ``linear`` matrix and is integrated by RK45; both runs go
-through the one return scan.  On stationary-s3 and its first five
-approximants, sampled lines must certify on both paths with periods that
-agree to ``PERIOD_TOL``, and the closed form must give the closure period
-2π·q to 1e-12 relative.
+callable has no ``linear`` matrix and is integrated by RK45 and scanned
+for returns.  A closed-form run is scanned on a quotient; without deck
+generators its rates decide its minimal period.  On stationary-s3 and its
+first five approximants, sampled lines must certify on both paths with
+periods that agree to ``PERIOD_TOL``, and the closed form must give the
+closure period 2π·q to 1e-12 relative.  Near-rational rates get no period,
+however near the line comes back.
 """
 
 import math
@@ -152,8 +154,11 @@ def test_skewness_is_judged_in_the_units_of_the_matrix(s3):
     assert abs(cert.period * 1e-6 - TWO_PI) <= 1e-12 * TWO_PI
 
 
-def test_scan_memory_is_bounded(s3, monkeypatch):
-    # the scan of a closed-form run evaluates at most one chunk at a time
+def test_scan_memory_is_bounded(s3, rp3, monkeypatch):
+    # the scan of a closed-form run evaluates at most one chunk at a time;
+    # a closed-form run is scanned on a quotient, here RP³, where the S³
+    # field's line through the probe does not close and is scanned to the
+    # horizon
     sizes = []
     call = ExactCurve.__call__
 
@@ -162,8 +167,7 @@ def test_scan_memory_is_bounded(s3, monkeypatch):
         return call(self, s)
 
     monkeypatch.setattr(ExactCurve, "__call__", recorded)
-    field, frac = _approximants(s3)[4]
-    kg.detect_period(s3.manifold, field, s3.probe_point, s3.angle_period * (frac.denominator + 1))
+    assert kg.detect_period(rp3, s3.killing, s3.probe_point, 30 * s3.angle_period) is None
     assert max(sizes) <= flows._SCAN_CHUNK < sum(sizes)
 
 
@@ -184,3 +188,88 @@ def test_closed_form_speed_bound_holds(n, entries, start, scale):
     assume(curve is not None)
     ss = np.linspace(0.0, 10.0, 2001)
     assert np.max(np.linalg.norm(curve(ss) @ A.T, axis=1)) <= curve.speed_bound()
+
+
+def _block_rotation(rates):
+    """The skew linear field turning the planes (x_2j, x_2j+1) at rates[j]."""
+    A = np.zeros((2 * len(rates), 2 * len(rates)))
+    for j, w in enumerate(rates):
+        A[2 * j + 1, 2 * j], A[2 * j, 2 * j + 1] = w, -w
+    return linear_field(A)
+
+
+class TestExactVerdict:
+    """Without deck generators a closed-form line closes at the minimal T
+    with ω_j·T ∈ 2πℤ on every plane it moves in, or not at all."""
+
+    M = kg.ManifoldModel(ambient_dim=6)
+    P0 = np.array([1.0, 0.0, 0.5, 0.2, 0.3, -0.4])
+
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 30.0])
+    def test_rational_rates_close_at_the_lcm(self, omega):
+        # ω·(1, 2/3, 3/5): the denominators' lcm is 15, so 15 turns of the first plane
+        K = _block_rotation(omega * np.array([1.0, 2 / 3, 3 / 5]))
+        period = TWO_PI * 15 / omega
+        cert = kg.detect_period(self.M, K, self.P0, 1.1 * period)
+        assert cert.period == pytest.approx(period, rel=1e-12) and cert.curve.t_end == cert.period
+        assert cert.deck_word.word == () and cert.position_gap <= PERIOD_TOL and cert.velocity_gap <= PERIOD_TOL * omega
+        # the minimal period past the horizon: no period
+        assert kg.detect_period(self.M, K, self.P0, 0.9 * period) is None
+
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 30.0])
+    def test_rotated_frame_closes_at_the_lcm(self, omega):
+        # Q·A·Qᵀ reads its rates to a few ulps more than a stored fraction
+        # (at seeds 8 for ω = 1e-3, 11 and 39 for ω = 30 a ratio is off by
+        # more than detect_rational's 4 ulps); the line still closes
+        A = _block_rotation(omega * np.array([1.0, 2 / 3, 3 / 5])).linear
+        period = TWO_PI * 15 / omega
+        for seed in range(40):
+            Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
+            cert = kg.detect_period(self.M, linear_field(Q @ A @ Q.T), Q @ self.P0, 1.1 * period)
+            assert cert is not None and cert.period == pytest.approx(period, rel=1e-12), seed
+
+    def test_irrational_ratio_has_no_period(self):
+        assert kg.detect_period(self.M, _block_rotation([1.0, SQRT2, 0.5]), self.P0, 1e4) is None
+
+    def test_plane_below_the_gap_is_dropped(self):
+        # the third plane turns at an irrational rate, but with amplitude
+        # PERIOD_TOL / 8 it moves the line by at most PERIOD_TOL / 4
+        K = _block_rotation([1.0, 0.5, SQRT2])
+        p0 = np.array([1.0, 0.0, 0.5, 0.2, PERIOD_TOL / 8, 0.0])
+        cert = kg.detect_period(self.M, K, p0, 50.0)
+        assert cert.period == pytest.approx(2 * TWO_PI, rel=1e-12)
+        assert cert.position_gap <= PERIOD_TOL / 4
+        p0[4] = PERIOD_TOL
+        assert kg.detect_period(self.M, K, p0, 50.0) is None
+
+
+@pytest.mark.parametrize("alpha", [1.5000001, 1.0000001, 1.000001, SQRT2, 1.5])
+def test_near_rational_lines_get_no_period(alpha):
+    # Dirichlet: the near-rational lines come within PERIOD_TOL of their
+    # start near T = 4π and 2π, but α·T is no multiple of 2π there
+    entry = kg.build_entry("stationary-s3", alpha=alpha)
+    M = entry.manifold
+    periods = [kg.detect_period(M, entry.killing, p0, 50.0) for p0 in M.sample_points(np.random.default_rng(1), 6)]
+    if alpha == 1.5:
+        assert all(cert.period == 4 * math.pi for cert in periods)
+    else:
+        assert periods == [None] * 6
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+@pytest.mark.parametrize("r", [1.0, 1.5, SQRT2], ids=["1", "3/2", "sqrt2"])
+def test_near_rational_sweep_keeps_both_circles(r, k):
+    # theorem (ii): K never vanishes, so two periodic geodesics, the
+    # circles w = 0 (period 2π) and z = 0 (period 2π/α).  Only at α within
+    # 1e-8 of 1 is f constant to GRAD_TOL; there the fiber scan finds the
+    # two circles and no generic line closes
+    alpha = r * (1.0 + 10.0**-k)
+    report = kg.analyze_entry(kg.build_entry("stationary-s3", alpha=alpha))
+    circles = sorted([TWO_PI / alpha, TWO_PI])
+    if r == 1.0 and k >= 8:
+        assert report.degenerate_constant
+        periods = [row["period"] for row in report.fiber_scan]
+        assert periods[:2] == pytest.approx([TWO_PI, TWO_PI / alpha], rel=1e-12) and periods[2:] == [None] * 8
+    else:
+        assert not report.degenerate_constant
+        assert sorted(o["period"] for o in report.critical_orbits) == pytest.approx(circles, rel=1e-12)

@@ -511,7 +511,8 @@ class TestStreamedScan:
     def test_rejected_dip_then_certified_return(self, monkeypatch):
         # oracle: (z, w) -> (e^{is} z, e^{1.5is} w) sends w to -w at s = 2 pi,
         # a dip to 2w = 2e-3 < DIP_THRESHOLD that is no return; w comes
-        # back at s = 4 pi
+        # back at s = 4 pi.  The field as a bare callable is integrated and
+        # scanned; the closed form's rates give 4 pi with no refinement
         entry = kg.build_entry("stationary-s3", alpha=1.5)
         w = 1e-3
         p0 = np.array([math.sqrt(1.0 - w * w), 0.0, w, 0.0])
@@ -525,9 +526,12 @@ class TestStreamedScan:
             return kg.reduce_point(M, p, q, **kwargs)
 
         monkeypatch.setattr(flows, "reduce_point", reduce_point)
-        cert = kg.detect_period(entry.manifold, entry.killing, p0, 50.0)
+        K = entry.killing
+        cert = kg.detect_period(entry.manifold, lambda p: K(p), p0, 50.0)
         assert cert is not None and cert.period == pytest.approx(4 * math.pi, abs=1e-6)
         assert len(refined) == 2 and np.linalg.norm(refined[0] - dip) <= 1e-3
+        exact = kg.detect_period(entry.manifold, K, p0, 50.0)
+        assert exact.period == 4 * math.pi and len(refined) == 2
 
     def test_dip_waits_for_its_window(self, flat_torus, monkeypatch):
         # K = (1, 0.0098) passes about 0.0098 from p0 at s ≈ 1: a dip
@@ -757,7 +761,8 @@ class TestRefineReturn:
         "klein-generic-1e3": ("klein", np.array([0.3, 0.0]), 1e3, 2.0, False),
         "s3-circle": ("s3", np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 2 * math.pi, False),
         "s3-circle-1e3": ("s3", np.array([1.0, 0.0, 0.0, 0.0]), 1e3, 2 * math.pi, False),
-        "s3-circle-closed-form": ("s3", np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 2 * math.pi, True),
+        # a closed-form run is scanned on a quotient only: on RP³
+        "s3-circle-closed-form": ("s3", np.array([1.0, 0.0, 0.0, 0.0]), 1.0, math.pi, True),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -765,8 +770,9 @@ class TestRefineReturn:
         name, p0, C, period, closed_form = self.CASES[case]
         entry = request.getfixturevalue(name)
         K = entry.killing if closed_form else (lambda p: C * entry.killing(p))
+        M = request.getfixturevalue("rp3") if closed_form else entry.manifold
         refinements = spy_refinements(monkeypatch)
-        cert = kg.detect_period(entry.manifold, K, p0, 4.0 * period / C)
+        cert = kg.detect_period(M, K, p0, 4.0 * period / C)
         assert cert is not None and cert.period == pytest.approx(period / C, abs=1e-6 / C)
         assert refinements
         for times in refinements:
